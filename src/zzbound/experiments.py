@@ -489,18 +489,32 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
     nonnegative, so the result stays a lower bound); interior positions are
     shift invariant, which collapses the position average to a counting
     factor times a fixed-grid quadrature over the amplitude overlap.
+
+    The amplitude quadrature depends on a row only through its lag (via the
+    two correlation tables) and its amplitude offset. Past the template
+    correlation span both tables are exactly zero, so every lag beyond it
+    shares one quadrature value; only the factor tau_share differs. Each
+    call therefore runs the quadrature once per distinct
+    (min(lag, span), d_alpha) key and scatters the sums back to the rows.
+    The collapse is exact: a key's sum is computed elementwise from the
+    same operands as each of its rows, and the scatter keeps the per-row
+    product order tau_share * (length / a_width) * sum, so every returned
+    value is bit-identical to evaluating the quadrature row by row.
     """
     k = scenario.k
     wide = float(scenario.true_width)
     s_true = _pulse_template(scenario.true_width)
     s_assumed = s_true if matched else _pulse_template(scenario.assumed_width)
     e_s = float(s_assumed @ s_assumed)
-    span = (s_true.size - 1) // 2 + (s_assumed.size - 1) // 2 + 1
-    lags = np.arange(min(span + 1, k))
+    reach = (s_true.size - 1) // 2 + (s_assumed.size - 1) // 2 + 1
+    lags = np.arange(min(reach + 1, k))
     table_ss = np.zeros(k)
     table_ts = np.zeros(k)
     table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
     table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
+    # First lag from which both tables are zero to the end; it equals k when
+    # the correlations reach the last lag, and then no lag is collapsed.
+    span = int(np.flatnonzero((table_ss != 0.0) | (table_ts != 0.0))[-1]) + 1
     rho0 = table_ts[0]
     sigma2 = scenario.sigma2
     alpha_axis = scenario.prior.axes[1]
@@ -527,16 +541,22 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
         idx = np.nonzero(live)[0]
         if idx.size == 0:
             return out
-        da = d_alpha[idx]
-        r_ss = table_ss[d_tau[idx]]
-        r_ts = table_ts[d_tau[idx]]
-        lo_l = lo[idx]
-        len_l = length[idx]
-        acc = np.zeros(idx.size)
+        # Two 1-D uniques build the (lag, d_alpha) key; a row-wise unique
+        # over a 2-column array sorts far more slowly.
+        u_alpha, alpha_code = np.unique(d_alpha[idx], return_inverse=True)
+        code = np.minimum(d_tau[idx], span).astype(np.int64) * u_alpha.size + alpha_code
+        u_code, inv = np.unique(code, return_inverse=True)
+        key_lag = u_code // u_alpha.size
+        da = u_alpha[u_code % u_alpha.size]
+        r_ss = table_ss[key_lag]
+        r_ts = table_ts[key_lag]
+        lo_u = np.maximum(a_lo, a_lo - da)
+        len_u = np.minimum(a_hi, a_hi - da) - lo_u
+        acc = np.zeros(u_code.size)
         for t_j, w_j in zip(t_nodes, t_weights):
-            a_o = lo_l + t_j * len_l
+            a_o = lo_u + t_j * len_u
             acc += w_j * _ex4_pe(a_o, da, r_ss, r_ts, rho0, e_s, sigma2)
-        out[idx] = tau_share[idx] * (len_l / a_width) * acc
+        out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
         return out
 
     return g

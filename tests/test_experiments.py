@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zzbound import experiments
 from zzbound.experiments import (
     SweepConfig,
     _ex4_pe,
@@ -279,6 +280,106 @@ def test_example4_g_support_and_zero_offset():
     assert np.all(vals >= 0.0)
 
 
+def _reference_example4_g(scenario, matched):
+    """Row-by-row amplitude quadrature: one 129-node integral per live row."""
+    k = scenario.k
+    wide = float(scenario.true_width)
+    s_true = _pulse_template(scenario.true_width)
+    s_assumed = s_true if matched else _pulse_template(scenario.assumed_width)
+    e_s = float(s_assumed @ s_assumed)
+    reach = (s_true.size - 1) // 2 + (s_assumed.size - 1) // 2 + 1
+    lags = np.arange(min(reach + 1, k))
+    table_ss = np.zeros(k)
+    table_ts = np.zeros(k)
+    table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
+    table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
+    rho0 = table_ts[0]
+    alpha_axis = scenario.prior.axes[1]
+    a_lo, a_hi, a_width = alpha_axis.lo, alpha_axis.hi, alpha_axis.width
+    n = 129
+    t_nodes = np.linspace(0.0, 1.0, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    t_weights = w / (3.0 * (n - 1))
+
+    def g(deltas):
+        d = np.asarray(deltas, dtype=float)
+        out = np.zeros(d.shape[0])
+        d_tau = np.abs(np.rint(d[:, 0])).astype(int)
+        d_alpha = d[:, 1]
+        tau_share = np.maximum(0.0, k - wide - d_tau) / k
+        lo = np.maximum(a_lo, a_lo - d_alpha)
+        length = np.minimum(a_hi, a_hi - d_alpha) - lo
+        idx = np.nonzero((tau_share > 0.0) & (length > 0.0) & (d_tau < k))[0]
+        if idx.size == 0:
+            return out
+        da, lo_l, len_l = d_alpha[idx], lo[idx], length[idx]
+        r_ss, r_ts = table_ss[d_tau[idx]], table_ts[d_tau[idx]]
+        acc = np.zeros(idx.size)
+        for t_j, w_j in zip(t_nodes, t_weights):
+            a_o = lo_l + t_j * len_l
+            acc += w_j * _ex4_pe(a_o, da, r_ss, r_ts, rho0, e_s, scenario.sigma2)
+        out[idx] = tau_share[idx] * (len_l / a_width) * acc
+        return out
+
+    return g
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize(
+    "widths", [(120, 20, 14), (40, 20, 40)], ids=["far_lags", "span_past_live_lags"]
+)
+def test_example4_g_matches_row_by_row_reference(widths, matched):
+    # The lag collapse must reproduce the row-by-row quadrature bit for bit.
+    # In the second scenario the mismatched span exceeds k - true_width, so
+    # no live lag is collapsed.
+    k, true_width, assumed_width = widths
+    scn = build_example4(5.0, k=k, true_width=true_width, assumed_width=assumed_width)
+    rng = np.random.default_rng(41)
+    grid = np.linspace(-1.0, 1.0, 33)
+    lags = np.concatenate(
+        [
+            np.arange(0, 40),  # near lags, the span and beyond
+            rng.integers(0, k + 5, 60),  # up to past k: dead rows included
+            -rng.integers(0, k, 40),  # negative lags
+            rng.uniform(-k, k, 20),  # non-integer lags
+        ]
+    ).astype(float)
+    alphas = np.concatenate(
+        [
+            rng.choice(grid, lags.size - 20),  # shared offsets, as in a scan
+            rng.uniform(-1.3, 1.3, 17),  # includes |d_alpha| >= 1: no overlap
+            [-0.0, 1.0, -1.0],
+        ]
+    )
+    deltas = np.column_stack([lags, alphas])
+    deltas = np.concatenate([deltas, deltas[::7]])  # duplicate rows
+    got = _make_example4_g(scn, matched)(deltas)
+    expected = _reference_example4_g(scn, matched)(deltas)
+    np.testing.assert_array_equal(got, expected)
+    assert np.count_nonzero(expected) > 0
+    assert np.count_nonzero(expected == 0.0) > 0
+
+
+def test_example4_g_far_lags_share_one_quadrature(monkeypatch):
+    # 4999 rows past the correlation span with one amplitude offset are one
+    # key: the 129-node amplitude quadrature runs on a single element.
+    elems = []
+
+    def counting_pe(a_o, *args):
+        elems.append(np.size(a_o))
+        return _ex4_pe(a_o, *args)
+
+    scn = build_example4(10.0, k=6000)
+    g = _make_example4_g(scn, matched=False)
+    monkeypatch.setattr(experiments, "_ex4_pe", counting_pe)
+    deltas = np.column_stack([300.0 + np.arange(4999), np.full(4999, 0.125)])
+    vals = g(deltas)
+    assert sum(elems) == 129
+    assert np.all(vals > 0.0)
+
+
 def test_example4_bounds_small_scale():
     scn = build_example4(50.0, k=240, true_width=20, assumed_width=14)
     out = example4_bounds(scn)
@@ -293,6 +394,11 @@ def test_example4_bounds_small_scale():
         assert result.value > 0.0
     assert out["zzb_tau_mismatched"].form == "lattice_staircase"
     assert out["zzb_alpha_mismatched"].form == "continuous_profile"
+    # Frozen values: collapsing far lags in the integrand must not move them.
+    assert out["zzb_tau_mismatched"].value == pytest.approx(0.7869341290764592, rel=1e-12)
+    assert out["zzb_alpha_mismatched"].value == pytest.approx(0.01715925527225525, rel=1e-12)
+    assert out["zzb_tau_matched"].value == pytest.approx(0.5796243076255466, rel=1e-12)
+    assert out["zzb_alpha_matched"].value == pytest.approx(0.00721628256422579, rel=1e-12)
     # A too-narrow template cannot beat the matched bound at high SNR.
     assert out["zzb_tau_mismatched"].value >= out["zzb_tau_matched"].value
     assert out["zzb_alpha_mismatched"].value >= out["zzb_alpha_matched"].value
