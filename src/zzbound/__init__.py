@@ -74,10 +74,9 @@ from .pe_kernel import (
     equal_linear_scalar_profile,
     pe_equal_linear,
     pe_gaussian,
-    pe_general_mc,
     pe_mixture,
 )
-from .special_math import GammaIncReg, inc_gamma_reg, q_function
+from .special_math import inc_gamma_reg, q_function
 from .zzb import (
     BoundResult,
     DeltaSearch,
@@ -123,7 +122,6 @@ __all__ = [
     "uniform_box",
     "uniform_interval",
     # special math
-    "GammaIncReg",
     "inc_gamma_reg",
     "q_function",
     # error-probability kernel
@@ -133,7 +131,6 @@ __all__ = [
     "equal_linear_scalar_profile",
     "pe_equal_linear",
     "pe_gaussian",
-    "pe_general_mc",
     "pe_mixture",
     # bounds
     "BoundResult",

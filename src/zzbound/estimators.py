@@ -23,6 +23,7 @@ from .models import (
     Prior,
     ScaledIdentityCov,
     eval_signal,
+    pulse_template,
 )
 
 __all__ = [
@@ -187,9 +188,8 @@ def _pulse_fast_path(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
     sig = spec.model.signal
     tau_ax, alpha_ax = prior.axes
     k = sig.k
-    # Support of max(0, 1 - 2|j|/width) is |j| < width/2.
-    radius = int(np.ceil(sig.width / 2.0)) - 1
-    tpl = 1.0 - 2.0 * np.abs(np.arange(-radius, radius + 1, dtype=float)) / sig.width
+    tpl = pulse_template(sig.width)
+    radius = (tpl.size - 1) // 2
     xm = x - spec.model.noise_mean
 
     corr_full = np.convolve(xm, tpl)  # symmetric template: convolution = correlation

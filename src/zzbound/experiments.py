@@ -30,6 +30,7 @@ from .models import (
     Prior,
     ScaledIdentityCov,
     TrueModel,
+    pulse_template,
     triangular_pulse,
     uniform_interval,
 )
@@ -398,13 +399,6 @@ class Example4Scenario:
     rho0: float
 
 
-def _pulse_template(width: int) -> np.ndarray:
-    """Unclipped unit-peak triangular template, support radius ceil(w/2) - 1."""
-    radius = int(np.ceil(width / 2.0)) - 1
-    j = np.arange(-radius, radius + 1, dtype=float)
-    return 1.0 - 2.0 * np.abs(j) / width
-
-
 def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """r[j] = sum_i a(i) b(i + j) for centered templates a and b."""
     ra, rb = (a.size - 1) // 2, (b.size - 1) // 2
@@ -425,8 +419,8 @@ def build_example4(
         raise ValueError(f"snr must be positive, got {snr}")
     if k < 2 * true_width:
         raise ValueError(f"k must be at least twice the true width, got k={k}")
-    s_true = _pulse_template(true_width)
-    s_assumed = _pulse_template(assumed_width)
+    s_true = pulse_template(true_width)
+    s_assumed = pulse_template(assumed_width)
     e_s_true = float(s_true @ s_true)
     e_s_assumed = float(s_assumed @ s_assumed)
     rho0 = float(_xcorr_at_lags(s_true, s_assumed, np.array([0]))[0])
@@ -503,10 +497,13 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
     """
     k = scenario.k
     wide = float(scenario.true_width)
-    s_true = _pulse_template(scenario.true_width)
-    s_assumed = s_true if matched else _pulse_template(scenario.assumed_width)
+    s_true = pulse_template(scenario.true_width)
+    s_assumed = s_true if matched else pulse_template(scenario.assumed_width)
     e_s = float(s_assumed @ s_assumed)
-    reach = (s_true.size - 1) // 2 + (s_assumed.size - 1) // 2 + 1
+    # The cross-correlation reaches lag r_true + r_assumed and the assumed
+    # autocorrelation lag 2 r_assumed; both tables are zero past the larger.
+    r_true, r_assumed = (s_true.size - 1) // 2, (s_assumed.size - 1) // 2
+    reach = max(r_true, r_assumed) + r_assumed + 1
     lags = np.arange(min(reach + 1, k))
     table_ss = np.zeros(k)
     table_ts = np.zeros(k)

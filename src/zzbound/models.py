@@ -33,6 +33,7 @@ __all__ = [
     "AmplitudePulseMap",
     "eval_signal",
     "triangular_pulse",
+    "pulse_template",
     "pulse_energy",
     "NoiseLaw",
     "GaussianNoise",
@@ -344,6 +345,17 @@ def triangular_pulse(tau: float, width: int, k: int) -> np.ndarray:
     return np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
 
 
+def pulse_template(width: int) -> np.ndarray:
+    """Unclipped unit-peak triangular template, support radius ceil(w/2) - 1.
+
+    The samples 1 - 2|j| / width at offsets j = -radius..radius are the
+    nonzero part of triangular_pulse, centered in an array of odd length.
+    """
+    radius = int(np.ceil(width / 2.0)) - 1
+    j = np.arange(-radius, radius + 1, dtype=float)
+    return 1.0 - 2.0 * np.abs(j) / width
+
+
 def pulse_energy(pulse: np.ndarray) -> float:
     """Energy sum(s[i]^2) of a sampled pulse."""
     p = np.asarray(pulse, dtype=float)
@@ -552,9 +564,6 @@ class IntervalAxis:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def overlap(self, delta: float) -> float:
-        return max(0.0, 1.0 - abs(delta) / self.width)
-
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo, self.hi))
 
@@ -576,17 +585,6 @@ class LatticeAxis:
     @property
     def width(self) -> float:
         return (self.count - 1) * self.step
-
-    def overlap(self, delta: float) -> float:
-        """Sum over the lattice of min[p(t), p(t + delta)].
-
-        Nonzero only when delta is an integer number of steps.
-        """
-        j = delta / self.step
-        j_round = round(j)
-        if abs(j - j_round) > 1e-9:
-            return 0.0
-        return max(0.0, 1.0 - abs(j_round) / self.count)
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.start + self.step * float(rng.integers(0, self.count))

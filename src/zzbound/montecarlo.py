@@ -1,21 +1,19 @@
 """Monte Carlo measurement of estimator error and of detector error rates.
 
 Every trial gets its own counter-based generator derived from (seed, trial
-index), so results are byte-identical no matter how many worker threads run
-the trials; reductions always happen in fixed trial order.
+index), so a trial's draws depend on nothing but that pair; trials run in
+index order and reductions happen in fixed trial order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import EstimatorSpec, estimate
 from .models import Prior, TrueModel, eval_signal
-from .pe_kernel import PeKernel, compute_S
+from .pe_kernel import PeKernel
 
 __all__ = [
     "trial_generator",
@@ -65,16 +63,6 @@ def derive_seed(base: int, *parts: int) -> int:
     return z
 
 
-def _worker_count() -> int:
-    env = os.environ.get("ZZBOUND_WORKERS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("ZZBOUND_WORKERS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True, eq=False)
 class TrialPlan:
     """One Monte Carlo experiment: truth, estimator, prior, and sampling plan.
@@ -120,12 +108,16 @@ class MseReport:
 
 
 def run_mse(plan: TrialPlan) -> MseReport:
-    """Run the trials (thread-parallel, deterministic) and reduce the errors."""
+    """Run the trials one after another and reduce the errors.
+
+    Trial i draws from trial_generator(plan.seed, i) alone; a trial whose
+    estimator raises ValueError or LinAlgError counts as a failure.
+    """
     n_theta = plan.prior.n_theta
     errors = np.full((plan.trials, n_theta), np.nan)
     ok = np.zeros(plan.trials, dtype=bool)
 
-    def one_trial(i: int) -> None:
+    for i in range(plan.trials):
         rng = trial_generator(plan.seed, i)
         if plan.theta_true is not None:
             theta = plan.theta_true
@@ -136,21 +128,9 @@ def run_mse(plan: TrialPlan) -> MseReport:
         try:
             est = estimate(plan.estimator, x, plan.prior)
         except (ValueError, np.linalg.LinAlgError):
-            return
+            continue
         errors[i] = est - theta
         ok[i] = True
-
-    def run_chunk(indices: range) -> None:
-        for i in indices:
-            one_trial(i)
-
-    workers = _worker_count()
-    if workers == 1 or plan.trials < 2:
-        run_chunk(range(plan.trials))
-    else:
-        chunks = [range(s, min(s + 64, plan.trials)) for s in range(0, plan.trials, 64)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
 
     failures = int(plan.trials - np.count_nonzero(ok))
     kept = errors[ok]

@@ -5,7 +5,8 @@ theta_o and theta_o + delta, how often does the decision rule derived from
 the assumed model pick the wrong one when data come from the true model?
 This module answers that question along every analytic route (Gaussian
 truth, Gaussian-mixture truth, the theta-independent equal-linear-map
-shortcut) and by Monte Carlo when no analytic route exists.
+shortcut). When no analytic route exists, montecarlo.empirical_pe estimates
+the error probability by simulating the test.
 
 All routes share one scalar statistic: the decision rule compares the
 assumed-model log-likelihoods of the two candidates, which reduces to a
@@ -22,7 +23,6 @@ import numpy as np
 
 from .models import (
     AssumedModel,
-    EmpiricalNoise,
     GaussianNoise,
     LinearMatrixMap,
     LinearVectorMap,
@@ -39,16 +39,10 @@ __all__ = [
     "projected_noise_stats",
     "pe_gaussian",
     "pe_mixture",
-    "pe_general_mc",
     "pe_equal_linear",
     "EqualLinearScalarPe",
     "equal_linear_scalar_profile",
 ]
-
-# Draws per chunk in pe_general_mc are capped so the (chunk, K) noise block
-# stays modest even for long records.
-_MC_CHUNK_ELEMENTS = 1 << 23
-
 
 @dataclass(frozen=True, eq=False)
 class PeKernel:
@@ -118,7 +112,7 @@ def projected_noise_stats(kernel: PeKernel, theta_o, delta) -> ProjectedNoise:
     """Moments of n*^T Sigma^-1 d for Gaussian or mixture truth.
 
     Raises ValueError for empirical noise, which has no analytic projection;
-    pe_general_mc covers that case by sampling.
+    montecarlo.empirical_pe covers that case by sampling.
     """
     d = kernel.signal_diff(theta_o, delta)
     cov = kernel.assumed.noise_cov
@@ -143,7 +137,7 @@ def projected_noise_stats(kernel: PeKernel, theta_o, delta) -> ProjectedNoise:
         )
     raise ValueError(
         "projected noise moments need Gaussian or mixture truth; "
-        "empirical noise is only supported through pe_general_mc"
+        "empirical noise is only supported through montecarlo.empirical_pe"
     )
 
 
@@ -198,47 +192,6 @@ def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
     for w, m, s in zip(stats.weights, stats.comp_means, stats.comp_stddevs):
         total += w * 0.5 * (_q_or_limit(s0 + m, s) + _q_or_limit(-s1 - m, s))
     return float(total)
-
-
-def pe_general_mc(kernel: PeKernel, theta_o, delta, trials: int, seed) -> tuple[float, float]:
-    """Monte Carlo error probability for an arbitrary true noise law.
-
-    One shared noise sample serves both hypotheses per trial: the trial's
-    projected noise is compared against the two deterministic thresholds, and
-    exact ties count as half an error, so delta = 0 yields exactly 0.5 with
-    zero spread. Returns the estimate and the standard error of the mean.
-
-    Parameters
-    ----------
-    trials : int
-        Number of noise draws, at least 1.
-    seed : int or numpy.random.Generator
-        Source of randomness; an integer gives a fresh deterministic stream.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    s0 = compute_S(kernel, th, th, de)
-    s1 = compute_S(kernel, th + de, th, de)
-    d = kernel.signal_diff(th, de)
-    sinv_d = kernel.assumed.noise_cov.solve(d)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    chunk = max(1, _MC_CHUNK_ELEMENTS // kernel.assumed.k)
-    scores = np.empty(trials, dtype=float)
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        draws = kernel.truth.noise.draw(rng, size=n)
-        nu = draws @ sinv_d
-        err0 = np.where(nu < -s0, 1.0, 0.0) + 0.5 * (nu == -s0)
-        err1 = np.where(nu > -s1, 1.0, 0.0) + 0.5 * (nu == -s1)
-        scores[done : done + n] = 0.5 * (err0 + err1)
-        done += n
-    prob = float(np.mean(scores))
-    stderr = float(np.std(scores, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return prob, stderr
 
 
 def _equal_linear_matrix(kernel: PeKernel) -> np.ndarray:

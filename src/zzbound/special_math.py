@@ -12,12 +12,11 @@ otherwise. See Press et al., Numerical Recipes, ch. 6 for the scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-__all__ = ["GammaIncReg", "q_function", "inc_gamma_reg"]
+__all__ = ["q_function", "inc_gamma_reg"]
 
 _MAX_ITER = 500
 _EPS = 1e-15
@@ -119,21 +118,3 @@ def inc_gamma_reg(a: float, x: float) -> float:
         p = 1.0 - _gamma_cf(a, x)
     # Clamp ulp-level excursions so the [0, 1] range contract is exact.
     return min(1.0, max(0.0, p))
-
-
-@dataclass(frozen=True)
-class GammaIncReg:
-    """Regularized lower incomplete gamma with the shape parameter fixed.
-
-    A tiny convenience wrapper for code that evaluates the same shape many
-    times (the closed-form bound uses shapes 3/2 and 2).
-    """
-
-    a: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError(f"shape parameter must be positive, got a={self.a}")
-
-    def __call__(self, x: float) -> float:
-        return inc_gamma_reg(self.a, x)

@@ -10,7 +10,7 @@ Quadrature is composite Simpson with grid doubling; every bound reports the
 doubling convergence through BoundResult.converged rather than raising, so
 sweeps can flag rows instead of dying. Sums and quadrature reductions rely on
 numpy's pairwise summation in fixed index order, which keeps results identical
-across worker counts.
+across reruns.
 """
 
 from __future__ import annotations
@@ -313,14 +313,16 @@ def prior_overlap(prior: Prior, delta) -> float:
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     if de.size != prior.n_theta:
         raise ValueError(f"delta has dimension {de.size}, prior expects {prior.n_theta}")
-    out = 1.0
-    for val, ax in zip(de, prior.axes):
-        out *= ax.overlap(float(val))
-    return out
+    return float(overlap_rows(prior, de.reshape(1, -1))[0])
 
 
 def overlap_rows(prior: Prior, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized prior_overlap over rows of a (M, n_theta) offset array."""
+    """prior_overlap of each row of a (M, n_theta) offset array.
+
+    Per axis, an interval of width W contributes max(0, 1 - |d| / W) and a
+    lattice of count N contributes max(0, 1 - |j| / N) when d is j whole
+    steps, else 0; the row's overlap is the product over axes.
+    """
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 2 or d.shape[1] != prior.n_theta:
         raise ValueError(f"deltas must have shape (M, {prior.n_theta})")

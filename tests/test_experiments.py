@@ -12,7 +12,6 @@ from zzbound.experiments import (
     _ex4_pe,
     _make_example4_g,
     _prior_width,
-    _pulse_template,
     _xcorr_at_lags,
     build_example1,
     build_example2,
@@ -30,6 +29,7 @@ from zzbound.models import (
     GaussianNoise,
     ScaledIdentityCov,
     TrueModel,
+    pulse_template,
 )
 from zzbound.pe_kernel import PeKernel, pe_gaussian
 
@@ -228,8 +228,8 @@ def test_xcorr_at_lags_brute_force():
 
 
 def test_pulse_template_energy_matches_frozen():
-    t300 = _pulse_template(300)
-    t200 = _pulse_template(200)
+    t300 = pulse_template(300)
+    t200 = pulse_template(200)
     assert float(t300 @ t300) == pytest.approx(100.00222222222224, rel=1e-12)
     assert float(t200 @ t200) == pytest.approx(66.67000000000002, rel=1e-12)
     assert t300.max() == 1.0 and t300.min() > 0.0
@@ -239,7 +239,7 @@ def test_ex4_pe_agrees_with_gaussian_kernel():
     # The correlation shortcut must reproduce the generic Gaussian error
     # probability at interior positions, for both signs of the lattice shift.
     k, wt, wa, sigma2 = 60, 14, 10, 0.8
-    s_t, s_a = _pulse_template(wt), _pulse_template(wa)
+    s_t, s_a = pulse_template(wt), pulse_template(wa)
     e_s = float(s_a @ s_a)
     cov = ScaledIdentityCov(sigma2, k)
     kernel = PeKernel(
@@ -284,15 +284,12 @@ def _reference_example4_g(scenario, matched):
     """Row-by-row amplitude quadrature: one 129-node integral per live row."""
     k = scenario.k
     wide = float(scenario.true_width)
-    s_true = _pulse_template(scenario.true_width)
-    s_assumed = s_true if matched else _pulse_template(scenario.assumed_width)
+    s_true = pulse_template(scenario.true_width)
+    s_assumed = s_true if matched else pulse_template(scenario.assumed_width)
     e_s = float(s_assumed @ s_assumed)
-    reach = (s_true.size - 1) // 2 + (s_assumed.size - 1) // 2 + 1
-    lags = np.arange(min(reach + 1, k))
-    table_ss = np.zeros(k)
-    table_ts = np.zeros(k)
-    table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
-    table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
+    lags = np.arange(k)
+    table_ss = _xcorr_at_lags(s_assumed, s_assumed, lags)
+    table_ts = _xcorr_at_lags(s_true, s_assumed, lags)
     rho0 = table_ts[0]
     alpha_axis = scenario.prior.axes[1]
     a_lo, a_hi, a_width = alpha_axis.lo, alpha_axis.hi, alpha_axis.width
@@ -328,12 +325,15 @@ def _reference_example4_g(scenario, matched):
 
 @pytest.mark.parametrize("matched", [False, True])
 @pytest.mark.parametrize(
-    "widths", [(120, 20, 14), (40, 20, 40)], ids=["far_lags", "span_past_live_lags"]
+    "widths",
+    [(120, 20, 14), (40, 20, 40), (80, 10, 20)],
+    ids=["far_lags", "span_past_live_lags", "wide_assumed"],
 )
 def test_example4_g_matches_row_by_row_reference(widths, matched):
     # The lag collapse must reproduce the row-by-row quadrature bit for bit.
     # In the second scenario the mismatched span exceeds k - true_width, so
-    # no live lag is collapsed.
+    # no live lag is collapsed. In the third the assumed template is wider
+    # than the true one, so its autocorrelation outreaches the cross term.
     k, true_width, assumed_width = widths
     scn = build_example4(5.0, k=k, true_width=true_width, assumed_width=assumed_width)
     rng = np.random.default_rng(41)

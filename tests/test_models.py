@@ -29,6 +29,7 @@ from zzbound.models import (
     uniform_box,
     uniform_interval,
 )
+from zzbound.zzb import overlap_rows
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +270,28 @@ def test_sample_observation_reproducible():
 # ---------------------------------------------------------------------------
 
 
+def _axis_overlap(ax, delta):
+    return overlap_rows(Prior((ax,)), np.array([[delta]]))[0]
+
+
 def test_interval_axis_overlap():
     ax = IntervalAxis(0.0, 10.0)
     assert ax.width == 10.0
-    assert ax.overlap(0.0) == 1.0
-    assert ax.overlap(2.5) == pytest.approx(0.75)
-    assert ax.overlap(-2.5) == pytest.approx(0.75)
-    assert ax.overlap(10.0) == 0.0
-    assert ax.overlap(12.0) == 0.0
+    assert _axis_overlap(ax, 0.0) == 1.0
+    assert _axis_overlap(ax, 2.5) == pytest.approx(0.75)
+    assert _axis_overlap(ax, -2.5) == pytest.approx(0.75)
+    assert _axis_overlap(ax, 10.0) == 0.0
+    assert _axis_overlap(ax, 12.0) == 0.0
 
 
 def test_lattice_axis_overlap():
     ax = LatticeAxis(count=5, start=0.0, step=1.0)
     assert ax.width == 4.0
-    assert ax.overlap(0.0) == 1.0
-    assert ax.overlap(2.0) == pytest.approx(0.6)
-    assert ax.overlap(-2.0) == pytest.approx(0.6)
-    assert ax.overlap(5.0) == 0.0
-    assert ax.overlap(0.5) == 0.0  # off-lattice shift never aligns
+    assert _axis_overlap(ax, 0.0) == 1.0
+    assert _axis_overlap(ax, 2.0) == pytest.approx(0.6)
+    assert _axis_overlap(ax, -2.0) == pytest.approx(0.6)
+    assert _axis_overlap(ax, 5.0) == 0.0
+    assert _axis_overlap(ax, 0.5) == 0.0  # off-lattice shift never aligns
 
 
 def test_axis_validation():

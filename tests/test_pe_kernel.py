@@ -16,6 +16,7 @@ from zzbound.models import (
     ScaledIdentityCov,
     TrueModel,
 )
+from zzbound.montecarlo import empirical_pe
 from zzbound.pe_kernel import (
     PeKernel,
     _q_or_limit,
@@ -23,7 +24,6 @@ from zzbound.pe_kernel import (
     equal_linear_scalar_profile,
     pe_equal_linear,
     pe_gaussian,
-    pe_general_mc,
     pe_mixture,
     projected_noise_stats,
 )
@@ -232,23 +232,23 @@ def test_pe_mixture_zero_delta_and_range():
         assert 0.0 < pe < 0.5
 
 
-def test_pe_general_mc_zero_delta_exact():
+def test_empirical_pe_zero_delta_exact():
     kern = _scalar_kernel(k=2)
-    prob, stderr = pe_general_mc(kern, 1.0, 0.0, trials=64, seed=0)
-    assert prob == 0.5
-    assert stderr == 0.0
+    got = empirical_pe(kern, 1.0, 0.0, trials=64, seed=0)
+    assert got.pe == 0.5
+    assert got.stderr == 0.0
 
 
-def test_pe_general_mc_matches_analytic():
+def test_empirical_pe_matches_analytic():
     kern = _scalar_kernel(k=4, sigma2=1.0, sigma2_true=2.25, mu_true=0.3)
     delta = 0.9
     exact = pe_gaussian(kern, 0.5, delta)
-    prob, stderr = pe_general_mc(kern, 0.5, delta, trials=200_000, seed=3)
-    assert stderr > 0.0
-    assert abs(prob - exact) < 3.0 * stderr
+    got = empirical_pe(kern, 0.5, delta, trials=200_000, seed=3)
+    assert got.stderr > 0.0
+    assert abs(got.pe - exact) < 3.0 * got.stderr
 
 
-def test_pe_general_mc_mixture_truth():
+def test_empirical_pe_mixture_truth():
     k = 3
     sig = LinearVectorMap(np.ones(k))
     mix = MixtureNoise(
@@ -262,8 +262,8 @@ def test_pe_general_mc_mixture_truth():
         AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k)), TrueModel(sig, mix)
     )
     exact = pe_mixture(kern, 2.0, 1.2)
-    prob, stderr = pe_general_mc(kern, 2.0, 1.2, trials=200_000, seed=8)
-    assert abs(prob - exact) < 3.0 * stderr
+    got = empirical_pe(kern, 2.0, 1.2, trials=200_000, seed=8)
+    assert abs(got.pe - exact) < 3.0 * got.stderr
 
 
 def test_projected_noise_stats_mixture_pooling():

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from zzbound.special_math import GammaIncReg, inc_gamma_reg, q_function
+from zzbound.special_math import inc_gamma_reg, q_function
 
 
 def test_q_function_frozen_values():
@@ -82,10 +82,3 @@ def test_inc_gamma_monotone_in_x():
         vals = [inc_gamma_reg(a, float(x)) for x in xs]
         assert all(b >= a_ for a_, b in zip(vals, vals[1:]))
         assert 0.0 <= min(vals) and max(vals) <= 1.0
-
-
-def test_fixed_shape_wrapper():
-    p32 = GammaIncReg(1.5)
-    assert p32(2.0) == inc_gamma_reg(1.5, 2.0)
-    with pytest.raises(ValueError, match="shape"):
-        GammaIncReg(0.0)
