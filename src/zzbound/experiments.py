@@ -292,6 +292,9 @@ def build_example3(
     )
 
 
+_MIXTURE_ROWS = 64  # offsets per row block of matched_mixture_pe
+
+
 def matched_mixture_pe(
     k: int, omega1: float, std_narrow: float = 1.0, std_wide: float = 25.0
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -302,18 +305,33 @@ def matched_mixture_pe(
     for the narrow component, wide flanks for the outlier tails); the K-sample
     error probability then follows from the normal approximation of the
     per-sample sum. Returns a vectorized pe(h_off) with pe(0) = 0.5.
+
+    The shifted log-density log f(v - h) = logaddexp(a, b) adds a narrow term
+    a = la + ca - (d/std_narrow)^2/2 and a wide term b = lb + cb -
+    (d/std_wide)^2/2, with d = v - h. When std_narrow < std_wide, a - b falls
+    quadratically in |d|; past the reach R below, a - b < -50 and b <= -1.
+    There logaddexp returns b + log1p(exp(a - b)), and exp(-50) is far below
+    half an ulp of |b| >= 1, so the sum rounds to b exactly. Each row block
+    therefore computes b at full width and logaddexp only on the nodes within
+    R of its offsets (NaN offsets aside), with the same bits as the full-width
+    evaluation. When std_narrow >= std_wide the window is the whole grid.
     """
+    for name, std in (("std_narrow", std_narrow), ("std_wide", std_wide)):
+        if not 0.0 < std < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {std}")
     if not 0.0 < omega1 < 1.0:
         raise ValueError("interior weights only; the extremes are exactly Gaussian")
     la, lb = math.log(omega1), math.log(1.0 - omega1)
     ca = -0.5 * math.log(2.0 * math.pi * std_narrow**2)
     cb = -0.5 * math.log(2.0 * math.pi * std_wide**2)
-
-    def logpdf(v: np.ndarray) -> np.ndarray:
-        return np.logaddexp(
-            la + ca - 0.5 * (v / std_narrow) ** 2,
-            lb + cb - 0.5 * (v / std_wide) ** 2,
+    curvature = 0.5 / std_narrow**2 - 0.5 / std_wide**2
+    if curvature > 0.0:
+        narrow_reach = max(
+            math.sqrt(max(la + ca - lb - cb + 50.0, 0.0) / curvature),
+            std_wide * math.sqrt(2.0 * max(lb + cb + 1.0, 0.0)),
         )
+    else:
+        narrow_reach = math.inf
 
     reach = 8.8 * std_wide
     center = 10.0 * std_narrow
@@ -330,16 +348,24 @@ def matched_mixture_pe(
         nodes.append(x)
         weights.append(w * (x[1] - x[0]) / 3.0)
     v = np.concatenate(nodes)
-    log_f = logpdf(v)
+    log_f = np.logaddexp(
+        la + ca - 0.5 * (v / std_narrow) ** 2, lb + cb - 0.5 * (v / std_wide) ** 2
+    )
     f_w = np.exp(log_f) * np.concatenate(weights)
 
     def pe(h_off) -> np.ndarray:
         h = np.atleast_1d(np.asarray(h_off, dtype=float))
         out = np.full(h.shape, 0.5)
         live = np.nonzero(h != 0.0)[0]
-        for start in range(0, live.size, 256):
-            idx = live[start : start + 256]
-            ell = logpdf(v[None, :] - h[idx, None]) - log_f[None, :]
+        for start in range(0, live.size, _MIXTURE_ROWS):
+            idx = live[start : start + _MIXTURE_ROWS]
+            hb = h[idx, None]
+            ell = lb + cb - 0.5 * ((v - hb) / std_wide) ** 2
+            j0 = np.searchsorted(v, np.nanmin(hb) - narrow_reach)
+            j1 = np.searchsorted(v, np.nanmax(hb) + narrow_reach, "right")
+            near = ell[:, j0:j1]
+            np.logaddexp(la + ca - 0.5 * ((v[j0:j1] - hb) / std_narrow) ** 2, near, out=near)
+            ell -= log_f
             mean = ell @ f_w
             var = (ell * ell) @ f_w - mean * mean
             var = np.maximum(var, 1e-300)

@@ -32,6 +32,7 @@ from zzbound.models import (
     pulse_template,
 )
 from zzbound.pe_kernel import PeKernel, pe_gaussian
+from zzbound.special_math import q_function
 
 
 def test_prior_width():
@@ -167,6 +168,88 @@ def test_example3_frozen_interior_values():
         assert got.converged
         assert got.value == pytest.approx(matched, rel=1e-7)
         assert scn.bound_mismatched > got.value  # mismatch always costs
+
+
+def test_example3_frozen_benchmark_points():
+    # The two weights of the mixture_quadrature benchmark workload, at k=2000.
+    expected = {0.3: 0.0008049369542070419, 0.7: 0.002426334619590238}
+    for w2, matched in expected.items():
+        got = example3_matched_bound(build_example3(1.0 - w2))
+        assert got.converged
+        assert got.value == pytest.approx(matched, rel=1e-12)
+
+
+def _reference_mixture_pe(k, omega1, std_narrow, std_wide):
+    """matched_mixture_pe with full-width logaddexp in every row block."""
+    la, lb = math.log(omega1), math.log(1.0 - omega1)
+    ca = -0.5 * math.log(2.0 * math.pi * std_narrow**2)
+    cb = -0.5 * math.log(2.0 * math.pi * std_wide**2)
+
+    def logpdf(v):
+        return np.logaddexp(
+            la + ca - 0.5 * (v / std_narrow) ** 2,
+            lb + cb - 0.5 * (v / std_wide) ** 2,
+        )
+
+    reach, center = 8.8 * std_wide, 10.0 * std_narrow
+    nodes, weights = [], []
+    for lo, hi in ((-reach, -center), (-center, center), (center, reach)):
+        x = np.linspace(lo, hi, 2049)
+        w = np.ones(2049)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        nodes.append(x)
+        weights.append(w * (x[1] - x[0]) / 3.0)
+    v = np.concatenate(nodes)
+    log_f = logpdf(v)
+    f_w = np.exp(log_f) * np.concatenate(weights)
+    rows = experiments._MIXTURE_ROWS
+
+    def pe(h_off):
+        h = np.atleast_1d(np.asarray(h_off, dtype=float))
+        out = np.full(h.shape, 0.5)
+        live = np.nonzero(h != 0.0)[0]
+        for start in range(0, live.size, rows):
+            idx = live[start : start + rows]
+            ell = logpdf(v[None, :] - h[idx, None]) - log_f[None, :]
+            mean = ell @ f_w
+            var = np.maximum((ell * ell) @ f_w - mean * mean, 1e-300)
+            out[idx] = q_function(math.sqrt(k) * np.abs(mean) / np.sqrt(var))
+        return out
+
+    return pe
+
+
+@pytest.mark.parametrize("stds", [(1.0, 25.0), (1.0, 1.0), (2.0, 1.0), (0.01, 0.1)])
+def test_example3_windowed_mixture_pe_is_bitwise(stds):
+    # Outside each block's window the narrow term is more than 50 nats below
+    # the wide one, so skipping logaddexp there must not move a single bit.
+    offsets = np.array(
+        [0.0, 1e-9, -1e-9, 3.7, -0.4, 250.0, -250.0, 10.0, -10.0, 9.99, 10.01, 1.2, -31.0]
+    )
+    spread = np.linspace(-30.0, 30.0, 301)
+    for omega1 in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        got = matched_mixture_pe(200, omega1, *stds)
+        ref = _reference_mixture_pe(200, omega1, *stds)
+        # One offset per call narrows each window to that offset alone.
+        np.testing.assert_array_equal(
+            [got(h) for h in offsets], np.concatenate([ref(h) for h in offsets])
+        )
+        np.testing.assert_array_equal(got(offsets), ref(offsets))
+        np.testing.assert_array_equal(got(spread), ref(spread))
+        assert np.all(np.isfinite(got(spread)))
+    with np.errstate(invalid="ignore"):
+        with_nan = np.array([0.5, np.nan, -2.0])
+        np.testing.assert_array_equal(got(with_nan), ref(with_nan))
+
+
+def test_example3_matched_mixture_pe_rejects_bad_stds():
+    with pytest.raises(ValueError, match="std_narrow"):
+        matched_mixture_pe(k=10, omega1=0.5, std_narrow=0.0)
+    with pytest.raises(ValueError, match="std_wide"):
+        matched_mixture_pe(k=10, omega1=0.5, std_wide=-25.0)
+    with pytest.raises(ValueError, match="std_wide"):
+        matched_mixture_pe(k=10, omega1=0.5, std_wide=math.nan)
 
 
 def test_example3_matched_mixture_pe_profile():

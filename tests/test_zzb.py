@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zzbound import experiments
+from zzbound.experiments import matched_mixture_pe
 from zzbound.models import (
     AssumedModel,
     DenseCov,
@@ -27,6 +29,9 @@ from zzbound.zzb import (
     QuadratureRule,
     ScalarBoundSpec,
     VectorBoundSpec,
+    _adaptive_1d,
+    _odd,
+    _simpson_last,
     gamma_from_scenario,
     lattice_staircase_sum,
     overlap_rows,
@@ -185,6 +190,70 @@ def test_symmetric_split_mirror_bitwise():
     plus = zzb_scalar_symmetric(ScalarBoundSpec(prior, branch(2.0)))
     minus = zzb_scalar_symmetric(ScalarBoundSpec(prior, branch(-2.0)))
     assert plus.value == minus.value
+
+
+def _adaptive_1d_full_grid(f, lo, hi, rule):
+    """The driver without nested reuse: every level evaluates its whole grid."""
+    n = _odd(rule.points)
+    x = np.linspace(lo, hi, n)
+    prev = float(_simpson_last(np.asarray(f(x), dtype=float), (hi - lo) / (n - 1)))
+    for _ in range(rule.max_doublings):
+        n = 2 * n - 1
+        x = np.linspace(lo, hi, n)
+        cur = float(_simpson_last(np.asarray(f(x), dtype=float), (hi - lo) / (n - 1)))
+        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
+            return cur, True
+        prev = cur
+    return prev, False
+
+
+def test_linspace_grids_are_nested_bitwise():
+    for lo, hi, n in ((0.0, 6.0, 4097), (0.0, 1e3 / 7.0, 513), (-3.7, 2.9, 9), (0.0, 0.1, 33)):
+        np.testing.assert_array_equal(np.linspace(lo, hi, 2 * n - 1)[::2], np.linspace(lo, hi, n))
+
+
+@pytest.mark.parametrize(
+    "rule, converged, nodes",
+    [
+        (QuadratureRule(), True, 8193),  # settles after one doubling
+        (QuadratureRule(points=5, rel_tol=1e-15, max_doublings=3), False, 33),
+        (QuadratureRule(points=7, max_doublings=0), False, 7),
+    ],
+)
+def test_adaptive_1d_nested_reuse_matches_full_grid(rule, converged, nodes):
+    t = 6.0
+
+    def f(h):
+        return h * (t - h) * q_function(1.3 * h) * (1.0 + 0.5 * np.sin(40.0 * h))
+
+    sizes = []
+
+    def counted(h):
+        sizes.append(h.size)
+        return f(h)
+
+    got = _adaptive_1d(counted, 0.0, t, rule)
+    assert got == _adaptive_1d_full_grid(f, 0.0, t, rule)
+    assert got[1] is converged
+    assert sum(sizes) == nodes
+
+
+def test_example3_matched_bound_evaluates_each_node_once(monkeypatch):
+    offsets = []
+
+    def counting_factory(*args):
+        pe = matched_mixture_pe(*args)
+
+        def counted(h):
+            offsets.append(np.size(h))
+            return pe(h)
+
+        return counted
+
+    monkeypatch.setattr(experiments, "matched_mixture_pe", counting_factory)
+    got = experiments.example3_matched_bound(experiments.build_example3(0.7))
+    assert got.converged
+    assert sum(offsets) == 8193
 
 
 def test_scalar_bounds_reject_vector_priors():
