@@ -50,21 +50,8 @@ from .models import (
     TrueModel,
 )
 from .montecarlo import TrialPlan, empirical_pe, run_mse
-from .pe_kernel import (
-    PeKernel,
-    equal_linear_scalar_profile,
-    pe_gaussian,
-    pe_mixture,
-)
-from .zzb import (
-    BoundResult,
-    QuadratureRule,
-    ScalarBoundSpec,
-    gamma_from_scenario,
-    zzb_closed_form_q_linear,
-    zzb_scalar_independent,
-    zzb_scalar_symmetric,
-)
+from .pe_kernel import PeKernel, pe_gaussian, pe_mixture
+from .zzb import MethodError, ScalarBoundSpec, bound, zzb_scalar_independent
 
 __all__ = ["main"]
 
@@ -268,7 +255,6 @@ class _Scenario:
     truth: TrueModel
     prior: Prior
     mc_truth: TrueModel
-    gamma_case: str
 
 
 def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Scenario:
@@ -299,8 +285,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
                 f"{path}.variant",
                 "the white-only model needs sigma2 > 0 to be well defined",
             )
-        case = "matched" if variant == "matched" else "mismatch"
-        return _Scenario(scn.assumed[variant], scn.truth, scn.prior, scn.truth, case)
+        return _Scenario(scn.assumed[variant], scn.truth, scn.prior, scn.truth)
 
     if example == 2:
         mu_star = _as_number(_require(d, "mu_star", path), f"{path}.mu_star")
@@ -315,8 +300,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             assumed = AssumedModel(
                 scn.truth.signal, scn.truth.noise.mean.copy(), scn.truth.noise.cov
             )
-        case = "matched" if variant == "matched" else "mismatch"
-        return _Scenario(assumed, scn.truth, scn.prior, scn.truth, case)
+        return _Scenario(assumed, scn.truth, scn.prior, scn.truth)
 
     if example == 3:
         w2 = _as_number(
@@ -326,9 +310,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             d.get("variant", "mismatched"), f"{path}.variant", choices=("mismatched",)
         )
         scn = _build(build_example3, 1.0 - w2, *((k,) if k else ()), path=path)
-        return _Scenario(
-            scn.assumed, scn.truth_mixture, scn.prior, scn.truth_empirical, "mixture"
-        )
+        return _Scenario(scn.assumed, scn.truth_mixture, scn.prior, scn.truth_empirical)
 
     snr = _as_number(_require(d, "snr", path), f"{path}.snr")
     variant = _as_str(
@@ -338,7 +320,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
     )
     scn = _build(build_example4, snr, *((k,) if k else ()), path=path)
     assumed = scn.assumed_matched if variant == "matched" else scn.assumed
-    return _Scenario(assumed, scn.truth, scn.prior, scn.truth, "mismatch")
+    return _Scenario(assumed, scn.truth, scn.prior, scn.truth)
 
 
 def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _Scenario:
@@ -366,8 +348,7 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _S
             f"{path}.prior",
             f"prior has {prior.n_theta} coordinates, the signal map expects {signal.n_theta}",
         )
-    case = "mixture" if isinstance(noise, MixtureNoise) else "mismatch"
-    return _Scenario(assumed, truth, prior, truth, case)
+    return _Scenario(assumed, truth, prior, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -416,48 +397,9 @@ def _write_atomic(path: str, data: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_interval_width(prior: Prior, path: str) -> float:
-    if prior.n_theta != 1 or not isinstance(prior.axes[0], IntervalAxis):
-        _fail(path, "the bound command needs a scalar interval prior")
-    ax = prior.axes[0]
-    return ax.hi - ax.lo
-
-
-def _q_linear_applies(scn: _Scenario) -> bool:
-    """Closed forms hold for a scalar linear map and centered Gaussian noise.
-
-    "Centered" means every true noise mean equals the assumed one; a mean
-    offset breaks the Q(gamma h) shape and needs quadrature.
-    """
-    if not isinstance(scn.assumed.signal, (LinearVectorMap, LinearMatrixMap)):
-        return False
-    if scn.assumed.signal.n_theta != 1 or scn.truth.signal is not scn.assumed.signal:
-        return False
-    noise = scn.truth.noise
-    if isinstance(noise, GaussianNoise):
-        means = [noise.mean]
-    elif isinstance(noise, MixtureNoise):
-        means = [c.mean for c in noise.components]
-    else:
-        return False
-    return all(np.array_equal(m, scn.assumed.noise_mean) for m in means)
-
-
 def _constant_pe(value: float) -> Callable[[np.ndarray], np.ndarray]:
     def pe(h):
         return np.full(np.shape(np.asarray(h, dtype=float)), value)
-
-    return pe
-
-
-def _mixture_pe_profile(scn: _Scenario) -> Callable[[np.ndarray], np.ndarray]:
-    kernel = PeKernel(scn.assumed, scn.truth)
-    theta_o = np.zeros(1)
-
-    def pe(h):
-        arr = np.atleast_1d(np.asarray(h, dtype=float))
-        out = np.array([pe_mixture(kernel, theta_o, np.array([v])) for v in arr])
-        return out if np.ndim(h) else out[0]
 
     return pe
 
@@ -473,7 +415,8 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         choices=("auto", "closed_form", "asymptotic", "quadrature"),
     )
     scn = _scenario_from_config(cfg, "config", "bound")
-    t = _scalar_interval_width(scn.prior, "config.scenario.prior")
+    if scn.prior.n_theta != 1 or not isinstance(scn.prior.axes[0], IntervalAxis):
+        _fail("config.scenario.prior", "the bound command needs a scalar interval prior")
 
     pe_constant = None
     if "pe_constant" in cfg:
@@ -482,41 +425,15 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
             _fail("config.pe_constant", "expected a probability in [0, 0.5]")
         if method in ("closed_form", "asymptotic"):
             _fail("config.method", "pe_constant only makes sense with quadrature")
-        method = "quadrature"
-
-    q_linear = pe_constant is None and _q_linear_applies(scn)
-    if method == "auto":
-        method = "closed_form" if q_linear else "quadrature"
-    if method in ("closed_form", "asymptotic") and not q_linear:
-        _fail(
-            "config.method",
-            f"{method} needs a scalar linear map and centered gaussian or "
-            "mixture noise; use quadrature",
-        )
 
     start = time.perf_counter()
-    if method == "closed_form":
-        gamma = gamma_from_scenario(scn.assumed, scn.truth, scn.gamma_case)
-        result = BoundResult(zzb_closed_form_q_linear(gamma, t), True, "closed_form_q_linear")
-    elif method == "asymptotic":
-        gamma = gamma_from_scenario(scn.assumed, scn.truth, scn.gamma_case)
-        result = BoundResult(1.0 / (4.0 * gamma * gamma), True, "asymptotic_q_linear")
+    if pe_constant is not None:
+        result = zzb_scalar_independent(ScalarBoundSpec(scn.prior, _constant_pe(pe_constant)))
     else:
-        if pe_constant is not None:
-            spec = ScalarBoundSpec(scn.prior, _constant_pe(pe_constant), QuadratureRule())
-            result = zzb_scalar_independent(spec)
-        elif isinstance(scn.truth.noise, GaussianNoise):
-            profile = equal_linear_scalar_profile(PeKernel(scn.assumed, scn.truth))
-            spec = ScalarBoundSpec(scn.prior, profile.single_q, QuadratureRule())
-            result = zzb_scalar_symmetric(spec)
-        elif isinstance(scn.truth.noise, MixtureNoise):
-            spec = ScalarBoundSpec(scn.prior, _mixture_pe_profile(scn), QuadratureRule())
-            result = zzb_scalar_independent(spec)
-        else:
-            _fail(
-                "config.scenario.truth.noise",
-                "quadrature needs gaussian or mixture noise",
-            )
+        try:
+            result = bound(scn.assumed, scn.truth, scn.prior, method)
+        except MethodError as exc:
+            _fail("config.method", str(exc))
     runtime = time.perf_counter() - start
     return [
         {

@@ -31,11 +31,9 @@ from .models import (
     ScaledIdentityCov,
     TrueModel,
     pulse_template,
-    triangular_pulse,
     uniform_interval,
 )
 from .montecarlo import TrialPlan, derive_seed, run_mse
-from .pe_kernel import PeKernel, equal_linear_scalar_profile
 from .special_math import q_function
 from .zzb import (
     BoundResult,
@@ -43,10 +41,10 @@ from .zzb import (
     QuadratureRule,
     ScalarBoundSpec,
     VectorBoundSpec,
+    bound,
     gamma_from_scenario,
     zzb_closed_form_q_linear,
     zzb_scalar_independent,
-    zzb_scalar_symmetric,
     zzb_vector,
 )
 
@@ -171,12 +169,7 @@ class Example2Scenario:
     bound_mismatched: BoundResult
 
 
-def build_example2(
-    mu_star: float,
-    k: int = 500,
-    t_prior: float = 50.0,
-    quadrature: QuadratureRule | None = None,
-) -> Example2Scenario:
+def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Example2Scenario:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     sigma2_true = 0.16
@@ -185,12 +178,7 @@ def build_example2(
     cov = ScaledIdentityCov(sigma2_true, k)
     truth = TrueModel(signal, GaussianNoise(np.full(k, float(mu_star)), cov))
     assumed = AssumedModel(signal, np.full(k, mu_assumed), cov)
-
-    profile = equal_linear_scalar_profile(PeKernel(assumed, truth))
-    spec = ScalarBoundSpec(
-        uniform_interval(t_prior), profile.single_q, quadrature or QuadratureRule()
-    )
-    bound_mm = zzb_scalar_symmetric(spec)
+    prior = uniform_interval(t_prior)
     gamma_matched = gamma_from_scenario(assumed, truth, "matched")
     return Example2Scenario(
         mu_star=float(mu_star),
@@ -198,12 +186,14 @@ def build_example2(
         theta=THETA_DC,
         t_prior=t_prior,
         mu_assumed=mu_assumed,
-        prior=uniform_interval(t_prior),
+        prior=prior,
         truth=truth,
         assumed=assumed,
         gamma_matched=gamma_matched,
         bound_matched=zzb_closed_form_q_linear(gamma_matched, t_prior),
-        bound_mismatched=bound_mm,
+        # Quadrature also at mu_star = mu_assumed, where the closed form
+        # would apply, so the whole sweep reports one route.
+        bound_mismatched=bound(assumed, truth, prior, "quadrature"),
     )
 
 
@@ -377,9 +367,7 @@ def matched_mixture_pe(
     return pe
 
 
-def example3_matched_bound(
-    scenario: Example3Scenario, quadrature: QuadratureRule | None = None
-) -> BoundResult:
+def example3_matched_bound(scenario: Example3Scenario) -> BoundResult:
     """Matched bound: exact Gaussian closed form at the weight extremes, the
     likelihood-ratio normal-approximation profile otherwise."""
     w1 = scenario.omega1
@@ -390,10 +378,7 @@ def example3_matched_bound(
             zzb_closed_form_q_linear(gamma, scenario.t_prior), True, "closed_form_q_linear"
         )
     pe = matched_mixture_pe(scenario.k, w1, scenario.std_narrow, scenario.std_wide)
-    spec = ScalarBoundSpec(
-        uniform_interval(scenario.t_prior), pe, quadrature or QuadratureRule()
-    )
-    return zzb_scalar_independent(spec)
+    return zzb_scalar_independent(ScalarBoundSpec(uniform_interval(scenario.t_prior), pe))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +570,12 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
     return g
 
 
-def example4_bounds(
-    scenario: Example4Scenario,
-    search: DeltaSearch | None = None,
-    quadrature: QuadratureRule | None = None,
-) -> dict[str, BoundResult]:
+_EX4_SEARCH = DeltaSearch(grid_points=33, refine_iters=8, lattice_window=8)
+_EX4_QUADRATURE = QuadratureRule(points=513, rel_tol=1e-4, max_doublings=4)
+
+
+def example4_bounds(scenario: Example4Scenario) -> dict[str, BoundResult]:
     """All four direction bounds (tau and alpha, mismatched and matched)."""
-    search = search or DeltaSearch(grid_points=33, refine_iters=8, lattice_window=8)
-    rule = quadrature or QuadratureRule(points=513, rel_tol=1e-4, max_doublings=4)
     out: dict[str, BoundResult] = {}
     for label, matched in (("mismatched", False), ("matched", True)):
         g = _make_example4_g(scenario, matched)
@@ -602,8 +585,8 @@ def example4_bounds(
                 prior=scenario.prior,
                 pe=g,
                 pe_includes_prior=True,
-                search=search,
-                quadrature=rule,
+                search=_EX4_SEARCH,
+                quadrature=_EX4_QUADRATURE,
             )
             out[f"zzb_{coord}_{label}"] = zzb_vector(spec)
     return out

@@ -3,10 +3,12 @@
 The bound machinery repeatedly asks: given two candidate parameter values
 theta_o and theta_o + delta, how often does the decision rule derived from
 the assumed model pick the wrong one when data come from the true model?
-This module answers that question along every analytic route (Gaussian
-truth, Gaussian-mixture truth, the theta-independent equal-linear-map
-shortcut). When no analytic route exists, montecarlo.empirical_pe estimates
-the error probability by simulating the test.
+This module answers that question analytically for Gaussian and
+Gaussian-mixture truth, pointwise for any signal map (pe_gaussian,
+pe_mixture) and vectorized over offsets for scalar linear maps
+(EqualLinearScalarPe). When no analytic route exists,
+montecarlo.empirical_pe estimates the error probability by simulating the
+test.
 
 All routes share one scalar statistic: the decision rule compares the
 assumed-model log-likelihoods of the two candidates, which reduces to a
@@ -39,9 +41,9 @@ __all__ = [
     "projected_noise_stats",
     "pe_gaussian",
     "pe_mixture",
-    "pe_equal_linear",
+    "linear_column",
     "EqualLinearScalarPe",
-    "equal_linear_scalar_profile",
+    "linear_scalar_profile",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +79,16 @@ class PeKernel:
 class ProjectedNoise:
     """First two moments of the true noise projected onto Sigma^-1 d.
 
-    For mixture truth the per-component moments and weights are kept as well;
-    ``mean`` and ``stddev`` then describe the overall (pooled) mixture.
+    comp_means and comp_stddevs hold the moments of each truth component
+    with its weight (Gaussian truth is one component of weight 1); mean and
+    stddev describe the pooled law.
     """
 
     mean: float
     stddev: float
-    comp_means: np.ndarray | None = None
-    comp_stddevs: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    comp_means: np.ndarray
+    comp_stddevs: np.ndarray
+    weights: np.ndarray
 
 
 def compute_S(kernel: PeKernel, theta_eval, theta_o, delta) -> float:
@@ -108,36 +111,36 @@ def compute_S(kernel: PeKernel, theta_eval, theta_o, delta) -> float:
     return quad + cross
 
 
+def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
+    """Weights and Gaussian components of the truth; Gaussian is one component."""
+    if isinstance(noise, GaussianNoise):
+        return np.ones(1), (noise,)
+    if isinstance(noise, MixtureNoise):
+        return noise.weights, noise.components
+    raise ValueError(
+        "projected noise moments need Gaussian or mixture truth; "
+        "empirical noise is only supported through montecarlo.empirical_pe"
+    )
+
+
 def projected_noise_stats(kernel: PeKernel, theta_o, delta) -> ProjectedNoise:
-    """Moments of n*^T Sigma^-1 d for Gaussian or mixture truth.
+    """Moments of n*^T Sigma^-1 d per truth component, and pooled.
 
     Raises ValueError for empirical noise, which has no analytic projection;
     montecarlo.empirical_pe covers that case by sampling.
     """
-    d = kernel.signal_diff(theta_o, delta)
-    cov = kernel.assumed.noise_cov
-    noise = kernel.truth.noise
-    w = cov.solve(d)
-    if isinstance(noise, GaussianNoise):
-        mean = float(noise.mean @ w)
-        var = noise.cov.qf(w)
-        return ProjectedNoise(mean=mean, stddev=math.sqrt(max(var, 0.0)))
-    if isinstance(noise, MixtureNoise):
-        means = np.array([float(c.mean @ w) for c in noise.components])
-        stds = np.array([math.sqrt(max(c.cov.qf(w), 0.0)) for c in noise.components])
-        weights = noise.weights
-        mean = float(weights @ means)
-        var = float(weights @ (stds**2 + means**2)) - mean**2
-        return ProjectedNoise(
-            mean=mean,
-            stddev=math.sqrt(max(var, 0.0)),
-            comp_means=means,
-            comp_stddevs=stds,
-            weights=weights,
-        )
-    raise ValueError(
-        "projected noise moments need Gaussian or mixture truth; "
-        "empirical noise is only supported through montecarlo.empirical_pe"
+    weights, comps = _components(kernel.truth.noise)
+    w = kernel.assumed.noise_cov.solve(kernel.signal_diff(theta_o, delta))
+    means = np.array([float(c.mean @ w) for c in comps])
+    stds = np.array([math.sqrt(max(c.cov.qf(w), 0.0)) for c in comps])
+    mean = float(weights @ means)
+    var = float(weights @ (stds**2 + (means - mean) ** 2))
+    return ProjectedNoise(
+        mean=mean,
+        stddev=math.sqrt(var),
+        comp_means=means,
+        comp_stddevs=stds,
+        weights=weights,
     )
 
 
@@ -156,31 +159,8 @@ def _q_or_limit(z: float, sigma: float) -> float:
     return 0.5
 
 
-def pe_gaussian(kernel: PeKernel, theta_o, delta) -> float:
-    """Error probability of the assumed-model rule under Gaussian truth."""
-    if not isinstance(kernel.truth.noise, GaussianNoise):
-        raise ValueError("pe_gaussian requires Gaussian truth")
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    if np.all(de == 0.0):
-        return 0.5
-    th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-    s0 = compute_S(kernel, th, th, de)
-    s1 = compute_S(kernel, th + de, th, de)
-    stats = projected_noise_stats(kernel, th, de)
-    z0 = s0 + stats.mean
-    z1 = s1 + stats.mean
-    return 0.5 * _q_or_limit(z0, stats.stddev) + 0.5 * _q_or_limit(-z1, stats.stddev)
-
-
-def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
-    """Error probability under Gaussian-mixture truth.
-
-    Each mixture component contributes its own projected-noise moments, so the
-    component standard deviation appears inside each Q term rather than one
-    pooled value outside the sum.
-    """
-    if not isinstance(kernel.truth.noise, MixtureNoise):
-        raise ValueError("pe_mixture requires mixture truth")
+def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
+    """Weighted sum over truth components of the two-sided error probability."""
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     if np.all(de == 0.0):
         return 0.5
@@ -194,81 +174,112 @@ def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
     return float(total)
 
 
-def _equal_linear_matrix(kernel: PeKernel) -> np.ndarray:
-    """Shared linear map as a (K, n_theta) matrix, or raise."""
-    a, t = kernel.assumed.signal, kernel.truth.signal
-    if isinstance(a, LinearVectorMap) and isinstance(t, LinearVectorMap):
-        if np.array_equal(a.hvec, t.hvec):
-            return a.hvec[:, None]
-    elif isinstance(a, LinearMatrixMap) and isinstance(t, LinearMatrixMap):
-        if np.array_equal(a.h_matrix, t.h_matrix):
-            return a.h_matrix
-    raise ValueError("pe_equal_linear requires identical linear signal maps")
+def pe_gaussian(kernel: PeKernel, theta_o, delta) -> float:
+    """Error probability of the assumed-model rule under Gaussian truth."""
+    if not isinstance(kernel.truth.noise, GaussianNoise):
+        raise ValueError("pe_gaussian requires Gaussian truth")
+    return _pe_components(kernel, theta_o, delta)
 
 
-def pe_equal_linear(kernel: PeKernel, delta) -> float:
-    """Error probability when both models share one linear map (Gaussian truth).
+def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
+    """Error probability under Gaussian-mixture truth.
 
-    The dependence on theta_o cancels, leaving
-    Z(delta) = 1/2 delta^T H^T Sigma^-1 H delta + delta^T H^T Sigma^-1 (mu - mu*)
-    and Pe = 1/2 [Q(Z(delta)/sigma_n) + Q(Z(-delta)/sigma_n)].
+    Each mixture component contributes its own projected-noise moments, so the
+    component standard deviation appears inside each Q term rather than one
+    pooled value outside the sum.
     """
-    h_mat = _equal_linear_matrix(kernel)
-    noise = kernel.truth.noise
-    if not isinstance(noise, GaussianNoise):
-        raise ValueError("pe_equal_linear requires Gaussian truth")
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    b = h_mat @ de
-    cov = kernel.assumed.noise_cov
-    quad = 0.5 * cov.qf_inv(b)
-    lin = cov.qf_inv(b, kernel.assumed.noise_mean - noise.mean)
-    sigma_n = math.sqrt(max(noise.cov.qf(cov.solve(b)), 0.0))
-    return 0.5 * (_q_or_limit(quad + lin, sigma_n) + _q_or_limit(quad - lin, sigma_n))
+    if not isinstance(kernel.truth.noise, MixtureNoise):
+        raise ValueError("pe_mixture requires mixture truth")
+    return _pe_components(kernel, theta_o, delta)
 
 
-@dataclass(frozen=True)
+def linear_column(signal) -> np.ndarray:
+    """The vector a of a scalar linear map theta -> a theta, or raise."""
+    if isinstance(signal, LinearVectorMap):
+        return signal.hvec
+    if isinstance(signal, LinearMatrixMap) and signal.n_theta == 1:
+        return np.ascontiguousarray(signal.h_matrix[:, 0])
+    raise ValueError(
+        "the scalar linear profile needs a linear_vector map or a one-column linear_matrix map"
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class EqualLinearScalarPe:
-    """Vectorized scalar-offset error-probability profile.
+    """Error-probability profile of a scalar linear scenario, vectorized.
 
-    Valid for identical scalar linear maps with Gaussian truth, where the
-    statistic threshold is quad * h^2 + lin * h and the projected noise spread
-    is noise_scale * |h|. The signed single-Q branch is exposed separately
-    because the bias-aware bound integrates it over signed offsets.
+    The assumed model is a theta + N(mu, Sigma); the truth is h* theta plus
+    Gaussian components N(m_c, Sigma_c) of weight w_c (Gaussian truth is one
+    component of weight 1). The one-sided decision branch is
+
+        g(theta_o, h) = sum_c w_c Q((quad h^2 + cross theta_o h + lin_c h) / (s_c |h|))
+
+    with quad = A / 2, cross = A - C, A = a^T Sigma^-1 a, C = h*^T Sigma^-1 a,
+    lin_c = (mu - m_c)^T Sigma^-1 a and s_c^2 = var_c = b^T Sigma_c b for
+    b = Sigma^-1 a. cross is exactly 0 when the two maps are equal, and the
+    profile is then free of theta_o. The two-sided error probability is
+    pe(theta_o, h) = [g(theta_o, h) + g(theta_o + h, -h)] / 2.
     """
 
     quad: float
-    lin: float
-    noise_scale: float
+    cross: float
+    lin: np.ndarray
+    var: np.ndarray
+    weights: np.ndarray
 
-    def single_q(self, h_off) -> np.ndarray:
-        """Q(Z(h)/sigma_n(h)) elementwise, with the h = 0 tie equal to 0.5."""
+    @property
+    def q_linear(self) -> bool:
+        """No location term, no mean offset and a nonzero signal: each
+        component then errs with Q(quad |h| / s_c), and the closed forms in
+        the pooled slope gamma apply."""
+        return self.cross == 0.0 and not np.any(self.lin) and self.quad > 0.0
+
+    @property
+    def gamma(self) -> float:
+        """Slope quad / sqrt(sum_c w_c var_c) of the pooled Q(gamma |h|)."""
+        return self.quad / math.sqrt(float(np.sum(self.weights * self.var)))
+
+    def single_q(self, h_off, theta_o=0.0) -> np.ndarray:
+        """g(theta_o, h_off) elementwise, with the h = 0 tie equal to 0.5."""
         h = np.asarray(h_off, dtype=float)
-        z = self.quad * h * h + self.lin * h
-        if self.noise_scale > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                arg = z / (self.noise_scale * np.abs(h))
-            out = q_function(np.where(h == 0.0, 0.0, arg))
-            return np.where(h == 0.0, 0.5, out)
-        return np.where(z < 0.0, 1.0, np.where(z == 0.0, 0.5, 0.0))
+        z = self.quad * h * h
+        if self.cross != 0.0:
+            z = z + self.cross * np.asarray(theta_o, dtype=float) * h
+        total = 0.0
+        for w, lin, var in zip(self.weights, self.lin, self.var):
+            zc = z + lin * h
+            if var > 0.0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    arg = zc / (math.sqrt(var) * np.abs(h))
+                q = q_function(np.where(h == 0.0, 0.0, arg))
+            else:
+                q = np.where(zc < 0.0, 1.0, np.where(zc == 0.0, 0.5, 0.0))
+            total = total + w * q
+        return np.where(h == 0.0, 0.5, total)
 
-    def pe(self, h_off) -> np.ndarray:
-        """Full two-sided error probability at scalar offsets h_off."""
+    def pe(self, theta_o, h_off) -> np.ndarray:
+        """Two-sided error probability between theta_o and theta_o + h_off."""
         h = np.asarray(h_off, dtype=float)
-        return 0.5 * (self.single_q(h) + self.single_q(-h))
+        th = np.asarray(theta_o, dtype=float)
+        return 0.5 * (self.single_q(h, th) + self.single_q(-h, th + h))
 
 
-def equal_linear_scalar_profile(kernel: PeKernel) -> EqualLinearScalarPe:
-    """Build the scalar equal-linear profile from a kernel, or raise."""
-    if kernel.n_theta != 1:
-        raise ValueError("scalar profile requires a one-dimensional parameter")
-    h_mat = _equal_linear_matrix(kernel)
-    noise = kernel.truth.noise
-    if not isinstance(noise, GaussianNoise):
-        raise ValueError("scalar profile requires Gaussian truth")
-    b = h_mat[:, 0]
+def linear_scalar_profile(kernel: PeKernel) -> EqualLinearScalarPe:
+    """Build the profile of a scalar linear kernel with Gaussian or mixture truth.
+
+    Both maps must be scalar linear maps (see linear_column). They are
+    compared by value, so equal maps give cross = 0 exactly.
+    """
+    a = linear_column(kernel.assumed.signal)
+    h_star = linear_column(kernel.truth.signal)
+    weights, comps = _components(kernel.truth.noise)
     cov = kernel.assumed.noise_cov
+    a_val = cov.qf_inv(a)
+    b = cov.solve(a)
     return EqualLinearScalarPe(
-        quad=0.5 * cov.qf_inv(b),
-        lin=cov.qf_inv(b, kernel.assumed.noise_mean - noise.mean),
-        noise_scale=math.sqrt(max(noise.cov.qf(cov.solve(b)), 0.0)),
+        quad=0.5 * a_val,
+        cross=0.0 if np.array_equal(a, h_star) else a_val - cov.qf_inv(h_star, a),
+        lin=np.array([cov.qf_inv(a, kernel.assumed.noise_mean - c.mean) for c in comps]),
+        var=np.array([max(c.cov.qf(b), 0.0) for c in comps]),
+        weights=weights,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +27,11 @@ from .models import (
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
-    LinearVectorMap,
     MixtureNoise,
     Prior,
     TrueModel,
 )
+from .pe_kernel import EqualLinearScalarPe, PeKernel, linear_column, linear_scalar_profile
 from .special_math import inc_gamma_reg, q_function
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "zzb_scalar_symmetric",
     "zzb_closed_form_q_linear",
     "gamma_from_scenario",
+    "MethodError",
+    "bound",
     "prior_overlap",
     "overlap_rows",
     "lattice_staircase_sum",
@@ -51,8 +54,11 @@ __all__ = [
 ]
 
 # Tensor quadrature (outer offset x inner location) caps its own doubling so
-# the mesh never exceeds roughly 8193^2 nodes.
+# the mesh never exceeds roughly 8193^2 nodes, and hands the profile at most
+# about _TENSOR_BLOCK mesh nodes per call (whole offset rows), so memory stays
+# bounded at the largest meshes.
 _TENSOR_MAX_SIDE = 8193
+_TENSOR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,14 @@ class ScalarBoundSpec:
     quadrature: QuadratureRule = QuadratureRule()
 
 
-def _interval_width(prior: Prior) -> float:
+def _interval_axis(prior: Prior) -> IntervalAxis:
     if prior.n_theta != 1 or not isinstance(prior.axes[0], IntervalAxis):
         raise ValueError("scalar bounds require a one-axis interval prior")
-    return prior.axes[0].width
+    return prior.axes[0]
+
+
+def _interval_width(prior: Prior) -> float:
+    return _interval_axis(prior).width
 
 
 def _odd(n: int) -> int:
@@ -158,22 +168,28 @@ def _adaptive_1d(
 
 
 def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
-    """Offset-and-location form (1/T) int_0^T h int_0^{T-h} pe(t, t+h) dt dh.
+    """Offset-and-location form (1/T) int_0^T h int_lo^{hi-h} pe(t, h) dt dh.
 
-    The inner integral is mapped onto a fixed unit interval so the two
-    Simpson grids form a tensor mesh; both axes double together until the
-    value settles.
+    spec.pe(theta_o, h_off) is the error probability between theta_o and
+    theta_o + h_off on the prior interval [lo, hi] of width T. The inner
+    integral is mapped onto a fixed unit interval so the two Simpson grids
+    form a tensor mesh; both axes double together until the value settles.
     """
-    t_width = _interval_width(spec.prior)
+    axis = _interval_axis(spec.prior)
+    t_width = axis.width
     rule = spec.quadrature
 
     def value_at(n: int) -> float:
         h = np.linspace(0.0, t_width, n)
         u = np.linspace(0.0, 1.0, n)
-        theta = u[None, :] * (t_width - h)[:, None]
-        offs = np.broadcast_to(h[:, None], theta.shape)
-        pe_vals = np.asarray(spec.pe(theta, offs), dtype=float)
-        inner = (t_width - h) * _simpson_last(pe_vals, 1.0 / (n - 1))
+        inner = np.empty(n)
+        rows = max(1, _TENSOR_BLOCK // n)
+        for r0 in range(0, n, rows):
+            hb = h[r0 : r0 + rows]
+            theta = axis.lo + u[None, :] * (t_width - hb)[:, None]
+            offs = np.broadcast_to(hb[:, None], theta.shape)
+            pe_vals = np.asarray(spec.pe(theta, offs), dtype=float)
+            inner[r0 : r0 + rows] = (t_width - hb) * _simpson_last(pe_vals, 1.0 / (n - 1))
         outer = _simpson_last(h * inner, t_width / (n - 1))
         return float(outer) / t_width
 
@@ -246,71 +262,97 @@ def zzb_closed_form_q_linear(gamma: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scenario constants
+# Scenario constants and the scalar bound router
 # ---------------------------------------------------------------------------
-
-
-def _scalar_linear_hvec(assumed: AssumedModel, truth: TrueModel) -> np.ndarray:
-    a, t = assumed.signal, truth.signal
-    if (
-        isinstance(a, LinearVectorMap)
-        and isinstance(t, LinearVectorMap)
-        and np.array_equal(a.hvec, t.hvec)
-    ):
-        return t.hvec
-    raise ValueError("this scenario constant requires identical scalar linear maps")
 
 
 def _gamma_matched(truth: TrueModel) -> float:
     if not isinstance(truth.noise, GaussianNoise):
         raise ValueError("matched gamma requires Gaussian truth")
-    if not isinstance(truth.signal, LinearVectorMap):
-        raise ValueError("matched gamma requires a scalar linear map")
-    return 0.5 * math.sqrt(truth.noise.cov.qf_inv(truth.signal.hvec))
+    return 0.5 * math.sqrt(truth.noise.cov.qf_inv(linear_column(truth.signal)))
+
+
+def _q_linear_gamma(
+    assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe
+) -> float:
+    """Slope of a q_linear profile. Gaussian truth whose covariance equals
+    the assumed one takes the matched expression sqrt(a^T Sigma^-1 a) / 2,
+    so a matched scenario gives bit-identical values along either case."""
+    noise = truth.noise
+    if isinstance(noise, GaussianNoise) and np.array_equal(
+        assumed.noise_cov.dense(), noise.cov.dense()
+    ):
+        return 0.5 * math.sqrt(noise.cov.qf_inv(linear_column(assumed.signal)))
+    return profile.gamma
 
 
 def gamma_from_scenario(assumed: AssumedModel, truth: TrueModel, case: str) -> float:
     """Slope of the linear-in-offset Q argument for the supported scenarios.
 
     case "matched": gamma = sqrt(h^T Sigma*^-1 h) / 2 from the truth alone.
-    case "mismatch": Gaussian truth, identical scalar maps and means;
-    gamma = (h^T Sigma^-1 h) / (2 sqrt(h^T Sigma^-1 Sigma* Sigma^-1 h)).
-    When the two covariances are numerically identical this routes to the
-    matched expression so both paths return bit-identical values.
-    case "mixture": zero-mean Gaussian-mixture truth, identical scalar maps;
-    the second moment pools the per-component covariances by weight.
+    case "mismatch" (Gaussian truth) and "mixture" (Gaussian-mixture truth):
+    identical scalar maps and equal noise means, so the scenario's linear
+    profile is q_linear; gamma = (h^T Sigma^-1 h) / (2 sqrt(sum_c w_c
+    h^T Sigma^-1 Sigma_c Sigma^-1 h)) pools the component covariances by
+    weight (see EqualLinearScalarPe.gamma).
     """
     if case == "matched":
         return _gamma_matched(truth)
-    if case == "mismatch":
-        hvec = _scalar_linear_hvec(assumed, truth)
-        noise = truth.noise
-        if not isinstance(noise, GaussianNoise):
-            raise ValueError("mismatch gamma requires Gaussian truth")
-        if not np.array_equal(assumed.noise_mean, noise.mean):
-            raise ValueError("mismatch gamma requires equal noise means")
-        if np.array_equal(assumed.noise_cov.dense(), noise.cov.dense()):
-            return _gamma_matched(truth)
-        a_val = assumed.noise_cov.qf_inv(hvec)
-        w = assumed.noise_cov.solve(hvec)
-        b_val = noise.cov.qf(w)
-        return 0.5 * a_val / math.sqrt(b_val)
-    if case == "mixture":
-        hvec = _scalar_linear_hvec(assumed, truth)
-        noise = truth.noise
-        if not isinstance(noise, MixtureNoise):
-            raise ValueError("mixture gamma requires mixture truth")
-        if np.any(assumed.noise_mean != 0.0) or any(
-            np.any(c.mean != 0.0) for c in noise.components
-        ):
-            raise ValueError("mixture gamma requires zero-mean noise everywhere")
-        a_val = assumed.noise_cov.qf_inv(hvec)
-        w = assumed.noise_cov.solve(hvec)
-        b_val = float(
-            np.sum(noise.weights * np.array([c.cov.qf(w) for c in noise.components]))
-        )
-        return 0.5 * a_val / math.sqrt(b_val)
-    raise ValueError(f"unsupported scenario case {case!r}")
+    if case not in ("mismatch", "mixture"):
+        raise ValueError(f"unsupported scenario case {case!r}")
+    kind, name = (GaussianNoise, "Gaussian") if case == "mismatch" else (MixtureNoise, "mixture")
+    if not isinstance(truth.noise, kind):
+        raise ValueError(f"{case} gamma requires {name} truth")
+    profile = linear_scalar_profile(PeKernel(assumed, truth))
+    if not profile.q_linear:
+        raise ValueError(f"{case} gamma requires identical scalar maps and equal noise means")
+    return _q_linear_gamma(assumed, truth, profile)
+
+
+class MethodError(ValueError):
+    """The requested bound method does not apply to the scenario."""
+
+
+def bound(
+    assumed: AssumedModel, truth: TrueModel, prior: Prior, method: str = "auto"
+) -> BoundResult:
+    """Scalar bound of a linear scenario on a one-axis interval prior.
+
+    The route follows the scenario's EqualLinearScalarPe profile:
+    - q_linear (no location term, no mean offset): the closed form in the
+      slope gamma, or with method "asymptotic" its floor 1 / (4 gamma^2);
+    - no location term, one truth component: "symmetric_split" over the
+      signed one-sided branch;
+    - no location term, several components: "independent" over the
+      two-sided error probability;
+    - a location term (the maps differ, cross != 0): "general_tensor" over
+      the offset and the location.
+    method "auto" takes the closed form where it applies and quadrature
+    otherwise; "quadrature" always integrates. "closed_form" and
+    "asymptotic" raise MethodError unless the profile is q_linear.
+    """
+    t_width = _interval_width(prior)
+    profile = linear_scalar_profile(PeKernel(assumed, truth))
+    if method == "auto":
+        method = "closed_form" if profile.q_linear else "quadrature"
+    if method in ("closed_form", "asymptotic"):
+        if not profile.q_linear:
+            raise MethodError(
+                f"{method} needs a scalar linear map and centered gaussian or "
+                "mixture noise; use quadrature"
+            )
+        gamma = _q_linear_gamma(assumed, truth, profile)
+        if method == "closed_form":
+            value = zzb_closed_form_q_linear(gamma, t_width)
+            return BoundResult(value, True, "closed_form_q_linear")
+        return BoundResult(1.0 / (4.0 * gamma * gamma), True, "asymptotic_q_linear")
+    if method != "quadrature":
+        raise ValueError(f"unknown bound method {method!r}")
+    if profile.cross != 0.0:
+        return zzb_scalar_general(ScalarBoundSpec(prior, profile.pe))
+    if profile.weights.size == 1:
+        return zzb_scalar_symmetric(ScalarBoundSpec(prior, profile.single_q))
+    return zzb_scalar_independent(ScalarBoundSpec(prior, partial(profile.pe, 0.0)))
 
 
 # ---------------------------------------------------------------------------

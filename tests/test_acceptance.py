@@ -36,8 +36,7 @@ from zzbound.models import (
 from zzbound.montecarlo import TrialPlan, empirical_pe, run_mse
 from zzbound.pe_kernel import (
     PeKernel,
-    equal_linear_scalar_profile,
-    pe_equal_linear,
+    linear_scalar_profile,
     pe_gaussian,
     pe_mixture,
 )
@@ -138,7 +137,7 @@ def _criterion3_case(rng, variant):
         elif variant == "mixture":
             analytic = pe_mixture(kernel, theta_o, delta)
         else:
-            analytic = pe_equal_linear(kernel, delta)
+            analytic = float(linear_scalar_profile(kernel).pe(theta_o, delta))
         if 0.005 <= analytic <= 0.95:
             return kernel, theta_o, delta, analytic
 
@@ -211,8 +210,8 @@ def test_criterion_05_white_variance_mismatch_invariance():
     args = []
     for sigma2 in (0.01, 1.0, 100.0):
         assumed = AssumedModel(signal, np.zeros(k), ScaledIdentityCov(sigma2, k))
-        profile = equal_linear_scalar_profile(PeKernel(assumed, truth))
-        args.append(profile.quad / profile.noise_scale)  # Q argument per unit offset
+        profile = linear_scalar_profile(PeKernel(assumed, truth))
+        args.append(profile.gamma)  # Q argument per unit offset
     spread = (max(args) - min(args)) / max(args)
     expected = 0.5 * float(np.linalg.norm(h)) / sigma_star
     ok = spread <= 1e-12 and abs(args[0] - expected) <= 1e-12 * expected

@@ -4,13 +4,34 @@ import csv
 import json
 import math
 import os
+import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzbound.cli import main
 from zzbound.experiments import build_example1
-from zzbound.zzb import zzb_closed_form_q_linear
+from zzbound.models import (
+    AssumedModel,
+    DiagonalCov,
+    GaussianNoise,
+    LinearVectorMap,
+    MixtureNoise,
+    ScaledIdentityCov,
+    TrueModel,
+    uniform_interval,
+)
+from zzbound.pe_kernel import PeKernel, linear_scalar_profile, pe_gaussian
+from zzbound.zzb import (
+    QuadratureRule,
+    ScalarBoundSpec,
+    zzb_closed_form_q_linear,
+    zzb_scalar_general,
+    zzb_scalar_independent,
+)
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -159,6 +180,189 @@ def test_bound_mixture_closed_form(tmp_path):
     assert float(row["value"]) == pytest.approx(
         zzb_closed_form_q_linear(gamma, 30.0), rel=1e-12
     )
+
+
+# The README bound config, and a truth whose signal map differs from it.
+_README_DIAG = [0.5, 0.6, 0.7, 0.8]
+_README_ASSUMED = {
+    "signal": {"type": "linear_vector", "hvec": [1.0] * 4},
+    "cov": {"type": "scaled_identity", "sigma2": 0.5, "k": 4},
+}
+_README_NOISE = {"type": "gaussian", "cov": {"type": "diagonal", "diag": _README_DIAG}}
+_README_MIXTURE = {
+    "type": "mixture",
+    "weights": [0.9, 0.1],
+    "components": [
+        {"cov": {"type": "scaled_identity", "sigma2": 0.5, "k": 4}},
+        {"cov": {"type": "scaled_identity", "sigma2": 5.0, "k": 4}},
+    ],
+}
+_OTHER_HVEC = [1.2, 1.0, 0.8, 1.1]
+
+
+def _readme_config(assumed_signal=None, truth_signal=None, noise=None, **extra):
+    assumed = dict(_README_ASSUMED)
+    if assumed_signal is not None:
+        assumed["signal"] = assumed_signal
+    truth = {"noise": noise or _README_NOISE}
+    if truth_signal is not None:
+        truth["signal"] = truth_signal
+    scenario = {"assumed": assumed, "truth": truth, "prior": {"type": "interval", "t": 10.0}}
+    return {"scenario": scenario, **extra}
+
+
+def _bound_row(tmp_path, payload, name):
+    cfg = _write_cfg(tmp_path, payload, f"{name}.json")
+    out = str(tmp_path / f"{name}.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 0
+    return _read_rows(out)[0]
+
+
+@pytest.mark.parametrize("extra", [{}, {"method": "quadrature"}, {"method": "asymptotic"}])
+def test_bound_one_column_matrix_matches_vector(tmp_path, extra):
+    column = {"type": "linear_matrix", "matrix": [[1.0]] * 4}
+    vector = _bound_row(tmp_path, _readme_config(**extra), "vector")
+    matrix = _bound_row(tmp_path, _readme_config(column, column, **extra), "matrix")
+    for key in ("method", "value", "converged"):
+        assert matrix[key] == vector[key]
+
+
+def _readme_models(truth_hvec):
+    assumed = AssumedModel(LinearVectorMap(np.ones(4)), np.zeros(4), ScaledIdentityCov(0.5, 4))
+    noise = GaussianNoise(np.zeros(4), DiagonalCov(np.array(_README_DIAG)))
+    return assumed, TrueModel(LinearVectorMap(np.array(truth_hvec)), noise)
+
+
+def test_bound_differing_truth_map_takes_general_route(tmp_path):
+    truth_signal = {"type": "linear_vector", "hvec": _OTHER_HVEC}
+    row = _bound_row(tmp_path, _readme_config(truth_signal=truth_signal), "general")
+    assert row["method"] == "general_tensor"
+    assert row["converged"] == "true"
+    # Reference: the pointwise Gaussian error probability, node by node,
+    # through the same tensor driver from a coarser starting mesh.
+    kernel = PeKernel(*_readme_models(_OTHER_HVEC))
+    pe = np.vectorize(lambda theta_o, h: pe_gaussian(kernel, theta_o, h))
+    spec = ScalarBoundSpec(uniform_interval(10.0), pe, QuadratureRule(tensor_points=65))
+    reference = zzb_scalar_general(spec)
+    assert reference.converged
+    assert float(row["value"]) == pytest.approx(reference.value, rel=1e-6)
+
+
+def test_bound_mixture_differing_map_is_not_pinned_at_zero(tmp_path):
+    truth_signal = {"type": "linear_vector", "hvec": _OTHER_HVEC}
+    payload = _readme_config(truth_signal=truth_signal, noise=_README_MIXTURE, method="quadrature")
+    row = _bound_row(tmp_path, payload, "mixture_general")
+    assert row["method"] == "general_tensor"
+    # The location-free form with theta_o pinned at 0 misses the location term.
+    assumed, _ = _readme_models(_OTHER_HVEC)
+    mix = MixtureNoise(
+        np.array([0.9, 0.1]),
+        (
+            GaussianNoise(np.zeros(4), ScaledIdentityCov(0.5, 4)),
+            GaussianNoise(np.zeros(4), ScaledIdentityCov(5.0, 4)),
+        ),
+    )
+    profile = linear_scalar_profile(
+        PeKernel(assumed, TrueModel(LinearVectorMap(np.array(_OTHER_HVEC)), mix))
+    )
+    pinned = zzb_scalar_independent(
+        ScalarBoundSpec(uniform_interval(10.0), partial(profile.pe, 0.0))
+    ).value
+    assert abs(float(row["value"]) - pinned) > 1e-2 * pinned
+
+
+def test_bound_closed_form_needs_a_centered_profile(tmp_path, capsys):
+    truth_signal = {"type": "linear_vector", "hvec": _OTHER_HVEC}
+    cfg = _write_cfg(tmp_path, _readme_config(truth_signal=truth_signal, method="closed_form"))
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    assert "config.method" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+_small = st.floats(-2.0, 2.0, allow_nan=False)
+_mean = st.one_of(st.just(0.0), _small)
+_variance = st.floats(0.1, 4.0, allow_nan=False)
+
+
+@st.composite
+def _bound_configs(draw):
+    """Valid scalar-interval bound configs over every signal, covariance and
+    noise kind the schema offers."""
+    k = draw(st.integers(1, 4))
+
+    def signal():
+        hvec = draw(st.lists(_small, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            return {"type": "linear_vector", "hvec": hvec}
+        return {"type": "linear_matrix", "matrix": [[v] for v in hvec]}
+
+    def cov():
+        kind = draw(st.sampled_from(["scaled_identity", "diagonal", "dense"]))
+        if kind == "scaled_identity":
+            return {"type": kind, "sigma2": draw(_variance), "k": k}
+        diag = draw(st.lists(_variance, min_size=k, max_size=k))
+        if kind == "diagonal":
+            return {"type": kind, "diag": diag}
+        return {"type": kind, "matrix": np.diag(diag).tolist()}
+
+    def gaussian():
+        return {"cov": cov(), "mean": draw(_mean)}
+
+    assumed = {"signal": signal(), "cov": cov(), "mean": draw(_mean)}
+    truth = {}
+    if draw(st.booleans()):
+        truth["signal"] = signal()
+    if draw(st.booleans()):
+        truth["noise"] = {"type": "gaussian", **gaussian()}
+    else:
+        n = draw(st.integers(1, 3))
+        truth["noise"] = {
+            "type": "mixture",
+            "weights": [1.0 / n] * n,
+            "components": [gaussian() for _ in range(n)],
+        }
+    payload = {
+        "scenario": {
+            "assumed": assumed,
+            "truth": truth,
+            "prior": {"type": "interval", "t": draw(st.floats(0.5, 20.0))},
+        },
+        "method": draw(st.sampled_from(["auto", "closed_form", "asymptotic", "quadrature"])),
+    }
+    if draw(st.integers(0, 5)) == 0:
+        payload["pe_constant"] = draw(st.floats(0.0, 0.5))
+    return payload
+
+
+def _column(signal):
+    if signal["type"] == "linear_vector":
+        return signal["hvec"]
+    return [row[0] for row in signal["matrix"]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_bound_configs())
+def test_fuzzed_bound_configs_exit_0_or_2(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        out = os.path.join(tmp, "out.csv")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code = main(["bound", "--config", cfg, "--out", out])
+        assert code in (0, 2)
+        if code != 0 or payload["method"] == "asymptotic":
+            return
+        value = float(_read_rows(out)[0]["value"])
+        scenario = payload["scenario"]
+        t = scenario["prior"]["t"]
+        # With equal maps pe <= 1/2, so the bound is at most the prior
+        # variance T^2/12; a truth map that differs can make the assumed
+        # rule err with pe > 1/2 (pe <= 1 caps the bound at T^2/6).
+        truth_signal = scenario["truth"].get("signal", scenario["assumed"]["signal"])
+        equal_maps = _column(truth_signal) == _column(scenario["assumed"]["signal"])
+        cap = t * t / (12.0 if equal_maps or "pe_constant" in payload else 6.0)
+        assert 0.0 <= value <= cap * (1.0 + 1e-9)
 
 
 def test_bound_runtime_field_is_the_only_unstable_column(tmp_path):

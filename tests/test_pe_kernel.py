@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zzbound.models import (
@@ -11,6 +13,7 @@ from zzbound.models import (
     DenseCov,
     DiagonalCov,
     GaussianNoise,
+    LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
     ScaledIdentityCov,
@@ -21,8 +24,7 @@ from zzbound.pe_kernel import (
     PeKernel,
     _q_or_limit,
     compute_S,
-    equal_linear_scalar_profile,
-    pe_equal_linear,
+    linear_scalar_profile,
     pe_gaussian,
     pe_mixture,
     projected_noise_stats,
@@ -114,8 +116,9 @@ def test_pe_gaussian_independent_of_theta_for_equal_maps():
 
 
 def test_equal_linear_cascade_agrees():
-    # Three routes to the same number: the general Gaussian expression, the
-    # theta-free equal-linear shortcut, and the scalar profile.
+    # Three routes to the same number: the general Gaussian expression, and
+    # the scalar profile at theta_o = 0 and at the same theta_o (equal maps
+    # make it theta-free).
     rng = np.random.default_rng(9)
     k = 6
     h = rng.standard_normal(k)
@@ -128,11 +131,13 @@ def test_equal_linear_cascade_agrees():
             GaussianNoise(np.full(k, -0.2), ScaledIdentityCov(2.5, k)),
         ),
     )
-    profile = equal_linear_scalar_profile(kern)
+    profile = linear_scalar_profile(kern)
+    assert profile.cross == 0.0
     for delta in (-2.0, -0.3, 0.05, 0.7, 3.0):
-        a = pe_gaussian(kern, rng.uniform(-5, 5), delta)
-        b = pe_equal_linear(kern, delta)
-        c = float(profile.pe(delta))
+        theta_o = rng.uniform(-5, 5)
+        a = pe_gaussian(kern, theta_o, delta)
+        b = float(profile.pe(0.0, delta))
+        c = float(profile.pe(theta_o, delta))
         assert a == pytest.approx(b, rel=1e-12)
         assert b == pytest.approx(c, rel=1e-12)
 
@@ -158,10 +163,11 @@ def test_profile_against_longhand_gaussian_algebra():
     quad = 0.5 * h @ inv @ h
     lin = h @ inv @ (mu - mu_true)
     scale = math.sqrt((inv @ h) @ sigma_true @ (inv @ h))
-    profile = equal_linear_scalar_profile(kern)
+    profile = linear_scalar_profile(kern)
     assert profile.quad == pytest.approx(quad, rel=1e-10)
-    assert profile.lin == pytest.approx(lin, rel=1e-10)
-    assert profile.noise_scale == pytest.approx(scale, rel=1e-10)
+    assert profile.cross == 0.0
+    assert profile.lin[0] == pytest.approx(lin, rel=1e-10)
+    assert math.sqrt(profile.var[0]) == pytest.approx(scale, rel=1e-10)
     for delta in (0.2, 1.1, -0.8):
         z_pos = quad * delta * delta + lin * delta
         z_neg = quad * delta * delta - lin * delta
@@ -174,12 +180,12 @@ def test_profile_against_longhand_gaussian_algebra():
 
 def test_profile_symmetric_when_means_match():
     kern = _scalar_kernel(k=3, sigma2=0.5, sigma2_true=2.0, mu=0.7, mu_true=0.7)
-    profile = equal_linear_scalar_profile(kern)
-    assert profile.lin == 0.0
+    profile = linear_scalar_profile(kern)
+    assert profile.lin[0] == 0.0
     h = np.array([-1.5, -0.2, 0.0, 0.2, 1.5])
     vals = profile.single_q(h)
     assert_allclose(vals, profile.single_q(-h))
-    assert_allclose(profile.pe(h), vals)
+    assert_allclose(profile.pe(0.0, h), vals)
     assert vals[2] == 0.5
 
 
@@ -190,7 +196,7 @@ def test_q_argument_free_of_assumed_variance():
     baseline = None
     for sigma2 in (0.01, 1.0, 100.0):
         kern = _scalar_kernel(k=8, sigma2=sigma2, sigma2_true=4.0)
-        vals = equal_linear_scalar_profile(kern).single_q(h_off)
+        vals = linear_scalar_profile(kern).single_q(h_off)
         if baseline is None:
             baseline = vals
         else:
@@ -305,18 +311,27 @@ def test_wrong_noise_type_raises():
     )
     with pytest.raises(ValueError, match="Gaussian"):
         pe_gaussian(mix_kern, 0.0, 1.0)
-    with pytest.raises(ValueError, match="identical"):
-        pe_equal_linear(
+    # Differing linear maps are a valid profile with a location term, not an
+    # error; a map with two parameter columns is not a scalar profile.
+    differing = PeKernel(
+        AssumedModel(LinearVectorMap(np.ones(2)), np.zeros(2), ScaledIdentityCov(1.0, 2)),
+        TrueModel(
+            LinearVectorMap(np.array([1.0, 2.0])),
+            GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2)),
+        ),
+    )
+    profile = linear_scalar_profile(differing)
+    assert profile.cross != 0.0
+    assert float(profile.pe(0.5, 1.0)) == pytest.approx(
+        pe_gaussian(differing, 0.5, 1.0), rel=1e-12
+    )
+    two_column = LinearMatrixMap(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="one-column"):
+        linear_scalar_profile(
             PeKernel(
-                AssumedModel(
-                    LinearVectorMap(np.ones(2)), np.zeros(2), ScaledIdentityCov(1.0, 2)
-                ),
-                TrueModel(
-                    LinearVectorMap(np.array([1.0, 2.0])),
-                    GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2)),
-                ),
-            ),
-            1.0,
+                AssumedModel(two_column, np.zeros(2), ScaledIdentityCov(1.0, 2)),
+                TrueModel(two_column, GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2))),
+            )
         )
 
 
@@ -331,3 +346,57 @@ def test_kernel_dimension_validation():
                 GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2)),
             ),
         )
+
+
+# ---------------------------------------------------------------------------
+# The scalar linear profile against the pointwise error probabilities
+# ---------------------------------------------------------------------------
+
+# pe_gaussian and pe_mixture form S as a difference of two quadratic forms,
+# which cancels when |a h| is tiny next to theta_o a + mu; so map entries and
+# offsets stay 0 or at least 0.05 in magnitude here.
+_entry = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+_variance = st.floats(0.1, 4.0, allow_nan=False)
+
+
+@st.composite
+def _linear_kernels(draw, mixture):
+    """Scalar linear scenarios: equal or differing maps, mean offsets, and
+    Gaussian or mixture truth with diagonal covariances."""
+    k = draw(st.integers(1, 4))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=k, max_size=k)))
+
+    a = vec(_entry)
+    h_star = a if draw(st.booleans()) else vec(_entry)
+    assumed = AssumedModel(LinearVectorMap(a), vec(_entry), DiagonalCov(vec(_variance)))
+    n_comp = draw(st.integers(1, 3)) if mixture else 1
+    comps = tuple(GaussianNoise(vec(_entry), DiagonalCov(vec(_variance))) for _ in range(n_comp))
+    if mixture:
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n_comp, max_size=n_comp)))
+        noise = MixtureNoise(w / w.sum(), comps)
+    else:
+        noise = comps[0]
+    return PeKernel(assumed, TrueModel(LinearVectorMap(h_star), noise))
+
+
+_theta = st.floats(-5.0, 5.0, allow_nan=False)
+_offset = st.one_of(st.floats(0.05, 5.0), st.floats(-5.0, -0.05))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(_linear_kernels), _theta, _offset)
+def test_profile_pe_matches_pointwise_pe(kern, theta_o, h_off):
+    pointwise = pe_mixture if isinstance(kern.truth.noise, MixtureNoise) else pe_gaussian
+    expected = pointwise(kern, theta_o, h_off)
+    got = float(linear_scalar_profile(kern).pe(theta_o, h_off))
+    assert got == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(_linear_kernels), _theta)
+def test_pe_at_zero_offset_is_half(kern, theta_o):
+    pointwise = pe_mixture if isinstance(kern.truth.noise, MixtureNoise) else pe_gaussian
+    assert pointwise(kern, theta_o, 0.0) == 0.5
+    assert float(linear_scalar_profile(kern).pe(theta_o, 0.0)) == 0.5

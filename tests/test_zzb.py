@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zzbound import experiments
+from zzbound import experiments, zzb
 from zzbound.experiments import matched_mixture_pe
 from zzbound.models import (
     AssumedModel,
@@ -26,12 +28,14 @@ from zzbound.models import (
 from zzbound.special_math import q_function
 from zzbound.zzb import (
     DeltaSearch,
+    MethodError,
     QuadratureRule,
     ScalarBoundSpec,
     VectorBoundSpec,
     _adaptive_1d,
     _odd,
     _simpson_last,
+    bound,
     gamma_from_scenario,
     lattice_staircase_sum,
     overlap_rows,
@@ -256,6 +260,57 @@ def test_example3_matched_bound_evaluates_each_node_once(monkeypatch):
     assert sum(offsets) == 8193
 
 
+def _general_full_mesh(spec):
+    """The tensor driver before row blocking: one profile call per mesh."""
+    t_width = spec.prior.axes[0].width
+    rule = spec.quadrature
+
+    def value_at(n):
+        h = np.linspace(0.0, t_width, n)
+        u = np.linspace(0.0, 1.0, n)
+        theta = u[None, :] * (t_width - h)[:, None]
+        offs = np.broadcast_to(h[:, None], theta.shape)
+        pe_vals = np.asarray(spec.pe(theta, offs), dtype=float)
+        inner = (t_width - h) * _simpson_last(pe_vals, 1.0 / (n - 1))
+        return float(_simpson_last(h * inner, t_width / (n - 1))) / t_width
+
+    n = _odd(rule.tensor_points)
+    prev = value_at(n)
+    converged = False
+    for _ in range(rule.max_doublings):
+        n = 2 * n - 1
+        cur = value_at(n)
+        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
+            return max(cur, 0.0), True
+        prev = cur
+    return max(prev, 0.0), converged
+
+
+@pytest.mark.parametrize("block", [1, 1000, 1 << 20])
+def test_general_row_blocks_match_full_mesh_bitwise(monkeypatch, block):
+    # Blocks of whole offset rows leave every Simpson sum unchanged.
+    def pe(theta, h):
+        return q_function((0.4 + 0.3 * theta) * h)
+
+    spec = ScalarBoundSpec(
+        uniform_interval(6.0), pe, QuadratureRule(tensor_points=33, max_doublings=3)
+    )
+    monkeypatch.setattr(zzb, "_TENSOR_BLOCK", block)
+    got = zzb_scalar_general(spec)
+    assert (got.value, got.converged) == _general_full_mesh(spec)
+
+
+def test_general_passes_absolute_locations():
+    def pe(theta, h):
+        return q_function((0.2 + 0.1 * theta) * h)
+
+    shifted = zzb_scalar_general(ScalarBoundSpec(Prior((IntervalAxis(2.0, 6.0),)), pe))
+    at_zero = zzb_scalar_general(
+        ScalarBoundSpec(uniform_interval(4.0), lambda theta, h: pe(theta + 2.0, h))
+    )
+    assert shifted == at_zero
+
+
 def test_scalar_bounds_reject_vector_priors():
     prior = uniform_box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="one-axis"):
@@ -263,7 +318,7 @@ def test_scalar_bounds_reject_vector_priors():
 
 
 # ---------------------------------------------------------------------------
-# Scenario constants
+# Scenario constants and the scalar bound router
 # ---------------------------------------------------------------------------
 
 
@@ -369,6 +424,109 @@ def test_gamma_case_validation():
     )
     with pytest.raises(ValueError, match="equal noise means"):
         gamma_from_scenario(assumed, biased, "mismatch")
+
+
+def _router_models(truth_hvec=None, mean=0.0, noise=None):
+    k = 4
+    assumed = AssumedModel(LinearVectorMap(np.ones(k)), np.zeros(k), ScaledIdentityCov(0.5, k))
+    signal = assumed.signal if truth_hvec is None else LinearVectorMap(np.array(truth_hvec))
+    if noise is None:
+        noise = GaussianNoise(np.full(k, mean), DiagonalCov(np.array([0.5, 0.6, 0.7, 0.8])))
+    return assumed, TrueModel(signal, noise)
+
+
+def _two_component_mixture(k=4, mean=0.0):
+    return MixtureNoise(
+        np.array([0.9, 0.1]),
+        (
+            GaussianNoise(np.full(k, mean), ScaledIdentityCov(0.5, k)),
+            GaussianNoise(np.full(k, mean), ScaledIdentityCov(5.0, k)),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "models, method, form",
+    [
+        (_router_models(), "auto", "closed_form_q_linear"),
+        (_router_models(), "asymptotic", "asymptotic_q_linear"),
+        (_router_models(), "quadrature", "symmetric_split"),
+        (_router_models(mean=0.3), "auto", "symmetric_split"),
+        (_router_models(noise=_two_component_mixture()), "auto", "closed_form_q_linear"),
+        (_router_models(noise=_two_component_mixture()), "quadrature", "independent"),
+        (_router_models(noise=_two_component_mixture(mean=0.3)), "auto", "independent"),
+        (_router_models([1.2, 1.0, 0.8, 1.1]), "auto", "general_tensor"),
+        (_router_models([1.2, 1.0, 0.8, 1.1], noise=_two_component_mixture()), "auto", "general_tensor"),
+    ],
+)
+def test_router_routes(models, method, form):
+    got = bound(*models, uniform_interval(10.0), method)
+    assert got.form == form
+    assert got.converged
+    assert 0.0 <= got.value <= 100.0 / 12.0
+
+
+def test_router_closed_form_values_match_gamma():
+    assumed, truth = _router_models()
+    gamma = gamma_from_scenario(assumed, truth, "mismatch")
+    prior = uniform_interval(10.0)
+    assert bound(assumed, truth, prior).value == zzb_closed_form_q_linear(gamma, 10.0)
+    assert bound(assumed, truth, prior, "asymptotic").value == 1.0 / (4.0 * gamma * gamma)
+
+
+@pytest.mark.parametrize("models", [_router_models(mean=0.3), _router_models([1.2, 1.0, 0.8, 1.1])])
+@pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
+def test_router_rejects_closed_forms_off_the_q_linear_case(models, method):
+    with pytest.raises(MethodError, match=method):
+        bound(*models, uniform_interval(10.0), method)
+
+
+def test_router_zero_signal_is_pure_guessing():
+    k = 3
+    zero = LinearVectorMap(np.zeros(k))
+    assumed = AssumedModel(zero, np.zeros(k), ScaledIdentityCov(1.0, k))
+    truth = TrueModel(zero, GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k)))
+    got = bound(assumed, truth, uniform_interval(3.0))
+    assert got.form == "symmetric_split"
+    assert got.value == pytest.approx(9.0 / 12.0, rel=1e-12)
+
+
+_entry = st.floats(-2.0, 2.0, allow_nan=False)
+_variance = st.floats(0.1, 4.0, allow_nan=False)
+
+
+@st.composite
+def _router_scenarios(draw):
+    k = draw(st.integers(1, 3))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=k, max_size=k)))
+
+    a = vec(_entry)
+    h_star = a if draw(st.booleans()) else vec(_entry)
+    mean = st.one_of(st.just(0.0), _entry)
+    assumed = AssumedModel(LinearVectorMap(a), vec(mean), DiagonalCov(vec(_variance)))
+    comps = tuple(
+        GaussianNoise(vec(mean), DiagonalCov(vec(_variance))) for _ in range(draw(st.integers(1, 3)))
+    )
+    noise = comps[0] if len(comps) == 1 else MixtureNoise(np.full(len(comps), 1.0 / len(comps)), comps)
+    return assumed, TrueModel(LinearVectorMap(h_star), noise)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    _router_scenarios(),
+    st.floats(0.5, 20.0),
+    st.sampled_from(["auto", "quadrature"]),
+)
+def test_router_bound_within_prior_limits(models, t, method):
+    got = bound(*models, uniform_interval(t), method)
+    # pe <= 1/2 when the maps agree, so the bound is at most the prior
+    # variance; a differing truth map can push pe above 1/2 (never above 1).
+    assumed, truth = models
+    equal = np.array_equal(assumed.signal.hvec, truth.signal.hvec)
+    cap = t * t / (12.0 if equal else 6.0)
+    assert 0.0 <= got.value <= cap * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
