@@ -9,6 +9,7 @@ exact for linear maps, and the sample median as the classic robust baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -75,6 +76,22 @@ class LinearClosedForm:
     """
 
     model: AssumedModel
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of Sigma^-1 H, shape (n_theta, K), and H^T Sigma^-1 H.
+
+        Fixed for the spec, so every trial of a plan shares one copy.
+        """
+        sig = self.model.signal
+        if isinstance(sig, LinearVectorMap):
+            h_mat = sig.hvec[:, None]
+        elif isinstance(sig, LinearMatrixMap):
+            h_mat = sig.h_matrix
+        else:
+            raise ValueError("closed-form estimation requires a linear signal map")
+        w = self.model.noise_cov.solve(h_mat.T)
+        return w, w @ h_mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +253,7 @@ def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
 
 
 def _linear_closed_form(spec: LinearClosedForm, x: np.ndarray) -> np.ndarray:
-    sig = spec.model.signal
-    if isinstance(sig, LinearVectorMap):
-        h_mat = sig.hvec[:, None]
-    elif isinstance(sig, LinearMatrixMap):
-        h_mat = sig.h_matrix
-    else:
-        raise ValueError("closed-form estimation requires a linear signal map")
-    cov = spec.model.noise_cov
-    w = cov.solve(h_mat.T)  # (n_theta, K) rows of Sigma^-1 H
-    normal = w @ h_mat
+    w, normal = spec._weights
     rhs = w @ (x - spec.model.noise_mean)
     return np.linalg.solve(normal, np.atleast_1d(rhs))
 

@@ -96,8 +96,12 @@ class ScaledIdentityCov:
         r = np.asarray(rows, dtype=float)
         return np.einsum("ij,ij->i", r, r) / self.sigma2
 
+    @cached_property
+    def _scale(self) -> float:
+        return math.sqrt(self.sigma2)
+
     def chol_matvec(self, z: np.ndarray) -> np.ndarray:
-        return math.sqrt(self.sigma2) * np.asarray(z, dtype=float)
+        return self._scale * np.asarray(z, dtype=float)
 
     def dense(self) -> np.ndarray:
         return self.sigma2 * np.eye(self.k)
@@ -142,8 +146,12 @@ class DiagonalCov:
         r = np.asarray(rows, dtype=float)
         return np.einsum("ij,ij->i", r, r / self.diag)
 
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        return np.sqrt(self.diag)
+
     def chol_matvec(self, z: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.diag) * np.asarray(z, dtype=float)
+        return self._scale * np.asarray(z, dtype=float)
 
     def dense(self) -> np.ndarray:
         return np.diag(self.diag)

@@ -1,8 +1,8 @@
 """Monte Carlo measurement of estimator error and of detector error rates.
 
-Every trial gets its own counter-based generator derived from (seed, trial
-index), so a trial's draws depend on nothing but that pair; trials run in
-index order and reductions happen in fixed trial order.
+Every trial gets its own counter-based stream keyed by (seed, trial index),
+so a trial's draws depend on nothing but that pair; trials run in index
+order and reductions happen in fixed trial order.
 """
 
 from __future__ import annotations
@@ -36,6 +36,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _trial_key(seed: int, index: int) -> tuple[int, int]:
+    """Low and high 64-bit words of the Philox key for one (seed, index) pair."""
+    if index < 0:
+        raise ValueError("index must be nonnegative")
+    w0 = _mix64((seed + (2 * index + 1) * _GOLDEN) & _M64)
+    w1 = _mix64((seed + (2 * index + 2) * _GOLDEN) & _M64)
+    return w0, w1
+
+
 def trial_generator(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one (seed, index) pair.
 
@@ -43,11 +52,27 @@ def trial_generator(seed: int, index: int) -> np.random.Generator:
     distinct indices under one seed, and equal indices under distinct seeds,
     give statistically independent streams.
     """
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    w0 = _mix64((seed + (2 * index + 1) * _GOLDEN) & _M64)
-    w1 = _mix64((seed + (2 * index + 2) * _GOLDEN) & _M64)
+    w0, w1 = _trial_key(seed, index)
     return np.random.Generator(np.random.Philox(key=(w1 << 64) | w0))
+
+
+_ZERO4 = (0, 0, 0, 0)
+
+
+def _reset_trial_stream(bitgen: np.random.Philox, seed: int, index: int) -> None:
+    """Put bitgen in the state a fresh trial_generator(seed, index) starts in.
+
+    Counter 0, the trial's key, an empty output buffer (buffer_pos 4) and no
+    buffered 32-bit half, so nothing left by the previous trial leaks in.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": _trial_key(seed, index)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -96,7 +121,9 @@ class MseReport:
 
     stderr is the standard error of the mean squared error (sample standard
     deviation of the squared errors over sqrt of the completed trial count).
-    valid is False when more than 1% of trials failed.
+    valid is False when more than 1% of trials failed. failure_reasons counts
+    the failed trials by "ExceptionType: message", in order of first
+    occurrence; its counts sum to failures.
     """
 
     mse: np.ndarray
@@ -105,29 +132,38 @@ class MseReport:
     trials: int
     failures: int
     valid: bool = field(default=True)
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
 
 def run_mse(plan: TrialPlan) -> MseReport:
     """Run the trials one after another and reduce the errors.
 
-    Trial i draws from trial_generator(plan.seed, i) alone; a trial whose
-    estimator raises ValueError or LinAlgError counts as a failure.
+    Trial i draws from the stream trial_generator(plan.seed, i) would give;
+    one Philox is reset to each trial's key rather than built per trial. A
+    trial whose estimator raises ValueError or LinAlgError counts as a
+    failure.
     """
     n_theta = plan.prior.n_theta
     errors = np.full((plan.trials, n_theta), np.nan)
     ok = np.zeros(plan.trials, dtype=bool)
+    reasons: dict[str, int] = {}
 
-    for i in range(plan.trials):
-        rng = trial_generator(plan.seed, i)
-        if plan.theta_true is not None:
-            theta = plan.theta_true
-        else:
-            theta = plan.prior.sample(rng)
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    theta = plan.theta_true
+    if theta is not None:
         clean = eval_signal(plan.truth.signal, theta)
+    for i in range(plan.trials):
+        _reset_trial_stream(bitgen, plan.seed, i)
+        if plan.theta_true is None:
+            theta = plan.prior.sample(rng)
+            clean = eval_signal(plan.truth.signal, theta)
         x = clean + plan.truth.noise.draw(rng)
         try:
             est = estimate(plan.estimator, x, plan.prior)
-        except (ValueError, np.linalg.LinAlgError):
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            reasons[reason] = reasons.get(reason, 0) + 1
             continue
         errors[i] = est - theta
         ok[i] = True
@@ -136,7 +172,9 @@ def run_mse(plan: TrialPlan) -> MseReport:
     kept = errors[ok]
     if kept.shape[0] == 0:
         nanvec = np.full(n_theta, np.nan)
-        return MseReport(nanvec, nanvec.copy(), nanvec.copy(), plan.trials, failures, False)
+        return MseReport(
+            nanvec, nanvec.copy(), nanvec.copy(), plan.trials, failures, False, reasons
+        )
 
     sq = kept * kept
     mse = np.mean(sq, axis=0)
@@ -147,7 +185,7 @@ def run_mse(plan: TrialPlan) -> MseReport:
         stderr = np.zeros(n_theta)
     bias = np.mean(kept, axis=0)
     valid = failures <= 0.01 * plan.trials
-    return MseReport(mse, stderr, bias, plan.trials, failures, valid)
+    return MseReport(mse, stderr, bias, plan.trials, failures, valid, reasons)
 
 
 @dataclass(frozen=True)

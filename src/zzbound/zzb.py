@@ -24,11 +24,14 @@ import numpy as np
 
 from .models import (
     AssumedModel,
+    Covariance,
+    DiagonalCov,
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
     MixtureNoise,
     Prior,
+    ScaledIdentityCov,
     TrueModel,
 )
 from .pe_kernel import EqualLinearScalarPe, PeKernel, linear_column, linear_scalar_profile
@@ -272,6 +275,24 @@ def _gamma_matched(truth: TrueModel) -> float:
     return 0.5 * math.sqrt(truth.noise.cov.qf_inv(linear_column(truth.signal)))
 
 
+def _diagonal(cov: Covariance) -> np.ndarray | None:
+    if isinstance(cov, ScaledIdentityCov):
+        return np.full(cov.k, cov.sigma2)
+    if isinstance(cov, DiagonalCov):
+        return cov.diag
+    return None
+
+
+def _same_covariance(a: Covariance, b: Covariance) -> bool:
+    """Whether a and b are equal as matrices. Two diagonal kinds compare
+    their diagonals; K x K matrices are built only when a DenseCov is
+    involved."""
+    da, db = _diagonal(a), _diagonal(b)
+    if da is None or db is None:
+        return np.array_equal(a.dense(), b.dense())
+    return np.array_equal(da, db)
+
+
 def _q_linear_gamma(
     assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe
 ) -> float:
@@ -279,9 +300,7 @@ def _q_linear_gamma(
     the assumed one takes the matched expression sqrt(a^T Sigma^-1 a) / 2,
     so a matched scenario gives bit-identical values along either case."""
     noise = truth.noise
-    if isinstance(noise, GaussianNoise) and np.array_equal(
-        assumed.noise_cov.dense(), noise.cov.dense()
-    ):
+    if isinstance(noise, GaussianNoise) and _same_covariance(assumed.noise_cov, noise.cov):
         return 0.5 * math.sqrt(noise.cov.qf_inv(linear_column(assumed.signal)))
     return profile.gamma
 

@@ -4,20 +4,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zzbound.estimators import LinearClosedForm, QuasiMLE
+from zzbound.estimators import LinearClosedForm, QuasiMLE, SampleMedian, estimate
+from zzbound.experiments import build_example3
 from zzbound.models import (
+    AmplitudePulseMap,
     AssumedModel,
+    DenseCov,
+    DiagonalCov,
     EmpiricalNoise,
     GaussianNoise,
+    IntervalAxis,
+    LatticeAxis,
+    LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
+    ParametricMap,
+    Prior,
     ScaledIdentityCov,
     TrueModel,
+    eval_signal,
     uniform_interval,
 )
 from zzbound.montecarlo import (
     MseReport,
     TrialPlan,
+    _reset_trial_stream,
     derive_seed,
     empirical_pe,
     run_mse,
@@ -44,6 +55,34 @@ def test_trial_generator_frozen_stream():
     # depends on this stream never changing.
     got = trial_generator(123, 7).integers(0, 1000, 3)
     assert_allclose(got, [804, 742, 184])
+
+
+def _trial_draws(rng, index):
+    """A mix of draw kinds; even indices start with an odd number of float32
+    draws, which leaves half of a 64-bit word buffered in the bit generator."""
+    return [
+        rng.random(index % 4 + 1, dtype=np.float32),
+        rng.standard_normal(3),
+        rng.random(2),
+        rng.integers(0, 1000, 3),
+        rng.integers(0, 7, 2, dtype=np.int32),
+        rng.choice(4, size=2, p=[0.1, 0.2, 0.3, 0.4]),
+        np.array([rng.choice(3, p=[0.5, 0.25, 0.25])]),
+        rng.random(index % 2 + 1, dtype=np.float32),
+    ]
+
+
+def test_reset_stream_matches_trial_generator():
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    for seed in (0, 7, (1 << 63) + 5, (1 << 64) - 1):
+        for i in range(300):
+            _reset_trial_stream(bitgen, seed, i)
+            got = _trial_draws(rng, i)
+            want = _trial_draws(trial_generator(seed, i), i)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
 
 def test_derive_seed_frozen_and_order_sensitive():
@@ -157,6 +196,41 @@ def test_run_mse_counts_failures():
     assert 0 < rep.failures < 64
     assert not rep.valid
     assert np.isfinite(rep.mse[0])
+    assert rep.failure_reasons == {
+        "ValueError: observation contains non-finite values": rep.failures
+    }
+
+
+def test_run_mse_failure_reasons_in_first_occurrence_order():
+    # A nonlinear assumed map fails every finite record in the closed form;
+    # non-finite records fail earlier, in estimate's own check.
+    k = 5
+    sig = ParametricMap(lambda th: np.full(k, th[0]), k, 1)
+    assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k))
+
+    def sometimes_nan(rng):
+        x = rng.standard_normal(k)
+        if rng.random() < 0.5:
+            x[0] = np.nan
+        return x
+
+    truth = TrueModel(sig, EmpiricalNoise(sometimes_nan, k))
+    plan = TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(1.0), 40, seed=4)
+    rep = run_mse(plan)
+    assert rep.failures == 40
+    nan_msg = "ValueError: observation contains non-finite values"
+    map_msg = "ValueError: closed-form estimation requires a linear signal map"
+    order = []
+    for i in range(plan.trials):
+        rng = trial_generator(plan.seed, i)
+        theta = plan.prior.sample(rng)
+        x = eval_signal(sig, theta) + truth.noise.draw(rng)
+        msg = map_msg if np.all(np.isfinite(x)) else nan_msg
+        if msg not in order:
+            order.append(msg)
+    assert list(rep.failure_reasons) == order
+    assert set(order) == {nan_msg, map_msg}
+    assert sum(rep.failure_reasons.values()) == rep.failures
 
 
 def test_run_mse_all_failures_yields_nan_report():
@@ -175,6 +249,7 @@ def test_run_mse_all_failures_yields_nan_report():
     assert rep.failures == 8
     assert not rep.valid
     assert np.isnan(rep.mse).all()
+    assert rep.failure_reasons == {"ValueError: observation contains non-finite values": 8}
 
 
 def test_trial_plan_validation():
@@ -234,3 +309,146 @@ def test_empirical_pe_validation():
     assumed, truth = _linear_setup(k=4)
     with pytest.raises(ValueError, match="trials"):
         empirical_pe(PeKernel(assumed, truth), 0.0, 0.1, trials=0, seed=0)
+
+
+def _estimate_per_trial(spec, x, prior):
+    """estimate() with the closed-form weights rebuilt for every record."""
+    if not isinstance(spec, LinearClosedForm):
+        return estimate(spec, x, prior)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("observation contains non-finite values")
+    sig = spec.model.signal
+    h_mat = sig.hvec[:, None] if isinstance(sig, LinearVectorMap) else sig.h_matrix
+    w = spec.model.noise_cov.solve(h_mat.T)
+    rhs = w @ (x - spec.model.noise_mean)
+    return np.linalg.solve(w @ h_mat, np.atleast_1d(rhs))
+
+
+def _run_mse_reference(plan):
+    """The trial loop as first written: a fresh generator, signal and
+    estimator set-up for every trial."""
+    n_theta = plan.prior.n_theta
+    errors = np.full((plan.trials, n_theta), np.nan)
+    ok = np.zeros(plan.trials, dtype=bool)
+    for i in range(plan.trials):
+        rng = trial_generator(plan.seed, i)
+        if plan.theta_true is not None:
+            theta = plan.theta_true
+        else:
+            theta = plan.prior.sample(rng)
+        clean = eval_signal(plan.truth.signal, theta)
+        x = clean + plan.truth.noise.draw(rng)
+        try:
+            est = _estimate_per_trial(plan.estimator, x, plan.prior)
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        errors[i] = est - theta
+        ok[i] = True
+    failures = int(plan.trials - np.count_nonzero(ok))
+    kept = errors[ok]
+    sq = kept * kept
+    stderr = np.std(sq, axis=0, ddof=1) / np.sqrt(kept.shape[0])
+    return np.mean(sq, axis=0), stderr, np.mean(kept, axis=0), failures
+
+
+def _assert_matches_reference(plan):
+    rep = run_mse(plan)
+    mse, stderr, bias, failures = _run_mse_reference(plan)
+    np.testing.assert_array_equal(rep.mse, mse)
+    np.testing.assert_array_equal(rep.stderr, stderr)
+    np.testing.assert_array_equal(rep.bias, bias)
+    assert rep.failures == failures
+    return rep
+
+
+def _fixed_theta_plans():
+    k = 9
+    rng = np.random.default_rng(11)
+    h = rng.uniform(0.5, 1.5, k)
+    a = rng.standard_normal((k, k))
+    covs = [
+        ScaledIdentityCov(0.7, k),
+        DiagonalCov(rng.uniform(0.2, 2.0, k)),
+        DenseCov(a @ a.T / k + 0.5 * np.eye(k)),
+    ]
+    prior = uniform_interval(3.0)
+    plans = []
+    for j, cov in enumerate(covs):
+        for sig in (LinearVectorMap(h), LinearMatrixMap(h[:, None])):
+            assumed = AssumedModel(sig, np.zeros(k), cov)
+            truth = TrueModel(sig, GaussianNoise(np.full(k, 0.1), cov))
+            plans.append(
+                TrialPlan(truth, LinearClosedForm(assumed), prior, 150, 20 + j, np.array([1.3]))
+            )
+    return plans
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_run_mse_matches_reference_fixed_theta(index):
+    _assert_matches_reference(_fixed_theta_plans()[index])
+
+
+def test_run_mse_matches_reference_quasi_mle_grid_and_pulse():
+    assumed, truth = _linear_setup(k=12, sigma2_true=1.5)
+    _assert_matches_reference(
+        TrialPlan(truth, QuasiMLE(assumed), uniform_interval(6.0), 60, seed=5)
+    )
+    k = 40
+    cov = ScaledIdentityCov(0.3, k)
+    zero = np.zeros(k)
+    pulse = AmplitudePulseMap(7, k)
+    prior = Prior((LatticeAxis(k, 0.0, 1.0), IntervalAxis(0.5, 1.5)))
+    plan = TrialPlan(
+        TrueModel(AmplitudePulseMap(9, k), GaussianNoise(zero, cov)),
+        QuasiMLE(AssumedModel(pulse, zero, cov)),
+        prior,
+        120,
+        seed=6,
+    )
+    _assert_matches_reference(plan)
+
+
+def test_run_mse_matches_reference_median_mixture_and_flaky():
+    scn = build_example3(0.7, k=41)
+    _assert_matches_reference(
+        TrialPlan(scn.truth_empirical, SampleMedian(), scn.prior, 100, 8, np.array([scn.theta]))
+    )
+    _assert_matches_reference(
+        TrialPlan(scn.truth_mixture, LinearClosedForm(scn.assumed), scn.prior, 150, seed=9)
+    )
+    k = 6
+    sig = LinearVectorMap(np.ones(k))
+    assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k))
+
+    def sometimes_nan(rng):
+        x = rng.standard_normal(k)
+        if rng.random() < 0.5:
+            x[0] = np.nan
+        return x
+
+    flaky = TrueModel(sig, EmpiricalNoise(sometimes_nan, k))
+    rep = _assert_matches_reference(
+        TrialPlan(flaky, LinearClosedForm(assumed), uniform_interval(5.0), 64, seed=2)
+    )
+    assert 0 < rep.failures < 64
+
+
+def test_run_mse_specs_differing_only_in_covariance():
+    # Each plan gets a new spec; a weight cache keyed by object identity could
+    # hand the second plan the first plan's weights once the first spec is
+    # collected and its id reused.
+    k = 7
+    h = np.linspace(0.5, 2.0, k)
+    diags = [np.linspace(0.2, 3.0, k), np.linspace(3.0, 0.2, k)] * 3
+    results = []
+    for j, d in enumerate(diags):
+        sig = LinearVectorMap(h)
+        truth = TrueModel(sig, GaussianNoise(np.zeros(k), DiagonalCov(np.ones(k))))
+        assumed = AssumedModel(sig, np.zeros(k), DiagonalCov(d))
+        plan = TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(2.0), 80, 31)
+        results.append(_assert_matches_reference(plan).mse[0])
+        del plan, assumed
+    assert results[0] != results[1]
+    assert results[0::2] == [results[0]] * 3
+    assert results[1::2] == [results[1]] * 3

@@ -372,6 +372,61 @@ def test_gamma_mismatch_equal_cov_routes_to_matched_bitwise():
     assert mm == matched  # bitwise, not approximately
 
 
+def _covariance_zoo():
+    k = 4
+    d = np.array([0.3, 0.7, 1.1, 1.9])
+    m = np.diag(d) + 0.1 * (np.ones((k, k)) - np.eye(k))
+    return [
+        ScaledIdentityCov(0.5, k),
+        ScaledIdentityCov(0.5, k),
+        ScaledIdentityCov(0.7, k),
+        ScaledIdentityCov(0.5, 3),
+        DiagonalCov(np.full(k, 0.5)),
+        DiagonalCov(d),
+        DiagonalCov(d.copy()),
+        DiagonalCov(d[::-1]),
+        DenseCov(np.diag(d)),
+        DenseCov(0.5 * np.eye(k)),
+        DenseCov(m),
+        DenseCov(m.copy()),
+    ]
+
+
+def test_same_covariance_matches_dense_comparison():
+    covs = _covariance_zoo()
+    seen = set()
+    for a in covs:
+        for b in covs:
+            want = np.array_equal(a.dense(), b.dense())
+            assert zzb._same_covariance(a, b) == want, (a, b)
+            seen.add((type(a) is type(b), want))
+    # Same-type and cross-type pairs, both equal and unequal by value.
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense() called on a diagonal covariance")
+
+    diagonal = [c for c in _covariance_zoo() if not isinstance(c, DenseCov)]
+    pairs = [(a, b) for a in diagonal for b in diagonal]
+    expected = [np.array_equal(a.dense(), b.dense()) for a, b in pairs]
+    monkeypatch.setattr(ScaledIdentityCov, "dense", refuse)
+    monkeypatch.setattr(DiagonalCov, "dense", refuse)
+    assert [zzb._same_covariance(a, b) for a, b in pairs] == expected
+    k = 6
+    assumed, truth = _linear_models(
+        k,
+        np.ones(k),
+        ScaledIdentityCov(0.1, k),
+        GaussianNoise(np.zeros(k), DiagonalCov(np.full(k, 0.1))),
+    )
+    result = bound(assumed, truth, uniform_interval(2.0), "closed_form")
+    assert result.value == zzb_closed_form_q_linear(
+        gamma_from_scenario(assumed, truth, "matched"), 2.0
+    )
+
+
 def test_gamma_isotropic_mismatch_equals_matched():
     # Assumed white, truth white with a different level: the slopes agree and
     # the asymptote is the true per-sample variance over K.
