@@ -29,6 +29,7 @@ from .experiments import (
     build_example2,
     build_example3,
     build_example4,
+    check_sweep_value,
     default_grid,
     run_sweep,
 )
@@ -581,6 +582,8 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         grid = tuple(_as_number_list(cfg["grid"], "config.grid", min_len=0))
         if not grid:
             _fail("config.grid", "expected a nonempty grid")
+        for i, value in enumerate(grid):
+            _build(check_sweep_value, example, value, path=f"config.grid[{i}]")
     else:
         grid = default_grid(example)
 

@@ -62,6 +62,7 @@ __all__ = [
     "example4_bounds",
     "SweepConfig",
     "SweepRow",
+    "check_sweep_value",
     "default_grid",
     "run_sweep",
 ]
@@ -458,6 +459,7 @@ def build_example4(
 
 
 _EX4_INNER_NODES = 129
+_EX4_BLOCK = 2**14  # elements per _ex4_pe call: amplitude nodes x keys
 
 
 def _indicator_limit(z: np.ndarray) -> np.ndarray:
@@ -505,6 +507,13 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
     same operands as each of its rows, and the scatter keeps the per-row
     product order tau_share * (length / a_width) * sum, so every returned
     value is bit-identical to evaluating the quadrature row by row.
+
+    The bound's search and quadrature revisit many keys (the negative tau
+    offsets repeat the positive ones exactly), so g remembers the sum of
+    every key it has evaluated, in arrays sorted by the complex key
+    lag + 1j * d_alpha, and computes only unseen keys. Those are evaluated
+    at all amplitude nodes in one (nodes, keys) block per call of _ex4_pe
+    and summed over the nodes in the same sequential order.
     """
     k = scenario.k
     wide = float(scenario.true_width)
@@ -535,8 +544,29 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     t_weights = w / (3.0 * (n - 1))
+    block = max(1, _EX4_BLOCK // n)  # keys per _ex4_pe call
+    memo_keys = np.empty(0, dtype=complex)
+    memo_sums = np.empty(0)
+
+    def quadrature(key_lag: np.ndarray, da: np.ndarray) -> np.ndarray:
+        """Amplitude-quadrature sum for each (lag, d_alpha) key."""
+        sums = np.empty(da.size)
+        for start in range(0, da.size, block):
+            sl = slice(start, start + block)
+            lo_u = np.maximum(a_lo, a_lo - da[sl])
+            len_u = np.minimum(a_hi, a_hi - da[sl]) - lo_u
+            a_o = lo_u + t_nodes[:, None] * len_u
+            pe = _ex4_pe(
+                a_o, da[sl], table_ss[key_lag[sl]], table_ts[key_lag[sl]], rho0, e_s, sigma2
+            )
+            part = np.zeros(len_u.size)
+            for w_j, pe_j in zip(t_weights, pe):
+                part += w_j * pe_j
+            sums[sl] = part
+        return sums
 
     def g(deltas: np.ndarray) -> np.ndarray:
+        nonlocal memo_keys, memo_sums
         d = np.asarray(deltas, dtype=float)
         out = np.zeros(d.shape[0])
         d_tau = np.abs(np.rint(d[:, 0])).astype(int)
@@ -556,14 +586,17 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
         u_code, inv = np.unique(code, return_inverse=True)
         key_lag = u_code // u_alpha.size
         da = u_alpha[u_code % u_alpha.size]
-        r_ss = table_ss[key_lag]
-        r_ts = table_ts[key_lag]
-        lo_u = np.maximum(a_lo, a_lo - da)
-        len_u = np.minimum(a_hi, a_hi - da) - lo_u
-        acc = np.zeros(u_code.size)
-        for t_j, w_j in zip(t_nodes, t_weights):
-            a_o = lo_u + t_j * len_u
-            acc += w_j * _ex4_pe(a_o, da, r_ss, r_ts, rho0, e_s, sigma2)
+        # Sorted like u_code (lag, then d_alpha); -0.0 and 0.0 compare equal.
+        keys = key_lag + 1j * da
+        pos = np.searchsorted(memo_keys, keys)
+        seen = pos < memo_keys.size
+        seen[seen] = memo_keys[pos[seen]] == keys[seen]
+        if not seen.all():
+            new = ~seen
+            memo_keys = np.insert(memo_keys, pos[new], keys[new])
+            memo_sums = np.insert(memo_sums, pos[new], quadrature(key_lag[new], da[new]))
+            pos = np.searchsorted(memo_keys, keys)
+        acc = memo_sums[pos]
         out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
         return out
 
@@ -597,6 +630,22 @@ def example4_bounds(scenario: Example4Scenario) -> dict[str, BoundResult]:
 # ---------------------------------------------------------------------------
 
 
+# Domain of each example's sweep variable; NaN fails every comparison.
+_SWEEP_DOMAINS: dict[int, tuple[Callable[[float], bool], str]] = {
+    1: (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+    2: (math.isfinite, "finite"),
+    3: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    4: (lambda v: 0.0 < v < math.inf, "finite and positive"),
+}
+
+
+def check_sweep_value(example: int, value: float) -> None:
+    """Raise ValueError unless value lies in the example's sweep domain."""
+    in_domain, domain = _SWEEP_DOMAINS[example]
+    if not in_domain(value):
+        raise ValueError(f"{_SWEEP_VARS[example]} must be {domain}, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One example sweep: which variable, over which grid, at what scale."""
@@ -618,6 +667,11 @@ class SweepConfig:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("grid must be nonempty")
+        for i, value in enumerate(grid):
+            try:
+                check_sweep_value(self.example, value)
+            except ValueError as exc:
+                raise ValueError(f"grid[{i}]: {exc}") from None
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)

@@ -64,8 +64,8 @@ class ScaledIdentityCov:
     k: int
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.sigma2}")
         if self.k < 1:
             raise ValueError(f"dimension must be >= 1, got {self.k}")
 

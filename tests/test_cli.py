@@ -501,6 +501,50 @@ def test_sweep_rejects_wrong_var(tmp_path, capsys):
     assert "config.var" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"example": 4, "grid": [math.nan], "k": 600, "trials": 5}, "config.grid[0]"),
+        ({"example": 4, "grid": [-1.0], "k": 600, "trials": 5}, "config.grid[0]"),
+        ({"example": 4, "grid": [1.0, math.inf], "k": 600, "trials": 5}, "config.grid[1]"),
+        ({"example": 1, "grid": [math.nan]}, "config.grid[0]"),
+        ({"example": 1, "grid": [0.1, -0.1]}, "config.grid[1]"),
+        ({"example": 2, "grid": [-math.inf]}, "config.grid[0]"),
+        ({"example": 3, "grid": [0.5, 1.5]}, "config.grid[1]"),
+    ],
+)
+def test_sweep_rejects_grid_values_outside_the_domain(tmp_path, capsys, payload, field):
+    # A grid value the study cannot take is a config error (exit 2) naming
+    # its index, never a nan bound flagged ok or a numerical exit 3.
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "side, field",
+    [
+        (("assumed", "cov"), "config.scenario.assumed.cov"),
+        (("truth", "noise", "cov"), "config.scenario.truth.noise.cov"),
+    ],
+)
+def test_bound_rejects_non_finite_sigma2(tmp_path, capsys, side, field, sigma2):
+    payload = _scalar_scenario(k=2, t=5.0)
+    node = payload["scenario"]
+    for key in side:
+        node = node[key]
+    node["sigma2"] = sigma2
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "finite and positive" in err
+    assert not os.path.exists(out)
+
+
 def test_json_output_format(tmp_path):
     cfg = _write_cfg(tmp_path, _scalar_scenario(k=4, t=5.0))
     out = str(tmp_path / "bound.json")

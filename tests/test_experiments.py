@@ -406,20 +406,9 @@ def _reference_example4_g(scenario, matched):
     return g
 
 
-@pytest.mark.parametrize("matched", [False, True])
-@pytest.mark.parametrize(
-    "widths",
-    [(120, 20, 14), (40, 20, 40), (80, 10, 20)],
-    ids=["far_lags", "span_past_live_lags", "wide_assumed"],
-)
-def test_example4_g_matches_row_by_row_reference(widths, matched):
-    # The lag collapse must reproduce the row-by-row quadrature bit for bit.
-    # In the second scenario the mismatched span exceeds k - true_width, so
-    # no live lag is collapsed. In the third the assumed template is wider
-    # than the true one, so its autocorrelation outreaches the cross term.
-    k, true_width, assumed_width = widths
-    scn = build_example4(5.0, k=k, true_width=true_width, assumed_width=assumed_width)
-    rng = np.random.default_rng(41)
+def _probe_deltas(k, seed):
+    """Offsets mixing near, far, dead, negative, non-integer and duplicate rows."""
+    rng = np.random.default_rng(seed)
     grid = np.linspace(-1.0, 1.0, 33)
     lags = np.concatenate(
         [
@@ -437,7 +426,23 @@ def test_example4_g_matches_row_by_row_reference(widths, matched):
         ]
     )
     deltas = np.column_stack([lags, alphas])
-    deltas = np.concatenate([deltas, deltas[::7]])  # duplicate rows
+    return np.concatenate([deltas, deltas[::7]])  # duplicate rows
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize(
+    "widths",
+    [(120, 20, 14), (40, 20, 40), (80, 10, 20)],
+    ids=["far_lags", "span_past_live_lags", "wide_assumed"],
+)
+def test_example4_g_matches_row_by_row_reference(widths, matched):
+    # The lag collapse must reproduce the row-by-row quadrature bit for bit.
+    # In the second scenario the mismatched span exceeds k - true_width, so
+    # no live lag is collapsed. In the third the assumed template is wider
+    # than the true one, so its autocorrelation outreaches the cross term.
+    k, true_width, assumed_width = widths
+    scn = build_example4(5.0, k=k, true_width=true_width, assumed_width=assumed_width)
+    deltas = _probe_deltas(k, seed=41)
     got = _make_example4_g(scn, matched)(deltas)
     expected = _reference_example4_g(scn, matched)(deltas)
     np.testing.assert_array_equal(got, expected)
@@ -461,6 +466,82 @@ def test_example4_g_far_lags_share_one_quadrature(monkeypatch):
     vals = g(deltas)
     assert sum(elems) == 129
     assert np.all(vals > 0.0)
+
+
+def _counting_ex4_pe(monkeypatch):
+    """Patch _ex4_pe to record the element count of every call."""
+    elems = []
+
+    def counting_pe(a_o, *args):
+        elems.append(np.size(a_o))
+        return _ex4_pe(a_o, *args)
+
+    monkeypatch.setattr(experiments, "_ex4_pe", counting_pe)
+    return elems
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize(
+    "widths", [(120, 20, 14), (80, 10, 20)], ids=["far_lags", "wide_assumed"]
+)
+def test_example4_g_remembered_keys_are_bitwise(widths, matched):
+    # One g answers a first call, a repeat, the same rows with every lag's
+    # sign flipped, and a call mixing remembered and unseen keys; each must
+    # equal the row-by-row quadrature bit for bit.
+    k, true_width, assumed_width = widths
+    scn = build_example4(5.0, k=k, true_width=true_width, assumed_width=assumed_width)
+    g = _make_example4_g(scn, matched)
+    reference = _reference_example4_g(scn, matched)
+    deltas = _probe_deltas(k, seed=41)
+    flipped = deltas * np.array([-1.0, 1.0])
+    mixed = np.concatenate([_probe_deltas(k, seed=42), deltas[::3]])
+    for d in (deltas, deltas, flipped, mixed, deltas):
+        np.testing.assert_array_equal(g(d), reference(d))
+
+
+def test_example4_g_repeat_and_flipped_calls_evaluate_nothing(monkeypatch):
+    # g depends on the lag only through |rint(d_tau)|, so after one call the
+    # same rows and their sign-flipped twins are all remembered keys.
+    scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
+    elems = _counting_ex4_pe(monkeypatch)
+    g = _make_example4_g(scn, matched=False)
+    deltas = _probe_deltas(120, seed=41)
+    first = g(deltas)
+    assert sum(elems) > 0
+    elems.clear()
+    np.testing.assert_array_equal(g(deltas), first)
+    np.testing.assert_array_equal(g(deltas * np.array([-1.0, 1.0])), first)
+    assert sum(elems) == 0
+
+
+def test_example4_g_memo_is_per_integrand(monkeypatch):
+    # A fresh g remembers nothing from another g built on the same scenario.
+    scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
+    elems = _counting_ex4_pe(monkeypatch)
+    deltas = _probe_deltas(120, seed=41)
+    _make_example4_g(scn, matched=False)(deltas)
+    first = sum(elems)
+    _make_example4_g(scn, matched=False)(deltas)
+    assert sum(elems) == 2 * first
+
+
+@pytest.mark.parametrize("block", [129 * 7, experiments._EX4_BLOCK, 100])
+def test_example4_g_partial_last_block(monkeypatch, block):
+    # Unseen keys are evaluated block // 129 at a time (at least one). The
+    # 128 keys here leave a short last block at 7 and at 127 keys per call.
+    monkeypatch.setattr(experiments, "_EX4_BLOCK", block)
+    scn = build_example4(5.0, k=600, true_width=40, assumed_width=30)
+    # The correlation span is lag 34: lags 0-30 give 31 keys per amplitude
+    # offset, and lags 100-110 collapse to one.
+    lags = np.concatenate([np.arange(0.0, 31.0), np.arange(100.0, 111.0)])
+    alphas = np.array([-0.375, 0.0, 0.25, 0.5])
+    deltas = np.array([(t, a) for t in lags for a in alphas])
+    expected = _reference_example4_g(scn, matched=False)(deltas)
+    elems = _counting_ex4_pe(monkeypatch)
+    got = _make_example4_g(scn, matched=False)(deltas)
+    np.testing.assert_array_equal(got, expected)
+    keys, per_call = 128, max(1, block // 129)
+    assert elems == [129 * min(per_call, keys - s) for s in range(0, keys, per_call)]
 
 
 def test_example4_bounds_small_scale():
@@ -501,6 +582,16 @@ def test_sweep_config_validation():
         SweepConfig(1, "sigma2", ())
     with pytest.raises(ValueError, match="increasing"):
         SweepConfig(1, "sigma2", (0.2, 0.1))
+    with pytest.raises(ValueError, match=r"grid\[1\]: snr must be finite and positive"):
+        SweepConfig(4, "snr", (1.0, math.nan))
+    with pytest.raises(ValueError, match=r"grid\[0\]: one_minus_omega1 must be in"):
+        SweepConfig(3, "one_minus_omega1", (-0.5, 0.5))
+    with pytest.raises(ValueError, match=r"grid\[0\]: mu_star must be finite"):
+        SweepConfig(2, "mu_star", (math.inf,))
+    with pytest.raises(ValueError, match=r"grid\[0\]: sigma2 must be finite"):
+        SweepConfig(1, "sigma2", (math.nan,))
+    for example in (1, 2, 3, 4):
+        SweepConfig(example, experiments._SWEEP_VARS[example], default_grid(example))
     with pytest.raises(ValueError, match="overrides"):
         SweepConfig(1, "sigma2", (0.1,), overrides={"shape": 3})
     with pytest.raises(ValueError, match="trials"):

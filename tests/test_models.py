@@ -1,5 +1,7 @@
 """Tests for covariances, signal maps, noise laws, models, and priors."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +87,14 @@ def test_covariance_validation():
         DenseCov(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         DenseCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
+def test_scaled_identity_rejects_non_finite_variance(sigma2):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ScaledIdentityCov(sigma2, 2)
+    with pytest.raises(ValueError, match="finite and positive"):
+        DiagonalCov(np.full(2, sigma2))
 
 
 def test_as_covariance_coercion():
