@@ -29,6 +29,7 @@ from .experiments import (
     build_example2,
     build_example3,
     build_example4,
+    check_sweep_k,
     check_sweep_value,
     default_grid,
     run_sweep,
@@ -590,6 +591,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     overrides: dict[str, int] = {}
     if "k" in cfg:
         overrides["k"] = _as_int(cfg["k"], "config.k")
+        _build(check_sweep_k, example, overrides["k"], path="config.k")
     trials = args.trials
     if trials is None and "trials" in cfg:
         trials = _as_int(cfg["trials"], "config.trials")

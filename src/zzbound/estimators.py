@@ -9,7 +9,7 @@ exact for linear maps, and the sample median as the classic robust baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -193,30 +193,42 @@ def _refine_axes(
     return theta
 
 
+@lru_cache(maxsize=32)
+def _pulse_table(width: int, k: int, start: float, count: int) -> tuple[np.ndarray, ...]:
+    """Template, positions, correlation indices and template energies.
+
+    They depend only on the pulse map and the unit-step position lattice, so
+    every trial of a plan, and every plan with equal-by-value map and prior,
+    shares one read-only table. Template energy near the record edges comes
+    from prefix sums, so clipped templates are handled exactly.
+    """
+    tpl = pulse_template(width)
+    radius = (tpl.size - 1) // 2
+    positions = (start + np.arange(count, dtype=float)).astype(int)
+    cum = np.concatenate([[0.0], np.cumsum(tpl * tpl)])
+    lo_idx = np.maximum(0, radius - positions)
+    hi_idx = radius + np.minimum(radius, k - 1 - positions)
+    energy = cum[hi_idx + 1] - cum[lo_idx]
+    table = (tpl, positions, positions + radius, energy)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def _pulse_fast_path(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
     """Joint (position, amplitude) maximization by template correlation.
 
     For each candidate position the amplitude optimum is the correlation over
     the template energy, clipped to the prior box; the position scan then
-    compares the profiled objectives. Template energy near the record edges
-    comes from prefix sums, so clipped templates are handled exactly. Ties go
-    to the smallest position index.
+    compares the profiled objectives. Ties go to the smallest position index.
     """
     sig = spec.model.signal
     tau_ax, alpha_ax = prior.axes
-    k = sig.k
-    tpl = pulse_template(sig.width)
-    radius = (tpl.size - 1) // 2
+    tpl, positions, corr_idx, energy = _pulse_table(sig.width, sig.k, tau_ax.start, tau_ax.count)
     xm = x - spec.model.noise_mean
 
     corr_full = np.convolve(xm, tpl)  # symmetric template: convolution = correlation
-    positions = (tau_ax.start + tau_ax.step * np.arange(tau_ax.count)).astype(int)
-    corr = corr_full[positions + radius]
-
-    cum = np.concatenate([[0.0], np.cumsum(tpl * tpl)])
-    lo_idx = np.maximum(0, radius - positions)
-    hi_idx = radius + np.minimum(radius, k - 1 - positions)
-    energy = cum[hi_idx + 1] - cum[lo_idx]
+    corr = corr_full[corr_idx]
 
     alpha = np.clip(corr / energy, alpha_ax.lo, alpha_ax.hi)
     objective = alpha * corr - 0.5 * alpha * alpha * energy
@@ -253,15 +265,26 @@ def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
 
 
 def _linear_closed_form(spec: LinearClosedForm, x: np.ndarray) -> np.ndarray:
+    """Solve the normal equations; a scalar system is one division.
+
+    The division is the same IEEE quotient np.linalg.solve returns for a 1x1
+    system, and a zero pivot fails with solve's LinAlgError. Python floats
+    divide without numpy's floating-point warnings, as solve does.
+    """
     w, normal = spec._weights
     rhs = w @ (x - spec.model.noise_mean)
-    return np.linalg.solve(normal, np.atleast_1d(rhs))
+    if normal.shape == (1, 1):
+        pivot = float(normal[0, 0])
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.array([float(rhs[0]) / pivot])
+    return np.linalg.solve(normal, rhs)
 
 
 def estimate(spec: EstimatorSpec, x, prior: Prior) -> np.ndarray:
     """Point estimate of theta from one record x; returns shape (n_theta,)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("observation contains non-finite values")
     if isinstance(spec, QuasiMLE):
         if x.shape != (spec.model.k,):

@@ -62,6 +62,7 @@ __all__ = [
     "example4_bounds",
     "SweepConfig",
     "SweepRow",
+    "check_sweep_k",
     "check_sweep_value",
     "default_grid",
     "run_sweep",
@@ -424,8 +425,11 @@ def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray
     return out
 
 
+_EX4_TRUE_WIDTH = 300
+
+
 def build_example4(
-    snr: float, k: int = 5000, true_width: int = 300, assumed_width: int = 200
+    snr: float, k: int = 5000, true_width: int = _EX4_TRUE_WIDTH, assumed_width: int = 200
 ) -> Example4Scenario:
     if snr <= 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
@@ -559,23 +563,27 @@ def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.
             pe = _ex4_pe(
                 a_o, da[sl], table_ss[key_lag[sl]], table_ts[key_lag[sl]], rho0, e_s, sigma2
             )
-            part = np.zeros(len_u.size)
-            for w_j, pe_j in zip(t_weights, pe):
-                part += w_j * pe_j
-            sums[sl] = part
+            # Accumulate adds the weighted nodes strictly in order, as a
+            # running sum would; a pairwise reduction would move the bits.
+            sums[sl] = np.add.accumulate(t_weights[:, None] * pe, axis=0)[-1]
         return sums
 
     def g(deltas: np.ndarray) -> np.ndarray:
         nonlocal memo_keys, memo_sums
         d = np.asarray(deltas, dtype=float)
         out = np.zeros(d.shape[0])
-        d_tau = np.abs(np.rint(d[:, 0])).astype(int)
+        # A row with a NaN offset has no lag and yields NaN. Lags are capped
+        # at k before the integer cast; every lag from k on (infinite ones
+        # too) gives 0.
+        nan_row = np.isnan(d).any(axis=1)
+        out[nan_row] = np.nan
+        d_tau = np.minimum(np.abs(np.rint(np.where(nan_row, 0.0, d[:, 0]))), k).astype(int)
         d_alpha = d[:, 1]
         tau_share = np.maximum(0.0, k - wide - d_tau) / k
         lo = np.maximum(a_lo, a_lo - d_alpha)
         hi = np.minimum(a_hi, a_hi - d_alpha)
         length = hi - lo
-        live = (tau_share > 0.0) & (length > 0.0) & (d_tau < k)
+        live = (tau_share > 0.0) & (length > 0.0) & (d_tau < k) & ~nan_row
         idx = np.nonzero(live)[0]
         if idx.size == 0:
             return out
@@ -646,6 +654,18 @@ def check_sweep_value(example: int, value: float) -> None:
         raise ValueError(f"{_SWEEP_VARS[example]} must be {domain}, got {value}")
 
 
+# Shortest record each study can be built on; example 4 needs room for two
+# true-width pulses.
+_SWEEP_MIN_K = {1: 2, 2: 2, 3: 2, 4: 2 * _EX4_TRUE_WIDTH}
+
+
+def check_sweep_k(example: int, k: int) -> None:
+    """Raise ValueError unless the example's study can be built with k samples."""
+    least = _SWEEP_MIN_K[example]
+    if k < least:
+        raise ValueError(f"k must be at least {least} for example {example}, got {k}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One example sweep: which variable, over which grid, at what scale."""
@@ -679,8 +699,8 @@ class SweepConfig:
         unknown = set(self.overrides) - known
         if unknown:
             raise ValueError(f"unknown overrides {sorted(unknown)}; allowed: k, trials")
-        if "k" in self.overrides and int(self.overrides["k"]) < 2:
-            raise ValueError("override k must be >= 2")
+        if "k" in self.overrides:
+            check_sweep_k(self.example, int(self.overrides["k"]))
         if "trials" in self.overrides and int(self.overrides["trials"]) < 1:
             raise ValueError("override trials must be >= 1")
 

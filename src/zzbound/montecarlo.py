@@ -7,6 +7,7 @@ order and reductions happen in fixed trial order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,21 +28,37 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_KEY_BLOCK = 1024  # trials whose keys are derived in one vectorized step
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer; bijective scrambling of a 64-bit word."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on uint64 words; bijective scrambling, wraps mod 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
+
+
+def _trial_keys(seed: int, start: int, count: int) -> np.ndarray:
+    """Philox key words of trials start .. start + count - 1 under one seed.
+
+    Row j holds the low and high 64-bit words for index start + j: the
+    scrambled words seed + (2 i + 1) * golden and seed + (2 i + 2) * golden,
+    all mod 2^64. Every key of the package comes from here.
+    """
+    if start < 0:
+        raise ValueError("index must be nonnegative")
+    idx = np.arange(count, dtype=np.uint64) + np.uint64(start & _M64)
+    odd = 2 * idx + 1
+    base = np.uint64(seed & _M64)
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = _mix64(base + odd * _GOLDEN)
+    keys[:, 1] = _mix64(base + (odd + 1) * _GOLDEN)
+    return keys
 
 
 def _trial_key(seed: int, index: int) -> tuple[int, int]:
     """Low and high 64-bit words of the Philox key for one (seed, index) pair."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    w0 = _mix64((seed + (2 * index + 1) * _GOLDEN) & _M64)
-    w1 = _mix64((seed + (2 * index + 2) * _GOLDEN) & _M64)
+    w0, w1 = _trial_keys(seed, index, 1)[0].tolist()
     return w0, w1
 
 
@@ -59,20 +76,27 @@ def trial_generator(seed: int, index: int) -> np.random.Generator:
 _ZERO4 = (0, 0, 0, 0)
 
 
-def _reset_trial_stream(bitgen: np.random.Philox, seed: int, index: int) -> None:
-    """Put bitgen in the state a fresh trial_generator(seed, index) starts in.
+def _trial_states(seed: int, count: int) -> Iterator[dict]:
+    """Philox states that trial_generator(seed, i) starts in, for i < count.
 
     Counter 0, the trial's key, an empty output buffer (buffer_pos 4) and no
     buffered 32-bit half, so nothing left by the previous trial leaks in.
+    One state record is reused: each step only swaps in the next key. Keys
+    are derived _KEY_BLOCK trials at a time, so memory stays bounded.
     """
-    bitgen.state = {
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": _trial_key(seed, index)},
+        "state": {"counter": _ZERO4, "key": (0, 0)},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    inner = state["state"]
+    for start in range(0, count, _KEY_BLOCK):
+        for key in _trial_keys(seed, start, min(_KEY_BLOCK, count - start)).tolist():
+            inner["key"] = key
+            yield state
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -84,7 +108,8 @@ def derive_seed(base: int, *parts: int) -> int:
     """
     z = base & _M64
     for p in parts:
-        z = _mix64((z + _GOLDEN * (p + 1)) & _M64)
+        word = np.array([(z + _GOLDEN * (p + 1)) & _M64], dtype=np.uint64)
+        z = int(_mix64(word)[0])
     return z
 
 
@@ -139,9 +164,9 @@ def run_mse(plan: TrialPlan) -> MseReport:
     """Run the trials one after another and reduce the errors.
 
     Trial i draws from the stream trial_generator(plan.seed, i) would give;
-    one Philox is reset to each trial's key rather than built per trial. A
-    trial whose estimator raises ValueError or LinAlgError counts as a
-    failure.
+    one Philox is reset to each trial's state from _trial_states rather than
+    built per trial. A trial whose estimator raises ValueError or
+    LinAlgError counts as a failure.
     """
     n_theta = plan.prior.n_theta
     errors = np.full((plan.trials, n_theta), np.nan)
@@ -153,8 +178,8 @@ def run_mse(plan: TrialPlan) -> MseReport:
     theta = plan.theta_true
     if theta is not None:
         clean = eval_signal(plan.truth.signal, theta)
-    for i in range(plan.trials):
-        _reset_trial_stream(bitgen, plan.seed, i)
+    for i, state in enumerate(_trial_states(plan.seed, plan.trials)):
+        bitgen.state = state
         if plan.theta_true is None:
             theta = plan.prior.sample(rng)
             clean = eval_signal(plan.truth.signal, theta)

@@ -523,6 +523,23 @@ def test_sweep_rejects_grid_values_outside_the_domain(tmp_path, capsys, payload,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"example": 4, "k": 100, "grid": [10.0], "trials": 5},
+        {"example": 4, "k": 599, "grid": [10.0], "trials": 5},
+        {"example": 1, "k": 1, "grid": [0.1], "trials": 5},
+    ],
+)
+def test_sweep_rejects_k_below_the_study_minimum(tmp_path, capsys, payload):
+    # Too short a record is a config error naming config.k, not exit 3.
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert "config.k: k must be at least" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "side, field",

@@ -1,11 +1,13 @@
 """Tests for the likelihood machinery and the three estimator kinds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import zzbound.estimators as estimators
 from zzbound.estimators import (
     LinearClosedForm,
     QuasiMLE,
@@ -222,3 +224,70 @@ def test_estimate_validation():
             np.zeros(4),
             Prior((IntervalAxis(0, 1), IntervalAxis(0, 1))),
         )
+
+
+def _scalar_closed_form(w, normal):
+    """A one-sample closed-form spec whose normal equation is normal * theta = w."""
+    spec = LinearClosedForm(_scalar_model(k=1))
+    spec.__dict__["_weights"] = (np.array([[w]]), np.array([[normal]]))
+    return spec
+
+
+def _solve_outcome(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn()
+        except np.linalg.LinAlgError as exc:
+            return f"LinAlgError: {exc}"
+    assert out.shape == (1,)
+    return out[0].tobytes()
+
+
+def test_linear_closed_form_scalar_division_matches_solve():
+    # The 1x1 system is solved by one division; it must give solve's bits,
+    # solve's failure, and no warning that solve would not give.
+    x = np.array([1.0])
+    specials = [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0,
+        -3.0, 1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    ]
+    rng = np.random.default_rng(3)
+    sizes = 10.0 ** rng.uniform(-300, 300, (2, 2000)) * rng.choice([-1.0, 1.0], (2, 2000))
+    pairs = [(w, n) for w in specials for n in specials] + list(zip(*sizes))
+    for w, normal in pairs:
+        spec = _scalar_closed_form(w, normal)
+        weights, normal_eq = spec._weights
+        got = _solve_outcome(lambda: estimators._linear_closed_form(spec, x))
+        want = _solve_outcome(lambda: np.linalg.solve(normal_eq, weights @ x))
+        assert got == want, (w, normal)
+    assert _solve_outcome(
+        lambda: estimators._linear_closed_form(_scalar_closed_form(1.0, 0.0), x)
+    ) == "LinAlgError: Singular matrix"
+
+
+def test_pulse_tables_shared_by_equal_priors(monkeypatch):
+    # The table is keyed by value: equal maps and priors built separately
+    # share one table, and a different lattice gets its own.
+    templates = []
+    real_template = estimators.pulse_template
+
+    def counted_template(width):
+        templates.append(width)
+        return real_template(width)
+
+    monkeypatch.setattr(estimators, "pulse_template", counted_template)
+    estimators._pulse_table.cache_clear()
+    x = np.random.default_rng(5).standard_normal(40)
+    results = []
+    for _ in range(3):
+        model, prior = _pulse_setup()
+        results.append(estimate(QuasiMLE(model), x, prior))
+    assert templates == [8]
+    for r in results[1:]:
+        np.testing.assert_array_equal(r, results[0])
+    model, _ = _pulse_setup()
+    estimate(QuasiMLE(model), x, Prior((LatticeAxis(30, 5.0, 1.0), IntervalAxis(0.5, 1.5))))
+    assert templates == [8, 8]
+    table = estimators._pulse_table(8, 40, 0.0, 40)
+    assert all(not arr.flags.writeable for arr in table)

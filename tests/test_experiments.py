@@ -499,6 +499,21 @@ def test_example4_g_remembered_keys_are_bitwise(widths, matched):
         np.testing.assert_array_equal(g(d), reference(d))
 
 
+def test_example4_g_nan_row_is_nan_and_leaves_other_rows():
+    # rint(nan) has no integer lag; the row gives NaN (as matched_mixture_pe
+    # does) and every other row keeps its bits. Lags past the record give 0.
+    scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
+    got = _make_example4_g(scn, matched=False)(np.array([[math.nan, 0.1], [3.0, 0.1]]))
+    alone = _make_example4_g(scn, matched=False)(np.array([[3.0, 0.1]]))
+    assert math.isnan(got[0])
+    assert got[1:].tobytes() == alone.tobytes()
+    rows = np.array([[2.0, math.nan], [math.inf, 0.1], [-1e30, 0.0], [3.0, 0.1]])
+    got = _make_example4_g(scn, matched=False)(rows)
+    assert math.isnan(got[0])
+    assert got[1] == 0.0 and got[2] == 0.0
+    assert got[3:].tobytes() == alone.tobytes()
+
+
 def test_example4_g_repeat_and_flipped_calls_evaluate_nothing(monkeypatch):
     # g depends on the lag only through |rint(d_tau)|, so after one call the
     # same rows and their sign-flipped twins are all remembered keys.
@@ -596,6 +611,12 @@ def test_sweep_config_validation():
         SweepConfig(1, "sigma2", (0.1,), overrides={"shape": 3})
     with pytest.raises(ValueError, match="trials"):
         SweepConfig(1, "sigma2", (0.1,), overrides={"trials": 0})
+    with pytest.raises(ValueError, match="k must be at least 2 for example 1, got 1"):
+        SweepConfig(1, "sigma2", (0.1,), overrides={"k": 1})
+    # Example 4 needs room for two true-width (300-sample) pulses.
+    with pytest.raises(ValueError, match="k must be at least 600 for example 4, got 599"):
+        SweepConfig(4, "snr", (10.0,), overrides={"k": 599})
+    SweepConfig(4, "snr", (10.0,), overrides={"k": 600})
 
 
 def test_default_grids():

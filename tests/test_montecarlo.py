@@ -28,7 +28,10 @@ from zzbound.models import (
 from zzbound.montecarlo import (
     MseReport,
     TrialPlan,
-    _reset_trial_stream,
+    _KEY_BLOCK,
+    _trial_key,
+    _trial_keys,
+    _trial_states,
     derive_seed,
     empirical_pe,
     run_mse,
@@ -76,13 +79,44 @@ def test_reset_stream_matches_trial_generator():
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     for seed in (0, 7, (1 << 63) + 5, (1 << 64) - 1):
-        for i in range(300):
-            _reset_trial_stream(bitgen, seed, i)
+        for i, state in enumerate(_trial_states(seed, 300)):
+            bitgen.state = state
             got = _trial_draws(rng, i)
             want = _trial_draws(trial_generator(seed, i), i)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_key(seed, index):
+    """The trial key written out with Python integers, one word at a time."""
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+        return z ^ (z >> 31)
+
+    golden = 0x9E3779B97F4A7C15
+    return (
+        mix((seed + (2 * index + 1) * golden) & _M64),
+        mix((seed + (2 * index + 2) * golden) & _M64),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 5, (1 << 64) - 1, (1 << 64) + 3, -1])
+def test_vectorized_keys_match_scalar_splitmix(seed):
+    n = 3001
+    assert _KEY_BLOCK < n  # the schedule below crosses block boundaries
+    want = [_splitmix_key(seed, i) for i in range(n)]
+    assert [tuple(k) for k in _trial_keys(seed, 0, n).tolist()] == want
+    assert [tuple(s["state"]["key"]) for s in _trial_states(seed, n)] == want
+    for i in (0, _KEY_BLOCK - 1, _KEY_BLOCK, n - 1, 1 << 40, (1 << 62) - 1):
+        assert _trial_key(seed, i) == _splitmix_key(seed, i)
+    far = _trial_keys(seed, (1 << 62) - 3, 3).tolist()
+    assert [tuple(k) for k in far] == [_splitmix_key(seed, (1 << 62) - 3 + j) for j in range(3)]
 
 
 def test_derive_seed_frozen_and_order_sensitive():
@@ -452,3 +486,63 @@ def test_run_mse_specs_differing_only_in_covariance():
     assert results[0] != results[1]
     assert results[0::2] == [results[0]] * 3
     assert results[1::2] == [results[1]] * 3
+
+
+def test_run_mse_matches_reference_across_key_blocks():
+    # More trials than one key block, with the parameter drawn per trial.
+    assumed, truth = _linear_setup(k=3)
+    plan = TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(2.0), 2 * _KEY_BLOCK + 5, 12)
+    _assert_matches_reference(plan)
+
+
+def test_run_mse_calls_estimate_and_draw_once_per_trial(monkeypatch):
+    import zzbound.montecarlo as mc
+
+    calls = {"estimate": 0, "draw": 0}
+    real_estimate, real_draw = mc.estimate, GaussianNoise.draw
+
+    def counted_estimate(*args):
+        calls["estimate"] += 1
+        return real_estimate(*args)
+
+    def counted_draw(self, *args, **kwargs):
+        calls["draw"] += 1
+        return real_draw(self, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "estimate", counted_estimate)
+    monkeypatch.setattr(GaussianNoise, "draw", counted_draw)
+    assumed, truth = _linear_setup(k=4)
+    trials = _KEY_BLOCK + 3
+    run_mse(TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(1.0), trials, 5))
+    assert calls == {"estimate": trials, "draw": trials}
+
+
+def test_run_mse_zero_normal_tallies_singular_matrix():
+    # An all-zero assumed map makes the scalar normal equation 0 * theta = 0.
+    k = 4
+    assumed = AssumedModel(LinearVectorMap(np.zeros(k)), np.zeros(k), ScaledIdentityCov(1.0, k))
+    _, truth = _linear_setup(k=k)
+    rep = run_mse(TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(1.0), 20, 3))
+    assert rep.failures == 20
+    assert not rep.valid
+    assert rep.failure_reasons == {"LinAlgError: Singular matrix": 20}
+
+
+def test_run_mse_memory_stays_bounded_at_many_trials():
+    # Keys are derived one block at a time. The peak, about 6.6 MB, is the
+    # reduction over the 1.6 MB per-trial error array; deriving all 200,000
+    # keys at once raises it to about 35 MB.
+    import tracemalloc
+
+    assumed, truth = _linear_setup(k=4)
+    plan = TrialPlan(
+        truth, LinearClosedForm(assumed), uniform_interval(1.0), 200_000, 1, np.array([0.5])
+    )
+    tracemalloc.start()
+    try:
+        rep = run_mse(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.failures == 0
+    assert peak < 12_000_000
