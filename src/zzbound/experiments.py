@@ -349,17 +349,33 @@ def matched_mixture_pe(
         h = np.atleast_1d(np.asarray(h_off, dtype=float))
         out = np.full(h.shape, 0.5)
         live = np.nonzero(h != 0.0)[0]
+        # Two row-block buffers, reused in place with the operation order of
+        # lb + cb - 0.5 * ((v - h) / std_wide) ** 2 and its narrow twin.
+        rows = min(_MIXTURE_ROWS, live.size)
+        ell_buf, tmp_buf = np.empty((rows, v.size)), np.empty((rows, v.size))
         for start in range(0, live.size, _MIXTURE_ROWS):
             idx = live[start : start + _MIXTURE_ROWS]
             hb = h[idx, None]
-            ell = lb + cb - 0.5 * ((v - hb) / std_wide) ** 2
+            ell = ell_buf[: idx.size]
+            np.subtract(v, hb, out=ell)
+            ell /= std_wide
+            np.square(ell, out=ell)
+            ell *= 0.5
+            np.subtract(lb + cb, ell, out=ell)
             j0 = np.searchsorted(v, np.nanmin(hb) - narrow_reach)
             j1 = np.searchsorted(v, np.nanmax(hb) + narrow_reach, "right")
             near = ell[:, j0:j1]
-            np.logaddexp(la + ca - 0.5 * ((v[j0:j1] - hb) / std_narrow) ** 2, near, out=near)
+            narrow = tmp_buf[: idx.size, : j1 - j0]
+            np.subtract(v[j0:j1], hb, out=narrow)
+            narrow /= std_narrow
+            np.square(narrow, out=narrow)
+            narrow *= 0.5
+            np.subtract(la + ca, narrow, out=narrow)
+            np.logaddexp(narrow, near, out=near)
             ell -= log_f
             mean = ell @ f_w
-            var = (ell * ell) @ f_w - mean * mean
+            sq = np.multiply(ell, ell, out=tmp_buf[: idx.size])
+            var = sq @ f_w - mean * mean
             var = np.maximum(var, 1e-300)
             out[idx] = q_function(math.sqrt(k) * np.abs(mean) / np.sqrt(var))
         if np.isscalar(h_off):
@@ -413,15 +429,17 @@ class Example4Scenario:
 
 
 def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """r[j] = sum_i a(i) b(i + j) for centered templates a and b."""
+    """r[j] = sum_i a(i) b(i + j) for centered templates a and b.
+
+    np.correlate(b, a, "full") holds r at lags -(ra + rb)..ra + rb, each as
+    one dot product over the overlap; lags outside that reach are 0.
+    """
     ra, rb = (a.size - 1) // 2, (b.size - 1) // 2
-    out = np.zeros(lags.size)
-    for pos, j in enumerate(lags):
-        lo, hi = max(-ra, -rb - j), min(ra, rb - j)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        out[pos] = a[i + ra] @ b[i + j + rb]
+    full = np.correlate(b, a, "full")
+    idx = np.asarray(lags) + ra + rb
+    inside = (idx >= 0) & (idx < full.size)
+    out = np.zeros(idx.size)
+    out[inside] = full[idx[inside]]
     return out
 
 

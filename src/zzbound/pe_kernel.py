@@ -11,9 +11,10 @@ montecarlo.empirical_pe estimates the error probability by simulating the
 test.
 
 All routes share one scalar statistic: the decision rule compares the
-assumed-model log-likelihoods of the two candidates, which reduces to a
-deterministic offset ``S`` plus the true noise projected onto the signal
-difference ``d = h(theta_o) - h(theta_o + delta)``.
+assumed-model log-likelihoods of the two candidates, which reduces to the
+data's residual from the candidates' midpoint projected onto the signal
+difference ``d = h(theta_o) - h(theta_o + delta)``: a deterministic mean
+(decision_means) plus the true noise projected the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .special_math import q_function
 __all__ = [
     "PeKernel",
     "ProjectedNoise",
-    "compute_S",
+    "decision_means",
     "projected_noise_stats",
     "pe_gaussian",
     "pe_mixture",
@@ -91,24 +92,30 @@ class ProjectedNoise:
     weights: np.ndarray
 
 
-def compute_S(kernel: PeKernel, theta_eval, theta_o, delta) -> float:
-    """Deterministic part of the decision statistic at evaluation point theta_eval.
+def decision_means(kernel: PeKernel, theta_eval, theta_o, delta) -> np.ndarray:
+    """Mean of the decision statistic under each truth component.
 
-    S collects every term of the assumed-model log-likelihood difference that
-    does not involve the true noise: the quadratic terms of the two candidate
-    signals and the cross term between the true signal at theta_eval and the
-    candidate difference d.
+    The assumed-model rule keeps theta_o over theta_o + delta when
+    S = (x - mu - (h0 + h1) / 2)^T Sigma^-1 d is positive, with
+    h0 = h(theta_o), h1 = h(theta_o + delta) and d = h0 - h1. With data from
+    theta_eval and truth component c, S has mean r_c^T Sigma^-1 d for the
+    residual r_c = (s*(theta_eval) - (h0 + h1) / 2) + (m_c - mu). The residual
+    is formed before the one quadratic form, so terms that cancel (the
+    candidates' energies, equal noise means) never pass through Sigma^-1,
+    where a tiny variance would blow them up past the result. The signal
+    and the mean parts are each differenced first, so neither is absorbed
+    into the other before it cancels.
     """
     th = np.atleast_1d(np.asarray(theta_o, dtype=float))
     de = np.atleast_1d(np.asarray(delta, dtype=float))
     te = np.atleast_1d(np.asarray(theta_eval, dtype=float))
-    mu = kernel.assumed.noise_mean
-    cov = kernel.assumed.noise_cov
     h0 = eval_signal(kernel.assumed.signal, th)
     h1 = eval_signal(kernel.assumed.signal, th + de)
-    quad = 0.5 * (cov.qf_inv(h1 + mu) - cov.qf_inv(h0 + mu))
-    cross = cov.qf_inv(eval_signal(kernel.truth.signal, te), h0 - h1)
-    return quad + cross
+    signal_part = eval_signal(kernel.truth.signal, te) - 0.5 * (h0 + h1)
+    mu = kernel.assumed.noise_mean
+    cov = kernel.assumed.noise_cov
+    _, comps = _components(kernel.truth.noise)
+    return np.array([cov.qf_inv(signal_part + (c.mean - mu), h0 - h1) for c in comps])
 
 
 def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
@@ -165,12 +172,12 @@ def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
     if np.all(de == 0.0):
         return 0.5
     th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-    s0 = compute_S(kernel, th, th, de)
-    s1 = compute_S(kernel, th + de, th, de)
+    z0 = decision_means(kernel, th, th, de)
+    z1 = decision_means(kernel, th + de, th, de)
     stats = projected_noise_stats(kernel, th, de)
     total = 0.0
-    for w, m, s in zip(stats.weights, stats.comp_means, stats.comp_stddevs):
-        total += w * 0.5 * (_q_or_limit(s0 + m, s) + _q_or_limit(-s1 - m, s))
+    for w, m0, m1, s in zip(stats.weights, z0, z1, stats.comp_stddevs):
+        total += w * 0.5 * (_q_or_limit(m0, s) + _q_or_limit(-m1, s))
     return float(total)
 
 

@@ -1,9 +1,9 @@
 """Scalar special functions used by the bound integrals.
 
 Two functions are needed downstream: the Gaussian tail probability Q and the
-regularized lower incomplete gamma function. Q delegates to the platform
-``erfc`` (double precision, accurate to well below the 1e-12 contract over
-|x| <= 8 and smoothly underflowing far in the tail). The incomplete gamma is
+regularized lower incomplete gamma function. Q calls ``scipy.special.erfc``
+(double precision, accurate to well below the 1e-12 contract over |x| <= 8
+and smoothly underflowing far in the tail). The incomplete gamma is
 evaluated from scratch with the classic split: a power series for x < a + 1
 and a Lentz-style continued fraction for the complementary function
 otherwise. See Press et al., Numerical Recipes, ch. 6 for the scheme.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +57,13 @@ __all__ = [
 ]
 
 # Tensor quadrature (outer offset x inner location) caps its own doubling so
-# the mesh never exceeds roughly 8193^2 nodes, and hands the profile at most
-# about _TENSOR_BLOCK mesh nodes per call (whole offset rows), so memory stays
-# bounded at the largest meshes.
+# the mesh never exceeds roughly 8193^2 nodes.
 _TENSOR_MAX_SIDE = 8193
-_TENSOR_BLOCK = 1 << 20
+# Most profile or integrand evaluations handed to one pe call by the tensor
+# and vector routes (see _scan_rows). It bounds the pe's temporaries, and so
+# the working set, at any mesh size; each value is computed from the same
+# operands at any block size, so the bits do not depend on it.
+_SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,28 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _scan_rows(
+    evaluate: Callable[[slice, slice], np.ndarray], n_rows: int, row_len: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Values of an (n_rows, row_len) grid, one block of whole rows at a time.
+
+    evaluate(rows, cols) returns the values on the rectangle rows x cols in
+    row-major order and is never asked for more than _SCAN_BLOCK cells: a
+    block holds as many whole rows as fit, and a row longer than the block
+    is asked for in pieces. Yields (rows, vals) with vals of shape
+    (rows, row_len), so per-row reductions see whole rows.
+    """
+    per_block = max(1, _SCAN_BLOCK // row_len)
+    for r0 in range(0, n_rows, per_block):
+        rows = slice(r0, min(r0 + per_block, n_rows))
+        parts = [
+            np.asarray(evaluate(rows, slice(c0, min(c0 + _SCAN_BLOCK, row_len))), dtype=float)
+            for c0 in range(0, row_len, _SCAN_BLOCK)
+        ]
+        vals = parts[0] if len(parts) == 1 else np.concatenate([p.ravel() for p in parts])
+        yield rows, vals.reshape(rows.stop - rows.start, row_len)
+
+
 def _simpson_last(y: np.ndarray, step: float) -> np.ndarray:
     """Composite Simpson along the last axis (odd node count)."""
     s = (
@@ -185,14 +209,15 @@ def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
     def value_at(n: int) -> float:
         h = np.linspace(0.0, t_width, n)
         u = np.linspace(0.0, 1.0, n)
+
+        def pe_at(rows: slice, cols: slice) -> np.ndarray:
+            hb = h[rows]
+            theta = axis.lo + u[None, cols] * (t_width - hb)[:, None]
+            return spec.pe(theta, np.broadcast_to(hb[:, None], theta.shape))
+
         inner = np.empty(n)
-        rows = max(1, _TENSOR_BLOCK // n)
-        for r0 in range(0, n, rows):
-            hb = h[r0 : r0 + rows]
-            theta = axis.lo + u[None, :] * (t_width - hb)[:, None]
-            offs = np.broadcast_to(hb[:, None], theta.shape)
-            pe_vals = np.asarray(spec.pe(theta, offs), dtype=float)
-            inner[r0 : r0 + rows] = (t_width - hb) * _simpson_last(pe_vals, 1.0 / (n - 1))
+        for rows, pe_vals in _scan_rows(pe_at, n, n):
+            inner[rows] = (t_width - h[rows]) * _simpson_last(pe_vals, 1.0 / (n - 1))
         outer = _simpson_last(h * inner, t_width / (n - 1))
         return float(outer) / t_width
 
@@ -489,10 +514,38 @@ class VectorBoundSpec:
 
 
 def _g_rows(spec: VectorBoundSpec, deltas: np.ndarray) -> np.ndarray:
-    vals = np.asarray(spec.pe(deltas), dtype=float)
-    if spec.pe_includes_prior:
-        return vals
-    return vals * overlap_rows(spec.prior, deltas)
+    """Integrand at each row of a (M, n_theta) offset array, in _scan_rows blocks."""
+
+    def g_at(rows: slice, cols: slice) -> np.ndarray:
+        d = deltas[rows]
+        vals = np.asarray(spec.pe(d), dtype=float)
+        if spec.pe_includes_prior:
+            return vals
+        return vals * overlap_rows(spec.prior, d)
+
+    out = np.empty(deltas.shape[0])
+    for rows, vals in _scan_rows(g_at, deltas.shape[0], 1):
+        out[rows] = vals[:, 0]
+    return out
+
+
+def _free_mesh(spec: VectorBoundSpec, free_idx: Sequence[int]) -> np.ndarray:
+    """(n_c, n_free) candidate offsets on the free axes, first axis slowest."""
+    cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
+    mesh = np.meshgrid(*cand, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _mesh_deltas(
+    n: int, pin_axis: int, pins: np.ndarray, free_idx: Sequence[int], combos: np.ndarray
+) -> np.ndarray:
+    """(r * n_c, n) offsets, row-major over (r, n_c): free axes from the n_c
+    combinations, pin_axis from pins of shape (r, 1) or (r, n_c)."""
+    deltas = np.zeros((pins.shape[0], combos.shape[0], n))
+    deltas[:, :, pin_axis] = pins
+    for col, j in enumerate(free_idx):
+        deltas[:, :, j] = combos[None, :, col]
+    return deltas.reshape(-1, n)
 
 
 def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
@@ -526,18 +579,16 @@ def _max_over_free(
         deltas[:, pin_axis] = pins
         return _g_rows(spec, deltas)
 
-    cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
-    mesh = np.meshgrid(*cand, indexing="ij")
-    combos = np.stack([m.ravel() for m in mesh], axis=1)  # (n_c, n_free)
-    n_c = combos.shape[0]
+    combos = _free_mesh(spec, free_idx)  # (n_c, n_free)
 
-    deltas = np.zeros((n_pin, n_c, n))
-    deltas[:, :, pin_axis] = pins[:, None]
-    for col, j in enumerate(free_idx):
-        deltas[:, :, j] = combos[None, :, col]
-    vals = _g_rows(spec, deltas.reshape(-1, n)).reshape(n_pin, n_c)
-    best_c = np.argmax(vals, axis=1)
-    best_val = vals[np.arange(n_pin), best_c]
+    def g_at(rows: slice, cols: slice) -> np.ndarray:
+        return _g_rows(spec, _mesh_deltas(n, pin_axis, pins[rows, None], free_idx, combos[cols]))
+
+    best_c = np.empty(n_pin, dtype=np.intp)
+    best_val = np.empty(n_pin)
+    for rows, vals in _scan_rows(g_at, n_pin, combos.shape[0]):
+        best_c[rows] = np.argmax(vals, axis=1)
+        best_val[rows] = vals[np.arange(vals.shape[0]), best_c[rows]]
     best_free = combos[best_c]  # (n_pin, n_free)
 
     def eval_rows(free_mat: np.ndarray) -> np.ndarray:
@@ -627,24 +678,23 @@ def _zzb_vector_oblique(spec: VectorBoundSpec) -> BoundResult:
     h_max = float(np.sum(np.abs(a) * np.array([ax.width for ax in axes])))
     w_piv = axes[pivot].width
 
-    cand = [_free_axis_candidates(axes[j], spec.search) for j in free_idx]
-    mesh = np.meshgrid(*cand, indexing="ij")
-    combos = np.stack([m.ravel() for m in mesh], axis=1)
-    a_free = np.array([a[j] for j in free_idx])
+    combos = _free_mesh(spec, free_idx)
+    proj = combos @ np.array([a[j] for j in free_idx])
 
     def g_tilde(h: np.ndarray) -> np.ndarray:
-        n_h = h.size
-        piv = (h[:, None] - combos @ a_free) / a[pivot]  # (n_h, n_c)
-        deltas = np.zeros((n_h, combos.shape[0], spec.prior.n_theta))
-        deltas[:, :, pivot] = piv
-        for col, j in enumerate(free_idx):
-            deltas[:, :, j] = combos[None, :, col]
-        flat = deltas.reshape(-1, spec.prior.n_theta)
-        feasible = np.abs(flat[:, pivot]) <= w_piv
-        vals = np.zeros(flat.shape[0])
-        if np.any(feasible):
-            vals[feasible] = _g_rows(spec, flat[feasible])
-        return np.max(vals.reshape(n_h, -1), axis=1)
+        def g_at(rows: slice, cols: slice) -> np.ndarray:
+            piv = (h[rows, None] - proj[None, cols]) / a[pivot]
+            flat = _mesh_deltas(spec.prior.n_theta, pivot, piv, free_idx, combos[cols])
+            feasible = np.abs(flat[:, pivot]) <= w_piv
+            vals = np.zeros(flat.shape[0])
+            if np.any(feasible):
+                vals[feasible] = _g_rows(spec, flat[feasible])
+            return vals
+
+        out = np.empty(h.size)
+        for rows, vals in _scan_rows(g_at, h.size, combos.shape[0]):
+            out[rows] = np.max(vals, axis=1)
+        return out
 
     def f(h: np.ndarray) -> np.ndarray:
         return h * g_tilde(h)

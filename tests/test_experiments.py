@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zzbound import experiments
+from zzbound import experiments, zzb
 from zzbound.experiments import (
     SweepConfig,
     _ex4_pe,
@@ -33,6 +33,7 @@ from zzbound.models import (
 )
 from zzbound.pe_kernel import PeKernel, pe_gaussian
 from zzbound.special_math import q_function
+from zzbound.zzb import DeltaSearch, QuadratureRule, VectorBoundSpec, zzb_vector
 
 
 def test_prior_width():
@@ -310,6 +311,43 @@ def test_xcorr_at_lags_brute_force():
         assert got[pos] == pytest.approx(acc, abs=1e-12)
 
 
+def _xcorr_loop(a, b, lags):
+    """One dot product per lag over the overlap, as the tables were built."""
+    ra, rb = (a.size - 1) // 2, (b.size - 1) // 2
+    out = np.zeros(lags.size)
+    for pos, j in enumerate(lags):
+        lo, hi = max(-ra, -rb - j), min(ra, rb - j)
+        if lo > hi:
+            continue
+        i = np.arange(lo, hi + 1)
+        out[pos] = a[i + ra] @ b[i + j + rb]
+    return out
+
+
+# Template width pairs of the studies (300 true, 200 assumed, and matched),
+# odd and uneven lengths, and the test scenarios' pulses.
+_XCORR_WIDTHS = [
+    (300, 200), (200, 200), (300, 300), (21, 41), (41, 21), (20, 60),
+    (20, 14), (14, 14), (20, 20), (20, 40), (40, 40), (40, 30), (30, 30), (20, 10), (10, 20),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(("wa", "wb"), _XCORR_WIDTHS)
+def test_xcorr_at_lags_matches_dot_per_lag(wa, wb):
+    a, b = pulse_template(wa), pulse_template(wb)
+    reach = (a.size - 1) // 2 + (b.size - 1) // 2
+    lags = np.arange(-reach - 3, reach + 4)
+    got, expected = _xcorr_at_lags(a, b, lags), _xcorr_loop(a, b, lags)
+    if min(a.size, b.size) > 11:
+        np.testing.assert_array_equal(got, expected)
+    else:
+        # For a template of at most 11 samples np.correlate sums the fully
+        # overlapping lags in sequence, while a dot product may group the
+        # sum in SIMD lanes: the two can differ in the last bits.
+        np.testing.assert_array_max_ulp(got, expected, maxulp=4)
+    assert got[0] == got[1] == got[2] == got[-3] == got[-2] == got[-1] == 0.0
+
+
 def test_pulse_template_energy_matches_frozen():
     t300 = pulse_template(300)
     t200 = pulse_template(200)
@@ -538,6 +576,49 @@ def test_example4_g_memo_is_per_integrand(monkeypatch):
     first = sum(elems)
     _make_example4_g(scn, matched=False)(deltas)
     assert sum(elems) == 2 * first
+
+
+def test_example4_bounds_independent_of_scan_block(monkeypatch):
+    # The vector routes hand g at most zzb._SCAN_BLOCK rows per call. At any
+    # block size the bounds are bit for bit the same, and the memo still
+    # evaluates each (lag, d_alpha) key once, so _ex4_pe sees the same number
+    # of elements.
+    scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
+    search = DeltaSearch(grid_points=9, refine_iters=2, lattice_window=3)
+    quadrature = QuadratureRule(points=17, rel_tol=1e-4, max_doublings=2)
+
+    def run(block):
+        monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
+        elems = _counting_ex4_pe(monkeypatch)
+        rows = []
+        g = _make_example4_g(scn, matched=False)
+
+        def pe(deltas):
+            rows.append(deltas.shape[0])
+            return g(deltas)
+
+        values = [
+            zzb_vector(
+                VectorBoundSpec(
+                    np.array(direction),
+                    scn.prior,
+                    pe,
+                    pe_includes_prior=True,
+                    search=search,
+                    quadrature=quadrature,
+                )
+            )
+            for direction in ((1.0, 0.0), (0.0, 1.0))
+        ]
+        return values, sum(elems), rows
+
+    reference, ref_elems, ref_rows = run(1 << 40)
+    assert [r.form for r in reference] == ["lattice_staircase", "continuous_profile"]
+    for block in (1, 7, 1 << 14):
+        values, elems, rows = run(block)
+        assert values == reference
+        assert elems == ref_elems
+        assert max(rows) <= block and sum(rows) == sum(ref_rows)
 
 
 @pytest.mark.parametrize("block", [129 * 7, experiments._EX4_BLOCK, 100])

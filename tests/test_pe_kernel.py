@@ -23,7 +23,7 @@ from zzbound.montecarlo import empirical_pe
 from zzbound.pe_kernel import (
     PeKernel,
     _q_or_limit,
-    compute_S,
+    decision_means,
     linear_scalar_profile,
     pe_gaussian,
     pe_mixture,
@@ -45,7 +45,7 @@ def test_compute_s_frozen_value():
     # K = 1, h = 1, sigma^2 = 1, mu = 0: evaluating at theta_eval = 0 leaves
     # only the quadratic term, (h1^2 - h0^2) / 2 = (9 - 4) / 2.
     kern = _scalar_kernel()
-    assert compute_S(kern, 0.0, 2.0, 1.0) == pytest.approx(2.5, rel=1e-15)
+    assert decision_means(kern, 0.0, 2.0, 1.0) == pytest.approx([2.5], rel=1e-15)
 
 
 def test_compute_s_at_candidates_symbolic():
@@ -65,12 +65,43 @@ def test_compute_s_at_candidates_symbolic():
         theta_o = float(rng.uniform(-3.0, 3.0))
         delta = float(rng.uniform(-2.0, 2.0))
         half_quad = 0.5 * delta * delta * cov.qf_inv(h)
-        assert compute_S(kern, theta_o, theta_o, delta) == pytest.approx(
-            half_quad, rel=1e-11
+        assert decision_means(kern, theta_o, theta_o, delta) == pytest.approx(
+            [half_quad], rel=1e-11
         )
-        assert compute_S(kern, theta_o + delta, theta_o, delta) == pytest.approx(
-            -half_quad, rel=1e-11
+        assert decision_means(kern, theta_o + delta, theta_o, delta) == pytest.approx(
+            [-half_quad], rel=1e-11
         )
+
+
+def _tiny_variance_kernel(true_means, weights=None):
+    # One sample direction with variance (2.6e-101)^2 and signal 2.6e-101:
+    # Sigma^-1 times the assumed mean is about 1.5e201, far beyond the
+    # decision statistic's mean, which is O(1).
+    a = np.array([2.6e-101, 0.0])
+    sig = LinearVectorMap(a)
+    cov = DiagonalCov(np.array([2.6e-101**2, 1.0]))
+    comps = [GaussianNoise(np.array(m, dtype=float), cov) for m in true_means]
+    noise = comps[0] if weights is None else MixtureNoise(np.array(weights), tuple(comps))
+    return PeKernel(AssumedModel(sig, np.array([1.0, 0.0]), cov), TrueModel(sig, noise))
+
+
+@pytest.mark.parametrize(
+    ("true_means", "weights", "expected"),
+    [
+        ([[1.0, 0.0]], None, 0.15865525393145707),  # equal means: Q(1)
+        ([[0.0, 0.0]], None, 0.5),  # mean offset of 1 / 2.6e-101 noise sigmas
+        ([[1.0, 0.0], [0.0, 0.0]], [0.3, 0.7], 0.3 * 0.15865525393145707 + 0.7 * 0.5),
+    ],
+)
+def test_pe_tiny_variance_matches_scalar_profile(true_means, weights, expected):
+    # The residual is formed before Sigma^-1 is applied; expanding the
+    # candidates' energies and the mean projections first cancels terms of
+    # about 7.7e100 and left pe_gaussian at 0.5 and 0.2614 here.
+    kern = _tiny_variance_kernel(true_means, weights)
+    pe_fn = pe_gaussian if weights is None else pe_mixture
+    profile = float(linear_scalar_profile(kern).pe(0.0, 2.0))
+    assert profile == pytest.approx(expected, rel=1e-12)
+    assert pe_fn(kern, 0.0, 2.0) == pytest.approx(profile, rel=1e-12)
 
 
 def test_q_or_limit_degenerate_spread():

@@ -288,15 +288,21 @@ def _general_full_mesh(spec):
 
 @pytest.mark.parametrize("block", [1, 1000, 1 << 20])
 def test_general_row_blocks_match_full_mesh_bitwise(monkeypatch, block):
-    # Blocks of whole offset rows leave every Simpson sum unchanged.
+    # Blocks of whole offset rows, or pieces of one row when a row is longer
+    # than the block, leave every Simpson sum unchanged, and no pe call gets
+    # more than the block's nodes.
+    sizes = []
+
     def pe(theta, h):
+        sizes.append(np.size(theta))
         return q_function((0.4 + 0.3 * theta) * h)
 
     spec = ScalarBoundSpec(
         uniform_interval(6.0), pe, QuadratureRule(tensor_points=33, max_doublings=3)
     )
-    monkeypatch.setattr(zzb, "_TENSOR_BLOCK", block)
+    monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
     got = zzb_scalar_general(spec)
+    assert max(sizes) <= block
     assert (got.value, got.converged) == _general_full_mesh(spec)
 
 
@@ -752,3 +758,98 @@ def test_vector_bound_direction_validation():
         VectorBoundSpec(
             direction=np.array([0.0]), prior=prior, pe=lambda rows: rows[:, 0]
         )
+
+
+# ---------------------------------------------------------------------------
+# Bounded pe calls: every tensor and vector route scans in blocks
+# ---------------------------------------------------------------------------
+
+
+def _coupled_pe(rows):
+    # Smooth in every offset, with the free axes coupled to the first so the
+    # free-axis maximum moves with the pinned offset.
+    d = np.asarray(rows, dtype=float)
+    spread = np.abs(d[:, 0]) + 0.6 * np.sum(np.abs(d[:, 1:] - 0.2 * d[:, :1]), axis=1)
+    return q_function(0.8 * spread) * (1.0 + 0.1 * np.cos(d[:, 0]))
+
+
+_SMALL_SEARCH = DeltaSearch(grid_points=9, refine_iters=3)
+_SMALL_QUADRATURE = QuadratureRule(points=17, rel_tol=1e-9, max_doublings=3)
+
+# route: (prior, direction, form)
+_ROUTE_SPECS = {
+    "scalar_reduction": (uniform_interval(4.0), (1.0,), "scalar_reduction"),
+    "scalar_lattice": (Prior((LatticeAxis(40, 0.0, 0.5),)), (1.0,), "lattice_staircase"),
+    "lattice_direction": (
+        Prior((LatticeAxis(12, 0.0, 1.0), IntervalAxis(0.5, 1.5))),
+        (1.0, 0.0),
+        "lattice_staircase",
+    ),
+    "continuous_direction": (
+        Prior((IntervalAxis(0.0, 4.0), LatticeAxis(5, 0.0, 1.0), IntervalAxis(-1.0, 1.0))),
+        (1.0, 0.0, 0.0),
+        "continuous_profile",
+    ),
+    # Direction (1, 0.5) reaches pivot offsets past the first axis's width,
+    # so some mesh rows are infeasible and never reach pe.
+    "oblique": (uniform_box([0.0, 0.0], [3.0, 2.0]), (1.0, 0.5), "continuous_profile"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_SPECS))
+def test_vector_routes_scan_in_bounded_blocks(monkeypatch, route):
+    # At any block size each pe call gets at most the block's rows, every
+    # row is evaluated as often as with one unbounded block, and the bound
+    # is bit for bit the same.
+    prior, direction, form = _ROUTE_SPECS[route]
+
+    def run(block):
+        monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
+        sizes = []
+
+        def pe(rows):
+            sizes.append(rows.shape[0])
+            return _coupled_pe(rows)
+
+        spec = VectorBoundSpec(
+            np.array(direction), prior, pe, search=_SMALL_SEARCH, quadrature=_SMALL_QUADRATURE
+        )
+        return zzb_vector(spec), sizes
+
+    reference, ref_sizes = run(1 << 40)
+    assert reference.form == form and reference.value > 0.0
+    for block in (1, 7, 1 << 14):
+        got, sizes = run(block)
+        assert got == reference
+        assert max(sizes) <= block
+        assert sum(sizes) == sum(ref_sizes)
+
+
+def test_free_axis_scan_keeps_first_maximum_per_pin(monkeypatch):
+    # Every free-axis candidate ties at exactly 0.5, so the row's first
+    # candidate (-1) starts the ternary polish, which climbs to the lower of
+    # the two peaks (near -5/6, not +5/6). A NaN row stays NaN. Blocks that
+    # split rows must keep both, bit for bit.
+    prior = Prior((LatticeAxis(6, 0.0, 1.0), IntervalAxis(0.0, 1.0)))
+
+    def pe(rows):
+        tau, alpha = rows[:, 0], rows[:, 1]
+        out = (0.5 + (0.4 + 0.1 * alpha) * np.sin(3.0 * np.pi * alpha) ** 2) * (1.0 - 0.05 * tau)
+        out[tau == 3.0] = np.nan
+        return out
+
+    spec = VectorBoundSpec(
+        np.array([1.0, 0.0]),
+        prior,
+        pe,
+        pe_includes_prior=True,
+        search=DeltaSearch(grid_points=7, refine_iters=30),
+    )
+    pins = np.arange(1.0, 6.0)
+    monkeypatch.setattr(zzb, "_SCAN_BLOCK", 1 << 40)
+    reference = zzb._max_over_free(spec, pins, 0, [1])
+    assert np.isnan(reference[2])
+    assert_allclose(reference[[0, 1, 3, 4]], 0.8167 * (1.0 - 0.05 * pins[[0, 1, 3, 4]]), rtol=1e-3)
+    for block in (1, 3, 7, 8):
+        monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
+        np.testing.assert_array_equal(zzb._max_over_free(spec, pins, 0, [1]), reference)
