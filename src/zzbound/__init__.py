@@ -26,7 +26,7 @@ from .models import (
 )
 from .montecarlo import TrialPlan, empirical_pe, run_mse
 from .zzb import (
-    gamma_from_scenario,
+    bound,
     zzb_closed_form_q_linear,
     zzb_scalar_general,
     zzb_scalar_independent,
@@ -46,8 +46,8 @@ __all__ = [
     "ScaledIdentityCov",
     "TrialPlan",
     "TrueModel",
+    "bound",
     "empirical_pe",
-    "gamma_from_scenario",
     "run_mse",
     "uniform_interval",
     "zzb_closed_form_q_linear",

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,6 +25,7 @@ import numpy as np
 
 from .estimators import EstimatorSpec, LinearClosedForm, QuasiMLE, SampleMedian
 from .experiments import (
+    _SWEEP_VARS,
     SweepConfig,
     build_example1,
     build_example2,
@@ -117,6 +119,16 @@ def _as_number_list(value: Any, path: str, min_len: int = 1) -> list[float]:
     if len(value) < min_len:
         _fail(path, f"expected at least {min_len} entries, got {len(value)}")
     return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _as_coords(value: Any, path: str, n: int) -> np.ndarray:
+    """A parameter point: n finite coordinates."""
+    values = _as_number_list(value, path)
+    if len(values) != n:
+        _fail(path, f"expected {n} coordinates, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        _fail(path, f"expected finite coordinates, got {values}")
+    return np.asarray(values)
 
 
 def _as_matrix(value: Any, path: str) -> np.ndarray:
@@ -487,13 +499,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
     theta_true = None
     if "theta_true" in cfg:
-        values = _as_number_list(cfg["theta_true"], "config.theta_true")
-        if len(values) != scn.prior.n_theta:
-            _fail(
-                "config.theta_true",
-                f"expected {scn.prior.n_theta} coordinates, got {len(values)}",
-            )
-        theta_true = np.asarray(values)
+        theta_true = _as_coords(cfg["theta_true"], "config.theta_true", scn.prior.n_theta)
 
     plan = _build(
         TrialPlan,
@@ -528,12 +534,8 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     scn = _scenario_from_config(cfg, "config", "pe")
     n = scn.prior.n_theta
 
-    theta = np.asarray(_as_number_list(_require(cfg, "theta", "config"), "config.theta"))
-    delta = np.asarray(_as_number_list(_require(cfg, "delta", "config"), "config.delta"))
-    if theta.size != n:
-        _fail("config.theta", f"expected {n} coordinates, got {theta.size}")
-    if delta.size != n:
-        _fail("config.delta", f"expected {n} coordinates, got {delta.size}")
+    theta = _as_coords(_require(cfg, "theta", "config"), "config.theta", n)
+    delta = _as_coords(_require(cfg, "delta", "config"), "config.delta", n)
 
     method = _as_str(
         cfg.get("method", "analytic"),
@@ -601,7 +603,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     if seed is None:
         seed = _as_int(cfg.get("seed", 0), "config.seed")
 
-    var = {1: "sigma2", 2: "mu_star", 3: "one_minus_omega1", 4: "snr"}[example]
+    var = _SWEEP_VARS[example]
     if "var" in cfg:
         var = _as_str(cfg["var"], "config.var", choices=(var,))
 

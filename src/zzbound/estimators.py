@@ -28,7 +28,6 @@ from .models import (
 )
 
 __all__ = [
-    "SearchPolicy",
     "QuasiMLE",
     "LinearClosedForm",
     "SampleMedian",
@@ -39,25 +38,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchPolicy:
-    """Grid and refinement settings for likelihood maximization.
-
-    Continuous axes are scanned with grid_points samples and then polished by
-    ternary search around the best grid node until the bracket shrinks below
-    tol (or refine_iters steps). Lattice axes are scanned exactly and never
-    refined.
-    """
-
-    grid_points: int = 512
-    refine_iters: int = 80
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+# Likelihood search on continuous axes: a grid of _GRID_POINTS nodes, then
+# ternary refinement around the best node until the bracket is below
+# _REFINE_TOL or after _REFINE_ITERS steps. Lattice axes are scanned exactly
+# and never refined.
+_GRID_POINTS = 512
+_REFINE_ITERS = 80
+_REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +52,6 @@ class QuasiMLE:
     """Maximizer of the assumed-model log-likelihood over the prior support."""
 
     model: AssumedModel
-    search: SearchPolicy = SearchPolicy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,23 +82,7 @@ class LinearClosedForm:
 
 @dataclass(frozen=True, eq=False)
 class SampleMedian:
-    """Sample median of the record; scalar location parameter only.
-
-    When a model is attached it must be the unit constant map (every sample
-    equals theta plus noise), which is the setting where the median is a
-    meaningful robust competitor.
-    """
-
-    model: AssumedModel | None = None
-
-    def __post_init__(self) -> None:
-        if self.model is None:
-            return
-        sig = self.model.signal
-        if sig.n_theta != 1 or not (
-            isinstance(sig, LinearVectorMap) and np.all(sig.hvec == 1.0)
-        ):
-            raise ValueError("sample median requires the unit constant signal map")
+    """Sample median of the record; scalar location parameter only."""
 
 
 EstimatorSpec = Union[QuasiMLE, LinearClosedForm, SampleMedian]
@@ -159,7 +129,7 @@ def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.
 
 
 def _refine_axes(
-    model: AssumedModel, x: np.ndarray, prior: Prior, best: np.ndarray, spacing: list, policy: SearchPolicy
+    model: AssumedModel, x: np.ndarray, prior: Prior, best: np.ndarray, spacing: list
 ) -> np.ndarray:
     """Coordinate-wise ternary polish of continuous axes around a grid optimum."""
     theta = best.copy()
@@ -172,8 +142,8 @@ def _refine_axes(
             lo = max(ax.lo, theta[j] - spacing[j])
             hi = min(ax.hi, theta[j] + spacing[j])
             cand = theta.copy()
-            for _ in range(policy.refine_iters):
-                if hi - lo <= policy.tol:
+            for _ in range(_REFINE_ITERS):
+                if hi - lo <= _REFINE_TOL:
                     break
                 m1 = lo + (hi - lo) / 3.0
                 m2 = hi - (hi - lo) / 3.0
@@ -251,8 +221,7 @@ def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
     ):
         return _pulse_fast_path(spec, x, prior)
 
-    policy = spec.search
-    axis_grids = [_axis_grid(ax, policy.grid_points) for ax in prior.axes]
+    axis_grids = [_axis_grid(ax, _GRID_POINTS) for ax in prior.axes]
     mesh = np.meshgrid(*axis_grids, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     ll = _loglik_on_grid(spec.model, x, grid)
@@ -261,7 +230,7 @@ def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
     spacing = []
     for ax, g in zip(prior.axes, axis_grids):
         spacing.append(g[1] - g[0] if isinstance(ax, IntervalAxis) and g.size > 1 else 0.0)
-    return _refine_axes(spec.model, x, prior, best, spacing, policy)
+    return _refine_axes(spec.model, x, prior, best, spacing)
 
 
 def _linear_closed_form(spec: LinearClosedForm, x: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ from .zzb import (
     QuadratureRule,
     ScalarBoundSpec,
     VectorBoundSpec,
+    _gamma_matched,
+    _q_linear_gamma,
     bound,
-    gamma_from_scenario,
     zzb_closed_form_q_linear,
     zzb_scalar_independent,
     zzb_vector,
@@ -125,7 +126,7 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
     assumed["matched"] = AssumedModel(signal, zero, DiagonalCov(true_diag.copy()))
 
     gammas = {
-        name: gamma_from_scenario(model, truth, "matched" if name == "matched" else "mismatch")
+        name: _gamma_matched(truth) if name == "matched" else _q_linear_gamma(model, truth)
         for name, model in assumed.items()
     }
     bounds = {name: zzb_closed_form_q_linear(g, t_prior) for name, g in gammas.items()}
@@ -181,7 +182,7 @@ def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Examp
     truth = TrueModel(signal, GaussianNoise(np.full(k, float(mu_star)), cov))
     assumed = AssumedModel(signal, np.full(k, mu_assumed), cov)
     prior = uniform_interval(t_prior)
-    gamma_matched = gamma_from_scenario(assumed, truth, "matched")
+    gamma_matched = _gamma_matched(truth)
     return Example2Scenario(
         mu_star=float(mu_star),
         k=k,
@@ -264,7 +265,7 @@ def build_example3(
         signal,
         EmpiricalNoise(_contamination_sampler(k, 1.0 - omega1, std_narrow, std_wide), k),
     )
-    gamma_mm = gamma_from_scenario(assumed, truth_mixture, "mixture")
+    gamma_mm = _q_linear_gamma(assumed, truth_mixture)
     if t_prior is None:
         gamma_floor = 0.5 * math.sqrt(k) / std_wide  # slope at full contamination
         t_prior = _prior_width(gamma_floor)

@@ -13,7 +13,7 @@ throughout this package; ``h`` always refers to a signal map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
@@ -34,20 +34,17 @@ __all__ = [
     "eval_signal",
     "triangular_pulse",
     "pulse_template",
-    "pulse_energy",
     "NoiseLaw",
     "GaussianNoise",
     "MixtureNoise",
     "EmpiricalNoise",
     "AssumedModel",
     "TrueModel",
-    "sample_observation",
     "IntervalAxis",
     "LatticeAxis",
     "Prior",
     "uniform_interval",
     "uniform_box",
-    "discrete_uniform",
 ]
 
 
@@ -72,9 +69,6 @@ class ScaledIdentityCov:
     @property
     def dim(self) -> int:
         return self.k
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.sigma2 * np.asarray(v, dtype=float)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, dtype=float) / self.sigma2
@@ -124,9 +118,6 @@ class DiagonalCov:
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.diag * np.asarray(v, dtype=float)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, dtype=float) / self.diag
@@ -190,9 +181,6 @@ class DenseCov:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return Sigma^-1 b for b of shape (k,) or (n, k)."""
@@ -332,7 +320,7 @@ def triangular_pulse(tau: float, width: int, k: int) -> np.ndarray:
     """Unit-peak symmetric triangle of total base ``width`` centered at ``tau``.
 
     The sampled shape is s[i] = max(0, 1 - 2|i - tau| / width), clipped at the
-    record boundaries. Energy, when needed, is sum(s^2) (see pulse_energy).
+    record boundaries; its energy is sum(s^2).
 
     Parameters
     ----------
@@ -362,12 +350,6 @@ def pulse_template(width: int) -> np.ndarray:
     radius = int(np.ceil(width / 2.0)) - 1
     j = np.arange(-radius, radius + 1, dtype=float)
     return 1.0 - 2.0 * np.abs(j) / width
-
-
-def pulse_energy(pulse: np.ndarray) -> float:
-    """Energy sum(s[i]^2) of a sampled pulse."""
-    p = np.asarray(pulse, dtype=float)
-    return float(p @ p)
 
 
 def eval_signal(sig: SignalMap, theta) -> np.ndarray:
@@ -434,8 +416,10 @@ class MixtureNoise:
         comps = tuple(self.components)
         if w.ndim != 1 or w.size != len(comps) or len(comps) < 1:
             raise ValueError("weights and components must have equal nonzero length")
-        if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+        # NaN fails every comparison, so finiteness is checked on its own.
+        finite = np.all(np.isfinite(w))
+        if not finite or np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
+            raise ValueError("weights must be finite, nonnegative and sum to 1 within 1e-12")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
             raise ValueError(f"components disagree on dimension: {sorted(dims)}")
@@ -542,16 +526,6 @@ class TrueModel:
         return self.signal.k
 
 
-def sample_observation(model: TrueModel, theta, seed) -> np.ndarray:
-    """Draw one observation h*(theta) + n*; deterministic given the seed.
-
-    ``seed`` may be an integer or an existing numpy Generator (the latter is
-    used by the trial runner to thread per-trial substreams through).
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return eval_signal(model.signal, theta) + model.noise.draw(rng)
-
-
 # ---------------------------------------------------------------------------
 # Priors
 # ---------------------------------------------------------------------------
@@ -587,8 +561,10 @@ class LatticeAxis:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"lattice needs count >= 1, got {self.count}")
-        if self.step <= 0.0:
-            raise ValueError(f"lattice needs step > 0, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"lattice needs a finite step > 0, got {self.step}")
+        if not math.isfinite(self.start):
+            raise ValueError(f"lattice needs a finite start, got {self.start}")
 
     @property
     def width(self) -> float:
@@ -618,20 +594,6 @@ class Prior:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([ax.sample(rng) for ax in self.axes], dtype=float)
 
-    def contains(self, theta) -> bool:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.size != self.n_theta:
-            return False
-        for val, ax in zip(th, self.axes):
-            if isinstance(ax, IntervalAxis):
-                if not ax.lo <= val <= ax.hi:
-                    return False
-            else:
-                j = (val - ax.start) / ax.step
-                if abs(j - round(j)) > 1e-9 or not 0 <= round(j) <= ax.count - 1:
-                    return False
-        return True
-
 
 def uniform_interval(t: float) -> Prior:
     """Scalar uniform prior over [0, T]."""
@@ -647,20 +609,3 @@ def uniform_box(lo, hi) -> Prior:
     if lo.shape != hi.shape:
         raise ValueError("lo and hi must have matching shapes")
     return Prior(tuple(IntervalAxis(float(a), float(b)) for a, b in zip(lo, hi)))
-
-
-def discrete_uniform(values_per_coordinate) -> Prior:
-    """Uniform prior over evenly spaced values, one sequence per coordinate."""
-    axes = []
-    for values in values_per_coordinate:
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("each coordinate needs a nonempty 1-D value array")
-        if v.size == 1:
-            axes.append(LatticeAxis(count=1, start=float(v[0]), step=1.0))
-            continue
-        steps = np.diff(v)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("lattice values must be strictly increasing and evenly spaced")
-        axes.append(LatticeAxis(count=v.size, start=float(v[0]), step=float(steps[0])))
-    return Prior(tuple(axes))

@@ -137,6 +137,8 @@ class TrialPlan:
                 raise ValueError(
                     f"theta_true has shape {th.shape}, prior expects ({self.prior.n_theta},)"
                 )
+            if not np.all(np.isfinite(th)):
+                raise ValueError(f"theta_true must be finite, got {th}")
             object.__setattr__(self, "theta_true", th)
 
 

@@ -37,9 +37,7 @@ from .special_math import q_function
 
 __all__ = [
     "PeKernel",
-    "ProjectedNoise",
     "decision_means",
-    "projected_noise_stats",
     "pe_gaussian",
     "pe_mixture",
     "linear_column",
@@ -64,32 +62,6 @@ class PeKernel:
                 "assumed and true signal maps disagree on parameter dimension: "
                 f"{self.assumed.signal.n_theta} vs {self.truth.signal.n_theta}"
             )
-
-    @property
-    def n_theta(self) -> int:
-        return self.assumed.signal.n_theta
-
-    def signal_diff(self, theta_o, delta) -> np.ndarray:
-        """d = h(theta_o) - h(theta_o + delta) under the assumed map."""
-        th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-        de = np.atleast_1d(np.asarray(delta, dtype=float))
-        return eval_signal(self.assumed.signal, th) - eval_signal(self.assumed.signal, th + de)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedNoise:
-    """First two moments of the true noise projected onto Sigma^-1 d.
-
-    comp_means and comp_stddevs hold the moments of each truth component
-    with its weight (Gaussian truth is one component of weight 1); mean and
-    stddev describe the pooled law.
-    """
-
-    mean: float
-    stddev: float
-    comp_means: np.ndarray
-    comp_stddevs: np.ndarray
-    weights: np.ndarray
 
 
 def decision_means(kernel: PeKernel, theta_eval, theta_o, delta) -> np.ndarray:
@@ -130,27 +102,6 @@ def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
     )
 
 
-def projected_noise_stats(kernel: PeKernel, theta_o, delta) -> ProjectedNoise:
-    """Moments of n*^T Sigma^-1 d per truth component, and pooled.
-
-    Raises ValueError for empirical noise, which has no analytic projection;
-    montecarlo.empirical_pe covers that case by sampling.
-    """
-    weights, comps = _components(kernel.truth.noise)
-    w = kernel.assumed.noise_cov.solve(kernel.signal_diff(theta_o, delta))
-    means = np.array([float(c.mean @ w) for c in comps])
-    stds = np.array([math.sqrt(max(c.cov.qf(w), 0.0)) for c in comps])
-    mean = float(weights @ means)
-    var = float(weights @ (stds**2 + (means - mean) ** 2))
-    return ProjectedNoise(
-        mean=mean,
-        stddev=math.sqrt(var),
-        comp_means=means,
-        comp_stddevs=stds,
-        weights=weights,
-    )
-
-
 def _q_or_limit(z: float, sigma: float) -> float:
     """Q(z / sigma), continued to sigma = 0 as the indicator limit.
 
@@ -174,9 +125,14 @@ def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
     th = np.atleast_1d(np.asarray(theta_o, dtype=float))
     z0 = decision_means(kernel, th, th, de)
     z1 = decision_means(kernel, th + de, th, de)
-    stats = projected_noise_stats(kernel, th, de)
+    # Each component's noise projected onto Sigma^-1 d has standard deviation
+    # sqrt(b^T Sigma_c b) for b = Sigma^-1 d.
+    sig = kernel.assumed.signal
+    b = kernel.assumed.noise_cov.solve(eval_signal(sig, th) - eval_signal(sig, th + de))
+    weights, comps = _components(kernel.truth.noise)
     total = 0.0
-    for w, m0, m1, s in zip(stats.weights, z0, z1, stats.comp_stddevs):
+    for w, m0, m1, c in zip(weights, z0, z1, comps):
+        s = math.sqrt(max(c.cov.qf(b), 0.0))
         total += w * 0.5 * (_q_or_limit(m0, s) + _q_or_limit(-m1, s))
     return float(total)
 

@@ -29,12 +29,11 @@ from .models import (
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
-    MixtureNoise,
     Prior,
     ScaledIdentityCov,
     TrueModel,
 )
-from .pe_kernel import EqualLinearScalarPe, PeKernel, linear_column, linear_scalar_profile
+from .pe_kernel import PeKernel, linear_column, linear_scalar_profile
 from .special_math import inc_gamma_reg, q_function
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "zzb_scalar_independent",
     "zzb_scalar_symmetric",
     "zzb_closed_form_q_linear",
-    "gamma_from_scenario",
     "MethodError",
     "bound",
     "prior_overlap",
@@ -162,6 +160,27 @@ def _simpson_last(y: np.ndarray, step: float) -> np.ndarray:
     return s * (step / 3.0)
 
 
+def _doubling(
+    value_at: Callable[[int], float], n: int, rule: QuadratureRule, max_side: float = math.inf
+) -> tuple[float, bool]:
+    """Grid doubling n -> 2n - 1 until two successive values agree to rule.rel_tol.
+
+    value_at(n) is the quadrature value on n nodes per axis. At most
+    rule.max_doublings doublings are made, and none past max_side nodes.
+    Returns the last value and whether it converged.
+    """
+    prev = value_at(n)
+    for _ in range(rule.max_doublings):
+        if 2 * n - 1 > max_side:
+            break
+        n = 2 * n - 1
+        cur = value_at(n)
+        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
+            return cur, True
+        prev = cur
+    return prev, False
+
+
 def _adaptive_1d(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule: QuadratureRule
 ) -> tuple[float, bool]:
@@ -173,20 +192,20 @@ def _adaptive_1d(
     only on the new odd nodes; f sees each final node exactly once, and
     every Simpson sum matches a fresh evaluation of the whole grid.
     """
-    n = _odd(rule.points)
-    y = np.asarray(f(np.linspace(lo, hi, n)), dtype=float)
-    prev = float(_simpson_last(y, (hi - lo) / (n - 1)))
-    for _ in range(rule.max_doublings):
-        n = 2 * n - 1
-        fine = np.empty(n)
-        fine[::2] = y
-        fine[1::2] = f(np.linspace(lo, hi, n)[1::2])
-        y = fine
-        cur = float(_simpson_last(y, (hi - lo) / (n - 1)))
-        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
-            return cur, True
-        prev = cur
-    return prev, False
+    y = None
+
+    def value_at(n: int) -> float:
+        nonlocal y
+        if y is None:
+            y = np.asarray(f(np.linspace(lo, hi, n)), dtype=float)
+        else:
+            fine = np.empty(n)
+            fine[::2] = y
+            fine[1::2] = f(np.linspace(lo, hi, n)[1::2])
+            y = fine
+        return float(_simpson_last(y, (hi - lo) / (n - 1)))
+
+    return _doubling(value_at, _odd(rule.points), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +219,10 @@ def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
     spec.pe(theta_o, h_off) is the error probability between theta_o and
     theta_o + h_off on the prior interval [lo, hi] of width T. The inner
     integral is mapped onto a fixed unit interval so the two Simpson grids
-    form a tensor mesh; both axes double together until the value settles.
+    form a tensor mesh; both axes double together on _doubling, capped at
+    _TENSOR_MAX_SIDE nodes. Each level is evaluated afresh in _scan_rows
+    blocks: reusing the previous level's nodes would mean keeping its whole
+    n x n mesh, not one block.
     """
     axis = _interval_axis(spec.prior)
     t_width = axis.width
@@ -222,19 +244,8 @@ def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
         return float(outer) / t_width
 
     n = _odd(min(rule.tensor_points, _TENSOR_MAX_SIDE))
-    prev = value_at(n)
-    converged = False
-    for _ in range(rule.max_doublings):
-        if 2 * n - 1 > _TENSOR_MAX_SIDE:
-            break
-        n = 2 * n - 1
-        cur = value_at(n)
-        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
-            converged = True
-            prev = cur
-            break
-        prev = cur
-    return BoundResult(max(prev, 0.0), converged, "general_tensor")
+    value, converged = _doubling(value_at, n, rule, _TENSOR_MAX_SIDE)
+    return BoundResult(max(value, 0.0), converged, "general_tensor")
 
 
 def zzb_scalar_independent(spec: ScalarBoundSpec) -> BoundResult:
@@ -318,39 +329,19 @@ def _same_covariance(a: Covariance, b: Covariance) -> bool:
     return np.array_equal(da, db)
 
 
-def _q_linear_gamma(
-    assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe
-) -> float:
-    """Slope of a q_linear profile. Gaussian truth whose covariance equals
-    the assumed one takes the matched expression sqrt(a^T Sigma^-1 a) / 2,
-    so a matched scenario gives bit-identical values along either case."""
+def _q_linear_gamma(assumed: AssumedModel, truth: TrueModel) -> float:
+    """Slope gamma of a q_linear scenario, whose error probability is the
+    pooled Q(gamma |h|) (see EqualLinearScalarPe.gamma). Gaussian truth whose
+    covariance equals the assumed one takes the matched expression
+    sqrt(a^T Sigma^-1 a) / 2, so a matched scenario gives the bits of
+    _gamma_matched."""
+    profile = linear_scalar_profile(PeKernel(assumed, truth))
+    if not profile.q_linear:
+        raise ValueError("the q-linear slope requires identical scalar maps and equal noise means")
     noise = truth.noise
     if isinstance(noise, GaussianNoise) and _same_covariance(assumed.noise_cov, noise.cov):
         return 0.5 * math.sqrt(noise.cov.qf_inv(linear_column(assumed.signal)))
     return profile.gamma
-
-
-def gamma_from_scenario(assumed: AssumedModel, truth: TrueModel, case: str) -> float:
-    """Slope of the linear-in-offset Q argument for the supported scenarios.
-
-    case "matched": gamma = sqrt(h^T Sigma*^-1 h) / 2 from the truth alone.
-    case "mismatch" (Gaussian truth) and "mixture" (Gaussian-mixture truth):
-    identical scalar maps and equal noise means, so the scenario's linear
-    profile is q_linear; gamma = (h^T Sigma^-1 h) / (2 sqrt(sum_c w_c
-    h^T Sigma^-1 Sigma_c Sigma^-1 h)) pools the component covariances by
-    weight (see EqualLinearScalarPe.gamma).
-    """
-    if case == "matched":
-        return _gamma_matched(truth)
-    if case not in ("mismatch", "mixture"):
-        raise ValueError(f"unsupported scenario case {case!r}")
-    kind, name = (GaussianNoise, "Gaussian") if case == "mismatch" else (MixtureNoise, "mixture")
-    if not isinstance(truth.noise, kind):
-        raise ValueError(f"{case} gamma requires {name} truth")
-    profile = linear_scalar_profile(PeKernel(assumed, truth))
-    if not profile.q_linear:
-        raise ValueError(f"{case} gamma requires identical scalar maps and equal noise means")
-    return _q_linear_gamma(assumed, truth, profile)
 
 
 class MethodError(ValueError):
@@ -385,7 +376,7 @@ def bound(
                 f"{method} needs a scalar linear map and centered gaussian or "
                 "mixture noise; use quadrature"
             )
-        gamma = _q_linear_gamma(assumed, truth, profile)
+        gamma = _q_linear_gamma(assumed, truth)
         if method == "closed_form":
             value = zzb_closed_form_q_linear(gamma, t_width)
             return BoundResult(value, True, "closed_form_q_linear")

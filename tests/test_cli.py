@@ -287,8 +287,8 @@ _variance = st.floats(0.1, 4.0, allow_nan=False)
 
 @st.composite
 def _bound_configs(draw):
-    """Valid scalar-interval bound configs over every signal, covariance and
-    noise kind the schema offers."""
+    """Scalar-interval bound configs over every signal, covariance and noise
+    kind the schema offers; about one in three has a non-finite number."""
     k = draw(st.integers(1, 4))
 
     def signal():
@@ -332,7 +332,37 @@ def _bound_configs(draw):
     }
     if draw(st.integers(0, 5)) == 0:
         payload["pe_constant"] = draw(st.floats(0.0, 0.5))
+    if draw(st.integers(0, 2)) == 0:
+        # One number, integer fields included, made NaN or +-inf. The field
+        # name is drawn first, so a long hvec does not crowd out the rest.
+        fields = {}
+        for path in _numeric_fields(payload):
+            fields.setdefault([key for key in path if isinstance(key, str)][-1], []).append(path)
+        *keys, last = draw(st.sampled_from(fields[draw(st.sampled_from(sorted(fields)))]))
+        node = payload
+        for key in keys:
+            node = node[key]
+        node[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     return payload
+
+
+def _numeric_fields(node, path=()):
+    """Key paths of every number in a JSON-like tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [p for key, child in items for p in _numeric_fields(child, path + (key,))]
+
+
+def _is_finite(payload):
+    try:
+        json.dumps(payload, allow_nan=False)
+    except ValueError:
+        return False
+    return True
 
 
 def _column(signal):
@@ -341,7 +371,7 @@ def _column(signal):
     return [row[0] for row in signal["matrix"]]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=90, deadline=None, derandomize=True)
 @given(_bound_configs())
 def test_fuzzed_bound_configs_exit_0_or_2(payload):
     with tempfile.TemporaryDirectory() as tmp:
@@ -351,6 +381,8 @@ def test_fuzzed_bound_configs_exit_0_or_2(payload):
             json.dump(payload, fh)
         code = main(["bound", "--config", cfg, "--out", out])
         assert code in (0, 2)
+        # A non-finite number is a config error wherever it appears.
+        assert code == 2 or _is_finite(payload)
         if code != 0 or payload["method"] == "asymptotic":
             return
         value = float(_read_rows(out)[0]["value"])
@@ -559,6 +591,50 @@ def test_bound_rejects_non_finite_sigma2(tmp_path, capsys, side, field, sigma2):
     assert main(["bound", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"{field}: " in err and "finite and positive" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("bound", {}),
+        ("bound", {"method": "quadrature"}),
+        ("pe", {"theta": [1.0], "delta": [0.5]}),
+    ],
+)
+def test_non_finite_mixture_weights_exit_2(tmp_path, capsys, command, extra):
+    # NaN weights once passed the sum-to-one check and gave a NaN bound
+    # reported as converged.
+    noise = dict(_README_MIXTURE, weights=[math.nan, math.nan])
+    cfg = _write_cfg(tmp_path, _readme_config(noise=noise, **extra))
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert "config.scenario.truth.noise: weights must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _lattice_prior(**axis):
+    return {"type": "axes", "axes": [{"type": "lattice", "count": 5, **axis}]}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, extra, field",
+    [
+        ("mc", {"prior": _lattice_prior(step=math.nan)}, {}, "config.scenario.prior.axes[0]"),
+        ("mc", {"prior": _lattice_prior(start=math.inf)}, {}, "config.scenario.prior.axes[0]"),
+        ("mc", {}, {"theta_true": [math.nan]}, "config.theta_true"),
+        ("pe", {}, {"theta": [math.nan], "delta": [0.5]}, "config.theta"),
+        ("pe", {}, {"theta": [1.0], "delta": [-math.inf]}, "config.delta"),
+    ],
+)
+def test_non_finite_coordinates_exit_2(tmp_path, capsys, command, scenario, extra, field):
+    # Each once reached eval_signal and exited 3 with "theta must be finite".
+    payload = _readme_config(trials=5, **extra)
+    payload["scenario"].update(scenario)
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert f"{field}: " in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -12,7 +12,6 @@ from zzbound.estimators import (
     LinearClosedForm,
     QuasiMLE,
     SampleMedian,
-    SearchPolicy,
     estimate,
     log_likelihood,
     sample_median,
@@ -80,20 +79,6 @@ def test_sample_median_asymptotic_variance():
     rng = np.random.default_rng(11)
     meds = np.median(rng.standard_normal((reps, k)), axis=1)
     assert float(np.var(meds)) == pytest.approx(math.pi / (2.0 * k), rel=0.05)
-
-
-def test_sample_median_spec_requires_unit_map():
-    with pytest.raises(ValueError, match="unit constant"):
-        SampleMedian(_scalar_model(k=3, h=[1.0, 2.0, 1.0]))
-    SampleMedian(_scalar_model(k=3))  # unit map is accepted
-    SampleMedian()  # and so is no model at all
-
-
-def test_search_policy_validation():
-    with pytest.raises(ValueError, match="grid_points"):
-        SearchPolicy(grid_points=1)
-    with pytest.raises(ValueError, match="tol"):
-        SearchPolicy(tol=0.0)
 
 
 def test_linear_closed_form_scalar_oracle():

@@ -27,7 +27,6 @@ from zzbound.pe_kernel import (
     linear_scalar_profile,
     pe_gaussian,
     pe_mixture,
-    projected_noise_stats,
 )
 from zzbound.special_math import q_function
 
@@ -303,7 +302,7 @@ def test_empirical_pe_mixture_truth():
     assert abs(got.pe - exact) < 3.0 * got.stderr
 
 
-def test_projected_noise_stats_mixture_pooling():
+def test_pe_mixture_uses_per_component_stddevs():
     k = 2
     sig = LinearVectorMap(np.ones(k))
     mix = MixtureNoise(
@@ -316,14 +315,14 @@ def test_projected_noise_stats_mixture_pooling():
     kern = PeKernel(
         AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k)), TrueModel(sig, mix)
     )
-    stats = projected_noise_stats(kern, 0.0, 1.0)
-    # d = -hvec, w = -hvec; per-component projections have means -+2, vars 2/8.
-    assert_allclose(stats.comp_means, [-2.0, 2.0])
-    assert_allclose(stats.comp_stddevs, [math.sqrt(2.0), math.sqrt(8.0)])
-    pooled_mean = 0.25 * -2.0 + 0.75 * 2.0
-    pooled_var = 0.25 * (2.0 + 4.0) + 0.75 * (8.0 + 4.0) - pooled_mean**2
-    assert stats.mean == pytest.approx(pooled_mean)
-    assert stats.stddev == pytest.approx(math.sqrt(pooled_var))
+    # d = -hvec and Sigma^-1 d = -hvec: the components project to stddevs
+    # sqrt(2) and sqrt(8); the decision means are 1 - 2 m_c at theta_o and
+    # -1 - 2 m_c at theta_o + delta.
+    s1, s2 = math.sqrt(2.0), math.sqrt(8.0)
+    expected = 0.25 * 0.5 * (q_function(-1.0 / s1) + q_function(3.0 / s1)) + 0.75 * 0.5 * (
+        q_function(3.0 / s2) + q_function(-1.0 / s2)
+    )
+    assert pe_mixture(kern, 0.0, 1.0) == pytest.approx(float(expected), rel=1e-14)
 
 
 def test_wrong_noise_type_raises():

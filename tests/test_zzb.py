@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zzbound import experiments, zzb
+from zzbound.estimators import LinearClosedForm
 from zzbound.experiments import matched_mixture_pe
 from zzbound.models import (
     AssumedModel,
@@ -25,6 +26,7 @@ from zzbound.models import (
     uniform_box,
     uniform_interval,
 )
+from zzbound.montecarlo import TrialPlan, run_mse
 from zzbound.special_math import q_function
 from zzbound.zzb import (
     DeltaSearch,
@@ -33,10 +35,11 @@ from zzbound.zzb import (
     ScalarBoundSpec,
     VectorBoundSpec,
     _adaptive_1d,
+    _gamma_matched,
     _odd,
+    _q_linear_gamma,
     _simpson_last,
     bound,
-    gamma_from_scenario,
     lattice_staircase_sum,
     overlap_rows,
     prior_overlap,
@@ -342,7 +345,7 @@ def test_gamma_matched_oracle():
         k, h, ScaledIdentityCov(1.0, k), GaussianNoise(np.zeros(k), DiagonalCov(diag))
     )
     expected = 0.5 * math.sqrt(float(h @ (h / diag)))
-    assert gamma_from_scenario(assumed, truth, "matched") == pytest.approx(
+    assert _gamma_matched(truth) == pytest.approx(
         expected, rel=1e-13
     )
 
@@ -361,7 +364,7 @@ def test_gamma_mismatch_longhand():
     inv = np.linalg.inv(sigma)
     a_val = h @ inv @ h
     b_val = h @ inv @ sigma_true @ inv @ h
-    assert gamma_from_scenario(assumed, truth, "mismatch") == pytest.approx(
+    assert _q_linear_gamma(assumed, truth) == pytest.approx(
         0.5 * a_val / math.sqrt(b_val), rel=1e-10
     )
 
@@ -373,8 +376,8 @@ def test_gamma_mismatch_equal_cov_routes_to_matched_bitwise():
     assumed, truth = _linear_models(
         k, h, DiagonalCov(diag), GaussianNoise(np.zeros(k), DiagonalCov(diag.copy()))
     )
-    mm = gamma_from_scenario(assumed, truth, "mismatch")
-    matched = gamma_from_scenario(assumed, truth, "matched")
+    mm = _q_linear_gamma(assumed, truth)
+    matched = _gamma_matched(truth)
     assert mm == matched  # bitwise, not approximately
 
 
@@ -429,7 +432,7 @@ def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
     )
     result = bound(assumed, truth, uniform_interval(2.0), "closed_form")
     assert result.value == zzb_closed_form_q_linear(
-        gamma_from_scenario(assumed, truth, "matched"), 2.0
+        _gamma_matched(truth), 2.0
     )
 
 
@@ -444,7 +447,7 @@ def test_gamma_isotropic_mismatch_equals_matched():
         ScaledIdentityCov(sigma2, k),
         GaussianNoise(np.zeros(k), ScaledIdentityCov(sigma2 + extra, k)),
     )
-    gamma = gamma_from_scenario(assumed, truth, "mismatch")
+    gamma = _q_linear_gamma(assumed, truth)
     assert 1.0 / (4.0 * gamma * gamma) == pytest.approx((sigma2 + extra) / k, rel=1e-12)
 
 
@@ -467,7 +470,7 @@ def test_gamma_mixture_pooling_and_extremes():
     )
     for w1 in (0.0, 0.25, 0.9, 1.0):
         truth = TrueModel(assumed.signal, mix(w1))
-        gamma = gamma_from_scenario(assumed, truth, "mixture")
+        gamma = _q_linear_gamma(assumed, truth)
         pooled = w1 * v1 + (1.0 - w1) * v2
         assert gamma == pytest.approx(0.5 * math.sqrt(k / pooled), rel=1e-13)
 
@@ -475,16 +478,17 @@ def test_gamma_mixture_pooling_and_extremes():
 def test_gamma_case_validation():
     k = 3
     h = np.ones(k)
-    assumed, truth = _linear_models(
-        k, h, ScaledIdentityCov(1.0, k), GaussianNoise(np.zeros(k), ScaledIdentityCov(1.0, k))
-    )
-    with pytest.raises(ValueError, match="unsupported"):
-        gamma_from_scenario(assumed, truth, "other")
+    noise = GaussianNoise(np.zeros(k), ScaledIdentityCov(1.0, k))
+    assumed, _ = _linear_models(k, h, ScaledIdentityCov(1.0, k), noise)
     biased = TrueModel(
         assumed.signal, GaussianNoise(np.full(k, 1.0), ScaledIdentityCov(1.0, k))
     )
     with pytest.raises(ValueError, match="equal noise means"):
-        gamma_from_scenario(assumed, biased, "mismatch")
+        _q_linear_gamma(assumed, biased)
+    with pytest.raises(ValueError, match="identical scalar maps"):
+        _q_linear_gamma(assumed, TrueModel(LinearVectorMap(2.0 * h), noise))
+    with pytest.raises(ValueError, match="Gaussian truth"):
+        _gamma_matched(TrueModel(assumed.signal, _two_component_mixture(k)))
 
 
 def _router_models(truth_hvec=None, mean=0.0, noise=None):
@@ -529,7 +533,7 @@ def test_router_routes(models, method, form):
 
 def test_router_closed_form_values_match_gamma():
     assumed, truth = _router_models()
-    gamma = gamma_from_scenario(assumed, truth, "mismatch")
+    gamma = _q_linear_gamma(assumed, truth)
     prior = uniform_interval(10.0)
     assert bound(assumed, truth, prior).value == zzb_closed_form_q_linear(gamma, 10.0)
     assert bound(assumed, truth, prior, "asymptotic").value == 1.0 / (4.0 * gamma * gamma)
@@ -540,6 +544,67 @@ def test_router_closed_form_values_match_gamma():
 def test_router_rejects_closed_forms_off_the_q_linear_case(models, method):
     with pytest.raises(MethodError, match=method):
         bound(*models, uniform_interval(10.0), method)
+
+
+@st.composite
+def _wls_scenarios(draw):
+    """Scalar linear scenarios: assumed a theta + N(0, sigma2 I); truth with
+    an equal, scaled or sign-flipped map and Gaussian or two-component
+    mixture noise, with or without mean offsets."""
+    k = draw(st.integers(2, 8))
+    a = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=k, max_size=k)))
+    assumed = AssumedModel(
+        LinearVectorMap(a), np.zeros(k), ScaledIdentityCov(draw(st.floats(0.25, 4.0)), k)
+    )
+    kind = draw(st.sampled_from(["equal", "scaled", "flipped"]))
+    h_star = {"equal": a, "scaled": draw(st.floats(0.5, 1.5)) * a, "flipped": -a}[kind]
+    offsets = draw(st.booleans())
+
+    def mean():
+        return np.full(k, draw(st.floats(-1.0, 1.0)) if offsets else 0.0)
+
+    if draw(st.booleans()):
+        diag = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k)))
+        noise = GaussianNoise(mean(), DiagonalCov(diag))
+    else:
+        w = draw(st.floats(0.1, 0.9))
+        comps = tuple(
+            GaussianNoise(mean(), ScaledIdentityCov(draw(st.floats(0.25, 9.0)), k))
+            for _ in range(2)
+        )
+        noise = MixtureNoise(np.array([w, 1.0 - w]), comps)
+    t = draw(st.sampled_from([50.0, 10.0, 2.0, 0.5]))
+    return assumed, TrueModel(LinearVectorMap(h_star), noise), uniform_interval(t)
+
+
+def _mean_offset_case(mixture):
+    """Equal maps, true noise mean 1 against the assumed 0, T = 50: the
+    symmetric_split (Gaussian) or independent (mixture) route, within about
+    7% of the WLS MSE."""
+    k = 4
+    assumed = AssumedModel(LinearVectorMap(np.ones(k)), np.zeros(k), ScaledIdentityCov(1.0, k))
+    noise = GaussianNoise(np.ones(k), DiagonalCov(np.array([0.5, 1.0, 1.5, 2.0])))
+    if mixture:
+        wide = GaussianNoise(np.full(k, -0.5), ScaledIdentityCov(2.0, k))
+        narrow = GaussianNoise(np.ones(k), ScaledIdentityCov(1.0, k))
+        noise = MixtureNoise(np.array([0.5, 0.5]), (narrow, wide))
+    return assumed, TrueModel(assumed.signal, noise), uniform_interval(50.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_wls_scenarios(), st.integers(0, 2**32 - 1))
+@example(_mean_offset_case(False), 1)
+@example(_mean_offset_case(True), 1)
+def test_bound_lies_below_the_wls_bayesian_mse(scenario, seed):
+    # For a linear map the unconstrained WLS estimate falls nearer theta_o
+    # than theta_o + h exactly when the assumed-model test picks theta_o, so
+    # every route's value must lie below WLS's MSE with theta drawn from the
+    # prior, whatever the truth (pe may exceed 1/2 when the maps differ).
+    assumed, truth, prior = scenario
+    result = bound(assumed, truth, prior)
+    report = run_mse(TrialPlan(truth, LinearClosedForm(assumed), prior, 2000, seed))
+    assert report.valid
+    assert result.value <= report.mse[0] + 4.0 * report.stderr[0]
 
 
 def test_router_zero_signal_is_pure_guessing():
