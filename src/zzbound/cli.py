@@ -93,6 +93,20 @@ def _as_dict(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
+def _check_fields(d: Mapping[str, Any], path: str, *known: str) -> None:
+    """Reject the fields of an object that its kind does not read."""
+    unknown = set(d) - set(known)
+    if unknown:
+        _fail(path, f"unknown fields {sorted(unknown)}")
+
+
+def _kind(d: Mapping[str, Any], path: str, fields: Mapping[str, tuple[str, ...]]) -> str:
+    """The object's type, one of fields' keys, reading only fields[type]."""
+    kind = _as_str(_require(d, "type", path), f"{path}.type", choices=tuple(fields))
+    _check_fields(d, path, "type", *fields[kind])
+    return kind
+
+
 def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
@@ -162,10 +176,8 @@ def _build(factory: Callable[..., Any], *args: Any, path: str) -> Any:
 
 def _build_signal(spec: Any, path: str) -> SignalMap:
     d = _as_dict(spec, path)
-    kind = _as_str(
-        _require(d, "type", path),
-        f"{path}.type",
-        choices=("linear_vector", "linear_matrix", "pulse"),
+    kind = _kind(
+        d, path, {"linear_vector": ("hvec",), "linear_matrix": ("matrix",), "pulse": ("width", "k")}
     )
     if kind == "linear_vector":
         h = _as_number_list(_require(d, "hvec", path), f"{path}.hvec")
@@ -180,10 +192,8 @@ def _build_signal(spec: Any, path: str) -> SignalMap:
 
 def _build_cov(spec: Any, path: str) -> Covariance:
     d = _as_dict(spec, path)
-    kind = _as_str(
-        _require(d, "type", path),
-        f"{path}.type",
-        choices=("scaled_identity", "diagonal", "dense"),
+    kind = _kind(
+        d, path, {"scaled_identity": ("sigma2", "k"), "diagonal": ("diag",), "dense": ("matrix",)}
     )
     if kind == "scaled_identity":
         sigma2 = _as_number(_require(d, "sigma2", path), f"{path}.sigma2")
@@ -205,20 +215,23 @@ def _build_mean(spec: Any, path: str, k: int) -> np.ndarray:
     return np.full(k, _as_number(spec, path))
 
 
-def _build_gaussian(spec: Any, path: str, k: int) -> GaussianNoise:
-    d = _as_dict(spec, path)
+def _build_gaussian(d: Mapping[str, Any], path: str, k: int) -> GaussianNoise:
     cov = _build_cov(_require(d, "cov", path), f"{path}.cov")
     mean = _build_mean(d.get("mean", 0.0), f"{path}.mean", k)
     return _build(GaussianNoise, mean, cov, path=path)
 
 
+def _build_component(spec: Any, path: str, k: int) -> GaussianNoise:
+    d = _as_dict(spec, path)
+    _check_fields(d, path, "cov", "mean")
+    return _build_gaussian(d, path, k)
+
+
 def _build_noise(spec: Any, path: str, k: int):
     d = _as_dict(spec, path)
-    kind = _as_str(
-        _require(d, "type", path), f"{path}.type", choices=("gaussian", "mixture")
-    )
+    kind = _kind(d, path, {"gaussian": ("cov", "mean"), "mixture": ("weights", "components")})
     if kind == "gaussian":
-        return _build_gaussian(spec, path, k)
+        return _build_gaussian(d, path, k)
     weights = _as_number_list(_require(d, "weights", path), f"{path}.weights")
     comps = _require(d, "components", path)
     if not isinstance(comps, list) or not comps:
@@ -226,16 +239,14 @@ def _build_noise(spec: Any, path: str, k: int):
     if len(comps) != len(weights):
         _fail(path, f"{len(weights)} weights but {len(comps)} components")
     components = tuple(
-        _build_gaussian(c, f"{path}.components[{i}]", k) for i, c in enumerate(comps)
+        _build_component(c, f"{path}.components[{i}]", k) for i, c in enumerate(comps)
     )
     return _build(MixtureNoise, np.asarray(weights), components, path=path)
 
 
 def _build_axis(spec: Any, path: str):
     d = _as_dict(spec, path)
-    kind = _as_str(
-        _require(d, "type", path), f"{path}.type", choices=("interval", "lattice")
-    )
+    kind = _kind(d, path, {"interval": ("lo", "hi"), "lattice": ("count", "start", "step")})
     if kind == "interval":
         lo = _as_number(_require(d, "lo", path), f"{path}.lo")
         hi = _as_number(_require(d, "hi", path), f"{path}.hi")
@@ -248,9 +259,7 @@ def _build_axis(spec: Any, path: str):
 
 def _build_prior(spec: Any, path: str) -> Prior:
     d = _as_dict(spec, path)
-    kind = _as_str(
-        _require(d, "type", path), f"{path}.type", choices=("interval", "axes")
-    )
+    kind = _kind(d, path, {"interval": ("t",), "axes": ("axes",)})
     if kind == "interval":
         t = _as_number(_require(d, "t", path), f"{path}.t")
         return _build(Prior, (_build(IntervalAxis, 0.0, t, path=path),), path=path)
@@ -280,11 +289,9 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             f"{path}.example",
             "the pulse scenario has a vector parameter; use the sweep command",
         )
-    known = {"example", "variant", "k", "sigma2", "mu_star", "one_minus_omega1", "snr"}
-    unknown = set(d) - known
-    if unknown:
-        _fail(path, f"unknown preset fields {sorted(unknown)}")
-    k = _as_int(d["k"], f"{path}.k") if "k" in d else None
+    _check_fields(d, path, "example", "variant", "k", _SWEEP_VARS[example])
+    # Passed on only when given, so each study keeps its own default k.
+    k_arg = (_as_int(d["k"], f"{path}.k"),) if "k" in d else ()
 
     if example == 1:
         sigma2 = _as_number(_require(d, "sigma2", path), f"{path}.sigma2")
@@ -293,7 +300,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             f"{path}.variant",
             choices=("m1", "m2", "matched"),
         )
-        scn = _build(build_example1, sigma2, *((k,) if k else ()), path=path)
+        scn = _build(build_example1, sigma2, *k_arg, path=path)
         if variant not in scn.assumed:
             _fail(
                 f"{path}.variant",
@@ -308,7 +315,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             f"{path}.variant",
             choices=("mismatched", "matched"),
         )
-        scn = _build(build_example2, mu_star, *((k,) if k else ()), path=path)
+        scn = _build(build_example2, mu_star, *k_arg, path=path)
         assumed = scn.assumed
         if variant == "matched":
             assumed = AssumedModel(
@@ -323,7 +330,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
         variant = _as_str(
             d.get("variant", "mismatched"), f"{path}.variant", choices=("mismatched",)
         )
-        scn = _build(build_example3, 1.0 - w2, *((k,) if k else ()), path=path)
+        scn = _build(build_example3, 1.0 - w2, *k_arg, path=path)
         return _Scenario(scn.assumed, scn.truth_mixture, scn.prior, scn.truth_empirical)
 
     snr = _as_number(_require(d, "snr", path), f"{path}.snr")
@@ -332,7 +339,7 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
         f"{path}.variant",
         choices=("mismatched", "matched"),
     )
-    scn = _build(build_example4, snr, *((k,) if k else ()), path=path)
+    scn = _build(build_example4, snr, *k_arg, path=path)
     assumed = scn.assumed_matched if variant == "matched" else scn.assumed
     return _Scenario(assumed, scn.truth, scn.prior, scn.truth)
 
@@ -342,14 +349,17 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _S
     path = f"{path}.scenario"
     if "example" in d:
         return _scenario_from_preset(d, path, command)
+    _check_fields(d, path, "assumed", "truth", "prior")
 
     assumed_d = _as_dict(_require(d, "assumed", path), f"{path}.assumed")
+    _check_fields(assumed_d, f"{path}.assumed", "signal", "cov", "mean")
     signal = _build_signal(_require(assumed_d, "signal", f"{path}.assumed"), f"{path}.assumed.signal")
     cov = _build_cov(_require(assumed_d, "cov", f"{path}.assumed"), f"{path}.assumed.cov")
     mean = _build_mean(assumed_d.get("mean", 0.0), f"{path}.assumed.mean", signal.k)
     assumed = _build(AssumedModel, signal, mean, cov, path=f"{path}.assumed")
 
     truth_d = _as_dict(_require(d, "truth", path), f"{path}.truth")
+    _check_fields(truth_d, f"{path}.truth", "signal", "noise")
     t_signal = signal
     if "signal" in truth_d:
         t_signal = _build_signal(truth_d["signal"], f"{path}.truth.signal")
@@ -419,10 +429,7 @@ def _constant_pe(value: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
-    known = {"scenario", "method", "pe_constant"}
-    unknown = set(cfg) - known
-    if unknown:
-        _fail("config", f"unknown fields {sorted(unknown)}")
+    _check_fields(cfg, "config", "scenario", "method", "pe_constant")
     method = _as_str(
         cfg.get("method", "auto"),
         "config.method",
@@ -466,10 +473,7 @@ def _default_estimator(scn: _Scenario) -> EstimatorSpec:
 
 
 def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
-    known = {"scenario", "estimator", "trials", "seed", "theta_true"}
-    unknown = set(cfg) - known
-    if unknown:
-        _fail("config", f"unknown fields {sorted(unknown)}")
+    _check_fields(cfg, "config", "scenario", "estimator", "trials", "seed", "theta_true")
     scn = _scenario_from_config(cfg, "config", "mc")
 
     if "estimator" in cfg:
@@ -482,8 +486,12 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         if name == "quasi_mle":
             estimator = QuasiMLE(scn.assumed)
         elif name == "linear_closed_form":
+            if not isinstance(scn.assumed.signal, (LinearVectorMap, LinearMatrixMap)):
+                _fail("config.estimator", "closed-form estimation requires a linear signal map")
             estimator = LinearClosedForm(scn.assumed)
         else:
+            if scn.prior.n_theta != 1:
+                _fail("config.estimator", "sample median requires a scalar parameter")
             estimator = SampleMedian()
     else:
         estimator = _default_estimator(scn)
@@ -527,10 +535,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
 
 def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
-    known = {"scenario", "theta", "delta", "method", "trials", "seed"}
-    unknown = set(cfg) - known
-    if unknown:
-        _fail("config", f"unknown fields {sorted(unknown)}")
+    _check_fields(cfg, "config", "scenario", "theta", "delta", "method", "trials", "seed")
     scn = _scenario_from_config(cfg, "config", "pe")
     n = scn.prior.n_theta
 
@@ -573,10 +578,7 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
 
 def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
-    known = {"example", "var", "grid", "k", "trials", "seed"}
-    unknown = set(cfg) - known
-    if unknown:
-        _fail("config", f"unknown fields {sorted(unknown)}")
+    _check_fields(cfg, "config", "example", "var", "grid", "k", "trials", "seed")
     example = _as_int(_require(cfg, "example", "config"), "config.example")
     if example not in (1, 2, 3, 4):
         _fail("config.example", f"expected 1, 2, 3, or 4, got {example}")

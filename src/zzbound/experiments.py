@@ -34,7 +34,7 @@ from .models import (
     uniform_interval,
 )
 from .montecarlo import TrialPlan, derive_seed, run_mse
-from .special_math import q_function
+from .special_math import q_function, q_ratio
 from .zzb import (
     BoundResult,
     DeltaSearch,
@@ -104,7 +104,6 @@ class Example1Scenario:
     assumed: dict[str, AssumedModel]
     gammas: dict[str, float]
     bounds: dict[str, float]
-    asymptotes: dict[str, float]
 
 
 def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Example1Scenario:
@@ -130,7 +129,6 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
         for name, model in assumed.items()
     }
     bounds = {name: zzb_closed_form_q_linear(g, t_prior) for name, g in gammas.items()}
-    asymptotes = {name: 1.0 / (4.0 * g * g) for name, g in gammas.items()}
     return Example1Scenario(
         sigma2=sigma2,
         k=k,
@@ -141,7 +139,6 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
         assumed=assumed,
         gammas=gammas,
         bounds=bounds,
-        asymptotes=asymptotes,
     )
 
 
@@ -485,10 +482,6 @@ _EX4_INNER_NODES = 129
 _EX4_BLOCK = 2**14  # elements per _ex4_pe call: amplitude nodes x keys
 
 
-def _indicator_limit(z: np.ndarray) -> np.ndarray:
-    return np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5))
-
-
 def _ex4_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     """Vectorized error probability at interior positions via correlations.
 
@@ -502,14 +495,7 @@ def _ex4_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     s1 = first + a1 * (a_o * r_ts - a1 * rho0) / sigma2
     d_norm2 = (a_o * a_o + a1 * a1) * e_s - 2.0 * a_o * a1 * r_ss
     sig_n = np.sqrt(np.maximum(d_norm2, 0.0) / sigma2)
-    safe = np.where(sig_n > 0.0, sig_n, 1.0)
-    q0 = np.asarray(q_function(s0 / safe))
-    q1 = np.asarray(q_function(-s1 / safe))
-    flat = sig_n == 0.0
-    if np.any(flat):
-        q0 = np.where(flat, _indicator_limit(s0), q0)
-        q1 = np.where(flat, _indicator_limit(-s1), q1)
-    return 0.5 * (q0 + q1)
+    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(-s1, sig_n))
 
 
 def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.ndarray], np.ndarray]:

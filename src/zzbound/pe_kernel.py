@@ -33,7 +33,7 @@ from .models import (
     TrueModel,
     eval_signal,
 )
-from .special_math import q_function
+from .special_math import q_ratio
 
 __all__ = [
     "PeKernel",
@@ -102,21 +102,6 @@ def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
     )
 
 
-def _q_or_limit(z: float, sigma: float) -> float:
-    """Q(z / sigma), continued to sigma = 0 as the indicator limit.
-
-    The sigma -> 0+ limit of Q(z/sigma) is 1 for z < 0, 0 for z > 0, and 1/2
-    at the tie z = 0.
-    """
-    if sigma > 0.0:
-        return float(q_function(z / sigma))
-    if z < 0.0:
-        return 1.0
-    if z > 0.0:
-        return 0.0
-    return 0.5
-
-
 def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
     """Weighted sum over truth components of the two-sided error probability."""
     de = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -133,7 +118,7 @@ def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
     total = 0.0
     for w, m0, m1, c in zip(weights, z0, z1, comps):
         s = math.sqrt(max(c.cov.qf(b), 0.0))
-        total += w * 0.5 * (_q_or_limit(m0, s) + _q_or_limit(-m1, s))
+        total += w * 0.5 * (q_ratio(m0, s) + q_ratio(-m1, s))
     return float(total)
 
 
@@ -210,14 +195,7 @@ class EqualLinearScalarPe:
             z = z + self.cross * np.asarray(theta_o, dtype=float) * h
         total = 0.0
         for w, lin, var in zip(self.weights, self.lin, self.var):
-            zc = z + lin * h
-            if var > 0.0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    arg = zc / (math.sqrt(var) * np.abs(h))
-                q = q_function(np.where(h == 0.0, 0.0, arg))
-            else:
-                q = np.where(zc < 0.0, 1.0, np.where(zc == 0.0, 0.5, 0.0))
-            total = total + w * q
+            total = total + w * q_ratio(z + lin * h, math.sqrt(var) * np.abs(h))
         return np.where(h == 0.0, 0.5, total)
 
     def pe(self, theta_o, h_off) -> np.ndarray:

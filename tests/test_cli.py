@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import copy
 import csv
 import json
 import math
@@ -137,6 +138,23 @@ def test_bound_example1_preset_rejects_m1_at_zero_noise(tmp_path, capsys):
     out = str(tmp_path / "no.csv")
     assert main(["bound", "--config", cfg, "--out", out]) == 2
     assert "sigma2 > 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "command, scenario",
+    [
+        ("bound", {"example": 1, "sigma2": 0.1}),
+        ("mc", {"example": 3, "one_minus_omega1": 0.3}),
+    ],
+)
+def test_preset_rejects_too_short_k(tmp_path, capsys, command, scenario, k):
+    # "k": 0 once fell through to the study default and exited 0.
+    cfg = _write_cfg(tmp_path, {"scenario": dict(scenario, k=k)})
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out, "--trials", "2"]) == 2
+    assert "config.scenario: k must be >= 2" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -459,6 +477,24 @@ def test_mc_example3_preset_median(tmp_path):
     assert float(row["mse"]) > 0.0
 
 
+@pytest.mark.parametrize(
+    "estimator, message",
+    [
+        ("linear_closed_form", "requires a linear signal map"),
+        ("sample_median", "requires a scalar parameter"),
+    ],
+)
+def test_mc_rejects_an_estimator_the_scenario_cannot_serve(tmp_path, capsys, estimator, message):
+    # Both once ran every trial and wrote a row of NaNs with exit 0.
+    payload = {"scenario": {"example": 4, "snr": 10.0, "k": 600}, "estimator": estimator}
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main(["mc", "--config", cfg, "--out", out, "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "config.estimator: " in err and message in err
+    assert not os.path.exists(out)
+
+
 def test_pe_both_methods_agree(tmp_path):
     payload = dict(
         _scalar_scenario(k=16, t=10.0),
@@ -679,6 +715,73 @@ def test_unknown_top_level_field(tmp_path, capsys):
     out = str(tmp_path / "no.csv")
     assert main(["bound", "--config", cfg, "--out", out]) == 2
     assert "unknown fields" in capsys.readouterr().err
+
+
+def _misspell(payload, path, good, bad):
+    payload = copy.deepcopy(payload)
+    node = payload
+    for key in path:
+        node = node[key]
+    node[bad] = node.pop(good, 0.3)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "path, good, bad, field",
+    [
+        (("scenario", "truth", "noise"), "mean", "maen", "config.scenario.truth.noise"),
+        (("scenario", "truth"), "signal", "signl", "config.scenario.truth"),
+        (("scenario", "assumed"), "mean", "mea", "config.scenario.assumed"),
+    ],
+)
+def test_misspelt_field_exits_2(tmp_path, capsys, path, good, bad, field):
+    # A misspelt optional field was once ignored: "maen" gave the zero-mean
+    # closed form and "signl" reused the assumed map, both with exit 0.
+    payload = _readme_config(truth_signal={"type": "linear_vector", "hvec": _OTHER_HVEC})
+    cfg = _write_cfg(tmp_path, _misspell(payload, path, good, bad))
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    assert f"{field}: unknown fields ['{bad}']" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        ({"example": 1, "sigma2": 0.1, "snr": 3.0}, "config.scenario"),
+        (
+            {
+                "assumed": _README_ASSUMED,
+                "truth": {
+                    "noise": dict(
+                        _README_MIXTURE,
+                        components=[
+                            dict(_README_MIXTURE["components"][0], type="mixture"),
+                            _README_MIXTURE["components"][1],
+                        ],
+                    )
+                },
+                "prior": {"type": "interval", "t": 10.0},
+            },
+            "config.scenario.truth.noise.components[0]",
+        ),
+        (
+            {
+                "assumed": _README_ASSUMED,
+                "truth": {"noise": _README_NOISE},
+                "prior": {"type": "axes", "axes": [{"type": "interval", "lo": 0, "hi": 1, "step": 1}]},
+            },
+            "config.scenario.prior.axes[0]",
+        ),
+    ],
+)
+def test_field_of_another_kind_exits_2(tmp_path, capsys, scenario, field):
+    # Each field is one that another kind of the same object reads.
+    cfg = _write_cfg(tmp_path, {"scenario": scenario})
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    assert f"{field}: unknown fields" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_non_positive_definite_cov_exits_3(tmp_path, capsys):

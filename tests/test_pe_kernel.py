@@ -22,7 +22,6 @@ from zzbound.models import (
 from zzbound.montecarlo import empirical_pe
 from zzbound.pe_kernel import (
     PeKernel,
-    _q_or_limit,
     decision_means,
     linear_scalar_profile,
     pe_gaussian,
@@ -101,13 +100,6 @@ def test_pe_tiny_variance_matches_scalar_profile(true_means, weights, expected):
     profile = float(linear_scalar_profile(kern).pe(0.0, 2.0))
     assert profile == pytest.approx(expected, rel=1e-12)
     assert pe_fn(kern, 0.0, 2.0) == pytest.approx(profile, rel=1e-12)
-
-
-def test_q_or_limit_degenerate_spread():
-    assert _q_or_limit(-1.0, 0.0) == 1.0
-    assert _q_or_limit(1.0, 0.0) == 0.0
-    assert _q_or_limit(0.0, 0.0) == 0.5
-    assert _q_or_limit(1.0, 2.0) == pytest.approx(float(q_function(0.5)))
 
 
 def test_pe_gaussian_zero_delta_is_half():

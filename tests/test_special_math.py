@@ -1,13 +1,12 @@
-"""Tests for the Gaussian tail and incomplete gamma primitives."""
+"""Tests for the Gaussian tail, Q(z / sigma) and incomplete gamma primitives."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.special
 from numpy.testing import assert_allclose
 
-from zzbound.special_math import inc_gamma_reg, q_function
+from zzbound.special_math import inc_gamma_reg, q_function, q_ratio
 
 
 def test_q_function_frozen_values():
@@ -33,6 +32,27 @@ def test_q_function_vectorized_shape():
     out = q_function(x)
     assert out.shape == (3, 4)
     assert out[0, 0] == pytest.approx(0.5)
+
+
+def test_q_ratio_degenerate_spread():
+    assert q_ratio(-1.0, 0.0) == 1.0
+    assert q_ratio(1.0, 0.0) == 0.0
+    assert q_ratio(0.0, 0.0) == 0.5
+    assert q_ratio(1.0, 2.0) == pytest.approx(float(q_function(0.5)))
+
+
+def test_q_ratio_mixed_zero_and_positive_spread():
+    z = np.array([-1.0, 0.0, 2.0, -1.0, 0.0, 2.0])
+    sigma = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 4.0])
+    expected = np.array([1.0, 0.5, 0.0, q_function(-2.0), 0.5, q_function(0.5)])
+    assert_allclose(q_ratio(z, sigma), expected, rtol=1e-15, atol=0.0)
+
+
+def test_q_ratio_positive_spread_is_plain_q():
+    z = np.linspace(-5.0, 5.0, 41)
+    sigma = np.geomspace(1e-3, 10.0, 41)
+    assert np.array_equal(q_ratio(z, sigma), q_function(z / sigma))
+    assert np.array_equal(q_ratio(z, 0.0), np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5)))
 
 
 def test_inc_gamma_exponential_closed_form():
@@ -66,14 +86,15 @@ def test_inc_gamma_recurrence(a):
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)
 
 
-def test_inc_gamma_matches_scipy_over_grid():
-    shapes = [0.5, 1.5, 2.0, 5.0, 20.0]
-    limits = [1e-8, 0.1, 1.0, 3.0, 10.0, 100.0, 1000.0]
-    for a in shapes:
-        for x in limits:
-            assert inc_gamma_reg(a, x) == pytest.approx(
-                float(scipy.special.gammainc(a, x)), rel=1e-10, abs=1e-300
-            )
+def test_inc_gamma_matches_closed_forms_over_grid():
+    # The two shapes the closed-form bound uses:
+    # P(3/2, x) = erf(sqrt(x)) - 2 sqrt(x / pi) e^-x, P(2, x) = 1 - (1 + x) e^-x.
+    for x in np.geomspace(1e-3, 200.0, 400):
+        x = float(x)
+        p15 = math.erf(math.sqrt(x)) - 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+        p2 = -math.expm1(-x) - x * math.exp(-x)  # expm1 keeps small x accurate
+        assert inc_gamma_reg(1.5, x) == pytest.approx(p15, rel=1e-12, abs=1e-300)
+        assert inc_gamma_reg(2.0, x) == pytest.approx(p2, rel=1e-12, abs=1e-300)
 
 
 def test_inc_gamma_monotone_in_x():
