@@ -291,7 +291,10 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
         )
     _check_fields(d, path, "example", "variant", "k", _SWEEP_VARS[example])
     # Passed on only when given, so each study keeps its own default k.
-    k_arg = (_as_int(d["k"], f"{path}.k"),) if "k" in d else ()
+    k_arg = ()
+    if "k" in d:
+        k_arg = (_as_int(d["k"], f"{path}.k"),)
+        _build(check_sweep_k, example, *k_arg, path=f"{path}.k")
 
     if example == 1:
         sigma2 = _as_number(_require(d, "sigma2", path), f"{path}.sigma2")

@@ -5,6 +5,8 @@ distinguishable two parameter values at a given offset are), a prior (how much
 probability mass the offset pair shares), and an integration or summation over
 offsets. This module supplies the integrators plus the closed form available
 when the profile is exactly Q(gamma * h_off) on a uniform interval prior.
+The vector bound takes one coordinate at a time (direction c e_j): offsets
+on axis j are pinned and the other axes' offsets are maximized over.
 
 Quadrature is composite Simpson with grid doubling; every bound reports the
 doubling convergence through BoundResult.converged rather than raising, so
@@ -476,14 +478,16 @@ class DeltaSearch:
 
 @dataclass(frozen=True, eq=False)
 class VectorBoundSpec:
-    """Vector-parameter bound along a direction.
+    """Vector-parameter bound along a coordinate direction.
 
-    pe maps a (M, n_theta) array of offsets to (M,) error probabilities.
-    With pe_includes_prior=False the integrand is prior_overlap(delta) times
-    pe(delta); with True, pe is treated as the full location-averaged
-    integrand (overlap weighting and any location dependence already inside),
-    which is how scenarios with location-dependent error probabilities plug
-    in after collapsing their inner average.
+    direction is c e_j: exactly one nonzero entry c, on the axis j whose MSE
+    is bounded (scaled by c^2). pe maps a (M, n_theta) array of offsets to
+    (M,) error probabilities. With pe_includes_prior=False the integrand is
+    prior_overlap(delta) times pe(delta); with True, pe is treated as the
+    full location-averaged integrand (overlap weighting and any location
+    dependence already inside), which is how scenarios with
+    location-dependent error probabilities plug in after collapsing their
+    inner average.
     """
 
     direction: np.ndarray
@@ -499,8 +503,10 @@ class VectorBoundSpec:
             raise ValueError(
                 f"direction has dimension {a.size}, prior expects {self.prior.n_theta}"
             )
-        if not np.all(np.isfinite(a)) or float(a @ a) == 0.0:
-            raise ValueError("direction must be finite and nonzero")
+        if not np.all(np.isfinite(a)) or np.count_nonzero(a) != 1:
+            raise ValueError(
+                f"direction must be finite and axis-aligned (exactly one nonzero entry), got {a}"
+            )
         object.__setattr__(self, "direction", a)
 
 
@@ -520,18 +526,11 @@ def _g_rows(spec: VectorBoundSpec, deltas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _free_mesh(spec: VectorBoundSpec, free_idx: Sequence[int]) -> np.ndarray:
-    """(n_c, n_free) candidate offsets on the free axes, first axis slowest."""
-    cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
-    mesh = np.meshgrid(*cand, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _mesh_deltas(
     n: int, pin_axis: int, pins: np.ndarray, free_idx: Sequence[int], combos: np.ndarray
 ) -> np.ndarray:
     """(r * n_c, n) offsets, row-major over (r, n_c): free axes from the n_c
-    combinations, pin_axis from pins of shape (r, 1) or (r, n_c)."""
+    combinations, pin_axis from pins of shape (r, 1)."""
     deltas = np.zeros((pins.shape[0], combos.shape[0], n))
     deltas[:, :, pin_axis] = pins
     for col, j in enumerate(free_idx):
@@ -570,7 +569,9 @@ def _max_over_free(
         deltas[:, pin_axis] = pins
         return _g_rows(spec, deltas)
 
-    combos = _free_mesh(spec, free_idx)  # (n_c, n_free)
+    # (n_c, n_free) candidate offsets on the free axes, first axis slowest.
+    cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
+    combos = np.stack([m.ravel() for m in np.meshgrid(*cand, indexing="ij")], axis=1)
 
     def g_at(rows: slice, cols: slice) -> np.ndarray:
         return _g_rows(spec, _mesh_deltas(n, pin_axis, pins[rows, None], free_idx, combos[cols]))
@@ -616,100 +617,35 @@ def _max_over_free(
     return best_val
 
 
-def _zzb_vector_scalar_axis(spec: VectorBoundSpec) -> BoundResult:
-    ax = spec.prior.axes[0]
-    c = float(spec.direction[0])
-    if isinstance(ax, IntervalAxis):
-        h_max = abs(c) * ax.width
-
-        def f(h: np.ndarray) -> np.ndarray:
-            return h * _g_rows(spec, (h / c)[:, None])
-
-        val, conv = _adaptive_1d(f, 0.0, h_max, spec.quadrature)
-        return BoundResult(max(val, 0.0), conv, "scalar_reduction")
-    offs = np.arange(1, ax.count, dtype=float) * ax.step * math.copysign(1.0, c)
-    g_tilde = _g_rows(spec, offs[:, None])
-    value = c * c * lattice_staircase_sum(ax.step, ax.count, g_tilde)
-    return BoundResult(value, True, "lattice_staircase")
-
-
-def _zzb_vector_lattice_direction(spec: VectorBoundSpec, pin_axis: int) -> BoundResult:
+def _zzb_vector_axis(spec: VectorBoundSpec, pin_axis: int) -> BoundResult:
+    """Bound along coordinate pin_axis, maximized over the other axes' offsets."""
     ax = spec.prior.axes[pin_axis]
     c = float(spec.direction[pin_axis])
     free_idx = [j for j in range(spec.prior.n_theta) if j != pin_axis]
-    offs = np.arange(1, ax.count, dtype=float) * ax.step
-    g_pos = _max_over_free(spec, offs, pin_axis, free_idx)
-    g_neg = _max_over_free(spec, -offs, pin_axis, free_idx)
-    g_tilde = np.maximum(g_pos, g_neg)
-    value = c * c * lattice_staircase_sum(ax.step, ax.count, g_tilde)
-    return BoundResult(value, True, "lattice_staircase")
-
-
-def _zzb_vector_continuous_direction(spec: VectorBoundSpec, pin_axis: int) -> BoundResult:
-    ax = spec.prior.axes[pin_axis]
-    c = float(spec.direction[pin_axis])
-    free_idx = [j for j in range(spec.prior.n_theta) if j != pin_axis]
-    h_max = abs(c) * ax.width
+    if isinstance(ax, LatticeAxis):
+        offs = np.arange(1, ax.count, dtype=float) * ax.step
+        g_pos = _max_over_free(spec, offs, pin_axis, free_idx)
+        g_neg = _max_over_free(spec, -offs, pin_axis, free_idx)
+        value = c * c * lattice_staircase_sum(ax.step, ax.count, np.maximum(g_pos, g_neg))
+        return BoundResult(value, True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:
         return h * _max_over_free(spec, h / c, pin_axis, free_idx)
 
-    val, conv = _adaptive_1d(f, 0.0, h_max, spec.quadrature)
-    return BoundResult(max(val, 0.0), conv, "continuous_profile")
-
-
-def _zzb_vector_oblique(spec: VectorBoundSpec) -> BoundResult:
-    """General direction over an all-continuous prior via a pivot coordinate."""
-    a = spec.direction
-    axes = spec.prior.axes
-    if any(isinstance(ax, LatticeAxis) for ax in axes):
-        raise ValueError("direction must be axis-aligned when the prior has lattice axes")
-    pivot = int(np.argmax(np.abs(a)))
-    free_idx = [j for j in range(spec.prior.n_theta) if j != pivot]
-    h_max = float(np.sum(np.abs(a) * np.array([ax.width for ax in axes])))
-    w_piv = axes[pivot].width
-
-    combos = _free_mesh(spec, free_idx)
-    proj = combos @ np.array([a[j] for j in free_idx])
-
-    def g_tilde(h: np.ndarray) -> np.ndarray:
-        def g_at(rows: slice, cols: slice) -> np.ndarray:
-            piv = (h[rows, None] - proj[None, cols]) / a[pivot]
-            flat = _mesh_deltas(spec.prior.n_theta, pivot, piv, free_idx, combos[cols])
-            feasible = np.abs(flat[:, pivot]) <= w_piv
-            vals = np.zeros(flat.shape[0])
-            if np.any(feasible):
-                vals[feasible] = _g_rows(spec, flat[feasible])
-            return vals
-
-        out = np.empty(h.size)
-        for rows, vals in _scan_rows(g_at, h.size, combos.shape[0]):
-            out[rows] = np.max(vals, axis=1)
-        return out
-
-    def f(h: np.ndarray) -> np.ndarray:
-        return h * g_tilde(h)
-
-    val, conv = _adaptive_1d(f, 0.0, h_max, spec.quadrature)
+    val, conv = _adaptive_1d(f, 0.0, abs(c) * ax.width, spec.quadrature)
     return BoundResult(max(val, 0.0), conv, "continuous_profile")
 
 
 def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
-    """Direction-projected bound int_0^inf h max_{a.delta = h} G(delta) dh.
+    """Bound on the MSE of the coordinate a.theta, a = c e_j:
+    int_0^inf h max_{delta_j = h / c} G(delta) dh.
 
     G is overlap times error probability (or the caller's combined integrand,
-    see VectorBoundSpec.pe_includes_prior). Continuous directions integrate
-    the offset profile; a lattice direction instead accumulates the exact
-    tail-sum over integer offsets (see lattice_staircase_sum), which is the
-    rigorous discrete analogue. The returned form field names the route.
+    see VectorBoundSpec.pe_includes_prior), maximized over the offsets of the
+    other axes. An interval axis j integrates that offset profile
+    ("continuous_profile"); a lattice axis j instead accumulates the exact
+    tail-sum over integer offsets, the larger of the +/- offsets at each
+    (see lattice_staircase_sum), which is the rigorous discrete analogue
+    ("lattice_staircase"). The returned form field names the route.
     """
-    a = spec.direction
-    if spec.prior.n_theta == 1:
-        return _zzb_vector_scalar_axis(spec)
-    nonzero = np.nonzero(a)[0]
-    if nonzero.size == 1:
-        pin_axis = int(nonzero[0])
-        if isinstance(spec.prior.axes[pin_axis], LatticeAxis):
-            return _zzb_vector_lattice_direction(spec, pin_axis)
-        return _zzb_vector_continuous_direction(spec, pin_axis)
-    return _zzb_vector_oblique(spec)
+    return _zzb_vector_axis(spec, int(np.flatnonzero(spec.direction)[0]))

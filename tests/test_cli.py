@@ -154,7 +154,17 @@ def test_preset_rejects_too_short_k(tmp_path, capsys, command, scenario, k):
     cfg = _write_cfg(tmp_path, {"scenario": dict(scenario, k=k)})
     out = str(tmp_path / "no.csv")
     assert main([command, "--config", cfg, "--out", out, "--trials", "2"]) == 2
-    assert "config.scenario: k must be >= 2" in capsys.readouterr().err
+    assert "config.scenario.k: k must be at least 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_pulse_preset_k_error_matches_sweep(tmp_path, capsys):
+    # The pulse study needs k >= 600; a preset names its field with the
+    # message sweep gives for config.k.
+    cfg = _write_cfg(tmp_path, {"scenario": {"example": 4, "snr": 10.0, "k": 100}})
+    out = str(tmp_path / "no.csv")
+    assert main(["mc", "--config", cfg, "--out", out, "--trials", "2"]) == 2
+    assert "config.scenario.k: k must be at least 600 for example 4" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -219,10 +229,11 @@ _OTHER_HVEC = [1.2, 1.0, 0.8, 1.1]
 
 
 def _readme_config(assumed_signal=None, truth_signal=None, noise=None, **extra):
-    assumed = dict(_README_ASSUMED)
+    # Deep copies: a test that edits a nested field must not edit the constants.
+    assumed = copy.deepcopy(_README_ASSUMED)
     if assumed_signal is not None:
         assumed["signal"] = assumed_signal
-    truth = {"noise": noise or _README_NOISE}
+    truth = {"noise": copy.deepcopy(noise or _README_NOISE)}
     if truth_signal is not None:
         truth["signal"] = truth_signal
     scenario = {"assumed": assumed, "truth": truth, "prior": {"type": "interval", "t": 10.0}}

@@ -823,6 +823,33 @@ def test_vector_bound_direction_validation():
         VectorBoundSpec(
             direction=np.array([0.0]), prior=prior, pe=lambda rows: rows[:, 0]
         )
+    # Only coordinate directions are bounded: a tilt of any size is refused.
+    box = uniform_box([0.0, 0.0], [5.0, 3.0])
+    for direction in ((1.0, 0.5), (1.0, 1e-12)):
+        with pytest.raises(ValueError, match="axis-aligned"):
+            VectorBoundSpec(direction=np.array(direction), prior=box, pe=lambda rows: rows[:, 0])
+
+
+@pytest.mark.parametrize(
+    "prior, form, frozen",
+    [
+        (Prior((LatticeAxis(40, 0.0, 0.5),)), "lattice_staircase", 0.3853618364298208),
+        (uniform_interval(9.0), "continuous_profile", 0.3329076561919293),
+    ],
+    ids=["lattice", "interval"],
+)
+def test_vector_bound_one_axis_frozen_values(prior, form, frozen):
+    # pe = Q(0.8 |delta|) on a one-axis prior; direction c scales the bound
+    # by c^2 whatever its sign.
+    def bound_at(c):
+        return zzb_vector(
+            VectorBoundSpec(np.array([c]), prior, lambda rows: q_function(0.8 * np.abs(rows[:, 0])))
+        )
+
+    unit = bound_at(1.0)
+    assert unit.form == form and unit.converged
+    assert unit.value == pytest.approx(frozen, rel=1e-12)
+    assert bound_at(-2.0).value == pytest.approx(4.0 * frozen, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +870,7 @@ _SMALL_QUADRATURE = QuadratureRule(points=17, rel_tol=1e-9, max_doublings=3)
 
 # route: (prior, direction, form)
 _ROUTE_SPECS = {
-    "scalar_reduction": (uniform_interval(4.0), (1.0,), "scalar_reduction"),
+    "scalar_interval": (uniform_interval(4.0), (1.0,), "continuous_profile"),
     "scalar_lattice": (Prior((LatticeAxis(40, 0.0, 0.5),)), (1.0,), "lattice_staircase"),
     "lattice_direction": (
         Prior((LatticeAxis(12, 0.0, 1.0), IntervalAxis(0.5, 1.5))),
@@ -855,9 +882,6 @@ _ROUTE_SPECS = {
         (1.0, 0.0, 0.0),
         "continuous_profile",
     ),
-    # Direction (1, 0.5) reaches pivot offsets past the first axis's width,
-    # so some mesh rows are infeasible and never reach pe.
-    "oblique": (uniform_box([0.0, 0.0], [3.0, 2.0]), (1.0, 0.5), "continuous_profile"),
 }
 
 
