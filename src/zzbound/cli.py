@@ -280,6 +280,16 @@ class _Scenario:
     mc_truth: TrueModel
 
 
+# Each study's preset variants, keys of its scenario's assumed models; the
+# first is the default.
+_PRESET_VARIANTS = {
+    1: ("matched", "m1", "m2"),
+    2: ("mismatched", "matched"),
+    3: ("mismatched",),
+    4: ("mismatched", "matched"),
+}
+
+
 def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Scenario:
     example = _as_int(_require(d, "example", path), f"{path}.example")
     if example not in (1, 2, 3, 4):
@@ -289,62 +299,30 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
             f"{path}.example",
             "the pulse scenario has a vector parameter; use the sweep command",
         )
-    _check_fields(d, path, "example", "variant", "k", _SWEEP_VARS[example])
+    var = _SWEEP_VARS[example]
+    _check_fields(d, path, "example", "variant", "k", var)
     # Passed on only when given, so each study keeps its own default k.
     k_arg = ()
     if "k" in d:
         k_arg = (_as_int(d["k"], f"{path}.k"),)
         _build(check_sweep_k, example, *k_arg, path=f"{path}.k")
+    value = _as_number(_require(d, var, path), f"{path}.{var}")
+    _build(check_sweep_value, example, value, path=f"{path}.{var}")
+    variants = _PRESET_VARIANTS[example]
+    variant = _as_str(d.get("variant", variants[0]), f"{path}.variant", choices=variants)
 
-    if example == 1:
-        sigma2 = _as_number(_require(d, "sigma2", path), f"{path}.sigma2")
-        variant = _as_str(
-            d.get("variant", "matched"),
-            f"{path}.variant",
-            choices=("m1", "m2", "matched"),
-        )
-        scn = _build(build_example1, sigma2, *k_arg, path=path)
-        if variant not in scn.assumed:
-            _fail(
-                f"{path}.variant",
-                "the white-only model needs sigma2 > 0 to be well defined",
-            )
-        return _Scenario(scn.assumed[variant], scn.truth, scn.prior, scn.truth)
-
-    if example == 2:
-        mu_star = _as_number(_require(d, "mu_star", path), f"{path}.mu_star")
-        variant = _as_str(
-            d.get("variant", "mismatched"),
-            f"{path}.variant",
-            choices=("mismatched", "matched"),
-        )
-        scn = _build(build_example2, mu_star, *k_arg, path=path)
-        assumed = scn.assumed
-        if variant == "matched":
-            assumed = AssumedModel(
-                scn.truth.signal, scn.truth.noise.mean.copy(), scn.truth.noise.cov
-            )
-        return _Scenario(assumed, scn.truth, scn.prior, scn.truth)
-
+    # Example 3 sweeps the outlier weight 1 - omega1; its bound and pe take
+    # the formal mixture truth, its Monte Carlo the per-sample draws.
     if example == 3:
-        w2 = _as_number(
-            _require(d, "one_minus_omega1", path), f"{path}.one_minus_omega1"
-        )
-        variant = _as_str(
-            d.get("variant", "mismatched"), f"{path}.variant", choices=("mismatched",)
-        )
-        scn = _build(build_example3, 1.0 - w2, *k_arg, path=path)
-        return _Scenario(scn.assumed, scn.truth_mixture, scn.prior, scn.truth_empirical)
-
-    snr = _as_number(_require(d, "snr", path), f"{path}.snr")
-    variant = _as_str(
-        d.get("variant", "mismatched"),
-        f"{path}.variant",
-        choices=("mismatched", "matched"),
-    )
-    scn = _build(build_example4, snr, *k_arg, path=path)
-    assumed = scn.assumed_matched if variant == "matched" else scn.assumed
-    return _Scenario(assumed, scn.truth, scn.prior, scn.truth)
+        scn = _build(build_example3, 1.0 - value, *k_arg, path=path)
+        truth, mc_truth = scn.truth_mixture, scn.truth_empirical
+    else:
+        build = {1: build_example1, 2: build_example2, 4: build_example4}[example]
+        scn = _build(build, value, *k_arg, path=path)
+        truth = mc_truth = scn.truth
+    if variant not in scn.assumed:
+        _fail(f"{path}.variant", "the white-only model needs sigma2 > 0 to be well defined")
+    return _Scenario(scn.assumed[variant], truth, scn.prior, mc_truth)
 
 
 def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _Scenario:
@@ -592,6 +570,8 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
             _fail("config.grid", "expected a nonempty grid")
         for i, value in enumerate(grid):
             _build(check_sweep_value, example, value, path=f"config.grid[{i}]")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            _fail("config.grid", "grid must be strictly increasing")
     else:
         grid = default_grid(example)
 
@@ -603,6 +583,8 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     if trials is None and "trials" in cfg:
         trials = _as_int(cfg["trials"], "config.trials")
     if trials is not None:
+        if trials < 1:
+            _fail("config.trials", f"expected a positive count, got {trials}")
         overrides["trials"] = trials
     seed = args.seed
     if seed is None:

@@ -6,6 +6,11 @@ level with a wrong noise mean, an outlier-contaminated record compared
 against the sample median, and joint arrival-time plus amplitude estimation
 with a too-narrow pulse template. Builders are deterministic; all randomness
 lives in the Monte Carlo plans they feed.
+
+Each scenario holds its assumed models in `assumed`, keyed by variant (the
+CLI presets name the same keys). Every bound of a scalar linear scenario
+comes from zzb.bound; only the matched contamination bound and the pulse
+bounds take routes of their own.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .zzb import (
     QuadratureRule,
     ScalarBoundSpec,
     VectorBoundSpec,
-    _gamma_matched,
     _q_linear_gamma,
     bound,
     zzb_closed_form_q_linear,
@@ -92,7 +96,8 @@ class Example1Scenario:
 
     The truth adds white noise of variance sigma2 to a fixed diagonal colored
     component; "matched" assumes the full sum. m1 is absent when sigma2 = 0
-    (its assumed covariance would be singular).
+    (its assumed covariance would be singular). gammas holds each variant's
+    q-linear slope; zzb.bound gives its bound.
     """
 
     sigma2: float
@@ -103,7 +108,6 @@ class Example1Scenario:
     truth: TrueModel
     assumed: dict[str, AssumedModel]
     gammas: dict[str, float]
-    bounds: dict[str, float]
 
 
 def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Example1Scenario:
@@ -124,11 +128,6 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
     assumed["m2"] = AssumedModel(signal, zero, DiagonalCov(diag_c.copy()))
     assumed["matched"] = AssumedModel(signal, zero, DiagonalCov(true_diag.copy()))
 
-    gammas = {
-        name: _gamma_matched(truth) if name == "matched" else _q_linear_gamma(model, truth)
-        for name, model in assumed.items()
-    }
-    bounds = {name: zzb_closed_form_q_linear(g, t_prior) for name, g in gammas.items()}
     return Example1Scenario(
         sigma2=sigma2,
         k=k,
@@ -137,8 +136,7 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
         prior=uniform_interval(t_prior),
         truth=truth,
         assumed=assumed,
-        gammas=gammas,
-        bounds=bounds,
+        gammas={name: _q_linear_gamma(model, truth) for name, model in assumed.items()},
     )
 
 
@@ -151,49 +149,38 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
 class Example2Scenario:
     """One true-mean point of the mean-mismatch sweep.
 
-    The assumed model keeps its mean pinned at mu_assumed = 5 while the true
-    mean mu_star sweeps, so the estimator inherits a bias mu_star - 5 and the
-    bound follows it through the signed-offset (asymmetric) integral.
+    The "mismatched" model keeps its mean pinned at 5 while the true mean
+    mu_star sweeps, so the estimator inherits a bias mu_star - 5 and the
+    bound follows it through the signed-offset (asymmetric) integral; the
+    "matched" model assumes the true mean.
     """
 
     mu_star: float
     k: int
     theta: float
     t_prior: float
-    mu_assumed: float
     prior: Prior
     truth: TrueModel
-    assumed: AssumedModel
-    gamma_matched: float
-    bound_matched: float
-    bound_mismatched: BoundResult
+    assumed: dict[str, AssumedModel]
 
 
 def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Example2Scenario:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    sigma2_true = 0.16
-    mu_assumed = 5.0
     signal = LinearVectorMap(np.ones(k))
-    cov = ScaledIdentityCov(sigma2_true, k)
-    truth = TrueModel(signal, GaussianNoise(np.full(k, float(mu_star)), cov))
-    assumed = AssumedModel(signal, np.full(k, mu_assumed), cov)
-    prior = uniform_interval(t_prior)
-    gamma_matched = _gamma_matched(truth)
+    cov = ScaledIdentityCov(0.16, k)
+    mean = np.full(k, float(mu_star))
     return Example2Scenario(
         mu_star=float(mu_star),
         k=k,
         theta=THETA_DC,
         t_prior=t_prior,
-        mu_assumed=mu_assumed,
-        prior=prior,
-        truth=truth,
-        assumed=assumed,
-        gamma_matched=gamma_matched,
-        bound_matched=zzb_closed_form_q_linear(gamma_matched, t_prior),
-        # Quadrature also at mu_star = mu_assumed, where the closed form
-        # would apply, so the whole sweep reports one route.
-        bound_mismatched=bound(assumed, truth, prior, "quadrature"),
+        prior=uniform_interval(t_prior),
+        truth=TrueModel(signal, GaussianNoise(mean, cov)),
+        assumed={
+            "mismatched": AssumedModel(signal, np.full(k, 5.0), cov),
+            "matched": AssumedModel(signal, mean.copy(), cov),
+        },
     )
 
 
@@ -209,7 +196,8 @@ class Example3Scenario:
 
     truth_empirical drives the Monte Carlo (per-sample contamination);
     truth_mixture is the formal per-vector mixture whose pooled second moment
-    gives the same slope constant for the closed-form mismatched bound.
+    gives the same slope constant, gamma_mismatched, so zzb.bound takes the
+    closed form for the "mismatched" model (unit-variance white noise).
     """
 
     omega1: float
@@ -221,9 +209,8 @@ class Example3Scenario:
     prior: Prior
     truth_empirical: TrueModel
     truth_mixture: TrueModel
-    assumed: AssumedModel
+    assumed: dict[str, AssumedModel]
     gamma_mismatched: float
-    bound_mismatched: float
 
 
 def _contamination_sampler(
@@ -276,9 +263,8 @@ def build_example3(
         prior=uniform_interval(t_prior),
         truth_empirical=truth_empirical,
         truth_mixture=truth_mixture,
-        assumed=assumed,
+        assumed={"mismatched": assumed},
         gamma_mismatched=gamma_mm,
-        bound_mismatched=zzb_closed_form_q_linear(gamma_mm, t_prior),
     )
 
 
@@ -409,7 +395,8 @@ class Example4Scenario:
     The true pulse has width 300 samples, the assumed template 200; both have
     unit peak. SNR fixes the white-noise level through the true pulse energy
     at nominal amplitude 1. The prior is uniform over all k lattice positions
-    and amplitudes in [0.5, 1.5].
+    and amplitudes in [0.5, 1.5]. The "mismatched" model assumes the narrow
+    template, the "matched" one the true pulse.
     """
 
     snr: float
@@ -419,11 +406,7 @@ class Example4Scenario:
     assumed_width: int
     prior: Prior
     truth: TrueModel
-    assumed: AssumedModel
-    assumed_matched: AssumedModel
-    e_s_true: float
-    e_s_assumed: float
-    rho0: float
+    assumed: dict[str, AssumedModel]
 
 
 def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -452,13 +435,9 @@ def build_example4(
     if k < 2 * true_width:
         raise ValueError(f"k must be at least twice the true width, got k={k}")
     s_true = pulse_template(true_width)
-    s_assumed = pulse_template(assumed_width)
-    e_s_true = float(s_true @ s_true)
-    e_s_assumed = float(s_assumed @ s_assumed)
-    rho0 = float(_xcorr_at_lags(s_true, s_assumed, np.array([0]))[0])
     # SNR = (true pulse energy) * alpha / N_o at nominal alpha = 1, noise
     # variance per sample sigma^2 = N_o / 2.
-    sigma2 = e_s_true / (2.0 * snr)
+    sigma2 = float(s_true @ s_true) / (2.0 * snr)
     cov = ScaledIdentityCov(sigma2, k)
     zero = np.zeros(k)
     prior = Prior((LatticeAxis(k, 0.0, 1.0), IntervalAxis(0.5, 1.5)))
@@ -470,11 +449,10 @@ def build_example4(
         assumed_width=assumed_width,
         prior=prior,
         truth=TrueModel(AmplitudePulseMap(true_width, k), GaussianNoise(zero, cov)),
-        assumed=AssumedModel(AmplitudePulseMap(assumed_width, k), zero, cov),
-        assumed_matched=AssumedModel(AmplitudePulseMap(true_width, k), zero.copy(), cov),
-        e_s_true=e_s_true,
-        e_s_assumed=e_s_assumed,
-        rho0=rho0,
+        assumed={
+            "mismatched": AssumedModel(AmplitudePulseMap(assumed_width, k), zero, cov),
+            "matched": AssumedModel(AmplitudePulseMap(true_width, k), zero.copy(), cov),
+        },
     )
 
 
@@ -779,17 +757,9 @@ def _sweep_example1(config: SweepConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for i, sigma2 in enumerate(config.grid):
         scn = build_example1(sigma2, k, t_prior)
-        for name in ("m1", "m2", "matched"):
-            if name not in scn.assumed:
-                continue
-            rows.append(
-                _bound_row(
-                    config,
-                    sigma2,
-                    f"zzb_{name}",
-                    BoundResult(scn.bounds[name], True, "closed_form_q_linear"),
-                )
-            )
+        for name, model in scn.assumed.items():
+            result = bound(model, scn.truth, scn.prior)
+            rows.append(_bound_row(config, sigma2, f"zzb_{name}", result))
         for j, name in enumerate(("m1", "m2", "matched")):
             if name not in scn.assumed:
                 continue
@@ -810,18 +780,15 @@ def _sweep_example2(config: SweepConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for i, mu_star in enumerate(config.grid):
         scn = build_example2(mu_star, k)
-        rows.append(_bound_row(config, mu_star, "zzb_mismatched", scn.bound_mismatched))
-        rows.append(
-            _bound_row(
-                config,
-                mu_star,
-                "zzb_matched",
-                BoundResult(scn.bound_matched, True, "closed_form_q_linear"),
-            )
-        )
+        # Quadrature also at mu_star = 5, where the closed form would apply,
+        # so the whole sweep reports one route.
+        mismatched = bound(scn.assumed["mismatched"], scn.truth, scn.prior, "quadrature")
+        rows.append(_bound_row(config, mu_star, "zzb_mismatched", mismatched))
+        matched = bound(scn.assumed["matched"], scn.truth, scn.prior)
+        rows.append(_bound_row(config, mu_star, "zzb_matched", matched))
         plan = TrialPlan(
             truth=scn.truth,
-            estimator=LinearClosedForm(scn.assumed),
+            estimator=LinearClosedForm(scn.assumed["mismatched"]),
             prior=scn.prior,
             trials=trials,
             seed=derive_seed(config.seed, 2, i, 0),
@@ -839,18 +806,12 @@ def _sweep_example3(config: SweepConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for i, w2 in enumerate(config.grid):
         scn = build_example3(1.0 - w2, k, t_prior)
-        rows.append(
-            _bound_row(
-                config,
-                w2,
-                "zzb_mismatched",
-                BoundResult(scn.bound_mismatched, True, "closed_form_q_linear"),
-            )
-        )
+        mismatched = bound(scn.assumed["mismatched"], scn.truth_mixture, scn.prior)
+        rows.append(_bound_row(config, w2, "zzb_mismatched", mismatched))
         rows.append(_bound_row(config, w2, "zzb_matched", example3_matched_bound(scn)))
         for j, (quantity, estimator) in enumerate(
             (
-                ("mse_mle", LinearClosedForm(scn.assumed)),
+                ("mse_mle", LinearClosedForm(scn.assumed["mismatched"])),
                 ("mse_median", SampleMedian()),
             )
         ):
@@ -878,7 +839,7 @@ def _sweep_example4(config: SweepConfig) -> list[SweepRow]:
                 rows.append(_bound_row(config, snr, name, bounds[name]))
         plan = TrialPlan(
             truth=scn.truth,
-            estimator=QuasiMLE(scn.assumed),
+            estimator=QuasiMLE(scn.assumed["mismatched"]),
             prior=scn.prior,
             trials=trials,
             seed=derive_seed(config.seed, 4, i, 0),

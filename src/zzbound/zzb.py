@@ -307,12 +307,6 @@ def zzb_closed_form_q_linear(gamma: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_matched(truth: TrueModel) -> float:
-    if not isinstance(truth.noise, GaussianNoise):
-        raise ValueError("matched gamma requires Gaussian truth")
-    return 0.5 * math.sqrt(truth.noise.cov.qf_inv(linear_column(truth.signal)))
-
-
 def _diagonal(cov: Covariance) -> np.ndarray | None:
     if isinstance(cov, ScaledIdentityCov):
         return np.full(cov.k, cov.sigma2)
@@ -335,8 +329,7 @@ def _q_linear_gamma(assumed: AssumedModel, truth: TrueModel) -> float:
     """Slope gamma of a q_linear scenario, whose error probability is the
     pooled Q(gamma |h|) (see EqualLinearScalarPe.gamma). Gaussian truth whose
     covariance equals the assumed one takes the matched expression
-    sqrt(a^T Sigma^-1 a) / 2, so a matched scenario gives the bits of
-    _gamma_matched."""
+    sqrt(a^T Sigma^-1 a) / 2."""
     profile = linear_scalar_profile(PeKernel(assumed, truth))
     if not profile.q_linear:
         raise ValueError("the q-linear slope requires identical scalar maps and equal noise means")

@@ -44,6 +44,7 @@ from zzbound.special_math import q_function
 from zzbound.zzb import (
     QuadratureRule,
     ScalarBoundSpec,
+    bound,
     zzb_closed_form_q_linear,
     zzb_scalar_independent,
 )
@@ -247,7 +248,8 @@ def test_criterion_06_example1_sweep():
         for v in b_match
     )
     zero = build_example1(0.0)
-    exact_zero_limit = zero.bounds["m2"] == zero.bounds["matched"]
+    m2, matched = (bound(zero.assumed[v], zero.truth, zero.prior) for v in ("m2", "matched"))
+    exact_zero_limit = m2.value == matched.value
     elapsed = time.perf_counter() - start
     ok = not failures and dominance and exact_zero_limit and elapsed < 180.0
     _report(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzbound.cli import main
-from zzbound.experiments import build_example1
+from zzbound.experiments import build_example1, build_example2, build_example3
 from zzbound.models import (
     AssumedModel,
     DiagonalCov,
@@ -29,6 +29,7 @@ from zzbound.pe_kernel import PeKernel, linear_scalar_profile, pe_gaussian
 from zzbound.zzb import (
     QuadratureRule,
     ScalarBoundSpec,
+    bound,
     zzb_closed_form_q_linear,
     zzb_scalar_general,
     zzb_scalar_independent,
@@ -174,6 +175,78 @@ def test_bound_example4_preset_is_rejected(tmp_path, capsys):
     assert main(["bound", "--config", cfg, "--out", out]) == 2
     assert "sweep" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "example, var, value",
+    [
+        (1, "sigma2", -0.1),
+        (2, "mu_star", math.nan),
+        (3, "one_minus_omega1", 1.5),
+        (4, "snr", math.inf),
+    ],
+)
+def test_preset_sweep_value_error_matches_sweep(tmp_path, capsys, example, var, value):
+    # A preset names its sweep variable with the message sweep gives for the
+    # same value in its grid.
+    out = str(tmp_path / "no.csv")
+    sweep_cfg = _write_cfg(tmp_path, {"example": example, "grid": [value]}, "sweep.json")
+    assert main(["sweep", "--config", sweep_cfg, "--out", out]) == 2
+    sweep_err = capsys.readouterr().err
+    assert sweep_err.startswith("error: config.grid[0]: ")
+    message = sweep_err.removeprefix("error: config.grid[0]: ")
+    cfg = _write_cfg(tmp_path, {"scenario": {"example": example, var: value}})
+    assert main(["mc", "--config", cfg, "--out", out, "--trials", "2"]) == 2
+    assert capsys.readouterr().err == f"error: config.scenario.{var}: {message}"
+    assert not os.path.exists(out)
+
+
+_PRESET_VARIANTS = [
+    ({"example": 1, "sigma2": 0.1, "k": 20}, "m1"),
+    ({"example": 1, "sigma2": 0.1, "k": 20}, "m2"),
+    ({"example": 1, "sigma2": 0.1, "k": 20}, "matched"),
+    ({"example": 2, "mu_star": 3.0, "k": 20}, "mismatched"),
+    ({"example": 2, "mu_star": 3.0, "k": 20}, "matched"),
+    ({"example": 3, "one_minus_omega1": 0.3, "k": 20}, "mismatched"),
+    ({"example": 4, "snr": 10.0, "k": 600}, "mismatched"),
+    ({"example": 4, "snr": 10.0, "k": 600}, "matched"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, variant", _PRESET_VARIANTS, ids=[f"ex{p['example']}-{v}" for p, v in _PRESET_VARIANTS]
+)
+def test_every_preset_variant_runs(tmp_path, preset, variant):
+    scenario = dict(preset, variant=variant)
+    pulse = preset["example"] == 4
+    pe_cfg = {
+        "scenario": scenario,
+        "theta": [300.0, 1.0] if pulse else [4.0],
+        "delta": [2.0, 0.0] if pulse else [0.05],
+        "method": "both",
+        "trials": 200,
+    }
+    out = str(tmp_path / "out.csv")
+    assert main(["pe", "--config", _write_cfg(tmp_path, pe_cfg), "--out", out]) == 0
+    mc_cfg = _write_cfg(tmp_path, {"scenario": scenario, "trials": 3})
+    assert main(["mc", "--config", mc_cfg, "--out", out]) == 0
+    if pulse:
+        return
+    assert main(["bound", "--config", _write_cfg(tmp_path, {"scenario": scenario}), "--out", out]) == 0
+    row = _read_rows(out)[0]
+    if preset["example"] == 1:
+        scn = build_example1(preset["sigma2"], preset["k"])
+        truth = scn.truth
+    elif preset["example"] == 2:
+        scn = build_example2(preset["mu_star"], preset["k"])
+        truth = scn.truth
+    else:
+        scn = build_example3(1.0 - preset["one_minus_omega1"], preset["k"])
+        truth = scn.truth_mixture
+    want = bound(scn.assumed[variant], truth, scn.prior)
+    assert row["method"] == want.form
+    assert repr(float(row["value"])) == repr(want.value)
+    assert row["converged"] == str(want.converged).lower()
 
 
 def test_bound_mixture_closed_form(tmp_path):
@@ -616,6 +689,24 @@ def test_sweep_rejects_k_below_the_study_minimum(tmp_path, capsys, payload):
     out = str(tmp_path / "no.csv")
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
     assert "config.k: k must be at least" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        ({"trials": 0}, [], "config.trials: expected a positive count, got 0"),
+        ({}, ["--trials", "-3"], "config.trials: expected a positive count, got -3"),
+        ({"grid": [0.2, 0.1]}, [], "config.grid: grid must be strictly increasing"),
+        ({"grid": [0.1, 0.1]}, [], "config.grid: grid must be strictly increasing"),
+    ],
+    ids=["trials_0", "trials_flag_-3", "grid_decreasing", "grid_repeated"],
+)
+def test_sweep_trials_and_grid_errors_name_their_field(tmp_path, capsys, payload, argv, message):
+    cfg = _write_cfg(tmp_path, {"example": 1, "grid": [0.1], "k": 10, **payload})
+    out = str(tmp_path / "no.csv")
+    assert main(["sweep", "--config", cfg, "--out", out, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out)
 
 

@@ -105,37 +105,45 @@ def test_example1_validation():
 # ---------------------------------------------------------------------------
 
 
+def _example2_bounds(mu_star):
+    """The sweep's (mismatched, matched) bound pair at one true mean."""
+    scn = build_example2(mu_star)
+    mismatched = zzb.bound(scn.assumed["mismatched"], scn.truth, scn.prior, "quadrature")
+    return mismatched, zzb.bound(scn.assumed["matched"], scn.truth, scn.prior)
+
+
 def test_example2_mirror_symmetry_bitwise():
     for off in (1.25, 5.0):
-        lo = build_example2(5.0 - off).bound_mismatched.value
-        hi = build_example2(5.0 + off).bound_mismatched.value
+        lo = _example2_bounds(5.0 - off)[0].value
+        hi = _example2_bounds(5.0 + off)[0].value
         assert lo == hi
 
 
 def test_example2_frozen_endpoint():
-    scn = build_example2(0.0)
-    assert scn.bound_mismatched.converged
-    assert scn.bound_mismatched.value == pytest.approx(21.666858666666666, rel=1e-10)
+    mismatched, matched = _example2_bounds(0.0)
+    assert mismatched.converged
+    assert mismatched.value == pytest.approx(21.666858666666666, rel=1e-10)
     # Far off-center the mismatched bound dwarfs the matched one.
-    assert scn.bound_mismatched.value > 10.0 * scn.bound_matched
+    assert mismatched.value > 10.0 * matched.value
 
 
 def test_example2_center_recovers_matched():
-    scn = build_example2(5.0)
-    assert scn.bound_mismatched.value == pytest.approx(scn.bound_matched, rel=1e-6)
-    assert scn.bound_matched == pytest.approx(0.0003197564075873413, rel=1e-12)
+    mismatched, matched = _example2_bounds(5.0)
+    assert matched.form == "closed_form_q_linear"
+    assert mismatched.value == pytest.approx(matched.value, rel=1e-6)
+    assert matched.value == pytest.approx(0.0003197564075873413, rel=1e-12)
 
 
 def test_example2_grows_away_from_center():
-    values = [build_example2(mu).bound_mismatched.value for mu in (5.0, 6.0, 7.0)]
+    values = [_example2_bounds(mu)[0].value for mu in (5.0, 6.0, 7.0)]
     assert values[0] < values[1] < values[2]
 
 
 def test_example2_matched_gamma_ignores_true_mean():
-    a = build_example2(0.0)
-    b = build_example2(9.0)
-    assert a.gamma_matched == b.gamma_matched
-    assert a.gamma_matched == pytest.approx(0.5 * math.sqrt(500 / 0.16), rel=1e-12)
+    a, b = build_example2(0.0), build_example2(9.0)
+    gamma_a = zzb._q_linear_gamma(a.assumed["matched"], a.truth)
+    assert gamma_a == zzb._q_linear_gamma(b.assumed["matched"], b.truth)
+    assert gamma_a == pytest.approx(0.5 * math.sqrt(500 / 0.16), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +156,17 @@ def test_example3_default_prior_width():
     assert scn.t_prior == pytest.approx(111.80339887498947, rel=1e-12)
 
 
+def _example3_mismatched_bound(scn):
+    return zzb.bound(scn.assumed["mismatched"], scn.truth_mixture, scn.prior)
+
+
 def test_example3_extremes_match_closed_form():
     for omega1 in (0.0, 1.0):
         scn = build_example3(omega1)
         matched = example3_matched_bound(scn)
-        assert matched.form == "closed_form_q_linear"
-        assert abs(matched.value - scn.bound_mismatched) <= 1e-10 * scn.bound_mismatched
+        mismatched = _example3_mismatched_bound(scn)
+        assert matched.form == mismatched.form == "closed_form_q_linear"
+        assert abs(matched.value - mismatched.value) <= 1e-10 * mismatched.value
 
 
 def test_example3_frozen_interior_values():
@@ -164,11 +177,12 @@ def test_example3_frozen_interior_values():
     }
     for w2, (mm, matched) in expected.items():
         scn = build_example3(1.0 - w2)
-        assert scn.bound_mismatched == pytest.approx(mm, rel=1e-9)
+        mismatched = _example3_mismatched_bound(scn).value
+        assert mismatched == pytest.approx(mm, rel=1e-9)
         got = example3_matched_bound(scn)
         assert got.converged
         assert got.value == pytest.approx(matched, rel=1e-7)
-        assert scn.bound_mismatched > got.value  # mismatch always costs
+        assert mismatched > got.value  # mismatch always costs
 
 
 def test_example3_frozen_benchmark_points():
@@ -283,10 +297,13 @@ def test_example3_validation():
 
 def test_example4_frozen_constants():
     scn = build_example4(10.0)
-    assert scn.e_s_true == pytest.approx(100.00222222222224, rel=1e-12)
-    assert scn.e_s_assumed == pytest.approx(66.67000000000002, rel=1e-12)
-    assert scn.rho0 == pytest.approx(77.77999999999999, rel=1e-12)
-    assert scn.sigma2 == pytest.approx(scn.e_s_true / 20.0, rel=1e-15)
+    s_true, s_assumed = pulse_template(scn.true_width), pulse_template(scn.assumed_width)
+    e_s_true = float(s_true @ s_true)
+    assert e_s_true == pytest.approx(100.00222222222224, rel=1e-12)
+    assert float(s_assumed @ s_assumed) == pytest.approx(66.67000000000002, rel=1e-12)
+    rho0 = _xcorr_at_lags(s_true, s_assumed, np.array([0]))[0]
+    assert rho0 == pytest.approx(77.77999999999999, rel=1e-12)
+    assert scn.sigma2 == pytest.approx(e_s_true / 20.0, rel=1e-15)
 
 
 def test_example4_validation():

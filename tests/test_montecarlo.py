@@ -449,7 +449,9 @@ def test_run_mse_matches_reference_median_mixture_and_flaky():
         TrialPlan(scn.truth_empirical, SampleMedian(), scn.prior, 100, 8, np.array([scn.theta]))
     )
     _assert_matches_reference(
-        TrialPlan(scn.truth_mixture, LinearClosedForm(scn.assumed), scn.prior, 150, seed=9)
+        TrialPlan(
+            scn.truth_mixture, LinearClosedForm(scn.assumed["mismatched"]), scn.prior, 150, seed=9
+        )
     )
     k = 6
     sig = LinearVectorMap(np.ones(k))

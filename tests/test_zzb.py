@@ -35,7 +35,6 @@ from zzbound.zzb import (
     ScalarBoundSpec,
     VectorBoundSpec,
     _adaptive_1d,
-    _gamma_matched,
     _odd,
     _q_linear_gamma,
     _simpson_last,
@@ -337,6 +336,12 @@ def _linear_models(k, h, cov_assumed, noise):
     return assumed, TrueModel(sig, noise)
 
 
+def _matched_gamma(truth):
+    """Slope of the model that assumes the Gaussian truth itself."""
+    noise = truth.noise
+    return _q_linear_gamma(AssumedModel(truth.signal, noise.mean, noise.cov), truth)
+
+
 def test_gamma_matched_oracle():
     k = 6
     h = np.arange(1.0, k + 1.0)
@@ -345,7 +350,7 @@ def test_gamma_matched_oracle():
         k, h, ScaledIdentityCov(1.0, k), GaussianNoise(np.zeros(k), DiagonalCov(diag))
     )
     expected = 0.5 * math.sqrt(float(h @ (h / diag)))
-    assert _gamma_matched(truth) == pytest.approx(
+    assert _matched_gamma(truth) == pytest.approx(
         expected, rel=1e-13
     )
 
@@ -377,7 +382,7 @@ def test_gamma_mismatch_equal_cov_routes_to_matched_bitwise():
         k, h, DiagonalCov(diag), GaussianNoise(np.zeros(k), DiagonalCov(diag.copy()))
     )
     mm = _q_linear_gamma(assumed, truth)
-    matched = _gamma_matched(truth)
+    matched = _matched_gamma(truth)
     assert mm == matched  # bitwise, not approximately
 
 
@@ -432,7 +437,7 @@ def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
     )
     result = bound(assumed, truth, uniform_interval(2.0), "closed_form")
     assert result.value == zzb_closed_form_q_linear(
-        _gamma_matched(truth), 2.0
+        _matched_gamma(truth), 2.0
     )
 
 
@@ -487,8 +492,6 @@ def test_gamma_case_validation():
         _q_linear_gamma(assumed, biased)
     with pytest.raises(ValueError, match="identical scalar maps"):
         _q_linear_gamma(assumed, TrueModel(LinearVectorMap(2.0 * h), noise))
-    with pytest.raises(ValueError, match="Gaussian truth"):
-        _gamma_matched(TrueModel(assumed.signal, _two_component_mixture(k)))
 
 
 def _router_models(truth_hvec=None, mean=0.0, noise=None):
