@@ -31,7 +31,9 @@ from .experiments import (
     build_example2,
     build_example3,
     build_example4,
+    check_sweep_grid,
     check_sweep_k,
+    check_sweep_trials,
     check_sweep_value,
     default_grid,
     run_sweep,
@@ -570,8 +572,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
             _fail("config.grid", "expected a nonempty grid")
         for i, value in enumerate(grid):
             _build(check_sweep_value, example, value, path=f"config.grid[{i}]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            _fail("config.grid", "grid must be strictly increasing")
+        _build(check_sweep_grid, grid, path="config.grid")
     else:
         grid = default_grid(example)
 
@@ -583,8 +584,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     if trials is None and "trials" in cfg:
         trials = _as_int(cfg["trials"], "config.trials")
     if trials is not None:
-        if trials < 1:
-            _fail("config.trials", f"expected a positive count, got {trials}")
+        _build(check_sweep_trials, trials, path="config.trials")
         overrides["trials"] = trials
     seed = args.seed
     if seed is None:

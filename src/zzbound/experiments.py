@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +67,9 @@ __all__ = [
     "example4_bounds",
     "SweepConfig",
     "SweepRow",
+    "check_sweep_grid",
     "check_sweep_k",
+    "check_sweep_trials",
     "check_sweep_value",
     "default_grid",
     "run_sweep",
@@ -268,7 +270,8 @@ def build_example3(
     )
 
 
-_MIXTURE_ROWS = 64  # offsets per row block of matched_mixture_pe
+_MIXTURE_CELLS = 2**14  # (offset, node) cells per block of matched_mixture_pe
+_MIXTURE_CHUNK = 32  # nodes per pairwise partial sum of matched_mixture_pe
 
 
 def matched_mixture_pe(
@@ -280,17 +283,27 @@ def matched_mixture_pe(
     Simpson quadrature over the contamination density (a dense center segment
     for the narrow component, wide flanks for the outlier tails); the K-sample
     error probability then follows from the normal approximation of the
-    per-sample sum. Returns a vectorized pe(h_off) with pe(0) = 0.5.
+    per-sample sum. Returns a vectorized pe(h_off) with pe(0) = 0.5 and NaN at
+    a NaN offset.
 
-    The shifted log-density log f(v - h) = logaddexp(a, b) adds a narrow term
-    a = la + ca - (d/std_narrow)^2/2 and a wide term b = lb + cb -
-    (d/std_wide)^2/2, with d = v - h. When std_narrow < std_wide, a - b falls
-    quadratically in |d|; past the reach R below, a - b < -50 and b <= -1.
-    There logaddexp returns b + log1p(exp(a - b)), and exp(-50) is far below
-    half an ulp of |b| >= 1, so the sum rounds to b exactly. Each row block
-    therefore computes b at full width and logaddexp only on the nodes within
-    R of its offsets (NaN offsets aside), with the same bits as the full-width
-    evaluation. When std_narrow >= std_wide the window is the whole grid.
+    The log-density splits as log f(d) = b(d) + c(d): the wide Gaussian term
+    b(d) = lb + cb - d^2 / (2 std_wide^2) and the narrow correction
+    c(d) = log1p(exp(k0 - curvature d^2)), with k0 = la + ca - lb - cb. The
+    ratio at node v is then ell = alpha v - beta + e, with alpha = h /
+    std_wide^2, beta = h^2 / (2 std_wide^2) and e = c(v - h) - c(v); its mean
+    and second moment need three moments of the weighted density, computed
+    once, and the sums of e, v e and e^2. When std_narrow < std_wide,
+    c(d) < exp(-50) past a reach R, so c(v - h) is evaluated only on the
+    window of nodes with |v - h| <= R; outside it e = -c(v), whose sums are
+    prefix and suffix sums computed once (in long double, since at large
+    offsets they carry most of the mean). When std_narrow >= std_wide, the
+    window is the whole grid.
+
+    Each value is a pure function of its offset. The window is found from h
+    alone. Window sums add fixed chunks of _MIXTURE_CHUNK nodes, aligned to
+    the node index, and then the chunk sums in node order (np.add.accumulate);
+    a block's nodes outside a row's window contribute exact zeros. So neither
+    the other offsets of a call nor the block size moves a bit.
     """
     for name, std in (("std_narrow", std_narrow), ("std_wide", std_wide)):
         if not 0.0 < std < math.inf:
@@ -300,14 +313,18 @@ def matched_mixture_pe(
     la, lb = math.log(omega1), math.log(1.0 - omega1)
     ca = -0.5 * math.log(2.0 * math.pi * std_narrow**2)
     cb = -0.5 * math.log(2.0 * math.pi * std_wide**2)
+    k0 = la + ca - lb - cb
     curvature = 0.5 / std_narrow**2 - 0.5 / std_wide**2
-    if curvature > 0.0:
-        narrow_reach = max(
-            math.sqrt(max(la + ca - lb - cb + 50.0, 0.0) / curvature),
-            std_wide * math.sqrt(2.0 * max(lb + cb + 1.0, 0.0)),
-        )
-    else:
-        narrow_reach = math.inf
+    window_reach = math.sqrt(max(k0 + 50.0, 0.0) / curvature) if curvature > 0.0 else math.inf
+
+    def correction(d: np.ndarray) -> np.ndarray:
+        """c(d), computed in place over d."""
+        np.square(d, out=d)
+        d *= -curvature
+        d += k0
+        if curvature > 0.0:
+            return np.log1p(np.exp(d, out=d), out=d)
+        return np.logaddexp(0.0, d, out=d)  # exp(d) would overflow
 
     reach = 8.8 * std_wide
     center = 10.0 * std_narrow
@@ -328,40 +345,56 @@ def matched_mixture_pe(
         la + ca - 0.5 * (v / std_narrow) ** 2, lb + cb - 0.5 * (v / std_wide) ** 2
     )
     f_w = np.exp(log_f) * np.concatenate(weights)
+    m0, m1, m2 = (math.fsum(f_w * v**p) for p in (0, 1, 2))
+    c_v = correction(v.copy())
+    # What the nodes below index j (below[:, j]) and from j on (above[:, j])
+    # add to the sums of f_w e, f_w v e and f_w e^2 when e = -c(v) there.
+    terms = np.stack((-f_w * c_v, -f_w * c_v * v, f_w * c_v * c_v)).astype(np.longdouble)
+    below = np.zeros((3, v.size + 1))
+    above = np.zeros((3, v.size + 1))
+    below[:, 1:] = np.cumsum(terms, axis=1)
+    above[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    # At least one node of padding, so a block can always end a chunk past
+    # its last window.
+    pad = _MIXTURE_CHUNK - v.size % _MIXTURE_CHUNK
+    v_pad, f_pad, c_pad = (np.pad(x, (0, pad), mode="edge") for x in (v, f_w, c_v))
 
     def pe(h_off) -> np.ndarray:
         h = np.atleast_1d(np.asarray(h_off, dtype=float))
-        out = np.full(h.shape, 0.5)
-        live = np.nonzero(h != 0.0)[0]
-        # Two row-block buffers, reused in place with the operation order of
-        # lb + cb - 0.5 * ((v - h) / std_wide) ** 2 and its narrow twin.
-        rows = min(_MIXTURE_ROWS, live.size)
-        ell_buf, tmp_buf = np.empty((rows, v.size)), np.empty((rows, v.size))
-        for start in range(0, live.size, _MIXTURE_ROWS):
-            idx = live[start : start + _MIXTURE_ROWS]
-            hb = h[idx, None]
-            ell = ell_buf[: idx.size]
-            np.subtract(v, hb, out=ell)
-            ell /= std_wide
-            np.square(ell, out=ell)
-            ell *= 0.5
-            np.subtract(lb + cb, ell, out=ell)
-            j0 = np.searchsorted(v, np.nanmin(hb) - narrow_reach)
-            j1 = np.searchsorted(v, np.nanmax(hb) + narrow_reach, "right")
-            near = ell[:, j0:j1]
-            narrow = tmp_buf[: idx.size, : j1 - j0]
-            np.subtract(v[j0:j1], hb, out=narrow)
-            narrow /= std_narrow
-            np.square(narrow, out=narrow)
-            narrow *= 0.5
-            np.subtract(la + ca, narrow, out=narrow)
-            np.logaddexp(narrow, near, out=near)
-            ell -= log_f
-            mean = ell @ f_w
-            sq = np.multiply(ell, ell, out=tmp_buf[: idx.size])
-            var = sq @ f_w - mean * mean
-            var = np.maximum(var, 1e-300)
-            out[idx] = q_function(math.sqrt(k) * np.abs(mean) / np.sqrt(var))
+        out = np.where(np.isnan(h), np.nan, 0.5)
+        live = np.flatnonzero((h != 0.0) & ~np.isnan(h))
+        # Sorted offsets keep each block's hull of windows narrow.
+        live = live[np.argsort(h[live], kind="stable")]
+        hs = h[live]
+        j0 = np.searchsorted(v, hs - window_reach)
+        j1 = np.searchsorted(v, hs + window_reach, "right")
+        sums = below[:, j0] + above[:, j1]
+        start = 0
+        while start < hs.size:
+            # As many rows as fit in _MIXTURE_CELLS at the width of the
+            # block's hull of windows, widened to whole chunks.
+            span = j1[start : start + _MIXTURE_CELLS // _MIXTURE_CHUNK] - j0[start]
+            fits = np.arange(1, span.size + 1) * (span + 2 * _MIXTURE_CHUNK) <= _MIXTURE_CELLS
+            stop = start + max(np.count_nonzero(fits), 1)
+            lo = j0[start] // _MIXTURE_CHUNK * _MIXTURE_CHUNK
+            hi = (j1[stop - 1] // _MIXTURE_CHUNK + 1) * _MIXTURE_CHUNK
+            e = correction(np.subtract.outer(hs[start:stop], v_pad[lo:hi]))
+            e -= c_pad[lo:hi]
+            col = np.arange(lo, hi)
+            np.copyto(e, 0.0, where=(col < j0[start:stop, None]) | (col >= j1[start:stop, None]))
+            fe = f_pad[lo:hi] * e
+            for i, term in enumerate((fe, fe * v_pad[lo:hi], fe * e)):
+                chunks = np.add.reduce(term.reshape(stop - start, -1, _MIXTURE_CHUNK), axis=2)
+                sums[i, start:stop] += np.add.accumulate(chunks, axis=1)[:, -1]
+            start = stop
+        s_e, s_ve, s_ee = sums
+        alpha = hs / std_wide**2
+        beta = 0.5 * hs * alpha
+        mean = alpha * m1 - beta * m0 + s_e
+        second = alpha * (alpha * m2 - 2.0 * beta * m1 + 2.0 * s_ve)
+        second += beta * (beta * m0 - 2.0 * s_e) + s_ee
+        var = np.maximum(second - mean * mean, 1e-300)
+        out[live] = q_function(math.sqrt(k) * np.abs(mean) / np.sqrt(var))
         if np.isscalar(h_off):
             return out[0]
         return out
@@ -649,6 +682,18 @@ def check_sweep_k(example: int, k: int) -> None:
         raise ValueError(f"k must be at least {least} for example {example}, got {k}")
 
 
+def check_sweep_grid(grid: Sequence[float]) -> None:
+    """Raise ValueError unless the grid values strictly increase."""
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+
+
+def check_sweep_trials(trials: int) -> None:
+    """Raise ValueError unless a sweep runs at least one trial per plan."""
+    if trials < 1:
+        raise ValueError(f"expected a positive count, got {trials}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One example sweep: which variable, over which grid, at what scale."""
@@ -675,8 +720,7 @@ class SweepConfig:
                 check_sweep_value(self.example, value)
             except ValueError as exc:
                 raise ValueError(f"grid[{i}]: {exc}") from None
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be strictly increasing")
+        check_sweep_grid(grid)
         object.__setattr__(self, "grid", grid)
         known = {"k", "trials"}
         unknown = set(self.overrides) - known
@@ -684,8 +728,11 @@ class SweepConfig:
             raise ValueError(f"unknown overrides {sorted(unknown)}; allowed: k, trials")
         if "k" in self.overrides:
             check_sweep_k(self.example, int(self.overrides["k"]))
-        if "trials" in self.overrides and int(self.overrides["trials"]) < 1:
-            raise ValueError("override trials must be >= 1")
+        if "trials" in self.overrides:
+            try:
+                check_sweep_trials(int(self.overrides["trials"]))
+            except ValueError as exc:
+                raise ValueError(f"trials: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .models import (
     ScaledIdentityCov,
     TrueModel,
 )
-from .pe_kernel import PeKernel, linear_column, linear_scalar_profile
+from .pe_kernel import EqualLinearScalarPe, PeKernel, linear_column, linear_scalar_profile
 from .special_math import inc_gamma_reg, q_function
 
 __all__ = [
@@ -325,12 +325,16 @@ def _same_covariance(a: Covariance, b: Covariance) -> bool:
     return np.array_equal(da, db)
 
 
-def _q_linear_gamma(assumed: AssumedModel, truth: TrueModel) -> float:
+def _q_linear_gamma(
+    assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe | None = None
+) -> float:
     """Slope gamma of a q_linear scenario, whose error probability is the
     pooled Q(gamma |h|) (see EqualLinearScalarPe.gamma). Gaussian truth whose
     covariance equals the assumed one takes the matched expression
-    sqrt(a^T Sigma^-1 a) / 2."""
-    profile = linear_scalar_profile(PeKernel(assumed, truth))
+    sqrt(a^T Sigma^-1 a) / 2. profile is the scenario's profile when the
+    caller has already built it."""
+    if profile is None:
+        profile = linear_scalar_profile(PeKernel(assumed, truth))
     if not profile.q_linear:
         raise ValueError("the q-linear slope requires identical scalar maps and equal noise means")
     noise = truth.noise
@@ -371,7 +375,7 @@ def bound(
                 f"{method} needs a scalar linear map and centered gaussian or "
                 "mixture noise; use quadrature"
             )
-        gamma = _q_linear_gamma(assumed, truth)
+        gamma = _q_linear_gamma(assumed, truth, profile)
         if method == "closed_form":
             value = zzb_closed_form_q_linear(gamma, t_width)
             return BoundResult(value, True, "closed_form_q_linear")

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from zzbound import experiments, zzb
 from zzbound.experiments import (
@@ -195,7 +197,8 @@ def test_example3_frozen_benchmark_points():
 
 
 def _reference_mixture_pe(k, omega1, std_narrow, std_wide):
-    """matched_mixture_pe with full-width logaddexp in every row block."""
+    """matched_mixture_pe with full-width logaddexp and gemv moments, one block
+    of 64 offsets at a time."""
     la, lb = math.log(omega1), math.log(1.0 - omega1)
     ca = -0.5 * math.log(2.0 * math.pi * std_narrow**2)
     cb = -0.5 * math.log(2.0 * math.pi * std_wide**2)
@@ -218,7 +221,7 @@ def _reference_mixture_pe(k, omega1, std_narrow, std_wide):
     v = np.concatenate(nodes)
     log_f = logpdf(v)
     f_w = np.exp(log_f) * np.concatenate(weights)
-    rows = experiments._MIXTURE_ROWS
+    rows = 64
 
     def pe(h_off):
         h = np.atleast_1d(np.asarray(h_off, dtype=float))
@@ -236,26 +239,99 @@ def _reference_mixture_pe(k, omega1, std_narrow, std_wide):
 
 
 @pytest.mark.parametrize("stds", [(1.0, 25.0), (1.0, 1.0), (2.0, 1.0), (0.01, 0.1)])
-def test_example3_windowed_mixture_pe_is_bitwise(stds):
-    # Outside each block's window the narrow term is more than 50 nats below
-    # the wide one, so skipping logaddexp there must not move a single bit.
+def test_example3_mixture_pe_matches_full_width_reference(stds):
+    # The kernel drops c(v - h) < exp(-50) outside each offset's window and
+    # adds in another order than the full-width reference, so the two agree
+    # to rounding. At |h| = 1e-9 both sit at float64's eps / h floor (the
+    # ratio's moments are O(h^2) differences of O(1) log-densities).
     offsets = np.array(
         [0.0, 1e-9, -1e-9, 3.7, -0.4, 250.0, -250.0, 10.0, -10.0, 9.99, 10.01, 1.2, -31.0]
     )
-    spread = np.linspace(-30.0, 30.0, 301)
+    h = np.concatenate([offsets, np.linspace(-30.0, 30.0, 301)])
+    far = np.abs(h) >= 0.2
     for omega1 in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
-        got = matched_mixture_pe(200, omega1, *stds)
+        pe = matched_mixture_pe(200, omega1, *stds)
         ref = _reference_mixture_pe(200, omega1, *stds)
-        # One offset per call narrows each window to that offset alone.
-        np.testing.assert_array_equal(
-            [got(h) for h in offsets], np.concatenate([ref(h) for h in offsets])
-        )
-        np.testing.assert_array_equal(got(offsets), ref(offsets))
-        np.testing.assert_array_equal(got(spread), ref(spread))
-        assert np.all(np.isfinite(got(spread)))
+        got, want = pe(h), ref(h)
+        assert np.all(np.isfinite(got))
+        assert np.all(got[h == 0.0] == 0.5)
+        assert_allclose(got[far], want[far], rtol=0.0, atol=1e-13)
+        assert_allclose(got[~far], want[~far], rtol=0.0, atol=2e-6)
     with np.errstate(invalid="ignore"):
         with_nan = np.array([0.5, np.nan, -2.0])
-        np.testing.assert_array_equal(got(with_nan), ref(with_nan))
+        assert_allclose(pe(with_nan), ref(with_nan), rtol=0.0, atol=1e-13)
+
+
+_MIXTURE_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1e-9, -1e-9, math.nan]), st.floats(-300.0, 300.0)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(0.3, 1.0, 25.0), (0.7, 1.0, 25.0), (0.5, 2.0, 1.0)]),
+    st.lists(_MIXTURE_OFFSETS, min_size=1, max_size=40),
+    st.integers(0, 40),
+)
+def test_example3_mixture_pe_is_a_pure_function_of_the_offset(params, offsets, cut):
+    omega1, std_narrow, std_wide = params
+    pe = matched_mixture_pe(2000, omega1, std_narrow, std_wide)
+    h = np.array(offsets)
+    whole = pe(h)
+    assert_array_equal([pe(x) for x in offsets], whole)
+    assert_array_equal(np.concatenate([pe(h[:cut]), pe(h[cut:])]), whole)
+    assert_array_equal(pe(h[::-1])[::-1], whole)
+
+
+def _longdouble_mixture_pe(k, omega1, std_narrow=1.0, std_wide=25.0):
+    """The profile's quadrature at full width, in np.longdouble from the
+    float64 nodes and weights up to the float64 Q of the final ratio."""
+    ld = np.longdouble
+    la, lb = np.log(ld(omega1)), np.log(ld(1.0) - ld(omega1))
+    ca = -np.log(2.0 * ld(np.pi) * ld(std_narrow) ** 2) / 2.0
+    cb = -np.log(2.0 * ld(np.pi) * ld(std_wide) ** 2) / 2.0
+
+    def logpdf(v):
+        narrow = la + ca - v * v / (2.0 * ld(std_narrow) ** 2)
+        return np.logaddexp(narrow, lb + cb - v * v / (2.0 * ld(std_wide) ** 2))
+
+    reach, center = 8.8 * std_wide, 10.0 * std_narrow
+    nodes, weights = [], []
+    for lo, hi in ((-reach, -center), (-center, center), (center, reach)):
+        x = np.linspace(lo, hi, 2049)
+        w = np.ones(2049)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        nodes.append(x)
+        weights.append(w * (x[1] - x[0]) / 3.0)
+    v = np.concatenate(nodes).astype(ld)
+    log_f = logpdf(v)
+    f_w = np.exp(log_f) * np.concatenate(weights).astype(ld)
+
+    def pe(hs):
+        out = []
+        for h in hs:
+            ell = logpdf(v - ld(h)) - log_f
+            mean = np.sum(f_w * ell)
+            var = np.sum(f_w * ell * ell) - mean * mean
+            out.append(q_function(float(np.sqrt(ld(k)) * abs(mean) / np.sqrt(var))))
+        return np.array(out)
+
+    return pe
+
+
+def test_example3_mixture_pe_against_longdouble_oracle():
+    # The oracle needs more precision than float64 to judge it.
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+    ladder = np.geomspace(1e-3, 60.0, 40)
+    h = np.concatenate([ladder, -ladder[::3]])
+    for omega1 in (0.3, 0.7):
+        want = _longdouble_mixture_pe(2000, omega1)(h)
+        got = matched_mixture_pe(2000, omega1)(h)
+        # Relative error means something only where pe is a normal float.
+        normal = want >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= 20
+        assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
 
 
 def test_example3_matched_mixture_pe_rejects_bad_stds():
