@@ -279,8 +279,15 @@ class _Scenario:
     assumed: AssumedModel
     truth: TrueModel
     prior: Prior
-    mc_truth: TrueModel
 
+
+# Each study's builder from its sweep value; example 3 sweeps 1 - omega1.
+_PRESET_BUILDERS: dict[int, Callable[..., Any]] = {
+    1: build_example1,
+    2: build_example2,
+    3: lambda w2, *k: build_example3(1.0 - w2, *k),
+    4: build_example4,
+}
 
 # Each study's preset variants, keys of its scenario's assumed models; the
 # first is the default.
@@ -312,19 +319,10 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
     _build(check_sweep_value, example, value, path=f"{path}.{var}")
     variants = _PRESET_VARIANTS[example]
     variant = _as_str(d.get("variant", variants[0]), f"{path}.variant", choices=variants)
-
-    # Example 3 sweeps the outlier weight 1 - omega1; its bound and pe take
-    # the formal mixture truth, its Monte Carlo the per-sample draws.
-    if example == 3:
-        scn = _build(build_example3, 1.0 - value, *k_arg, path=path)
-        truth, mc_truth = scn.truth_mixture, scn.truth_empirical
-    else:
-        build = {1: build_example1, 2: build_example2, 4: build_example4}[example]
-        scn = _build(build, value, *k_arg, path=path)
-        truth = mc_truth = scn.truth
+    scn = _build(_PRESET_BUILDERS[example], value, *k_arg, path=path)
     if variant not in scn.assumed:
         _fail(f"{path}.variant", "the white-only model needs sigma2 > 0 to be well defined")
-    return _Scenario(scn.assumed[variant], truth, scn.prior, mc_truth)
+    return _Scenario(scn.assumed[variant], scn.truth, scn.prior)
 
 
 def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _Scenario:
@@ -355,7 +353,7 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _S
             f"{path}.prior",
             f"prior has {prior.n_theta} coordinates, the signal map expects {signal.n_theta}",
         )
-    return _Scenario(assumed, truth, prior, truth)
+    return _Scenario(assumed, truth, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +480,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     trials = args.trials
     if trials is None:
         trials = _as_int(cfg.get("trials", 1000), "config.trials")
-    if trials < 1:
-        _fail("config.trials", f"expected a positive count, got {trials}")
+    _build(check_sweep_trials, trials, path="config.trials")
     seed = args.seed
     if seed is None:
         seed = _as_int(cfg.get("seed", 0), "config.seed")
@@ -494,7 +491,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
     plan = _build(
         TrialPlan,
-        scn.mc_truth,
+        scn.truth,
         estimator,
         scn.prior,
         trials,
@@ -533,8 +530,7 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     trials = args.trials
     if trials is None:
         trials = _as_int(cfg.get("trials", 100_000), "config.trials")
-    if trials < 1:
-        _fail("config.trials", f"expected a positive count, got {trials}")
+    _build(check_sweep_trials, trials, path="config.trials")
     seed = args.seed
     if seed is None:
         seed = _as_int(cfg.get("seed", 0), "config.seed")
@@ -542,10 +538,8 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     kernel = PeKernel(scn.assumed, scn.truth)
     rows: list[dict[str, Any]] = []
     if method in ("analytic", "both"):
-        if isinstance(scn.truth.noise, MixtureNoise):
-            value = pe_mixture(kernel, theta, delta)
-        else:
-            value = pe_gaussian(kernel, theta, delta)
+        pe_fn = pe_gaussian if isinstance(scn.truth.noise, GaussianNoise) else pe_mixture
+        value = pe_fn(kernel, theta, delta)
         rows.append({"method": "analytic", "value": float(value), "stderr": 0.0, "trials": 0})
     if method in ("empirical", "both"):
         est = empirical_pe(kernel, theta, delta, trials, seed)
@@ -568,8 +562,6 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
 
     if "grid" in cfg:
         grid = tuple(_as_number_list(cfg["grid"], "config.grid", min_len=0))
-        if not grid:
-            _fail("config.grid", "expected a nonempty grid")
         for i, value in enumerate(grid):
             _build(check_sweep_value, example, value, path=f"config.grid[{i}]")
         _build(check_sweep_grid, grid, path="config.grid")

@@ -21,17 +21,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .estimators import LinearClosedForm, QuasiMLE, SampleMedian
+from .estimators import EstimatorSpec, LinearClosedForm, QuasiMLE, SampleMedian
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
     DiagonalCov,
-    EmpiricalNoise,
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
     LinearVectorMap,
-    MixtureNoise,
+    PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
     TrueModel,
@@ -196,34 +195,19 @@ class Example3Scenario:
     """One contamination point: clean unit-variance samples with probability
     omega1, wide (std 25) outliers otherwise, i.i.d. per sample.
 
-    truth_empirical drives the Monte Carlo (per-sample contamination);
-    truth_mixture is the formal per-vector mixture whose pooled second moment
-    gives the same slope constant, gamma_mismatched, so zzb.bound takes the
-    closed form for the "mismatched" model (unit-variance white noise).
+    truth is that per-sample law, whose analytic error probability is the
+    central-limit Q(gamma |h|): zzb.bound takes the closed form in
+    gamma_mismatched for the "mismatched" model (unit-variance white noise).
     """
 
     omega1: float
     k: int
     theta: float
     t_prior: float
-    std_narrow: float
-    std_wide: float
     prior: Prior
-    truth_empirical: TrueModel
-    truth_mixture: TrueModel
+    truth: TrueModel
     assumed: dict[str, AssumedModel]
     gamma_mismatched: float
-
-
-def _contamination_sampler(
-    k: int, wide_prob: float, std_narrow: float, std_wide: float
-) -> Callable[[np.random.Generator], np.ndarray]:
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(k)
-        z = rng.standard_normal(k)
-        return np.where(u < wide_prob, std_wide, std_narrow) * z
-
-    return sample
 
 
 def build_example3(
@@ -235,23 +219,13 @@ def build_example3(
         raise ValueError(f"k must be >= 2, got {k}")
     std_narrow, std_wide = 1.0, 25.0
     signal = LinearVectorMap(np.ones(k))
-    zero = np.zeros(k)
-    assumed = AssumedModel(signal, zero, ScaledIdentityCov(std_narrow**2, k))
-    truth_mixture = TrueModel(
+    assumed = AssumedModel(signal, np.zeros(k), ScaledIdentityCov(std_narrow**2, k))
+    truth = TrueModel(
         signal,
-        MixtureNoise(
-            np.array([omega1, 1.0 - omega1]),
-            (
-                GaussianNoise(zero, ScaledIdentityCov(std_narrow**2, k)),
-                GaussianNoise(zero, ScaledIdentityCov(std_wide**2, k)),
-            ),
+        PerSampleMixtureNoise(
+            np.array([omega1, 1.0 - omega1]), np.array([std_narrow, std_wide]), k
         ),
     )
-    truth_empirical = TrueModel(
-        signal,
-        EmpiricalNoise(_contamination_sampler(k, 1.0 - omega1, std_narrow, std_wide), k),
-    )
-    gamma_mm = _q_linear_gamma(assumed, truth_mixture)
     if t_prior is None:
         gamma_floor = 0.5 * math.sqrt(k) / std_wide  # slope at full contamination
         t_prior = _prior_width(gamma_floor)
@@ -260,13 +234,10 @@ def build_example3(
         k=k,
         theta=THETA_DC,
         t_prior=t_prior,
-        std_narrow=std_narrow,
-        std_wide=std_wide,
         prior=uniform_interval(t_prior),
-        truth_empirical=truth_empirical,
-        truth_mixture=truth_mixture,
+        truth=truth,
         assumed={"mismatched": assumed},
-        gamma_mismatched=gamma_mm,
+        gamma_mismatched=_q_linear_gamma(assumed, truth),
     )
 
 
@@ -406,13 +377,14 @@ def example3_matched_bound(scenario: Example3Scenario) -> BoundResult:
     """Matched bound: exact Gaussian closed form at the weight extremes, the
     likelihood-ratio normal-approximation profile otherwise."""
     w1 = scenario.omega1
+    std_narrow, std_wide = scenario.truth.noise.stds
     if w1 in (0.0, 1.0):
-        var = scenario.std_narrow**2 if w1 == 1.0 else scenario.std_wide**2
+        var = std_narrow**2 if w1 == 1.0 else std_wide**2
         gamma = 0.5 * math.sqrt(scenario.k / var)
         return BoundResult(
             zzb_closed_form_q_linear(gamma, scenario.t_prior), True, "closed_form_q_linear"
         )
-    pe = matched_mixture_pe(scenario.k, w1, scenario.std_narrow, scenario.std_wide)
+    pe = matched_mixture_pe(scenario.k, w1, std_narrow, std_wide)
     return zzb_scalar_independent(ScalarBoundSpec(uniform_interval(scenario.t_prior), pe))
 
 
@@ -683,13 +655,15 @@ def check_sweep_k(example: int, k: int) -> None:
 
 
 def check_sweep_grid(grid: Sequence[float]) -> None:
-    """Raise ValueError unless the grid values strictly increase."""
+    """Raise ValueError unless the grid is nonempty and strictly increasing."""
+    if not grid:
+        raise ValueError("expected a nonempty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
 
 
 def check_sweep_trials(trials: int) -> None:
-    """Raise ValueError unless a sweep runs at least one trial per plan."""
+    """Raise ValueError unless a Monte Carlo run has at least one trial."""
     if trials < 1:
         raise ValueError(f"expected a positive count, got {trials}")
 
@@ -713,8 +687,6 @@ class SweepConfig:
                 f"example {self.example} sweeps {expected!r}, got var={self.var!r}"
             )
         grid = tuple(float(v) for v in self.grid)
-        if not grid:
-            raise ValueError("grid must be nonempty")
         for i, value in enumerate(grid):
             try:
                 check_sweep_value(self.example, value)
@@ -769,16 +741,21 @@ def _scale(config: SweepConfig) -> tuple[int, int]:
 
 def _mse_rows(
     config: SweepConfig,
-    value: float,
-    plan: TrialPlan,
+    cell: tuple[int, int],
+    scn,
+    estimator: EstimatorSpec,
     quantities: tuple[str, ...],
+    theta_true: np.ndarray | None = None,
 ) -> list[SweepRow]:
-    report = run_mse(plan)
+    """Monte Carlo rows of one estimator on the scenario's truth and prior,
+    seeded by its (grid index, estimator index) cell."""
+    trials, seed = _scale(config)[1], derive_seed(config.seed, config.example, *cell)
+    report = run_mse(TrialPlan(scn.truth, estimator, scn.prior, trials, seed, theta_true))
     flag = "ok" if report.valid else "invalid"
     return [
         SweepRow(
             config.var,
-            value,
+            config.grid[cell[0]],
             quantity,
             "monte_carlo",
             float(report.mse[coord]),
@@ -797,9 +774,8 @@ def _bound_row(
 
 
 def _sweep_example1(config: SweepConfig) -> list[SweepRow]:
-    k, trials = _scale(config)
-    probe = [build_example1(s, k) for s in config.grid]
-    gamma_min = min(min(s.gammas.values()) for s in probe)
+    k = _scale(config)[0]
+    gamma_min = min(min(build_example1(s, k).gammas.values()) for s in config.grid)
     t_prior = _prior_width(gamma_min)
     rows: list[SweepRow] = []
     for i, sigma2 in enumerate(config.grid):
@@ -810,20 +786,14 @@ def _sweep_example1(config: SweepConfig) -> list[SweepRow]:
         for j, name in enumerate(("m1", "m2", "matched")):
             if name not in scn.assumed:
                 continue
-            plan = TrialPlan(
-                truth=scn.truth,
-                estimator=LinearClosedForm(scn.assumed[name]),
-                prior=scn.prior,
-                trials=trials,
-                seed=derive_seed(config.seed, 1, i, j),
-                theta_true=np.array([scn.theta]),
-            )
-            rows.extend(_mse_rows(config, sigma2, plan, (f"mse_mle_{name}",)))
+            estimator = LinearClosedForm(scn.assumed[name])
+            pin = np.array([scn.theta])
+            rows.extend(_mse_rows(config, (i, j), scn, estimator, (f"mse_mle_{name}",), pin))
     return rows
 
 
 def _sweep_example2(config: SweepConfig) -> list[SweepRow]:
-    k, trials = _scale(config)
+    k = _scale(config)[0]
     rows: list[SweepRow] = []
     for i, mu_star in enumerate(config.grid):
         scn = build_example2(mu_star, k)
@@ -833,49 +803,30 @@ def _sweep_example2(config: SweepConfig) -> list[SweepRow]:
         rows.append(_bound_row(config, mu_star, "zzb_mismatched", mismatched))
         matched = bound(scn.assumed["matched"], scn.truth, scn.prior)
         rows.append(_bound_row(config, mu_star, "zzb_matched", matched))
-        plan = TrialPlan(
-            truth=scn.truth,
-            estimator=LinearClosedForm(scn.assumed["mismatched"]),
-            prior=scn.prior,
-            trials=trials,
-            seed=derive_seed(config.seed, 2, i, 0),
-            theta_true=np.array([scn.theta]),
-        )
-        rows.extend(_mse_rows(config, mu_star, plan, ("mse_mle",)))
+        estimator = LinearClosedForm(scn.assumed["mismatched"])
+        rows.extend(_mse_rows(config, (i, 0), scn, estimator, ("mse_mle",), np.array([scn.theta])))
     return rows
 
 
 def _sweep_example3(config: SweepConfig) -> list[SweepRow]:
-    k, trials = _scale(config)
-    probe = [build_example3(1.0 - w2, k) for w2 in config.grid]
-    gamma_min = min(s.gamma_mismatched for s in probe)
+    k = _scale(config)[0]
+    gamma_min = min(build_example3(1.0 - w2, k).gamma_mismatched for w2 in config.grid)
     t_prior = _prior_width(gamma_min)
     rows: list[SweepRow] = []
     for i, w2 in enumerate(config.grid):
         scn = build_example3(1.0 - w2, k, t_prior)
-        mismatched = bound(scn.assumed["mismatched"], scn.truth_mixture, scn.prior)
+        mismatched = bound(scn.assumed["mismatched"], scn.truth, scn.prior)
         rows.append(_bound_row(config, w2, "zzb_mismatched", mismatched))
         rows.append(_bound_row(config, w2, "zzb_matched", example3_matched_bound(scn)))
-        for j, (quantity, estimator) in enumerate(
-            (
-                ("mse_mle", LinearClosedForm(scn.assumed["mismatched"])),
-                ("mse_median", SampleMedian()),
-            )
-        ):
-            plan = TrialPlan(
-                truth=scn.truth_empirical,
-                estimator=estimator,
-                prior=scn.prior,
-                trials=trials,
-                seed=derive_seed(config.seed, 3, i, j),
-                theta_true=np.array([scn.theta]),
-            )
-            rows.extend(_mse_rows(config, w2, plan, (quantity,)))
+        estimators = (LinearClosedForm(scn.assumed["mismatched"]), SampleMedian())
+        for j, (quantity, estimator) in enumerate(zip(("mse_mle", "mse_median"), estimators)):
+            pin = np.array([scn.theta])
+            rows.extend(_mse_rows(config, (i, j), scn, estimator, (quantity,), pin))
     return rows
 
 
 def _sweep_example4(config: SweepConfig) -> list[SweepRow]:
-    k, trials = _scale(config)
+    k = _scale(config)[0]
     rows: list[SweepRow] = []
     for i, snr in enumerate(config.grid):
         scn = build_example4(snr, k)
@@ -884,14 +835,8 @@ def _sweep_example4(config: SweepConfig) -> list[SweepRow]:
             for label in ("mismatched", "matched"):
                 name = f"zzb_{coord}_{label}"
                 rows.append(_bound_row(config, snr, name, bounds[name]))
-        plan = TrialPlan(
-            truth=scn.truth,
-            estimator=QuasiMLE(scn.assumed["mismatched"]),
-            prior=scn.prior,
-            trials=trials,
-            seed=derive_seed(config.seed, 4, i, 0),
-        )
-        rows.extend(_mse_rows(config, snr, plan, ("mse_mle_tau", "mse_mle_alpha")))
+        estimator = QuasiMLE(scn.assumed["mismatched"])
+        rows.extend(_mse_rows(config, (i, 0), scn, estimator, ("mse_mle_tau", "mse_mle_alpha")))
     return rows
 
 

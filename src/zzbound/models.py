@@ -37,6 +37,7 @@ __all__ = [
     "NoiseLaw",
     "GaussianNoise",
     "MixtureNoise",
+    "PerSampleMixtureNoise",
     "EmpiricalNoise",
     "AssumedModel",
     "TrueModel",
@@ -404,6 +405,18 @@ class GaussianNoise:
         return self.mean + self.cov.chol_matvec(z)
 
 
+def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
+    """Mixture weights as a float array: n of them, finite, nonnegative, sum 1."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size != n or n < 1:
+        raise ValueError(f"weights and {what} must have equal nonzero length")
+    # NaN fails every comparison, so finiteness is checked on its own.
+    finite = np.all(np.isfinite(w))
+    if not finite or np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
+        raise ValueError("weights must be finite, nonnegative and sum to 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureNoise:
     """Finite Gaussian mixture; one component is drawn per observation vector."""
@@ -412,14 +425,8 @@ class MixtureNoise:
     components: tuple[GaussianNoise, ...]
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
         comps = tuple(self.components)
-        if w.ndim != 1 or w.size != len(comps) or len(comps) < 1:
-            raise ValueError("weights and components must have equal nonzero length")
-        # NaN fails every comparison, so finiteness is checked on its own.
-        finite = np.all(np.isfinite(w))
-        if not finite or np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must be finite, nonnegative and sum to 1 within 1e-12")
+        w = _mixture_weights(self.weights, len(comps), "components")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
             raise ValueError(f"components disagree on dimension: {sorted(dims)}")
@@ -448,6 +455,55 @@ class MixtureNoise:
 
 
 @dataclass(frozen=True, eq=False)
+class PerSampleMixtureNoise:
+    """Zero-mean noise of k i.i.d. samples, each with std stds[c] at weights[c].
+
+    A draw takes k uniforms u, then k standard normals z, and scales each z
+    by the std of the last component c whose tail weight sum(weights[c:])
+    exceeds u (the first component where none does). Its analytic error
+    probability is that of gaussian, the central-limit law: the pooled
+    Q(gamma |h|) of a scalar linear test.
+    """
+
+    weights: np.ndarray
+    stds: np.ndarray
+    k: int
+
+    def __post_init__(self) -> None:
+        s = np.asarray(self.stds, dtype=float)
+        w = _mixture_weights(self.weights, s.size, "stds")
+        if s.ndim != 1 or not np.all(np.isfinite(s)) or np.any(s <= 0.0):
+            raise ValueError("stds must be a 1-D array of finite positive values")
+        if self.k < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.k}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "stds", s)
+
+    @property
+    def dim(self) -> int:
+        return self.k
+
+    @cached_property
+    def gaussian(self) -> GaussianNoise:
+        """The Gaussian with this law's covariance, sum_c weights[c] stds[c]^2 I."""
+        pooled = float(np.sum(self.weights * self.stds**2))
+        return GaussianNoise(np.zeros(self.k), ScaledIdentityCov(pooled, self.k))
+
+    @cached_property
+    def _tails(self) -> np.ndarray:
+        return np.cumsum(self.weights[::-1])[::-1][1:]  # sum(weights[c:]), c >= 1
+
+    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        shape = self.k if size is None else (size, self.k)
+        u = rng.random(shape)
+        z = rng.standard_normal(shape)
+        std = self.stds[0]
+        for s, tail in zip(self.stds[1:], self._tails):
+            std = np.where(u < tail, s, std)
+        return std * z
+
+
+@dataclass(frozen=True, eq=False)
 class EmpiricalNoise:
     """Noise known only through a seeded sampler; no density available.
 
@@ -471,7 +527,7 @@ class EmpiricalNoise:
         return np.stack([self.draw(rng) for _ in range(size)])
 
 
-NoiseLaw = Union[GaussianNoise, MixtureNoise, EmpiricalNoise]
+NoiseLaw = Union[GaussianNoise, MixtureNoise, PerSampleMixtureNoise, EmpiricalNoise]
 
 
 # ---------------------------------------------------------------------------

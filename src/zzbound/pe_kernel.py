@@ -4,11 +4,11 @@ The bound machinery repeatedly asks: given two candidate parameter values
 theta_o and theta_o + delta, how often does the decision rule derived from
 the assumed model pick the wrong one when data come from the true model?
 This module answers that question analytically for Gaussian and
-Gaussian-mixture truth, pointwise for any signal map (pe_gaussian,
-pe_mixture) and vectorized over offsets for scalar linear maps
-(EqualLinearScalarPe). When no analytic route exists,
-montecarlo.empirical_pe estimates the error probability by simulating the
-test.
+Gaussian-mixture truth (a per-sample mixture by its central-limit Gaussian),
+pointwise for any signal map (pe_gaussian, pe_mixture) and vectorized over
+offsets for scalar linear maps (EqualLinearScalarPe). When no analytic
+route exists, montecarlo.empirical_pe estimates the error probability by
+simulating the test.
 
 All routes share one scalar statistic: the decision rule compares the
 assumed-model log-likelihoods of the two candidates, which reduces to the
@@ -30,6 +30,7 @@ from .models import (
     LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
+    PerSampleMixtureNoise,
     TrueModel,
     eval_signal,
 )
@@ -91,9 +92,12 @@ def decision_means(kernel: PeKernel, theta_eval, theta_o, delta) -> np.ndarray:
 
 
 def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
-    """Weights and Gaussian components of the truth; Gaussian is one component."""
+    """Weights and Gaussian components of the truth. Gaussian truth is one
+    component, and so is a per-sample mixture: its central-limit Gaussian."""
     if isinstance(noise, GaussianNoise):
         return np.ones(1), (noise,)
+    if isinstance(noise, PerSampleMixtureNoise):
+        return np.ones(1), (noise.gaussian,)
     if isinstance(noise, MixtureNoise):
         return noise.weights, noise.components
     raise ValueError(
@@ -130,13 +134,13 @@ def pe_gaussian(kernel: PeKernel, theta_o, delta) -> float:
 
 
 def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
-    """Error probability under Gaussian-mixture truth.
+    """Error probability under Gaussian-mixture truth, per vector or per sample.
 
-    Each mixture component contributes its own projected-noise moments, so the
-    component standard deviation appears inside each Q term rather than one
-    pooled value outside the sum.
+    Each component of a per-vector mixture contributes its own projected-noise
+    moments, so its standard deviation appears inside its own Q term. A
+    per-sample mixture is its central-limit Gaussian (one pooled term).
     """
-    if not isinstance(kernel.truth.noise, MixtureNoise):
+    if not isinstance(kernel.truth.noise, (MixtureNoise, PerSampleMixtureNoise)):
         raise ValueError("pe_mixture requires mixture truth")
     return _pe_components(kernel, theta_o, delta)
 
@@ -157,8 +161,9 @@ class EqualLinearScalarPe:
     """Error-probability profile of a scalar linear scenario, vectorized.
 
     The assumed model is a theta + N(mu, Sigma); the truth is h* theta plus
-    Gaussian components N(m_c, Sigma_c) of weight w_c (Gaussian truth is one
-    component of weight 1). The one-sided decision branch is
+    Gaussian components N(m_c, Sigma_c) of weight w_c (Gaussian truth and a
+    per-sample mixture are one component of weight 1). The one-sided decision
+    branch is
 
         g(theta_o, h) = sum_c w_c Q((quad h^2 + cross theta_o h + lin_c h) / (s_c |h|))
 
@@ -177,14 +182,15 @@ class EqualLinearScalarPe:
 
     @property
     def q_linear(self) -> bool:
-        """No location term, no mean offset and a nonzero signal: each
-        component then errs with Q(quad |h| / s_c), and the closed forms in
-        the pooled slope gamma apply."""
-        return self.cross == 0.0 and not np.any(self.lin) and self.quad > 0.0
+        """No location term, no mean offset, a nonzero signal and one
+        projected variance for every component: the error probability is then
+        exactly Q(gamma |h|), and the closed forms in the slope gamma apply."""
+        one_var = bool(np.all(self.var == self.var[0]))
+        return self.cross == 0.0 and not np.any(self.lin) and self.quad > 0.0 and one_var
 
     @property
     def gamma(self) -> float:
-        """Slope quad / sqrt(sum_c w_c var_c) of the pooled Q(gamma |h|)."""
+        """Slope quad / sqrt(sum_c w_c var_c) of Q(gamma |h|)."""
         return self.quad / math.sqrt(float(np.sum(self.weights * self.var)))
 
     def single_q(self, h_off, theta_o=0.0) -> np.ndarray:

@@ -121,10 +121,6 @@ def _interval_axis(prior: Prior) -> IntervalAxis:
     return prior.axes[0]
 
 
-def _interval_width(prior: Prior) -> float:
-    return _interval_axis(prior).width
-
-
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
@@ -252,7 +248,7 @@ def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
 
 def zzb_scalar_independent(spec: ScalarBoundSpec) -> BoundResult:
     """Location-free form (1/T) int_0^T h (T-h) pe(h) dh."""
-    t_width = _interval_width(spec.prior)
+    t_width = _interval_axis(spec.prior).width
 
     def f(h: np.ndarray) -> np.ndarray:
         return h * (t_width - h) * np.asarray(spec.pe(h), dtype=float)
@@ -269,7 +265,7 @@ def zzb_scalar_symmetric(spec: ScalarBoundSpec) -> BoundResult:
     separately (the integrand has a kink at 0), each with its own doubling,
     so a sign flip of the asymmetry maps one half exactly onto the other.
     """
-    t_width = _interval_width(spec.prior)
+    t_width = _interval_axis(spec.prior).width
 
     def f_pos(h: np.ndarray) -> np.ndarray:
         return h * (t_width - h) * np.asarray(spec.pe(h), dtype=float)
@@ -336,7 +332,10 @@ def _q_linear_gamma(
     if profile is None:
         profile = linear_scalar_profile(PeKernel(assumed, truth))
     if not profile.q_linear:
-        raise ValueError("the q-linear slope requires identical scalar maps and equal noise means")
+        raise ValueError(
+            "the q-linear slope requires identical scalar maps, equal noise means "
+            "and equal component variances"
+        )
     noise = truth.noise
     if isinstance(noise, GaussianNoise) and _same_covariance(assumed.noise_cov, noise.cov):
         return 0.5 * math.sqrt(noise.cov.qf_inv(linear_column(assumed.signal)))
@@ -353,27 +352,29 @@ def bound(
     """Scalar bound of a linear scenario on a one-axis interval prior.
 
     The route follows the scenario's EqualLinearScalarPe profile:
-    - q_linear (no location term, no mean offset): the closed form in the
-      slope gamma, or with method "asymptotic" its floor 1 / (4 gamma^2);
+    - q_linear (no location term, no mean offset, one projected variance),
+      where the error probability is exactly Q(gamma |h|): the closed form
+      in the slope gamma, or with method "asymptotic" its floor
+      1 / (4 gamma^2);
     - no location term, one truth component: "symmetric_split" over the
       signed one-sided branch;
-    - no location term, several components: "independent" over the
-      two-sided error probability;
+    - no location term, several components (a mean offset, or unequal
+      variances): "independent" over the two-sided error probability;
     - a location term (the maps differ, cross != 0): "general_tensor" over
       the offset and the location.
     method "auto" takes the closed form where it applies and quadrature
     otherwise; "quadrature" always integrates. "closed_form" and
     "asymptotic" raise MethodError unless the profile is q_linear.
     """
-    t_width = _interval_width(prior)
+    t_width = _interval_axis(prior).width
     profile = linear_scalar_profile(PeKernel(assumed, truth))
     if method == "auto":
         method = "closed_form" if profile.q_linear else "quadrature"
     if method in ("closed_form", "asymptotic"):
         if not profile.q_linear:
             raise MethodError(
-                f"{method} needs a scalar linear map and centered gaussian or "
-                "mixture noise; use quadrature"
+                f"{method} needs equal scalar linear maps, the assumed noise mean and "
+                "one noise variance (mixture components of equal variance); use quadrature"
             )
         gamma = _q_linear_gamma(assumed, truth, profile)
         if method == "closed_form":

@@ -236,51 +236,70 @@ def test_every_preset_variant_runs(tmp_path, preset, variant):
     row = _read_rows(out)[0]
     if preset["example"] == 1:
         scn = build_example1(preset["sigma2"], preset["k"])
-        truth = scn.truth
     elif preset["example"] == 2:
         scn = build_example2(preset["mu_star"], preset["k"])
-        truth = scn.truth
     else:
         scn = build_example3(1.0 - preset["one_minus_omega1"], preset["k"])
-        truth = scn.truth_mixture
-    want = bound(scn.assumed[variant], truth, scn.prior)
+    want = bound(scn.assumed[variant], scn.truth, scn.prior)
     assert row["method"] == want.form
     assert repr(float(row["value"])) == repr(want.value)
     assert row["converged"] == str(want.converged).lower()
 
 
-def test_bound_mixture_closed_form(tmp_path):
-    k = 20
-    cfg = _write_cfg(
-        tmp_path,
-        {
-            "scenario": {
-                "assumed": {
-                    "signal": {"type": "linear_vector", "hvec": [1.0] * k},
-                    "cov": {"type": "scaled_identity", "sigma2": 1.0, "k": k},
-                },
-                "truth": {
-                    "noise": {
-                        "type": "mixture",
-                        "weights": [0.6, 0.4],
-                        "components": [
-                            {"cov": {"type": "scaled_identity", "sigma2": 1.0, "k": k}},
-                            {"cov": {"type": "scaled_identity", "sigma2": 4.0, "k": k}},
-                        ],
-                    }
-                },
-                "prior": {"type": "interval", "t": 30.0},
-            }
+def _white_mixture_scenario(k, weights, variances, t):
+    components = [{"cov": {"type": "scaled_identity", "sigma2": v, "k": k}} for v in variances]
+    return {
+        "assumed": {
+            "signal": {"type": "linear_vector", "hvec": [1.0] * k},
+            "cov": {"type": "scaled_identity", "sigma2": 1.0, "k": k},
         },
-    )
-    out = str(tmp_path / "mix.csv")
-    assert main(["bound", "--config", cfg, "--out", out]) == 0
-    row = _read_rows(out)[0]
-    gamma = 0.5 * k / math.sqrt(0.6 * k + 0.4 * 4.0 * k)
+        "truth": {"noise": {"type": "mixture", "weights": weights, "components": components}},
+        "prior": {"type": "interval", "t": t},
+    }
+
+
+def test_bound_mixture_closed_form(tmp_path):
+    # A per-vector mixture takes the closed form only when its components
+    # share one variance; study 3's per-sample law takes it with the pooled
+    # slope, its central-limit error probability.
+    k = 20
+    equal = _white_mixture_scenario(k, [0.6, 0.4], [4.0, 4.0], 30.0)
+    row = _bound_row(tmp_path, {"scenario": equal}, "equal")
     assert row["method"] == "closed_form_q_linear"
-    assert float(row["value"]) == pytest.approx(
-        zzb_closed_form_q_linear(gamma, 30.0), rel=1e-12
-    )
+    gamma = 0.5 * k / math.sqrt(4.0 * k)
+    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, 30.0), rel=1e-12)
+
+    unequal = _white_mixture_scenario(k, [0.6, 0.4], [1.0, 4.0], 30.0)
+    auto = _bound_row(tmp_path, {"scenario": unequal}, "unequal")
+    quad = _bound_row(tmp_path, {"scenario": unequal, "method": "quadrature"}, "unequal_quad")
+    assert auto["method"] == quad["method"] == "independent"
+    assert auto["value"] == quad["value"]
+
+    preset = {"example": 3, "one_minus_omega1": 0.4, "k": k}
+    row = _bound_row(tmp_path, {"scenario": preset, "method": "closed_form"}, "per_sample")
+    assert row["method"] == "closed_form_q_linear"
+    gamma = 0.5 * k / math.sqrt(0.6 * k + 0.4 * 625.0 * k)
+    t_prior = build_example3(0.6, k).t_prior
+    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, t_prior), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
+@pytest.mark.parametrize(
+    "weights, variances, t",
+    [
+        ([0.5, 0.5], [0.1, 10.0], 10.0),
+        ([0.9, 0.1], [0.01, 50.0], 10.0),
+        ([0.9, 0.1], [0.01, 50.0], 2.0),
+    ],
+)
+def test_bound_wide_mixture_has_no_closed_form(tmp_path, capsys, weights, variances, t, method):
+    scenario = _white_mixture_scenario(4, weights, variances, t)
+    assert _bound_row(tmp_path, {"scenario": scenario}, "auto")["method"] == "independent"
+    cfg = _write_cfg(tmp_path, {"scenario": scenario, "method": method})
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    assert "config.method: " in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # The README bound config, and a truth whose signal map differs from it.
@@ -597,6 +616,34 @@ def test_pe_both_methods_agree(tmp_path):
     assert empirical["trials"] == "4000"
     gap = abs(float(analytic["value"]) - float(empirical["value"]))
     assert gap <= 4.0 * float(empirical["stderr"]) + 1e-12
+
+
+def test_pe_example3_preset_analytic_matches_empirical(tmp_path):
+    # The analytic pe is the per-sample law's central-limit Q; the empirical
+    # one draws that law.
+    payload = {
+        "scenario": {"example": 3, "one_minus_omega1": 0.3},
+        "theta": [4.0],
+        "delta": [0.3],
+        "method": "both",
+        "trials": 4000,
+    }
+    out = str(tmp_path / "pe.csv")
+    assert main(["pe", "--config", _write_cfg(tmp_path, payload), "--out", out]) == 0
+    analytic, empirical = _read_rows(out)
+    gap = abs(float(analytic["value"]) - float(empirical["value"]))
+    assert gap <= 4.0 * float(empirical["stderr"])
+
+
+@pytest.mark.parametrize("command", ["mc", "pe"])
+@pytest.mark.parametrize("payload, argv", [({"trials": 0}, []), ({}, ["--trials", "0"])])
+def test_mc_and_pe_trials_below_one_exit_2(tmp_path, capsys, command, payload, argv):
+    point = {"theta": [1.0], "delta": [0.5]} if command == "pe" else {}
+    cfg = _write_cfg(tmp_path, {**_scalar_scenario(k=4), **point, **payload})
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out, *argv]) == 2
+    assert capsys.readouterr().err == "error: config.trials: expected a positive count, got 0\n"
+    assert not os.path.exists(out)
 
 
 def test_pe_requires_matching_delta_length(tmp_path, capsys):

@@ -35,7 +35,14 @@ from zzbound.models import (
 )
 from zzbound.pe_kernel import PeKernel, pe_gaussian
 from zzbound.special_math import q_function
-from zzbound.zzb import DeltaSearch, QuadratureRule, VectorBoundSpec, zzb_vector
+from zzbound.zzb import (
+    DeltaSearch,
+    QuadratureRule,
+    ScalarBoundSpec,
+    VectorBoundSpec,
+    zzb_scalar_independent,
+    zzb_vector,
+)
 
 
 def test_prior_width():
@@ -159,7 +166,7 @@ def test_example3_default_prior_width():
 
 
 def _example3_mismatched_bound(scn):
-    return zzb.bound(scn.assumed["mismatched"], scn.truth_mixture, scn.prior)
+    return zzb.bound(scn.assumed["mismatched"], scn.truth, scn.prior)
 
 
 def test_example3_extremes_match_closed_form():
@@ -359,6 +366,61 @@ def test_example3_matched_mixture_pe_rejects_extremes():
         matched_mixture_pe(k=10, omega1=0.0)
     with pytest.raises(ValueError, match="interior"):
         matched_mixture_pe(k=10, omega1=1.0)
+
+
+def _posterior_mean_mse(scn, trials, seed, n_grid=129):
+    """MSE and its standard error of the posterior mean of theta, with theta
+    drawn from the scenario's uniform prior and the record from scn.truth.
+
+    The posterior under the exact per-sample likelihood is formed on an
+    n_grid trapezoid grid over the prior with log-sum-exp weights. Any
+    estimator's MSE is at least the MMSE, so grid error can only make this
+    comparator looser, never flag a valid bound.
+    """
+    rng = np.random.default_rng(seed)
+    t = scn.t_prior
+    theta = t * rng.random(trials)
+    x = theta[:, None] + scn.truth.noise.draw(rng, size=trials)
+    grid = np.linspace(0.0, t, n_grid)
+    log_trap = np.log(np.r_[0.5, np.ones(n_grid - 2), 0.5])
+    stds = scn.truth.noise.stds
+    log_c = np.log(scn.truth.noise.weights) - 0.5 * np.log(2.0 * math.pi * stds**2)
+    estimate = np.empty(trials)
+    block = max(1, 2**18 // (n_grid * scn.k))
+    for s in range(0, trials, block):
+        d2 = np.square(x[s : s + block, None, :] - grid[None, :, None])
+        log_f = np.logaddexp(log_c[0] - 0.5 * d2 / stds[0] ** 2, log_c[1] - 0.5 * d2 / stds[1] ** 2)
+        log_post = log_f.sum(axis=2) + log_trap
+        post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        estimate[s : s + block] = (post @ grid) / post.sum(axis=1)
+    sq = (estimate - theta) ** 2
+    return float(np.mean(sq)), float(np.std(sq, ddof=1)) / math.sqrt(trials)
+
+
+# The matched bound's profile is a normal approximation to the summed
+# log-likelihood ratio, least accurate at small k; its quadrature runs at
+# rel_tol 1e-4 here, far inside the Monte Carlo error, to keep the test cheap.
+_COARSE = QuadratureRule(points=129, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("t_prior", [2.0, 5.0, 20.0])
+@pytest.mark.parametrize("omega1", [0.3, 0.7])
+@pytest.mark.parametrize("k", [2, 6, 10, 40])
+def test_example3_matched_bound_lies_below_the_mmse(k, omega1, t_prior):
+    scn = build_example3(omega1, k, t_prior)
+    spec = ScalarBoundSpec(scn.prior, matched_mixture_pe(k, omega1), _COARSE)
+    got = zzb_scalar_independent(spec)
+    assert got.converged
+    mse, stderr = _posterior_mean_mse(scn, 1000, seed=[k, int(10 * omega1), int(t_prior)])
+    assert got.value <= mse + 4.0 * stderr
+
+
+def test_example3_matched_bound_at_the_coarse_rule():
+    # The MMSE test's cheaper quadrature stands in for example3_matched_bound.
+    scn = build_example3(0.7, 10, 5.0)
+    spec = ScalarBoundSpec(scn.prior, matched_mixture_pe(10, 0.7), _COARSE)
+    coarse = zzb_scalar_independent(spec)
+    assert coarse.value == pytest.approx(example3_matched_bound(scn).value, rel=1e-4)
 
 
 def test_example3_validation():

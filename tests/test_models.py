@@ -19,6 +19,7 @@ from zzbound.models import (
     LinearVectorMap,
     MixtureNoise,
     ParametricMap,
+    PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
     TrueModel,
@@ -236,6 +237,50 @@ def test_mixture_second_moment():
     fourth = 3.0 * (0.7 * 1.0 + 0.3 * 625.0)
     se = np.sqrt((fourth - pooled**2) / draws.size)
     assert abs(second - pooled) < 5.0 * se
+
+
+@pytest.mark.parametrize("omega1", [0.0, 0.3, 0.7, 1.0])
+def test_per_sample_mixture_draws_like_the_contamination_sampler(omega1):
+    # The study-3 sampler this law replaced: k uniforms, k normals, and the
+    # wide std where a uniform falls below the outlier weight.
+    k = 37
+    noise = PerSampleMixtureNoise(np.array([omega1, 1.0 - omega1]), np.array([1.0, 25.0]), k)
+    for seed in range(5):
+        ref_rng = np.random.default_rng(seed)
+        u = ref_rng.random(k)
+        z = ref_rng.standard_normal(k)
+        expected = np.where(u < 1.0 - omega1, 25.0, 1.0) * z
+        got = noise.draw(np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
+    assert noise.draw(np.random.default_rng(0), size=3).shape == (3, k)
+
+
+def test_per_sample_mixture_three_components_and_moments():
+    # The last component takes u below its weight, the one before it the
+    # next slice, the first one the rest.
+    k = 200_000
+    weights, stds = np.array([0.5, 0.3, 0.2]), np.array([1.0, 2.0, 4.0])
+    noise = PerSampleMixtureNoise(weights, stds, k)
+    x = noise.draw(np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    u = rng.random(k)
+    z = rng.standard_normal(k)
+    assert_allclose(x, np.select([u < 0.2, u < 0.5], [4.0, 2.0], 1.0) * z, rtol=0.0, atol=0.0)
+    pooled = float(np.sum(weights * stds**2))
+    assert noise.gaussian.cov.sigma2 == pooled
+    assert abs(np.mean(x * x) - pooled) < 0.02 * pooled
+
+
+def test_per_sample_mixture_validation():
+    with pytest.raises(ValueError, match="sum to 1"):
+        PerSampleMixtureNoise(np.array([0.5, 0.4]), np.array([1.0, 2.0]), 3)
+    with pytest.raises(ValueError, match="weights and stds"):
+        PerSampleMixtureNoise(np.array([1.0]), np.array([1.0, 2.0]), 3)
+    for bad in ([1.0, 0.0], [1.0, math.nan], [1.0, math.inf], [1.0, -2.0]):
+        with pytest.raises(ValueError, match="stds"):
+            PerSampleMixtureNoise(np.array([0.5, 0.5]), np.array(bad), 3)
+    with pytest.raises(ValueError, match="dimension"):
+        PerSampleMixtureNoise(np.array([1.0]), np.array([1.0]), 0)
 
 
 def test_empirical_noise_draw_and_validation():

@@ -446,11 +446,23 @@ def test_run_mse_matches_reference_quasi_mle_grid_and_pulse():
 def test_run_mse_matches_reference_median_mixture_and_flaky():
     scn = build_example3(0.7, k=41)
     _assert_matches_reference(
-        TrialPlan(scn.truth_empirical, SampleMedian(), scn.prior, 100, 8, np.array([scn.theta]))
+        TrialPlan(scn.truth, SampleMedian(), scn.prior, 100, 8, np.array([scn.theta]))
+    )
+    zero = np.zeros(scn.k)
+    per_vector = MixtureNoise(
+        np.array([0.7, 0.3]),
+        (
+            GaussianNoise(zero, ScaledIdentityCov(1.0, scn.k)),
+            GaussianNoise(zero, ScaledIdentityCov(625.0, scn.k)),
+        ),
     )
     _assert_matches_reference(
         TrialPlan(
-            scn.truth_mixture, LinearClosedForm(scn.assumed["mismatched"]), scn.prior, 150, seed=9
+            TrueModel(scn.truth.signal, per_vector),
+            LinearClosedForm(scn.assumed["mismatched"]),
+            scn.prior,
+            150,
+            seed=9,
         )
     )
     k = 6
@@ -530,15 +542,18 @@ def test_run_mse_zero_normal_tallies_singular_matrix():
     assert rep.failure_reasons == {"LinAlgError: Singular matrix": 20}
 
 
-def test_run_mse_memory_stays_bounded_at_many_trials():
-    # Keys are derived one block at a time. The peak, about 6.6 MB, is the
-    # reduction over the 1.6 MB per-trial error array; deriving all 200,000
-    # keys at once raises it to about 35 MB.
+def test_run_mse_memory_stays_bounded_at_many_trials(monkeypatch):
+    # Keys are derived one block at a time, here of 64 trials. The peak,
+    # about 0.34 MB, is the reduction over the 80 kB per-trial error array;
+    # deriving all 10,000 keys at once raises it to about 1.8 MB.
     import tracemalloc
 
+    import zzbound.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_KEY_BLOCK", 64)
     assumed, truth = _linear_setup(k=4)
     plan = TrialPlan(
-        truth, LinearClosedForm(assumed), uniform_interval(1.0), 200_000, 1, np.array([0.5])
+        truth, LinearClosedForm(assumed), uniform_interval(1.0), 10_000, 1, np.array([0.5])
     )
     tracemalloc.start()
     try:
@@ -547,4 +562,4 @@ def test_run_mse_memory_stays_bounded_at_many_trials():
     finally:
         tracemalloc.stop()
     assert rep.failures == 0
-    assert peak < 12_000_000
+    assert peak < 1_000_000

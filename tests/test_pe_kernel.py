@@ -16,6 +16,7 @@ from zzbound.models import (
     LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
+    PerSampleMixtureNoise,
     ScaledIdentityCov,
     TrueModel,
 )
@@ -315,6 +316,26 @@ def test_pe_mixture_uses_per_component_stddevs():
         q_function(3.0 / s2) + q_function(-1.0 / s2)
     )
     assert pe_mixture(kern, 0.0, 1.0) == pytest.approx(float(expected), rel=1e-14)
+
+
+def test_pe_per_sample_mixture_is_the_pooled_q():
+    # The per-sample law's analytic error probability is its central-limit
+    # one: one Gaussian component with the pooled variance.
+    k = 50
+    sig = LinearVectorMap(np.ones(k))
+    noise = PerSampleMixtureNoise(np.array([0.8, 0.2]), np.array([1.0, 5.0]), k)
+    assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k))
+    kern = PeKernel(assumed, TrueModel(sig, noise))
+    pooled = 0.8 + 0.2 * 25.0
+    profile = linear_scalar_profile(kern)
+    assert profile.weights.tolist() == [1.0]
+    assert profile.q_linear
+    for delta in (0.1, 0.5, 2.0):
+        expected = float(q_function(0.5 * delta * math.sqrt(k / pooled)))
+        assert pe_mixture(kern, 0.3, delta) == pytest.approx(expected, rel=1e-12)
+        assert float(profile.pe(0.3, delta)) == pytest.approx(expected, rel=1e-12)
+    est = empirical_pe(kern, 0.3, 0.5, 20_000, 4)
+    assert abs(est.pe - pe_mixture(kern, 0.3, 0.5)) <= 4.0 * est.stderr
 
 
 def test_wrong_noise_type_raises():

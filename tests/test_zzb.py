@@ -20,6 +20,7 @@ from zzbound.models import (
     LatticeAxis,
     LinearVectorMap,
     MixtureNoise,
+    PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
     TrueModel,
@@ -457,27 +458,28 @@ def test_gamma_isotropic_mismatch_equals_matched():
 
 
 def test_gamma_mixture_pooling_and_extremes():
+    # The per-sample mixture's error probability is the pooled Q(gamma |h|);
+    # a per-vector mixture of unequal variances has no single slope.
     k = 50
     h = np.ones(k)
     v1, v2 = 1.0, 625.0
-
-    def mix(w1):
-        return MixtureNoise(
-            np.array([w1, 1.0 - w1]),
-            (
-                GaussianNoise(np.zeros(k), ScaledIdentityCov(v1, k)),
-                GaussianNoise(np.zeros(k), ScaledIdentityCov(v2, k)),
-            ),
-        )
-
     assumed, _ = _linear_models(
         k, h, ScaledIdentityCov(1.0, k), GaussianNoise(np.zeros(k), ScaledIdentityCov(1.0, k))
     )
     for w1 in (0.0, 0.25, 0.9, 1.0):
-        truth = TrueModel(assumed.signal, mix(w1))
-        gamma = _q_linear_gamma(assumed, truth)
+        noise = PerSampleMixtureNoise(np.array([w1, 1.0 - w1]), np.sqrt([v1, v2]), k)
+        gamma = _q_linear_gamma(assumed, TrueModel(assumed.signal, noise))
         pooled = w1 * v1 + (1.0 - w1) * v2
         assert gamma == pytest.approx(0.5 * math.sqrt(k / pooled), rel=1e-13)
+    per_vector = MixtureNoise(
+        np.array([0.25, 0.75]),
+        (
+            GaussianNoise(np.zeros(k), ScaledIdentityCov(v1, k)),
+            GaussianNoise(np.zeros(k), ScaledIdentityCov(v2, k)),
+        ),
+    )
+    with pytest.raises(ValueError, match="equal component variances"):
+        _q_linear_gamma(assumed, TrueModel(assumed.signal, per_vector))
 
 
 def test_gamma_case_validation():
@@ -503,14 +505,18 @@ def _router_models(truth_hvec=None, mean=0.0, noise=None):
     return assumed, TrueModel(signal, noise)
 
 
-def _two_component_mixture(k=4, mean=0.0):
+def _two_component_mixture(k=4, mean=0.0, wide=5.0):
     return MixtureNoise(
         np.array([0.9, 0.1]),
         (
             GaussianNoise(np.full(k, mean), ScaledIdentityCov(0.5, k)),
-            GaussianNoise(np.full(k, mean), ScaledIdentityCov(5.0, k)),
+            GaussianNoise(np.full(k, mean), ScaledIdentityCov(wide, k)),
         ),
     )
+
+
+def _per_sample_mixture(k=4):
+    return PerSampleMixtureNoise(np.array([0.9, 0.1]), np.sqrt([0.5, 5.0]), k)
 
 
 @pytest.mark.parametrize(
@@ -520,11 +526,14 @@ def _two_component_mixture(k=4, mean=0.0):
         (_router_models(), "asymptotic", "asymptotic_q_linear"),
         (_router_models(), "quadrature", "symmetric_split"),
         (_router_models(mean=0.3), "auto", "symmetric_split"),
-        (_router_models(noise=_two_component_mixture()), "auto", "closed_form_q_linear"),
+        (_router_models(noise=_per_sample_mixture()), "auto", "closed_form_q_linear"),
         (_router_models(noise=_two_component_mixture()), "quadrature", "independent"),
         (_router_models(noise=_two_component_mixture(mean=0.3)), "auto", "independent"),
         (_router_models([1.2, 1.0, 0.8, 1.1]), "auto", "general_tensor"),
         (_router_models([1.2, 1.0, 0.8, 1.1], noise=_two_component_mixture()), "auto", "general_tensor"),
+        (_router_models(noise=_two_component_mixture()), "auto", "independent"),
+        (_router_models(noise=_two_component_mixture(wide=0.5)), "auto", "closed_form_q_linear"),
+        (_router_models(noise=_per_sample_mixture()), "quadrature", "symmetric_split"),
     ],
 )
 def test_router_routes(models, method, form):
@@ -542,11 +551,88 @@ def test_router_closed_form_values_match_gamma():
     assert bound(assumed, truth, prior, "asymptotic").value == 1.0 / (4.0 * gamma * gamma)
 
 
-@pytest.mark.parametrize("models", [_router_models(mean=0.3), _router_models([1.2, 1.0, 0.8, 1.1])])
+@pytest.mark.parametrize(
+    "models",
+    [
+        _router_models(mean=0.3),
+        _router_models([1.2, 1.0, 0.8, 1.1]),
+        _router_models(noise=_two_component_mixture()),
+    ],
+)
 @pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
 def test_router_rejects_closed_forms_off_the_q_linear_case(models, method):
     with pytest.raises(MethodError, match=method):
         bound(*models, uniform_interval(10.0), method)
+
+
+def _white_k4_mixture(weights, variances, t):
+    """k = 4, unit white assumed noise, a zero-mean per-vector mixture truth."""
+    k = 4
+    assumed = AssumedModel(LinearVectorMap(np.ones(k)), np.zeros(k), ScaledIdentityCov(1.0, k))
+    comps = tuple(GaussianNoise(np.zeros(k), ScaledIdentityCov(v, k)) for v in variances)
+    truth = TrueModel(assumed.signal, MixtureNoise(np.array(weights), comps))
+    return assumed, truth, uniform_interval(t)
+
+
+# Wide per-vector mixtures, where the pooled closed form (0.9607, 0.9541,
+# 0.2204) is far from the bound of the exact pe (0.8419, 0.4193, 0.0317).
+WIDE_MIXTURE_ROWS = [
+    ((0.5, 0.5), (0.1, 10.0), 10.0),
+    ((0.9, 0.1), (0.01, 50.0), 10.0),
+    ((0.9, 0.1), (0.01, 50.0), 2.0),
+]
+
+
+@st.composite
+def _equal_map_scenarios(draw):
+    """Equal scalar linear maps and zero-mean truth: Gaussian, a per-vector
+    mixture of equal or unequal variances, or a per-sample mixture."""
+    k = draw(st.integers(1, 8))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+
+    a = vec(0.5, 1.5)
+    assumed = AssumedModel(LinearVectorMap(a), np.zeros(k), DiagonalCov(vec(0.25, 4.0)))
+    zero = np.zeros(k)
+    w = draw(st.floats(0.05, 0.95))
+    kind = draw(st.sampled_from(["gaussian", "equal", "unequal", "per_sample"]))
+    if kind == "gaussian":
+        noise = GaussianNoise(zero, DiagonalCov(vec(0.25, 4.0)))
+    elif kind == "per_sample":
+        stds = np.array([draw(st.floats(0.1, 10.0)) for _ in range(2)])
+        noise = PerSampleMixtureNoise(np.array([w, 1.0 - w]), stds, k)
+    else:
+        diag = vec(0.25, 4.0)
+        scale = 1.0 if kind == "equal" else draw(st.floats(0.01, 50.0))
+        comps = tuple(GaussianNoise(zero, DiagonalCov(c * diag)) for c in (1.0, scale))
+        noise = MixtureNoise(np.array([w, 1.0 - w]), comps)
+    t = draw(st.sampled_from([0.5, 2.0, 10.0, 50.0]))
+    return assumed, TrueModel(assumed.signal, noise), uniform_interval(t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_equal_map_scenarios())
+@example(_white_k4_mixture(*WIDE_MIXTURE_ROWS[0]))
+@example(_white_k4_mixture(*WIDE_MIXTURE_ROWS[1]))
+@example(_white_k4_mixture(*WIDE_MIXTURE_ROWS[2]))
+def test_auto_agrees_with_quadrature(scenario):
+    # "auto" may take a closed form only where it is the exact error
+    # probability, so changing the method never changes the model.
+    quad = bound(*scenario, "quadrature")
+    assert quad.converged
+    assert bound(*scenario).value == pytest.approx(quad.value, rel=QuadratureRule().rel_tol)
+
+
+@pytest.mark.parametrize("row", WIDE_MIXTURE_ROWS)
+def test_wide_mixtures_take_the_independent_route(row):
+    scenario = _white_k4_mixture(*row)
+    auto = bound(*scenario)
+    assert auto.form == "independent"
+    assert auto == bound(*scenario, "quadrature")
+    for method in ("closed_form", "asymptotic"):
+        with pytest.raises(MethodError, match=method):
+            bound(*scenario, method)
 
 
 @st.composite
