@@ -57,7 +57,7 @@ from .models import (
 )
 from .montecarlo import TrialPlan, empirical_pe, run_mse
 from .pe_kernel import PeKernel, pe_gaussian, pe_mixture
-from .zzb import MethodError, ScalarBoundSpec, bound, zzb_scalar_independent
+from .zzb import MethodError, RouteError, ScalarBoundSpec, bound, zzb_scalar_independent
 
 __all__ = ["main"]
 
@@ -299,15 +299,10 @@ _PRESET_VARIANTS = {
 }
 
 
-def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Scenario:
+def _scenario_from_preset(d: Mapping[str, Any], path: str) -> _Scenario:
     example = _as_int(_require(d, "example", path), f"{path}.example")
     if example not in (1, 2, 3, 4):
         _fail(f"{path}.example", f"expected 1, 2, 3, or 4, got {example}")
-    if example == 4 and command == "bound":
-        _fail(
-            f"{path}.example",
-            "the pulse scenario has a vector parameter; use the sweep command",
-        )
     var = _SWEEP_VARS[example]
     _check_fields(d, path, "example", "variant", "k", var)
     # Passed on only when given, so each study keeps its own default k.
@@ -325,11 +320,11 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str, command: str) -> _Sce
     return _Scenario(scn.assumed[variant], scn.truth, scn.prior)
 
 
-def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _Scenario:
+def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
     d = _as_dict(_require(cfg, "scenario", path), f"{path}.scenario")
     path = f"{path}.scenario"
     if "example" in d:
-        return _scenario_from_preset(d, path, command)
+        return _scenario_from_preset(d, path)
     _check_fields(d, path, "assumed", "truth", "prior")
 
     assumed_d = _as_dict(_require(d, "assumed", path), f"{path}.assumed")
@@ -346,6 +341,8 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str, command: str) -> _S
         t_signal = _build_signal(truth_d["signal"], f"{path}.truth.signal")
     noise = _build_noise(_require(truth_d, "noise", f"{path}.truth"), f"{path}.truth.noise", t_signal.k)
     truth = _build(TrueModel, t_signal, noise, path=f"{path}.truth")
+    # The two models must agree on the record length and the parameter count.
+    _build(PeKernel, assumed, truth, path=f"{path}.truth")
 
     prior = _build_prior(_require(d, "prior", path), f"{path}.prior")
     if prior.n_theta != signal.n_theta:
@@ -402,13 +399,6 @@ def _write_atomic(path: str, data: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _constant_pe(value: float) -> Callable[[np.ndarray], np.ndarray]:
-    def pe(h):
-        return np.full(np.shape(np.asarray(h, dtype=float)), value)
-
-    return pe
-
-
 def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "scenario", "method", "pe_constant")
     method = _as_str(
@@ -416,9 +406,7 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         "config.method",
         choices=("auto", "closed_form", "asymptotic", "quadrature"),
     )
-    scn = _scenario_from_config(cfg, "config", "bound")
-    if scn.prior.n_theta != 1 or not isinstance(scn.prior.axes[0], IntervalAxis):
-        _fail("config.scenario.prior", "the bound command needs a scalar interval prior")
+    scn = _scenario_from_config(cfg, "config")
 
     pe_constant = None
     if "pe_constant" in cfg:
@@ -428,23 +416,29 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         if method in ("closed_form", "asymptotic"):
             _fail("config.method", "pe_constant only makes sense with quadrature")
 
-    start = time.perf_counter()
-    if pe_constant is not None:
-        result = zzb_scalar_independent(ScalarBoundSpec(scn.prior, _constant_pe(pe_constant)))
-    else:
-        try:
-            result = bound(scn.assumed, scn.truth, scn.prior, method)
-        except MethodError as exc:
-            _fail("config.method", str(exc))
-    runtime = time.perf_counter() - start
-    return [
-        {
+    def row(coord: int | None) -> dict[str, Any]:
+        start = time.perf_counter()
+        if pe_constant is not None:
+            spec = ScalarBoundSpec(scn.prior, lambda h: np.full(np.shape(h), pe_constant))
+            result = zzb_scalar_independent(spec)
+        else:
+            result = bound(scn.assumed, scn.truth, scn.prior, method, coord)
+        cells = {
             "method": result.form,
             "value": float(result.value),
             "converged": bool(result.converged),
-            "runtime": runtime,
+            "runtime": time.perf_counter() - start,
         }
-    ]
+        return cells if coord is None else {"coord": coord, **cells}
+
+    # A scalar scenario keeps its one row without a coord column.
+    coords = [None] if scn.prior.n_theta == 1 else range(scn.prior.n_theta)
+    try:
+        return [row(coord) for coord in coords]
+    except MethodError as exc:
+        _fail("config.method", str(exc))
+    except RouteError as exc:
+        _fail("config.pe_constant" if pe_constant is not None else "config.scenario", str(exc))
 
 
 def _default_estimator(scn: _Scenario) -> EstimatorSpec:
@@ -455,7 +449,7 @@ def _default_estimator(scn: _Scenario) -> EstimatorSpec:
 
 def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "scenario", "estimator", "trials", "seed", "theta_true")
-    scn = _scenario_from_config(cfg, "config", "mc")
+    scn = _scenario_from_config(cfg, "config")
 
     if "estimator" in cfg:
         name = _as_str(
@@ -516,7 +510,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
 def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "scenario", "theta", "delta", "method", "trials", "seed")
-    scn = _scenario_from_config(cfg, "config", "pe")
+    scn = _scenario_from_config(cfg, "config")
     n = scn.prior.n_theta
 
     theta = _as_coords(_require(cfg, "theta", "config"), "config.theta", n)
@@ -623,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
-        "bound": "evaluate one scalar bound from a scenario config",
+        "bound": "evaluate a scenario's bound, one row per parameter coordinate",
         "mc": "estimate an estimator's MSE by Monte Carlo",
         "pe": "evaluate a binary-decision error probability",
         "sweep": "run one of the worked examples over its grid",

@@ -8,9 +8,9 @@ with a too-narrow pulse template. Builders are deterministic; all randomness
 lives in the Monte Carlo plans they feed.
 
 Each scenario holds its assumed models in `assumed`, keyed by variant (the
-CLI presets name the same keys). Every bound of a scalar linear scenario
-comes from zzb.bound; only the matched contamination bound and the pulse
-bounds take routes of their own.
+CLI presets name the same keys). Every bound comes from zzb.bound, the
+pulse bounds one coordinate at a time; only the matched contamination bound
+takes a route of its own.
 """
 
 from __future__ import annotations
@@ -38,18 +38,14 @@ from .models import (
     uniform_interval,
 )
 from .montecarlo import TrialPlan, derive_seed, run_mse
-from .special_math import q_function, q_ratio
+from .special_math import q_function
 from .zzb import (
     BoundResult,
-    DeltaSearch,
-    QuadratureRule,
     ScalarBoundSpec,
-    VectorBoundSpec,
     _q_linear_gamma,
     bound,
     zzb_closed_form_q_linear,
     zzb_scalar_independent,
-    zzb_vector,
 )
 
 __all__ = [
@@ -397,36 +393,18 @@ def example3_matched_bound(scenario: Example3Scenario) -> BoundResult:
 class Example4Scenario:
     """One SNR point of the pulse scenario.
 
-    The true pulse has width 300 samples, the assumed template 200; both have
-    unit peak. SNR fixes the white-noise level through the true pulse energy
-    at nominal amplitude 1. The prior is uniform over all k lattice positions
-    and amplitudes in [0.5, 1.5]. The "mismatched" model assumes the narrow
-    template, the "matched" one the true pulse.
+    The true pulse map has width 300 samples, the assumed template 200; both
+    have unit peak. SNR fixes the white-noise covariance through the true
+    pulse energy at nominal amplitude 1. The prior is uniform over all k
+    lattice positions and amplitudes in [0.5, 1.5]. The "mismatched" model
+    assumes the narrow template, the "matched" one the true pulse.
     """
 
     snr: float
     k: int
-    sigma2: float
-    true_width: int
-    assumed_width: int
     prior: Prior
     truth: TrueModel
     assumed: dict[str, AssumedModel]
-
-
-def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """r[j] = sum_i a(i) b(i + j) for centered templates a and b.
-
-    np.correlate(b, a, "full") holds r at lags -(ra + rb)..ra + rb, each as
-    one dot product over the overlap; lags outside that reach are 0.
-    """
-    ra, rb = (a.size - 1) // 2, (b.size - 1) // 2
-    full = np.correlate(b, a, "full")
-    idx = np.asarray(lags) + ra + rb
-    inside = (idx >= 0) & (idx < full.size)
-    out = np.zeros(idx.size)
-    out[inside] = full[idx[inside]]
-    return out
 
 
 _EX4_TRUE_WIDTH = 300
@@ -449,9 +427,6 @@ def build_example4(
     return Example4Scenario(
         snr=float(snr),
         k=k,
-        sigma2=sigma2,
-        true_width=true_width,
-        assumed_width=assumed_width,
         prior=prior,
         truth=TrueModel(AmplitudePulseMap(true_width, k), GaussianNoise(zero, cov)),
         assumed={
@@ -461,164 +436,13 @@ def build_example4(
     )
 
 
-_EX4_INNER_NODES = 129
-_EX4_BLOCK = 2**14  # elements per _ex4_pe call: amplitude nodes x keys
-
-
-def _ex4_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
-    """Vectorized error probability at interior positions via correlations.
-
-    a_o is the amplitude at the first candidate, a_o + d_alpha at the second;
-    r_ss and r_ts are the template auto- and cross-correlations at the
-    candidates' lattice separation.
-    """
-    a1 = a_o + d_alpha
-    first = 0.5 * (a1 * a1 - a_o * a_o) * e_s / sigma2
-    s0 = first + a_o * (a_o * rho0 - a1 * r_ts) / sigma2
-    s1 = first + a1 * (a_o * r_ts - a1 * rho0) / sigma2
-    d_norm2 = (a_o * a_o + a1 * a1) * e_s - 2.0 * a_o * a1 * r_ss
-    sig_n = np.sqrt(np.maximum(d_norm2, 0.0) / sigma2)
-    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(-s1, sig_n))
-
-
-def _make_example4_g(scenario: Example4Scenario, matched: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Location-averaged integrand G(delta) for the pulse scenario.
-
-    Clipped boundary positions are dropped (their error probabilities are
-    nonnegative, so the result stays a lower bound); interior positions are
-    shift invariant, which collapses the position average to a counting
-    factor times a fixed-grid quadrature over the amplitude overlap.
-
-    The amplitude quadrature depends on a row only through its lag (via the
-    two correlation tables) and its amplitude offset. Past the template
-    correlation span both tables are exactly zero, so every lag beyond it
-    shares one quadrature value; only the factor tau_share differs. Each
-    call therefore runs the quadrature once per distinct
-    (min(lag, span), d_alpha) key and scatters the sums back to the rows.
-    The collapse is exact: a key's sum is computed elementwise from the
-    same operands as each of its rows, and the scatter keeps the per-row
-    product order tau_share * (length / a_width) * sum, so every returned
-    value is bit-identical to evaluating the quadrature row by row.
-
-    The bound's search and quadrature revisit many keys (the negative tau
-    offsets repeat the positive ones exactly), so g remembers the sum of
-    every key it has evaluated, in arrays sorted by the complex key
-    lag + 1j * d_alpha, and computes only unseen keys. Those are evaluated
-    at all amplitude nodes in one (nodes, keys) block per call of _ex4_pe
-    and summed over the nodes in the same sequential order.
-    """
-    k = scenario.k
-    wide = float(scenario.true_width)
-    s_true = pulse_template(scenario.true_width)
-    s_assumed = s_true if matched else pulse_template(scenario.assumed_width)
-    e_s = float(s_assumed @ s_assumed)
-    # The cross-correlation reaches lag r_true + r_assumed and the assumed
-    # autocorrelation lag 2 r_assumed; both tables are zero past the larger.
-    r_true, r_assumed = (s_true.size - 1) // 2, (s_assumed.size - 1) // 2
-    reach = max(r_true, r_assumed) + r_assumed + 1
-    lags = np.arange(min(reach + 1, k))
-    table_ss = np.zeros(k)
-    table_ts = np.zeros(k)
-    table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
-    table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
-    # First lag from which both tables are zero to the end; it equals k when
-    # the correlations reach the last lag, and then no lag is collapsed.
-    span = int(np.flatnonzero((table_ss != 0.0) | (table_ts != 0.0))[-1]) + 1
-    rho0 = table_ts[0]
-    sigma2 = scenario.sigma2
-    alpha_axis = scenario.prior.axes[1]
-    a_lo, a_hi = alpha_axis.lo, alpha_axis.hi
-    a_width = alpha_axis.width
-
-    n = _EX4_INNER_NODES
-    t_nodes = np.linspace(0.0, 1.0, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    t_weights = w / (3.0 * (n - 1))
-    block = max(1, _EX4_BLOCK // n)  # keys per _ex4_pe call
-    memo_keys = np.empty(0, dtype=complex)
-    memo_sums = np.empty(0)
-
-    def quadrature(key_lag: np.ndarray, da: np.ndarray) -> np.ndarray:
-        """Amplitude-quadrature sum for each (lag, d_alpha) key."""
-        sums = np.empty(da.size)
-        for start in range(0, da.size, block):
-            sl = slice(start, start + block)
-            lo_u = np.maximum(a_lo, a_lo - da[sl])
-            len_u = np.minimum(a_hi, a_hi - da[sl]) - lo_u
-            a_o = lo_u + t_nodes[:, None] * len_u
-            pe = _ex4_pe(
-                a_o, da[sl], table_ss[key_lag[sl]], table_ts[key_lag[sl]], rho0, e_s, sigma2
-            )
-            # Accumulate adds the weighted nodes strictly in order, as a
-            # running sum would; a pairwise reduction would move the bits.
-            sums[sl] = np.add.accumulate(t_weights[:, None] * pe, axis=0)[-1]
-        return sums
-
-    def g(deltas: np.ndarray) -> np.ndarray:
-        nonlocal memo_keys, memo_sums
-        d = np.asarray(deltas, dtype=float)
-        out = np.zeros(d.shape[0])
-        # A row with a NaN offset has no lag and yields NaN. Lags are capped
-        # at k before the integer cast; every lag from k on (infinite ones
-        # too) gives 0.
-        nan_row = np.isnan(d).any(axis=1)
-        out[nan_row] = np.nan
-        d_tau = np.minimum(np.abs(np.rint(np.where(nan_row, 0.0, d[:, 0]))), k).astype(int)
-        d_alpha = d[:, 1]
-        tau_share = np.maximum(0.0, k - wide - d_tau) / k
-        lo = np.maximum(a_lo, a_lo - d_alpha)
-        hi = np.minimum(a_hi, a_hi - d_alpha)
-        length = hi - lo
-        live = (tau_share > 0.0) & (length > 0.0) & (d_tau < k) & ~nan_row
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            return out
-        # Two 1-D uniques build the (lag, d_alpha) key; a row-wise unique
-        # over a 2-column array sorts far more slowly.
-        u_alpha, alpha_code = np.unique(d_alpha[idx], return_inverse=True)
-        code = np.minimum(d_tau[idx], span).astype(np.int64) * u_alpha.size + alpha_code
-        u_code, inv = np.unique(code, return_inverse=True)
-        key_lag = u_code // u_alpha.size
-        da = u_alpha[u_code % u_alpha.size]
-        # Sorted like u_code (lag, then d_alpha); -0.0 and 0.0 compare equal.
-        keys = key_lag + 1j * da
-        pos = np.searchsorted(memo_keys, keys)
-        seen = pos < memo_keys.size
-        seen[seen] = memo_keys[pos[seen]] == keys[seen]
-        if not seen.all():
-            new = ~seen
-            memo_keys = np.insert(memo_keys, pos[new], keys[new])
-            memo_sums = np.insert(memo_sums, pos[new], quadrature(key_lag[new], da[new]))
-            pos = np.searchsorted(memo_keys, keys)
-        acc = memo_sums[pos]
-        out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
-        return out
-
-    return g
-
-
-_EX4_SEARCH = DeltaSearch(grid_points=33, refine_iters=8, lattice_window=8)
-_EX4_QUADRATURE = QuadratureRule(points=513, rel_tol=1e-4, max_doublings=4)
-
-
 def example4_bounds(scenario: Example4Scenario) -> dict[str, BoundResult]:
     """All four direction bounds (tau and alpha, mismatched and matched)."""
-    out: dict[str, BoundResult] = {}
-    for label, matched in (("mismatched", False), ("matched", True)):
-        g = _make_example4_g(scenario, matched)
-        for coord, direction in (("tau", (1.0, 0.0)), ("alpha", (0.0, 1.0))):
-            spec = VectorBoundSpec(
-                direction=np.array(direction),
-                prior=scenario.prior,
-                pe=g,
-                pe_includes_prior=True,
-                search=_EX4_SEARCH,
-                quadrature=_EX4_QUADRATURE,
-            )
-            out[f"zzb_{coord}_{label}"] = zzb_vector(spec)
-    return out
+    return {
+        f"zzb_{name}_{label}": bound(model, scenario.truth, scenario.prior, coord=coord)
+        for label, model in scenario.assumed.items()
+        for coord, name in enumerate(("tau", "alpha"))
+    }
 
 
 # ---------------------------------------------------------------------------

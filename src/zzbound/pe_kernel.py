@@ -5,10 +5,10 @@ theta_o and theta_o + delta, how often does the decision rule derived from
 the assumed model pick the wrong one when data come from the true model?
 This module answers that question analytically for Gaussian and
 Gaussian-mixture truth (a per-sample mixture by its central-limit Gaussian),
-pointwise for any signal map (pe_gaussian, pe_mixture) and vectorized over
-offsets for scalar linear maps (EqualLinearScalarPe). When no analytic
-route exists, montecarlo.empirical_pe estimates the error probability by
-simulating the test.
+pointwise for any signal map (pe_gaussian, pe_mixture), vectorized over
+offsets for scalar linear maps (EqualLinearScalarPe), and position-averaged
+for the triangular pulse (pulse_profile). When no analytic route exists,
+montecarlo.empirical_pe estimates the error probability by simulating it.
 
 All routes share one scalar statistic: the decision rule compares the
 assumed-model log-likelihoods of the two candidates, which reduces to the
@@ -21,18 +21,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .models import (
+    AmplitudePulseMap,
     AssumedModel,
+    Covariance,
+    DiagonalCov,
     GaussianNoise,
+    IntervalAxis,
+    LatticeAxis,
     LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
     PerSampleMixtureNoise,
+    Prior,
+    ScaledIdentityCov,
     TrueModel,
     eval_signal,
+    pulse_template,
 )
 from .special_math import q_ratio
 
@@ -44,6 +53,7 @@ __all__ = [
     "linear_column",
     "EqualLinearScalarPe",
     "linear_scalar_profile",
+    "pulse_profile",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +155,24 @@ def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
     return _pe_components(kernel, theta_o, delta)
 
 
+def _diagonal(cov: Covariance) -> np.ndarray | None:
+    if isinstance(cov, ScaledIdentityCov):
+        return np.full(cov.k, cov.sigma2)
+    if isinstance(cov, DiagonalCov):
+        return cov.diag
+    return None
+
+
+def _same_covariance(a: Covariance, b: Covariance) -> bool:
+    """Whether a and b are equal as matrices. Two diagonal kinds compare
+    their diagonals; K x K matrices are built only when a DenseCov is
+    involved."""
+    da, db = _diagonal(a), _diagonal(b)
+    if da is None or db is None:
+        return np.array_equal(a.dense(), b.dense())
+    return np.array_equal(da, db)
+
+
 def linear_column(signal) -> np.ndarray:
     """The vector a of a scalar linear map theta -> a theta, or raise."""
     if isinstance(signal, LinearVectorMap):
@@ -230,3 +258,177 @@ def linear_scalar_profile(kernel: PeKernel) -> EqualLinearScalarPe:
         var=np.array([max(c.cov.qf(b), 0.0) for c in comps]),
         weights=weights,
     )
+
+
+def _xcorr_at_lags(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """r[j] = sum_i a(i) b(i + j) for centered templates a and b.
+
+    np.correlate(b, a, "full") holds r at lags -(ra + rb)..ra + rb, each as
+    one dot product over the overlap; lags outside that reach are 0.
+    """
+    ra, rb = (a.size - 1) // 2, (b.size - 1) // 2
+    full = np.correlate(b, a, "full")
+    idx = np.asarray(lags) + ra + rb
+    inside = (idx >= 0) & (idx < full.size)
+    out = np.zeros(idx.size)
+    out[inside] = full[idx[inside]]
+    return out
+
+
+_PULSE_NODES = 129  # amplitude quadrature nodes of pulse_profile
+_PULSE_BLOCK = 2**14  # elements per _pulse_pe call: amplitude nodes x keys
+
+
+def _pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
+    """Vectorized error probability at interior positions via correlations.
+
+    a_o is the amplitude at the first candidate, a_o + d_alpha at the second;
+    r_ss and r_ts are the template auto- and cross-correlations at the
+    candidates' lattice separation.
+    """
+    a1 = a_o + d_alpha
+    first = 0.5 * (a1 * a1 - a_o * a_o) * e_s / sigma2
+    s0 = first + a_o * (a_o * rho0 - a1 * r_ts) / sigma2
+    s1 = first + a1 * (a_o * r_ts - a1 * rho0) / sigma2
+    d_norm2 = (a_o * a_o + a1 * a1) * e_s - 2.0 * a_o * a1 * r_ss
+    sig_n = np.sqrt(np.maximum(d_norm2, 0.0) / sigma2)
+    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(-s1, sig_n))
+
+
+def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.ndarray]:
+    """Location-averaged integrand G(delta) of a pulse kernel on its prior.
+
+    G maps (M, 2) offsets in theta = (tau, alpha) to the overlap-weighted
+    error probability averaged over the prior's locations. It is exact for
+    pulse maps on both sides, Gaussian truth noise with the assumed mean and
+    white covariance, and a prior of every position 0..k-1 times an amplitude
+    interval; anything else raises ValueError naming what is missing.
+
+    Clipped boundary positions are dropped (their error probabilities are
+    nonnegative, so the result stays a lower bound); interior positions,
+    counted with the true width, are shift invariant, which collapses the
+    position average to a counting factor times a fixed-grid quadrature over
+    the amplitude overlap.
+
+    The amplitude quadrature depends on a row only through its lag (via the
+    two correlation tables) and its amplitude offset. Past the template
+    correlation span both tables are exactly zero, so every lag beyond it
+    shares one quadrature value; only the factor tau_share differs. Each
+    call therefore runs the quadrature once per distinct
+    (min(lag, span), d_alpha) key and scatters the sums back to the rows.
+    The collapse is exact: a key's sum is computed elementwise from the
+    same operands as each of its rows, and the scatter keeps the per-row
+    product order tau_share * (length / a_width) * sum, so every returned
+    value is bit-identical to evaluating the quadrature row by row.
+
+    The bound's search and quadrature revisit many keys (the negative tau
+    offsets repeat the positive ones exactly), so G remembers the sum of
+    every key it has evaluated, in arrays sorted by the complex key
+    lag + 1j * d_alpha, and computes only unseen keys. Those are evaluated
+    at all amplitude nodes in one (nodes, keys) block per call of _pulse_pe
+    and summed over the nodes in the same sequential order.
+    """
+    assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
+    cov, noise, diag = assumed.noise_cov, truth.noise, _diagonal(assumed.noise_cov)
+    if not (isinstance(assumed.signal, AmplitudePulseMap) and isinstance(truth.signal, AmplitudePulseMap)):
+        raise ValueError("the pulse profile needs a pulse map for the assumed model and the truth")
+    gaussian = isinstance(noise, GaussianNoise) and np.array_equal(noise.mean, assumed.noise_mean)
+    if not (gaussian and diag is not None and np.all(diag == diag[0]) and _same_covariance(cov, noise.cov)):
+        raise ValueError(
+            "the pulse profile needs Gaussian truth noise with the assumed mean and the "
+            "assumed white covariance (scaled_identity or a diagonal with one value)"
+        )
+    if len(prior.axes) != 2 or prior.axes[0] != LatticeAxis(k) or not isinstance(prior.axes[1], IntervalAxis):
+        raise ValueError(
+            f"the pulse profile needs a prior of every position (a lattice of count {k}, "
+            "start 0 and step 1) times an amplitude interval"
+        )
+    wide = float(truth.signal.width)
+    s_true = pulse_template(truth.signal.width)
+    s_assumed = pulse_template(assumed.signal.width)
+    e_s = float(s_assumed @ s_assumed)
+    # The cross-correlation reaches lag r_true + r_assumed and the assumed
+    # autocorrelation lag 2 r_assumed; both tables are zero past the larger.
+    r_true, r_assumed = (s_true.size - 1) // 2, (s_assumed.size - 1) // 2
+    reach = max(r_true, r_assumed) + r_assumed + 1
+    lags = np.arange(min(reach + 1, k))
+    table_ss = np.zeros(k)
+    table_ts = np.zeros(k)
+    table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
+    table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
+    # First lag from which both tables are zero to the end; it equals k when
+    # the correlations reach the last lag, and then no lag is collapsed.
+    span = int(np.flatnonzero((table_ss != 0.0) | (table_ts != 0.0))[-1]) + 1
+    rho0 = table_ts[0]
+    sigma2 = float(diag[0])
+    alpha_axis = prior.axes[1]
+    a_lo, a_hi = alpha_axis.lo, alpha_axis.hi
+    a_width = alpha_axis.width
+
+    n = _PULSE_NODES
+    t_nodes = np.linspace(0.0, 1.0, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    t_weights = w / (3.0 * (n - 1))
+    block = max(1, _PULSE_BLOCK // n)  # keys per _pulse_pe call
+    memo_keys = np.empty(0, dtype=complex)
+    memo_sums = np.empty(0)
+
+    def quadrature(key_lag: np.ndarray, da: np.ndarray) -> np.ndarray:
+        """Amplitude-quadrature sum for each (lag, d_alpha) key."""
+        sums = np.empty(da.size)
+        for start in range(0, da.size, block):
+            sl = slice(start, start + block)
+            lo_u = np.maximum(a_lo, a_lo - da[sl])
+            len_u = np.minimum(a_hi, a_hi - da[sl]) - lo_u
+            a_o = lo_u + t_nodes[:, None] * len_u
+            pe = _pulse_pe(
+                a_o, da[sl], table_ss[key_lag[sl]], table_ts[key_lag[sl]], rho0, e_s, sigma2
+            )
+            # Accumulate adds the weighted nodes strictly in order, as a
+            # running sum would; a pairwise reduction would move the bits.
+            sums[sl] = np.add.accumulate(t_weights[:, None] * pe, axis=0)[-1]
+        return sums
+
+    def g(deltas: np.ndarray) -> np.ndarray:
+        nonlocal memo_keys, memo_sums
+        d = np.asarray(deltas, dtype=float)
+        out = np.zeros(d.shape[0])
+        # A row with a NaN offset has no lag and yields NaN. Lags are capped
+        # at k before the integer cast; every lag from k on (infinite ones
+        # too) gives 0.
+        nan_row = np.isnan(d).any(axis=1)
+        out[nan_row] = np.nan
+        d_tau = np.minimum(np.abs(np.rint(np.where(nan_row, 0.0, d[:, 0]))), k).astype(int)
+        d_alpha = d[:, 1]
+        tau_share = np.maximum(0.0, k - wide - d_tau) / k
+        lo = np.maximum(a_lo, a_lo - d_alpha)
+        hi = np.minimum(a_hi, a_hi - d_alpha)
+        length = hi - lo
+        live = (tau_share > 0.0) & (length > 0.0) & (d_tau < k) & ~nan_row
+        idx = np.nonzero(live)[0]
+        if idx.size == 0:
+            return out
+        # Two 1-D uniques build the (lag, d_alpha) key; a row-wise unique
+        # over a 2-column array sorts far more slowly.
+        u_alpha, alpha_code = np.unique(d_alpha[idx], return_inverse=True)
+        code = np.minimum(d_tau[idx], span).astype(np.int64) * u_alpha.size + alpha_code
+        u_code, inv = np.unique(code, return_inverse=True)
+        key_lag = u_code // u_alpha.size
+        da = u_alpha[u_code % u_alpha.size]
+        # Sorted like u_code (lag, then d_alpha); -0.0 and 0.0 compare equal.
+        keys = key_lag + 1j * da
+        pos = np.searchsorted(memo_keys, keys)
+        seen = pos < memo_keys.size
+        seen[seen] = memo_keys[pos[seen]] == keys[seen]
+        if not seen.all():
+            new = ~seen
+            memo_keys = np.insert(memo_keys, pos[new], keys[new])
+            memo_sums = np.insert(memo_sums, pos[new], quadrature(key_lag[new], da[new]))
+            pos = np.searchsorted(memo_keys, keys)
+        acc = memo_sums[pos]
+        out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
+        return out
+
+    return g

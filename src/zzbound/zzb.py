@@ -6,7 +6,8 @@ probability mass the offset pair shares), and an integration or summation over
 offsets. This module supplies the integrators plus the closed form available
 when the profile is exactly Q(gamma * h_off) on a uniform interval prior.
 The vector bound takes one coordinate at a time (direction c e_j): offsets
-on axis j are pinned and the other axes' offsets are maximized over.
+on axis j are pinned and the other axes' offsets are maximized over. bound
+routes a linear scenario to a scalar form and a pulse one to zzb_vector.
 
 Quadrature is composite Simpson with grid doubling; every bound reports the
 doubling convergence through BoundResult.converged rather than raising, so
@@ -25,17 +26,22 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .models import (
+    AmplitudePulseMap,
     AssumedModel,
-    Covariance,
-    DiagonalCov,
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
     Prior,
-    ScaledIdentityCov,
     TrueModel,
 )
-from .pe_kernel import EqualLinearScalarPe, PeKernel, linear_column, linear_scalar_profile
+from .pe_kernel import (
+    EqualLinearScalarPe,
+    PeKernel,
+    _same_covariance,
+    linear_column,
+    linear_scalar_profile,
+    pulse_profile,
+)
 from .special_math import inc_gamma_reg, q_function
 
 __all__ = [
@@ -46,6 +52,7 @@ __all__ = [
     "zzb_scalar_independent",
     "zzb_scalar_symmetric",
     "zzb_closed_form_q_linear",
+    "RouteError",
     "MethodError",
     "bound",
     "prior_overlap",
@@ -115,9 +122,17 @@ class ScalarBoundSpec:
     quadrature: QuadratureRule = QuadratureRule()
 
 
+class RouteError(ValueError):
+    """No bound route applies to the scenario."""
+
+
+class MethodError(RouteError):
+    """The requested bound method does not apply to the scenario."""
+
+
 def _interval_axis(prior: Prior) -> IntervalAxis:
     if prior.n_theta != 1 or not isinstance(prior.axes[0], IntervalAxis):
-        raise ValueError("scalar bounds require a one-axis interval prior")
+        raise RouteError("scalar bounds require a one-axis interval prior")
     return prior.axes[0]
 
 
@@ -303,24 +318,6 @@ def zzb_closed_form_q_linear(gamma: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal(cov: Covariance) -> np.ndarray | None:
-    if isinstance(cov, ScaledIdentityCov):
-        return np.full(cov.k, cov.sigma2)
-    if isinstance(cov, DiagonalCov):
-        return cov.diag
-    return None
-
-
-def _same_covariance(a: Covariance, b: Covariance) -> bool:
-    """Whether a and b are equal as matrices. Two diagonal kinds compare
-    their diagonals; K x K matrices are built only when a DenseCov is
-    involved."""
-    da, db = _diagonal(a), _diagonal(b)
-    if da is None or db is None:
-        return np.array_equal(a.dense(), b.dense())
-    return np.array_equal(da, db)
-
-
 def _q_linear_gamma(
     assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe | None = None
 ) -> float:
@@ -342,16 +339,16 @@ def _q_linear_gamma(
     return profile.gamma
 
 
-class MethodError(ValueError):
-    """The requested bound method does not apply to the scenario."""
-
-
 def bound(
-    assumed: AssumedModel, truth: TrueModel, prior: Prior, method: str = "auto"
+    assumed: AssumedModel, truth: TrueModel, prior: Prior, method: str = "auto", coord: int | None = None
 ) -> BoundResult:
-    """Scalar bound of a linear scenario on a one-axis interval prior.
+    """Bound of a scenario, one coordinate at a time.
 
-    The route follows the scenario's EqualLinearScalarPe profile:
+    A pulse scenario (an AmplitudePulseMap assumed) is bounded on coord, 0
+    the delay and 1 the amplitude, by zzb_vector over its pulse_profile, and
+    raises RouteError where that profile is not exact. Any other scenario is
+    scalar linear on a one-axis interval prior (coord None or 0), and its
+    route follows its EqualLinearScalarPe profile:
     - q_linear (no location term, no mean offset, one projected variance),
       where the error probability is exactly Q(gamma |h|): the closed form
       in the slope gamma, or with method "asymptotic" its floor
@@ -364,8 +361,24 @@ def bound(
       the offset and the location.
     method "auto" takes the closed form where it applies and quadrature
     otherwise; "quadrature" always integrates. "closed_form" and
-    "asymptotic" raise MethodError unless the profile is q_linear.
+    "asymptotic" raise MethodError unless the profile is q_linear (never for
+    a pulse).
     """
+    if method not in ("auto", "closed_form", "asymptotic", "quadrature"):
+        raise ValueError(f"unknown bound method {method!r}")
+    if isinstance(assumed.signal, AmplitudePulseMap):
+        if method in ("closed_form", "asymptotic"):
+            raise MethodError(f"{method} has no pulse form; use quadrature")
+        if coord not in (0, 1):
+            raise ValueError(f"a pulse bound takes coord 0 (delay) or 1 (amplitude), got {coord}")
+        try:
+            g = pulse_profile(PeKernel(assumed, truth), prior)
+        except ValueError as exc:
+            raise RouteError(str(exc)) from None
+        spec = VectorBoundSpec(np.eye(2)[coord], prior, g, True, _PULSE_SEARCH, _PULSE_QUADRATURE)
+        return zzb_vector(spec)
+    if coord not in (None, 0):
+        raise ValueError(f"a scalar bound has only coord 0, got {coord}")
     t_width = _interval_axis(prior).width
     profile = linear_scalar_profile(PeKernel(assumed, truth))
     if method == "auto":
@@ -381,8 +394,6 @@ def bound(
             value = zzb_closed_form_q_linear(gamma, t_width)
             return BoundResult(value, True, "closed_form_q_linear")
         return BoundResult(1.0 / (4.0 * gamma * gamma), True, "asymptotic_q_linear")
-    if method != "quadrature":
-        raise ValueError(f"unknown bound method {method!r}")
     if profile.cross != 0.0:
         return zzb_scalar_general(ScalarBoundSpec(prior, profile.pe))
     if profile.weights.size == 1:
@@ -615,8 +626,19 @@ def _max_over_free(
     return best_val
 
 
-def _zzb_vector_axis(spec: VectorBoundSpec, pin_axis: int) -> BoundResult:
-    """Bound along coordinate pin_axis, maximized over the other axes' offsets."""
+def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
+    """Bound on the MSE of the coordinate a.theta, a = c e_j:
+    int_0^inf h max_{delta_j = h / c} G(delta) dh.
+
+    G is overlap times error probability (or the caller's combined integrand,
+    see VectorBoundSpec.pe_includes_prior), maximized over the offsets of the
+    other axes. An interval axis j integrates that offset profile
+    ("continuous_profile"); a lattice axis j instead accumulates the exact
+    tail-sum over integer offsets, the larger of the +/- offsets at each
+    (see lattice_staircase_sum), which is the rigorous discrete analogue
+    ("lattice_staircase"). The returned form field names the route.
+    """
+    pin_axis = int(np.flatnonzero(spec.direction)[0])
     ax = spec.prior.axes[pin_axis]
     c = float(spec.direction[pin_axis])
     free_idx = [j for j in range(spec.prior.n_theta) if j != pin_axis]
@@ -634,16 +656,6 @@ def _zzb_vector_axis(spec: VectorBoundSpec, pin_axis: int) -> BoundResult:
     return BoundResult(max(val, 0.0), conv, "continuous_profile")
 
 
-def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
-    """Bound on the MSE of the coordinate a.theta, a = c e_j:
-    int_0^inf h max_{delta_j = h / c} G(delta) dh.
-
-    G is overlap times error probability (or the caller's combined integrand,
-    see VectorBoundSpec.pe_includes_prior), maximized over the offsets of the
-    other axes. An interval axis j integrates that offset profile
-    ("continuous_profile"); a lattice axis j instead accumulates the exact
-    tail-sum over integer offsets, the larger of the +/- offsets at each
-    (see lattice_staircase_sum), which is the rigorous discrete analogue
-    ("lattice_staircase"). The returned form field names the route.
-    """
-    return _zzb_vector_axis(spec, int(np.flatnonzero(spec.direction)[0]))
+# The pulse route's offset search and quadrature (see bound).
+_PULSE_SEARCH = DeltaSearch(grid_points=33, refine_iters=8, lattice_window=8)
+_PULSE_QUADRATURE = QuadratureRule(points=513, rel_tol=1e-4, max_doublings=4)

@@ -14,13 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzbound.cli import main
-from zzbound.experiments import build_example1, build_example2, build_example3
+from zzbound.experiments import (
+    build_example1,
+    build_example2,
+    build_example3,
+    build_example4,
+    example4_bounds,
+)
 from zzbound.models import (
+    AmplitudePulseMap,
     AssumedModel,
     DiagonalCov,
     GaussianNoise,
+    IntervalAxis,
+    LatticeAxis,
     LinearVectorMap,
     MixtureNoise,
+    Prior,
     ScaledIdentityCov,
     TrueModel,
     uniform_interval,
@@ -169,12 +179,27 @@ def test_pulse_preset_k_error_matches_sweep(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_bound_example4_preset_is_rejected(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {"scenario": {"example": 4, "snr": 10.0}})
-    out = str(tmp_path / "no.csv")
-    assert main(["bound", "--config", cfg, "--out", out]) == 2
-    assert "sweep" in capsys.readouterr().err
-    assert not os.path.exists(out)
+def _assert_rows_match(rows, results):
+    """CLI bound rows, one per coordinate, repr-equal to BoundResults."""
+    assert [row["coord"] for row in rows] == [str(j) for j in range(len(results))]
+    for row, result in zip(rows, results):
+        assert row["method"] == result.form
+        assert repr(float(row["value"])) == repr(result.value)
+        assert row["converged"] == str(result.converged).lower()
+
+
+def test_bound_example4_preset_rows_match_example4_bounds(tmp_path):
+    # Each variant writes one row per coordinate, coord first, as mc does.
+    want = example4_bounds(build_example4(10.0, 600))
+    out = str(tmp_path / "out.csv")
+    for variant in ("mismatched", "matched"):
+        scenario = {"example": 4, "snr": 10.0, "k": 600, "variant": variant}
+        cfg = _write_cfg(tmp_path, {"scenario": scenario})
+        assert main(["bound", "--config", cfg, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert fh.readline() == "coord,method,value,converged,runtime\n"
+        results = [want[f"zzb_tau_{variant}"], want[f"zzb_alpha_{variant}"]]
+        _assert_rows_match(_read_rows(out), results)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +256,7 @@ def test_every_preset_variant_runs(tmp_path, preset, variant):
     mc_cfg = _write_cfg(tmp_path, {"scenario": scenario, "trials": 3})
     assert main(["mc", "--config", mc_cfg, "--out", out]) == 0
     if pulse:
-        return
+        return  # see test_bound_example4_preset_rows_match_example4_bounds
     assert main(["bound", "--config", _write_cfg(tmp_path, {"scenario": scenario}), "--out", out]) == 0
     row = _read_rows(out)[0]
     if preset["example"] == 1:
@@ -516,6 +541,188 @@ def test_fuzzed_bound_configs_exit_0_or_2(payload):
         equal_maps = _column(truth_signal) == _column(scenario["assumed"]["signal"])
         cap = t * t / (12.0 if equal_maps or "pe_constant" in payload else 6.0)
         assert 0.0 <= value <= cap * (1.0 + 1e-9)
+
+
+def _pulse_scenario(k=40, true_width=10, assumed_width=8, sigma2=2.0):
+    """A spelled-out pulse scenario on the prior its route needs."""
+    cov = {"type": "scaled_identity", "sigma2": sigma2, "k": k}
+    return {
+        "assumed": {"signal": {"type": "pulse", "width": assumed_width, "k": k}, "cov": cov},
+        "truth": {
+            "signal": {"type": "pulse", "width": true_width, "k": k},
+            "noise": {"type": "gaussian", "cov": copy.deepcopy(cov)},
+        },
+        "prior": {
+            "type": "axes",
+            "axes": [{"type": "lattice", "count": k}, {"type": "interval", "lo": 0.5, "hi": 1.5}],
+        },
+    }
+
+
+def _set(payload, path, value):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_bound_pulse_config_matches_the_router(tmp_path, method):
+    # A white noise given as a constant diagonal is the same scenario.
+    k, sigma2 = 40, 2.0
+    cov = ScaledIdentityCov(sigma2, k)
+    assumed = AssumedModel(AmplitudePulseMap(8, k), np.zeros(k), cov)
+    truth = TrueModel(AmplitudePulseMap(10, k), GaussianNoise(np.zeros(k), cov))
+    prior = Prior((LatticeAxis(k), IntervalAxis(0.5, 1.5)))
+    want = [bound(assumed, truth, prior, method, coord) for coord in (0, 1)]
+    assert [r.form for r in want] == ["lattice_staircase", "continuous_profile"]
+    payload = {"scenario": _pulse_scenario(k, sigma2=sigma2), "method": method}
+    out = str(tmp_path / "out.csv")
+    for cov_path in ((), ("assumed", "cov"), ("truth", "noise", "cov")):
+        if cov_path:
+            _set(payload["scenario"], cov_path, {"type": "diagonal", "diag": [sigma2] * k})
+        assert main(["bound", "--config", _write_cfg(tmp_path, payload), "--out", out]) == 0
+        _assert_rows_match(_read_rows(out), want)
+
+
+_LINEAR_TRUTH = {"type": "linear_vector", "hvec": [1.0] * 40}
+_INTERVAL_AXIS = {"type": "interval", "lo": 0.0, "hi": 39.0}
+_LATTICE_AXIS = {"type": "lattice", "count": 3}
+_MIXTURE_TRUTH = {
+    "type": "mixture",
+    "weights": [0.5, 0.5],
+    "components": [{"cov": {"type": "scaled_identity", "sigma2": 2.0, "k": 40}}] * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, field, message",
+    [
+        (("method",), "closed_form", "config.method", "closed_form has no pulse form"),
+        (("method",), "asymptotic", "config.method", "asymptotic has no pulse form"),
+        (("pe_constant",), 0.25, "config.pe_constant", "one-axis interval prior"),
+        (("scenario", "truth", "signal"), _LINEAR_TRUTH, "config.scenario.truth", "dimension"),
+        (("scenario", "truth", "noise"), _MIXTURE_TRUTH, "config.scenario", "Gaussian truth"),
+        (("scenario", "truth", "noise", "mean"), 0.5, "config.scenario", "assumed mean"),
+        (("scenario", "truth", "noise", "cov", "sigma2"), 3.0, "config.scenario", "white"),
+        (
+            ("scenario", "assumed", "cov"),
+            {"type": "diagonal", "diag": [2.0] * 39 + [3.0]},
+            "config.scenario",
+            "white",
+        ),
+        (("scenario", "prior", "axes", 0, "count"), 39, "config.scenario", "count 40"),
+        (("scenario", "prior", "axes", 0, "start"), 1.0, "config.scenario", "start 0"),
+        (("scenario", "prior", "axes", 0), _INTERVAL_AXIS, "config.scenario", "lattice"),
+        (("scenario", "prior", "axes", 1), _LATTICE_AXIS, "config.scenario", "amplitude interval"),
+    ],
+)
+def test_bound_pulse_off_its_route_exits_2(tmp_path, capsys, path, value, field, message):
+    payload = {"scenario": _pulse_scenario()}
+    _set(payload, path, value)
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", _write_cfg(tmp_path, payload), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and message in err
+    assert not os.path.exists(out)
+
+
+def test_bound_linear_map_on_a_vector_prior_exits_2(tmp_path, capsys):
+    scenario = {
+        "assumed": {
+            "signal": {"type": "linear_matrix", "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+            "cov": {"type": "scaled_identity", "sigma2": 1.0, "k": 3},
+        },
+        "truth": {"noise": {"type": "gaussian", "cov": {"type": "scaled_identity", "sigma2": 1.0, "k": 3}}},
+        "prior": {"type": "axes", "axes": [{"type": "interval", "lo": 0, "hi": 1}] * 2},
+    }
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", _write_cfg(tmp_path, {"scenario": scenario}), "--out", out]) == 2
+    assert "config.scenario: scalar bounds require a one-axis interval prior" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("bound", {}), ("mc", {"trials": 2}), ("pe", {"theta": [1.0], "delta": [0.5]})]
+)
+def test_models_that_disagree_on_dimension_exit_2(tmp_path, capsys, command, extra):
+    # A pulse truth under a scalar linear model once exited 3 from mc and pe.
+    payload = _readme_config(truth_signal={"type": "pulse", "width": 2, "k": 4}, **extra)
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", out]) == 2
+    assert "config.scenario.truth: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@st.composite
+def _pulse_configs(draw):
+    """(payload, on_route): pulse bound configs at small k with any amplitude
+    interval, half of them moved by one or two edits of a width, prior axis,
+    covariance, noise kind or mean, or pe_constant; some with a closed form."""
+    k = draw(st.integers(1, 16))
+    payload = {
+        "scenario": _pulse_scenario(
+            k, draw(st.integers(1, k)), draw(st.integers(1, k)), draw(_variance)
+        ),
+        "method": draw(st.sampled_from(["auto", "quadrature"])),
+    }
+    if draw(st.integers(0, 5)) == 0:
+        payload["method"] = draw(st.sampled_from(["closed_form", "asymptotic"]))
+    scenario = payload["scenario"]
+    axes = scenario["prior"]["axes"]
+    lo = draw(st.floats(-1.0, 2.0))
+    axes[1].update(lo=lo, hi=lo + draw(st.floats(0.1, 2.0)))
+    edits = [
+        lambda: scenario[draw(st.sampled_from(["assumed", "truth"]))]["signal"].update(width=k + 1),
+        lambda: axes[0].update(count=draw(st.integers(1, k + 2))),
+        lambda: axes[0].update(
+            start=draw(st.sampled_from([0.0, 1.0])), step=draw(st.sampled_from([1.0, 2.0]))
+        ),
+        lambda: axes.__setitem__(0, {"type": "interval", "lo": 0.0, "hi": float(k)}),
+        lambda: axes.__setitem__(1, {"type": "lattice", "count": draw(st.integers(1, 4))}),
+        lambda: scenario["assumed"].update(mean=draw(_mean)),
+        lambda: scenario["truth"]["noise"].update(mean=draw(_mean)),
+        lambda: scenario["truth"]["noise"]["cov"].update(sigma2=draw(_variance)),
+        lambda: scenario["truth"]["noise"].update(
+            cov={"type": "diagonal", "diag": draw(st.lists(_variance, min_size=k, max_size=k))}
+        ),
+        lambda: scenario["assumed"].update(cov={"type": "dense", "matrix": np.eye(k).tolist()}),
+        lambda: scenario["truth"].update(
+            noise={
+                "type": "mixture",
+                "weights": [0.5, 0.5],
+                "components": [{"cov": scenario["assumed"]["cov"]}] * 2,
+            }
+        ),
+        lambda: scenario["truth"].pop("signal"),
+        lambda: payload.update(pe_constant=draw(st.floats(0.0, 0.5))),
+    ]
+    on_route = payload["method"] in ("auto", "quadrature")
+    if draw(st.booleans()):
+        on_route = False
+        for i in draw(st.lists(st.integers(0, len(edits) - 1), min_size=1, max_size=2, unique=True)):
+            edits[i]()
+    return payload, on_route
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_pulse_configs())
+def test_fuzzed_pulse_bound_configs_exit_0_or_2(config):
+    payload, on_route = config
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        out = os.path.join(tmp, "out.csv")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code = main(["bound", "--config", cfg, "--out", out])
+        assert code == 0 if on_route else code in (0, 2)
+        if code != 0:
+            return
+        rows = _read_rows(out)
+        assert [row["coord"] for row in rows] == ["0", "1"]
+        for row in rows:
+            value = float(row["value"])
+            assert math.isfinite(value) and value >= 0.0
 
 
 def test_bound_runtime_field_is_the_only_unstable_column(tmp_path):

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from zzbound import experiments, zzb
+from zzbound import experiments, pe_kernel, zzb
 from zzbound.experiments import (
     SweepConfig,
-    _ex4_pe,
-    _make_example4_g,
     _prior_width,
-    _xcorr_at_lags,
     build_example1,
     build_example2,
     build_example3,
@@ -32,8 +29,9 @@ from zzbound.models import (
     ScaledIdentityCov,
     TrueModel,
     pulse_template,
+    triangular_pulse,
 )
-from zzbound.pe_kernel import PeKernel, pe_gaussian
+from zzbound.pe_kernel import PeKernel, _pulse_pe, _xcorr_at_lags, pe_gaussian, pulse_profile
 from zzbound.special_math import q_function
 from zzbound.zzb import (
     DeltaSearch,
@@ -435,13 +433,15 @@ def test_example3_validation():
 
 def test_example4_frozen_constants():
     scn = build_example4(10.0)
-    s_true, s_assumed = pulse_template(scn.true_width), pulse_template(scn.assumed_width)
+    mismatched = scn.assumed["mismatched"]
+    s_true = pulse_template(scn.truth.signal.width)
+    s_assumed = pulse_template(mismatched.signal.width)
     e_s_true = float(s_true @ s_true)
     assert e_s_true == pytest.approx(100.00222222222224, rel=1e-12)
     assert float(s_assumed @ s_assumed) == pytest.approx(66.67000000000002, rel=1e-12)
     rho0 = _xcorr_at_lags(s_true, s_assumed, np.array([0]))[0]
     assert rho0 == pytest.approx(77.77999999999999, rel=1e-12)
-    assert scn.sigma2 == pytest.approx(e_s_true / 20.0, rel=1e-15)
+    assert mismatched.noise_cov.sigma2 == pytest.approx(e_s_true / 20.0, rel=1e-15)
 
 
 def test_example4_validation():
@@ -532,13 +532,19 @@ def test_ex4_pe_agrees_with_gaussian_kernel():
         lag = np.array([abs(d_tau)])
         r_ss = float(_xcorr_at_lags(s_a, s_a, lag)[0])
         r_ts = float(_xcorr_at_lags(s_t, s_a, lag)[0])
-        got = _ex4_pe(
+        got = _pulse_pe(
             np.array([a_o]), np.array([d_alpha]), r_ss, r_ts, rho0, e_s, sigma2
         )[0]
         expected = pe_gaussian(
             kernel, np.array([30.0, a_o]), np.array([float(d_tau), d_alpha])
         )
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _make_example4_g(scenario, matched):
+    """The pulse profile of the matched or the mismatched model."""
+    label = "matched" if matched else "mismatched"
+    return pulse_profile(PeKernel(scenario.assumed[label], scenario.truth), scenario.prior)
 
 
 def test_example4_g_support_and_zero_offset():
@@ -559,9 +565,11 @@ def test_example4_g_support_and_zero_offset():
 def _reference_example4_g(scenario, matched):
     """Row-by-row amplitude quadrature: one 129-node integral per live row."""
     k = scenario.k
-    wide = float(scenario.true_width)
-    s_true = pulse_template(scenario.true_width)
-    s_assumed = s_true if matched else pulse_template(scenario.assumed_width)
+    assumed = scenario.assumed["matched" if matched else "mismatched"]
+    sigma2 = assumed.noise_cov.sigma2
+    wide = float(scenario.truth.signal.width)
+    s_true = pulse_template(scenario.truth.signal.width)
+    s_assumed = pulse_template(assumed.signal.width)
     e_s = float(s_assumed @ s_assumed)
     lags = np.arange(k)
     table_ss = _xcorr_at_lags(s_assumed, s_assumed, lags)
@@ -592,7 +600,7 @@ def _reference_example4_g(scenario, matched):
         acc = np.zeros(idx.size)
         for t_j, w_j in zip(t_nodes, t_weights):
             a_o = lo_l + t_j * len_l
-            acc += w_j * _ex4_pe(a_o, da, r_ss, r_ts, rho0, e_s, scenario.sigma2)
+            acc += w_j * _pulse_pe(a_o, da, r_ss, r_ts, rho0, e_s, sigma2)
         out[idx] = tau_share[idx] * (len_l / a_width) * acc
         return out
 
@@ -650,26 +658,26 @@ def test_example4_g_far_lags_share_one_quadrature(monkeypatch):
 
     def counting_pe(a_o, *args):
         elems.append(np.size(a_o))
-        return _ex4_pe(a_o, *args)
+        return _pulse_pe(a_o, *args)
 
     scn = build_example4(10.0, k=6000)
     g = _make_example4_g(scn, matched=False)
-    monkeypatch.setattr(experiments, "_ex4_pe", counting_pe)
+    monkeypatch.setattr(pe_kernel, "_pulse_pe", counting_pe)
     deltas = np.column_stack([300.0 + np.arange(4999), np.full(4999, 0.125)])
     vals = g(deltas)
     assert sum(elems) == 129
     assert np.all(vals > 0.0)
 
 
-def _counting_ex4_pe(monkeypatch):
-    """Patch _ex4_pe to record the element count of every call."""
+def _counting_pulse_pe(monkeypatch):
+    """Patch _pulse_pe to record the element count of every call."""
     elems = []
 
     def counting_pe(a_o, *args):
         elems.append(np.size(a_o))
-        return _ex4_pe(a_o, *args)
+        return _pulse_pe(a_o, *args)
 
-    monkeypatch.setattr(experiments, "_ex4_pe", counting_pe)
+    monkeypatch.setattr(pe_kernel, "_pulse_pe", counting_pe)
     return elems
 
 
@@ -711,7 +719,7 @@ def test_example4_g_repeat_and_flipped_calls_evaluate_nothing(monkeypatch):
     # g depends on the lag only through |rint(d_tau)|, so after one call the
     # same rows and their sign-flipped twins are all remembered keys.
     scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
-    elems = _counting_ex4_pe(monkeypatch)
+    elems = _counting_pulse_pe(monkeypatch)
     g = _make_example4_g(scn, matched=False)
     deltas = _probe_deltas(120, seed=41)
     first = g(deltas)
@@ -725,7 +733,7 @@ def test_example4_g_repeat_and_flipped_calls_evaluate_nothing(monkeypatch):
 def test_example4_g_memo_is_per_integrand(monkeypatch):
     # A fresh g remembers nothing from another g built on the same scenario.
     scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
-    elems = _counting_ex4_pe(monkeypatch)
+    elems = _counting_pulse_pe(monkeypatch)
     deltas = _probe_deltas(120, seed=41)
     _make_example4_g(scn, matched=False)(deltas)
     first = sum(elems)
@@ -736,7 +744,7 @@ def test_example4_g_memo_is_per_integrand(monkeypatch):
 def test_example4_bounds_independent_of_scan_block(monkeypatch):
     # The vector routes hand g at most zzb._SCAN_BLOCK rows per call. At any
     # block size the bounds are bit for bit the same, and the memo still
-    # evaluates each (lag, d_alpha) key once, so _ex4_pe sees the same number
+    # evaluates each (lag, d_alpha) key once, so _pulse_pe sees the same number
     # of elements.
     scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
     search = DeltaSearch(grid_points=9, refine_iters=2, lattice_window=3)
@@ -744,7 +752,7 @@ def test_example4_bounds_independent_of_scan_block(monkeypatch):
 
     def run(block):
         monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
-        elems = _counting_ex4_pe(monkeypatch)
+        elems = _counting_pulse_pe(monkeypatch)
         rows = []
         g = _make_example4_g(scn, matched=False)
 
@@ -776,11 +784,11 @@ def test_example4_bounds_independent_of_scan_block(monkeypatch):
         assert max(rows) <= block and sum(rows) == sum(ref_rows)
 
 
-@pytest.mark.parametrize("block", [129 * 7, experiments._EX4_BLOCK, 100])
+@pytest.mark.parametrize("block", [129 * 7, pe_kernel._PULSE_BLOCK, 100])
 def test_example4_g_partial_last_block(monkeypatch, block):
     # Unseen keys are evaluated block // 129 at a time (at least one). The
     # 128 keys here leave a short last block at 7 and at 127 keys per call.
-    monkeypatch.setattr(experiments, "_EX4_BLOCK", block)
+    monkeypatch.setattr(pe_kernel, "_PULSE_BLOCK", block)
     scn = build_example4(5.0, k=600, true_width=40, assumed_width=30)
     # The correlation span is lag 34: lags 0-30 give 31 keys per amplitude
     # offset, and lags 100-110 collapse to one.
@@ -788,7 +796,7 @@ def test_example4_g_partial_last_block(monkeypatch, block):
     alphas = np.array([-0.375, 0.0, 0.25, 0.5])
     deltas = np.array([(t, a) for t in lags for a in alphas])
     expected = _reference_example4_g(scn, matched=False)(deltas)
-    elems = _counting_ex4_pe(monkeypatch)
+    elems = _counting_pulse_pe(monkeypatch)
     got = _make_example4_g(scn, matched=False)(deltas)
     np.testing.assert_array_equal(got, expected)
     keys, per_call = 128, max(1, block // 129)
@@ -817,6 +825,52 @@ def test_example4_bounds_small_scale():
     # A too-narrow template cannot beat the matched bound at high SNR.
     assert out["zzb_tau_mismatched"].value >= out["zzb_tau_matched"].value
     assert out["zzb_alpha_mismatched"].value >= out["zzb_alpha_matched"].value
+
+
+def _pulse_posterior_mse(scn, trials, seed, n_amp=101):
+    """(MSE, stderr) of the delay and the amplitude under the grid posterior
+    of positions x amplitudes, theta drawn from scn.prior, data from scn.truth.
+
+    The delay estimate is the posterior mean rounded to the lattice: the
+    lattice staircase bounds estimators confined to the prior's lattice. The
+    amplitude estimate is the posterior mean on an n_amp Simpson grid. Each
+    is some estimator, so its MSE can only sit above the sharpest one.
+    """
+    k, width = scn.k, scn.truth.signal.width
+    sigma2 = scn.truth.noise.cov.sigma2
+    amp_axis = scn.prior.axes[1]
+    pulses = np.array([triangular_pulse(t, width, k) for t in range(k)])
+    energy = np.einsum("ij,ij->i", pulses, pulses)
+    amps = np.linspace(amp_axis.lo, amp_axis.hi, n_amp)
+    log_w = np.log(np.r_[1.0, np.tile([4.0, 2.0], (n_amp - 3) // 2), 4.0, 1.0])
+    rng = np.random.default_rng(seed)
+    tau = rng.integers(0, k, trials)
+    alpha = rng.uniform(amp_axis.lo, amp_axis.hi, trials)
+    x = alpha[:, None] * pulses[tau] + math.sqrt(sigma2) * rng.standard_normal((trials, k))
+    corr = x @ pulses.T
+    tau_hat, alpha_hat = np.empty(trials), np.empty(trials)
+    block = max(1, 2**20 // (k * n_amp))
+    for s in range(0, trials, block):
+        c = corr[s : s + block, :, None]
+        log_post = (c * amps - 0.5 * energy[:, None] * amps**2) / sigma2 + log_w
+        post = np.exp(log_post - log_post.max(axis=(1, 2), keepdims=True))
+        post /= post.sum(axis=(1, 2), keepdims=True)
+        tau_hat[s : s + block] = np.rint(post.sum(axis=2) @ np.arange(k))
+        alpha_hat[s : s + block] = post.sum(axis=1) @ amps
+    out = []
+    for sq in ((tau_hat - tau) ** 2, (alpha_hat - alpha) ** 2):
+        out.append((float(np.mean(sq)), float(np.std(sq, ddof=1)) / math.sqrt(trials)))
+    return out
+
+
+@pytest.mark.parametrize("snr", [0.3, 3.0, 50.0])
+def test_example4_matched_bound_lies_below_the_posterior_mse(snr):
+    # The matched bounds claim every estimator, so the posterior mean (on the
+    # lattice, for the delay) is their sharpest comparator.
+    scn = build_example4(snr, k=120, true_width=20, assumed_width=14)
+    for coord, (mse, stderr) in enumerate(_pulse_posterior_mse(scn, 1000, seed=17)):
+        result = zzb.bound(scn.assumed["matched"], scn.truth, scn.prior, coord=coord)
+        assert result.value <= mse + 4.0 * stderr
 
 
 # ---------------------------------------------------------------------------
