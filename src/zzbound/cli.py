@@ -441,6 +441,22 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         _fail("config.pe_constant" if pe_constant is not None else "config.scenario", str(exc))
 
 
+def _trials_and_seed(
+    cfg: Mapping[str, Any], args: argparse.Namespace, default: int | None
+) -> tuple[int | None, int]:
+    """Trial count and seed from the command line, else the config, else
+    default (trials, which may stay None) and 0 (seed)."""
+    trials = args.trials
+    if trials is None and ("trials" in cfg or default is not None):
+        trials = _as_int(cfg.get("trials", default), "config.trials")
+    if trials is not None:
+        _build(check_sweep_trials, trials, path="config.trials")
+    seed = args.seed
+    if seed is None:
+        seed = _as_int(cfg.get("seed", 0), "config.seed")
+    return trials, seed
+
+
 def _default_estimator(scn: _Scenario) -> EstimatorSpec:
     if isinstance(scn.assumed.signal, AmplitudePulseMap):
         return QuasiMLE(scn.assumed)
@@ -461,7 +477,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         if name == "quasi_mle":
             estimator = QuasiMLE(scn.assumed)
         elif name == "linear_closed_form":
-            if not isinstance(scn.assumed.signal, (LinearVectorMap, LinearMatrixMap)):
+            if not isinstance(scn.assumed.signal, LinearMatrixMap):
                 _fail("config.estimator", "closed-form estimation requires a linear signal map")
             estimator = LinearClosedForm(scn.assumed)
         else:
@@ -471,13 +487,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     else:
         estimator = _default_estimator(scn)
 
-    trials = args.trials
-    if trials is None:
-        trials = _as_int(cfg.get("trials", 1000), "config.trials")
-    _build(check_sweep_trials, trials, path="config.trials")
-    seed = args.seed
-    if seed is None:
-        seed = _as_int(cfg.get("seed", 0), "config.seed")
+    trials, seed = _trials_and_seed(cfg, args, 1000)
 
     theta_true = None
     if "theta_true" in cfg:
@@ -521,13 +531,7 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         "config.method",
         choices=("analytic", "empirical", "both"),
     )
-    trials = args.trials
-    if trials is None:
-        trials = _as_int(cfg.get("trials", 100_000), "config.trials")
-    _build(check_sweep_trials, trials, path="config.trials")
-    seed = args.seed
-    if seed is None:
-        seed = _as_int(cfg.get("seed", 0), "config.seed")
+    trials, seed = _trials_and_seed(cfg, args, 100_000)
 
     kernel = PeKernel(scn.assumed, scn.truth)
     rows: list[dict[str, Any]] = []
@@ -566,15 +570,9 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     if "k" in cfg:
         overrides["k"] = _as_int(cfg["k"], "config.k")
         _build(check_sweep_k, example, overrides["k"], path="config.k")
-    trials = args.trials
-    if trials is None and "trials" in cfg:
-        trials = _as_int(cfg["trials"], "config.trials")
+    trials, seed = _trials_and_seed(cfg, args, None)
     if trials is not None:
-        _build(check_sweep_trials, trials, path="config.trials")
         overrides["trials"] = trials
-    seed = args.seed
-    if seed is None:
-        seed = _as_int(cfg.get("seed", 0), "config.seed")
 
     var = _SWEEP_VARS[example]
     if "var" in cfg:
@@ -626,10 +624,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", required=True, help="output file to write")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--trials", type=int, default=None, help="override the config trial count"
-        )
+        if name != "bound":  # bound draws nothing
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument(
+                "--trials", type=int, default=None, help="override the config trial count"
+            )
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )

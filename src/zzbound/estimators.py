@@ -20,7 +20,6 @@ from .models import (
     IntervalAxis,
     LatticeAxis,
     LinearMatrixMap,
-    LinearVectorMap,
     Prior,
     ScaledIdentityCov,
     eval_signal,
@@ -70,12 +69,9 @@ class LinearClosedForm:
         Fixed for the spec, so every trial of a plan shares one copy.
         """
         sig = self.model.signal
-        if isinstance(sig, LinearVectorMap):
-            h_mat = sig.hvec[:, None]
-        elif isinstance(sig, LinearMatrixMap):
-            h_mat = sig.h_matrix
-        else:
+        if not isinstance(sig, LinearMatrixMap):
             raise ValueError("closed-form estimation requires a linear signal map")
+        h_mat = sig.h_matrix
         w = self.model.noise_cov.solve(h_mat.T)
         return w, w @ h_mat
 
@@ -115,9 +111,6 @@ def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.
     """Log-likelihood over a (M, n_theta) batch of candidate thetas."""
     xm = x - model.noise_mean
     sig = model.signal
-    if isinstance(sig, LinearVectorMap):
-        resid = xm[None, :] - grid[:, 0, None] * sig.hvec[None, :]
-        return -0.5 * model.noise_cov.qf_inv_rows(resid)
     if isinstance(sig, LinearMatrixMap):
         resid = xm[None, :] - grid @ sig.h_matrix.T
         return -0.5 * model.noise_cov.qf_inv_rows(resid)

@@ -77,9 +77,9 @@ _DEFAULT_K = {1: 500, 2: 500, 3: 2000, 4: 5000}
 _DEFAULT_TRIALS = {1: 2000, 2: 2000, 3: 1000, 4: 500}
 
 
-def _prior_width(gamma_min: float, floor: float = 10.0) -> float:
-    """Support width giving the bound room to saturate: max(100/gamma, floor)."""
-    return max(100.0 / gamma_min, floor)
+def _prior_width(gamma_min: float) -> float:
+    """Support width giving the bound room to saturate: max(100/gamma, 10)."""
+    return max(100.0 / gamma_min, 10.0)
 
 
 # ---------------------------------------------------------------------------

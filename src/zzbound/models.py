@@ -25,7 +25,6 @@ __all__ = [
     "ScaledIdentityCov",
     "DiagonalCov",
     "DenseCov",
-    "as_covariance",
     "SignalMap",
     "LinearVectorMap",
     "LinearMatrixMap",
@@ -45,7 +44,6 @@ __all__ = [
     "LatticeAxis",
     "Prior",
     "uniform_interval",
-    "uniform_box",
 ]
 
 
@@ -218,48 +216,15 @@ class DenseCov:
 Covariance = Union[ScaledIdentityCov, DiagonalCov, DenseCov]
 
 
-def as_covariance(obj, k: int | None = None) -> Covariance:
-    """Coerce a covariance-like object.
-
-    Accepts an existing covariance, a square matrix, a 1-D diagonal, or a
-    positive scalar (requires ``k`` for the dimension).
-    """
-    if isinstance(obj, (ScaledIdentityCov, DiagonalCov, DenseCov)):
-        return obj
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 0:
-        if k is None:
-            raise ValueError("scalar covariance needs an explicit dimension k")
-        return ScaledIdentityCov(float(arr), k)
-    if arr.ndim == 1:
-        return DiagonalCov(arr)
-    return DenseCov(arr)
+def _check_covariance(cov) -> None:
+    if not isinstance(cov, (ScaledIdentityCov, DiagonalCov, DenseCov)):
+        kinds = "a ScaledIdentityCov, DiagonalCov or DenseCov"
+        raise ValueError(f"noise covariance must be {kinds}, got {type(cov).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Signal maps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class LinearVectorMap:
-    """Scalar-parameter linear map theta -> hvec * theta."""
-
-    hvec: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.hvec, dtype=float)
-        if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
-            raise ValueError("hvec must be a finite 1-D array")
-        object.__setattr__(self, "hvec", v)
-
-    @property
-    def k(self) -> int:
-        return self.hvec.size
-
-    @property
-    def n_theta(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +279,15 @@ class AmplitudePulseMap:
         return 2
 
 
-SignalMap = Union[LinearVectorMap, LinearMatrixMap, ParametricMap, AmplitudePulseMap]
+SignalMap = Union[LinearMatrixMap, ParametricMap, AmplitudePulseMap]
+
+
+def LinearVectorMap(hvec) -> LinearMatrixMap:
+    """Scalar-parameter linear map theta -> hvec * theta: the one-column LinearMatrixMap."""
+    v = np.asarray(hvec, dtype=float)
+    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
+        raise ValueError("hvec must be a finite 1-D array")
+    return LinearMatrixMap(v[:, None])
 
 
 def triangular_pulse(tau: float, width: int, k: int) -> np.ndarray:
@@ -360,8 +333,6 @@ def eval_signal(sig: SignalMap, theta) -> np.ndarray:
         raise ValueError(f"theta must be finite, got {th}")
     if th.size != sig.n_theta:
         raise ValueError(f"theta has dimension {th.size}, map expects {sig.n_theta}")
-    if isinstance(sig, LinearVectorMap):
-        return sig.hvec * th[0]
     if isinstance(sig, LinearMatrixMap):
         return sig.h_matrix @ th
     if isinstance(sig, AmplitudePulseMap):
@@ -386,13 +357,12 @@ class GaussianNoise:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float)
-        cov = as_covariance(self.cov, k=m.size)
+        _check_covariance(self.cov)
         if m.ndim != 1 or not np.all(np.isfinite(m)):
             raise ValueError("noise mean must be a finite 1-D array")
-        if cov.dim != m.size:
-            raise ValueError(f"mean dimension {m.size} != covariance dimension {cov.dim}")
+        if self.cov.dim != m.size:
+            raise ValueError(f"mean dimension {m.size} != covariance dimension {self.cov.dim}")
         object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
@@ -549,7 +519,8 @@ class AssumedModel:
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.noise_mean, dtype=float)
-        cov = as_covariance(self.noise_cov, k=mu.size)
+        cov = self.noise_cov
+        _check_covariance(cov)
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise ValueError("noise mean must be a finite 1-D array")
         if self.signal.k != mu.size or cov.dim != mu.size:
@@ -557,7 +528,6 @@ class AssumedModel:
                 f"dimension mismatch: signal {self.signal.k}, mean {mu.size}, cov {cov.dim}"
             )
         object.__setattr__(self, "noise_mean", mu)
-        object.__setattr__(self, "noise_cov", cov)
 
     @property
     def k(self) -> int:
@@ -656,12 +626,3 @@ def uniform_interval(t: float) -> Prior:
     if t <= 0.0:
         raise ValueError(f"interval length must be positive, got {t}")
     return Prior((IntervalAxis(0.0, float(t)),))
-
-
-def uniform_box(lo, hi) -> Prior:
-    """Uniform prior over an axis-aligned box."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape:
-        raise ValueError("lo and hi must have matching shapes")
-    return Prior(tuple(IntervalAxis(float(a), float(b)) for a, b in zip(lo, hi)))

@@ -56,12 +56,6 @@ def _trial_keys(seed: int, start: int, count: int) -> np.ndarray:
     return keys
 
 
-def _trial_key(seed: int, index: int) -> tuple[int, int]:
-    """Low and high 64-bit words of the Philox key for one (seed, index) pair."""
-    w0, w1 = _trial_keys(seed, index, 1)[0].tolist()
-    return w0, w1
-
-
 def trial_generator(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one (seed, index) pair.
 
@@ -69,7 +63,7 @@ def trial_generator(seed: int, index: int) -> np.random.Generator:
     distinct indices under one seed, and equal indices under distinct seeds,
     give statistically independent streams.
     """
-    w0, w1 = _trial_key(seed, index)
+    w0, w1 = _trial_keys(seed, index, 1)[0].tolist()
     return np.random.Generator(np.random.Philox(key=(w1 << 64) | w0))
 
 

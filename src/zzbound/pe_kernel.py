@@ -34,7 +34,6 @@ from .models import (
     IntervalAxis,
     LatticeAxis,
     LinearMatrixMap,
-    LinearVectorMap,
     MixtureNoise,
     PerSampleMixtureNoise,
     Prior,
@@ -175,8 +174,6 @@ def _same_covariance(a: Covariance, b: Covariance) -> bool:
 
 def linear_column(signal) -> np.ndarray:
     """The vector a of a scalar linear map theta -> a theta, or raise."""
-    if isinstance(signal, LinearVectorMap):
-        return signal.hvec
     if isinstance(signal, LinearMatrixMap) and signal.n_theta == 1:
         return np.ascontiguousarray(signal.h_matrix[:, 0])
     raise ValueError(

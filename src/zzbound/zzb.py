@@ -5,8 +5,8 @@ distinguishable two parameter values at a given offset are), a prior (how much
 probability mass the offset pair shares), and an integration or summation over
 offsets. This module supplies the integrators plus the closed form available
 when the profile is exactly Q(gamma * h_off) on a uniform interval prior.
-The vector bound takes one coordinate at a time (direction c e_j): offsets
-on axis j are pinned and the other axes' offsets are maximized over. bound
+The vector bound takes one coordinate j at a time: offsets on axis j are
+pinned and the other axes' offsets are maximized over. bound
 routes a linear scenario to a scalar form and a pulse one to zzb_vector.
 
 Quadrature is composite Simpson with grid doubling; every bound reports the
@@ -55,7 +55,6 @@ __all__ = [
     "RouteError",
     "MethodError",
     "bound",
-    "prior_overlap",
     "overlap_rows",
     "lattice_staircase_sum",
     "DeltaSearch",
@@ -91,7 +90,7 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.points < 5 or self.tensor_points < 5:
             raise ValueError("quadrature needs at least 5 points per axis")
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:  # NaN fails every comparison
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be >= 0")
@@ -369,14 +368,11 @@ def bound(
     if isinstance(assumed.signal, AmplitudePulseMap):
         if method in ("closed_form", "asymptotic"):
             raise MethodError(f"{method} has no pulse form; use quadrature")
-        if coord not in (0, 1):
-            raise ValueError(f"a pulse bound takes coord 0 (delay) or 1 (amplitude), got {coord}")
         try:
             g = pulse_profile(PeKernel(assumed, truth), prior)
         except ValueError as exc:
             raise RouteError(str(exc)) from None
-        spec = VectorBoundSpec(np.eye(2)[coord], prior, g, True, _PULSE_SEARCH, _PULSE_QUADRATURE)
-        return zzb_vector(spec)
+        return zzb_vector(VectorBoundSpec(coord, prior, g, _PULSE_SEARCH, _PULSE_QUADRATURE))
     if coord not in (None, 0):
         raise ValueError(f"a scalar bound has only coord 0, got {coord}")
     t_width = _interval_axis(prior).width
@@ -406,16 +402,9 @@ def bound(
 # ---------------------------------------------------------------------------
 
 
-def prior_overlap(prior: Prior, delta) -> float:
-    """Shared mass int min[p(theta), p(theta + delta)] d(theta) in [0, 1]."""
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    if de.size != prior.n_theta:
-        raise ValueError(f"delta has dimension {de.size}, prior expects {prior.n_theta}")
-    return float(overlap_rows(prior, de.reshape(1, -1))[0])
-
-
 def overlap_rows(prior: Prior, deltas: np.ndarray) -> np.ndarray:
-    """prior_overlap of each row of a (M, n_theta) offset array.
+    """Shared prior mass int min[p(theta), p(theta + delta)] d(theta) in
+    [0, 1] of each row delta of a (M, n_theta) offset array.
 
     Per axis, an interval of width W contributes max(0, 1 - |d| / W) and a
     lattice of count N contributes max(0, 1 - |j| / N) when d is j whole
@@ -483,51 +472,38 @@ class DeltaSearch:
             raise ValueError("grid_points must be >= 3")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
+        if self.lattice_window is not None and self.lattice_window < 0:
+            raise ValueError("lattice_window must be >= 0 or None")
 
 
 @dataclass(frozen=True, eq=False)
 class VectorBoundSpec:
-    """Vector-parameter bound along a coordinate direction.
+    """Vector-parameter bound on the MSE of coordinate coord.
 
-    direction is c e_j: exactly one nonzero entry c, on the axis j whose MSE
-    is bounded (scaled by c^2). pe maps a (M, n_theta) array of offsets to
-    (M,) error probabilities. With pe_includes_prior=False the integrand is
-    prior_overlap(delta) times pe(delta); with True, pe is treated as the
-    full location-averaged integrand (overlap weighting and any location
-    dependence already inside), which is how scenarios with
-    location-dependent error probabilities plug in after collapsing their
-    inner average.
+    pe is the whole integrand G: it maps a (M, n_theta) array of offsets to
+    (M,) values, the location-averaged error probability with the prior
+    overlap already inside. Where the error probability does not depend on
+    the location, G(delta) is overlap_rows(prior, delta) * pe(delta). The
+    field keeps the name pe for callers that swap the integrand.
     """
 
-    direction: np.ndarray
+    coord: int
     prior: Prior
     pe: Callable[[np.ndarray], np.ndarray]
-    pe_includes_prior: bool = False
     search: DeltaSearch = DeltaSearch()
     quadrature: QuadratureRule = QuadratureRule()
 
     def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        if a.size != self.prior.n_theta:
-            raise ValueError(
-                f"direction has dimension {a.size}, prior expects {self.prior.n_theta}"
-            )
-        if not np.all(np.isfinite(a)) or np.count_nonzero(a) != 1:
-            raise ValueError(
-                f"direction must be finite and axis-aligned (exactly one nonzero entry), got {a}"
-            )
-        object.__setattr__(self, "direction", a)
+        n = self.prior.n_theta
+        if not (isinstance(self.coord, (int, np.integer)) and 0 <= self.coord < n):
+            raise ValueError(f"coord must be an integer in [0, {n}), got {self.coord!r}")
 
 
 def _g_rows(spec: VectorBoundSpec, deltas: np.ndarray) -> np.ndarray:
     """Integrand at each row of a (M, n_theta) offset array, in _scan_rows blocks."""
 
     def g_at(rows: slice, cols: slice) -> np.ndarray:
-        d = deltas[rows]
-        vals = np.asarray(spec.pe(d), dtype=float)
-        if spec.pe_includes_prior:
-            return vals
-        return vals * overlap_rows(spec.prior, d)
+        return np.asarray(spec.pe(deltas[rows]), dtype=float)
 
     out = np.empty(deltas.shape[0])
     for rows, vals in _scan_rows(g_at, deltas.shape[0], 1):
@@ -559,24 +535,27 @@ def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
     return offs * ax.step
 
 
-def _max_over_free(
-    spec: VectorBoundSpec,
-    pins: np.ndarray,
-    pin_axis: int,
-    free_idx: Sequence[int],
-) -> np.ndarray:
+def _max_over_free(spec: VectorBoundSpec, pins: np.ndarray) -> np.ndarray:
     """max over free-axis offsets of the integrand, per pinned offset.
 
-    pins gives the offset value on pin_axis for each row of the result;
-    the remaining axes are scanned on a grid and continuous ones are then
-    polished by vectorized ternary search around each row's best point.
+    pins gives the offset value on axis spec.coord for each row of the
+    result; the remaining axes are scanned on a grid and continuous ones are
+    then polished by vectorized ternary search around each row's best point.
     """
     n = spec.prior.n_theta
+    pin_axis = spec.coord
+    free_idx = [j for j in range(n) if j != pin_axis]
     n_pin = pins.size
+
+    def eval_rows(free_mat: np.ndarray) -> np.ndarray:
+        d = np.zeros((n_pin, n))
+        d[:, pin_axis] = pins
+        for col, j in enumerate(free_idx):
+            d[:, j] = free_mat[:, col]
+        return _g_rows(spec, d)
+
     if not free_idx:
-        deltas = np.zeros((n_pin, n))
-        deltas[:, pin_axis] = pins
-        return _g_rows(spec, deltas)
+        return eval_rows(np.zeros((n_pin, 0)))
 
     # (n_c, n_free) candidate offsets on the free axes, first axis slowest.
     cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
@@ -591,13 +570,6 @@ def _max_over_free(
         best_c[rows] = np.argmax(vals, axis=1)
         best_val[rows] = vals[np.arange(vals.shape[0]), best_c[rows]]
     best_free = combos[best_c]  # (n_pin, n_free)
-
-    def eval_rows(free_mat: np.ndarray) -> np.ndarray:
-        d = np.zeros((n_pin, n))
-        d[:, pin_axis] = pins
-        for col2, j2 in enumerate(free_idx):
-            d[:, j2] = free_mat[:, col2]
-        return _g_rows(spec, d)
 
     for col, j in enumerate(free_idx):
         ax = spec.prior.axes[j]
@@ -627,32 +599,26 @@ def _max_over_free(
 
 
 def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
-    """Bound on the MSE of the coordinate a.theta, a = c e_j:
-    int_0^inf h max_{delta_j = h / c} G(delta) dh.
+    """Bound on the MSE of coordinate j = spec.coord:
+    int_0^inf h max_{delta_j = h} G(delta) dh.
 
-    G is overlap times error probability (or the caller's combined integrand,
-    see VectorBoundSpec.pe_includes_prior), maximized over the offsets of the
-    other axes. An interval axis j integrates that offset profile
+    G is the spec's integrand (see VectorBoundSpec), maximized over the
+    offsets of the other axes. An interval axis j integrates that offset profile
     ("continuous_profile"); a lattice axis j instead accumulates the exact
     tail-sum over integer offsets, the larger of the +/- offsets at each
     (see lattice_staircase_sum), which is the rigorous discrete analogue
     ("lattice_staircase"). The returned form field names the route.
     """
-    pin_axis = int(np.flatnonzero(spec.direction)[0])
-    ax = spec.prior.axes[pin_axis]
-    c = float(spec.direction[pin_axis])
-    free_idx = [j for j in range(spec.prior.n_theta) if j != pin_axis]
+    ax = spec.prior.axes[spec.coord]
     if isinstance(ax, LatticeAxis):
         offs = np.arange(1, ax.count, dtype=float) * ax.step
-        g_pos = _max_over_free(spec, offs, pin_axis, free_idx)
-        g_neg = _max_over_free(spec, -offs, pin_axis, free_idx)
-        value = c * c * lattice_staircase_sum(ax.step, ax.count, np.maximum(g_pos, g_neg))
-        return BoundResult(value, True, "lattice_staircase")
+        g_max = np.maximum(_max_over_free(spec, offs), _max_over_free(spec, -offs))
+        return BoundResult(lattice_staircase_sum(ax.step, ax.count, g_max), True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:
-        return h * _max_over_free(spec, h / c, pin_axis, free_idx)
+        return h * _max_over_free(spec, h)
 
-    val, conv = _adaptive_1d(f, 0.0, abs(c) * ax.width, spec.quadrature)
+    val, conv = _adaptive_1d(f, 0.0, ax.width, spec.quadrature)
     return BoundResult(max(val, 0.0), conv, "continuous_profile")
 
 

@@ -164,7 +164,8 @@ def test_preset_rejects_too_short_k(tmp_path, capsys, command, scenario, k):
     # "k": 0 once fell through to the study default and exited 0.
     cfg = _write_cfg(tmp_path, {"scenario": dict(scenario, k=k)})
     out = str(tmp_path / "no.csv")
-    assert main([command, "--config", cfg, "--out", out, "--trials", "2"]) == 2
+    trials = ["--trials", "2"] if command == "mc" else []
+    assert main([command, "--config", cfg, "--out", out, *trials]) == 2
     assert "config.scenario.k: k must be at least 2" in capsys.readouterr().err
     assert not os.path.exists(out)
 
@@ -734,6 +735,18 @@ def test_bound_runtime_field_is_the_only_unstable_column(tmp_path):
     a, b = _read_rows(out1)[0], _read_rows(out2)[0]
     for key in ("method", "value", "converged"):
         assert a[key] == b[key]
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_bound_rejects_the_monte_carlo_flags(tmp_path, capsys, flag):
+    # bound draws nothing, so a trial count or seed is a usage error.
+    cfg = _write_cfg(tmp_path, _scalar_scenario(k=6, t=10.0))
+    out = str(tmp_path / "no.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--config", cfg, "--out", out, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_mc_linear_scenario(tmp_path):

@@ -128,7 +128,7 @@ def test_quasi_mle_noiseless_recovery():
 def test_quasi_mle_agrees_with_closed_form_inside_support():
     model = _scalar_model(k=10, h=np.linspace(0.5, 2.0, 10), diag=np.linspace(0.5, 1.5, 10))
     rng = np.random.default_rng(9)
-    x = 3.0 * model.signal.hvec + 0.3 * rng.standard_normal(10)
+    x = 3.0 * model.signal.h_matrix[:, 0] + 0.3 * rng.standard_normal(10)
     prior = uniform_interval(10.0)
     mle = estimate(QuasiMLE(model), x, prior)
     wls = estimate(LinearClosedForm(model), x, prior)

@@ -23,10 +23,8 @@ from zzbound.models import (
     Prior,
     ScaledIdentityCov,
     TrueModel,
-    as_covariance,
     eval_signal,
     triangular_pulse,
-    uniform_box,
     uniform_interval,
 )
 from zzbound.zzb import overlap_rows
@@ -94,14 +92,14 @@ def test_scaled_identity_rejects_non_finite_variance(sigma2):
         DiagonalCov(np.full(2, sigma2))
 
 
-def test_as_covariance_coercion():
-    assert isinstance(as_covariance(2.0, k=3), ScaledIdentityCov)
-    assert isinstance(as_covariance(np.array([1.0, 2.0])), DiagonalCov)
-    assert isinstance(as_covariance(np.eye(2)), DenseCov)
-    existing = DiagonalCov(np.array([1.0]))
-    assert as_covariance(existing) is existing
-    with pytest.raises(ValueError, match="dimension"):
-        as_covariance(1.0)
+def test_models_require_a_covariance_object():
+    # A bare number or array is not coerced: the models name what they need.
+    k = 2
+    for cov in (0.5, np.array([1.0, 2.0]), np.eye(k)):
+        with pytest.raises(ValueError, match="noise covariance must be a ScaledIdentityCov"):
+            GaussianNoise(np.zeros(k), cov)
+        with pytest.raises(ValueError, match="noise covariance must be a ScaledIdentityCov"):
+            AssumedModel(LinearVectorMap(np.ones(k)), np.zeros(k), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +111,9 @@ def test_linear_maps_evaluate():
     vec = LinearVectorMap(np.array([1.0, -2.0]))
     assert_allclose(eval_signal(vec, 3.0), np.array([3.0, -6.0]))
     assert vec.k == 2 and vec.n_theta == 1
+    assert isinstance(vec, LinearMatrixMap) and vec.h_matrix.shape == (2, 1)
+    with pytest.raises(ValueError, match="hvec must be a finite 1-D array"):
+        LinearVectorMap(np.ones((2, 1)))
 
     mat = LinearMatrixMap(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     assert_allclose(eval_signal(mat, [2.0, 5.0]), np.array([2.0, 5.0, 7.0]))
@@ -382,9 +383,6 @@ def test_prior_factories():
     assert p1.n_theta == 1 and p1.axes[0].hi == 10.0
     with pytest.raises(ValueError, match="positive"):
         uniform_interval(0.0)
-
-    p2 = uniform_box([0.0, 0.5], [1.0, 1.5])
-    assert p2.n_theta == 2 and p2.axes[1].lo == 0.5
 
     p3 = Prior((LatticeAxis(count=4), LatticeAxis(count=1, start=2.0)))
     assert p3.n_theta == 2 and p3.axes[0].width == 3.0 and p3.axes[1].width == 0.0

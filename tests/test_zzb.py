@@ -24,7 +24,6 @@ from zzbound.models import (
     Prior,
     ScaledIdentityCov,
     TrueModel,
-    uniform_box,
     uniform_interval,
 )
 from zzbound.montecarlo import TrialPlan, run_mse
@@ -42,7 +41,6 @@ from zzbound.zzb import (
     bound,
     lattice_staircase_sum,
     overlap_rows,
-    prior_overlap,
     zzb_closed_form_q_linear,
     zzb_scalar_general,
     zzb_scalar_independent,
@@ -122,6 +120,21 @@ def test_closed_form_matches_quadrature():
         assert result.value == pytest.approx(
             zzb_closed_form_q_linear(gamma, t), rel=1e-8
         )
+
+
+def test_quadrature_rule_rejects_a_nan_tolerance():
+    # NaN passes a plain <= 0 test; the bound then never converged.
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        QuadratureRule(rel_tol=math.nan)
+
+
+def test_delta_search_rejects_a_negative_lattice_window():
+    # A negative window once left no candidates and divided by zero in the scan.
+    with pytest.raises(ValueError, match="lattice_window"):
+        DeltaSearch(lattice_window=-1)
+    prior = Prior((IntervalAxis(0.0, 2.0), LatticeAxis(5, 0.0, 1.0)))
+    pe = _times_overlap(prior, lambda rows: q_function(np.abs(rows[:, 0])))
+    assert zzb_vector(VectorBoundSpec(0, prior, pe, DeltaSearch(lattice_window=0))).value > 0.0
 
 
 def test_quadrature_constant_pe_limits():
@@ -321,7 +334,7 @@ def test_general_passes_absolute_locations():
 
 
 def test_scalar_bounds_reject_vector_priors():
-    prior = uniform_box([0.0, 0.0], [1.0, 1.0])
+    prior = Prior((IntervalAxis(0.0, 1.0), IntervalAxis(0.0, 1.0)))
     with pytest.raises(ValueError, match="one-axis"):
         zzb_scalar_independent(ScalarBoundSpec(prior, lambda h: h))
 
@@ -739,7 +752,7 @@ def test_router_bound_within_prior_limits(models, t, method):
     # pe <= 1/2 when the maps agree, so the bound is at most the prior
     # variance; a differing truth map can push pe above 1/2 (never above 1).
     assumed, truth = models
-    equal = np.array_equal(assumed.signal.hvec, truth.signal.hvec)
+    equal = np.array_equal(assumed.signal.h_matrix, truth.signal.h_matrix)
     cap = t * t / (12.0 if equal else 6.0)
     assert 0.0 <= got.value <= cap * (1.0 + 1e-9)
 
@@ -750,18 +763,16 @@ def test_router_bound_within_prior_limits(models, t, method):
 
 
 def test_prior_overlap_box():
-    prior = uniform_box([0.0, 0.0], [1.0, 1.0])
-    assert prior_overlap(prior, [0.5, 0.25]) == pytest.approx(0.375)
-    assert prior_overlap(prior, [0.0, 0.0]) == 1.0
-    assert prior_overlap(prior, [1.0, 0.0]) == 0.0
-    assert prior_overlap(prior, [-0.5, -0.25]) == pytest.approx(0.375)
+    prior = Prior((IntervalAxis(0.0, 1.0), IntervalAxis(0.0, 1.0)))
+    deltas = np.array([[0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [-0.5, -0.25]])
+    assert_allclose(overlap_rows(prior, deltas), [0.375, 1.0, 0.0, 0.375], rtol=1e-15)
 
 
 def test_overlap_rows_matches_scalar_api():
     prior = Prior((LatticeAxis(8, 0.0, 1.0), IntervalAxis(0.0, 2.0)))
     deltas = np.array([[0.0, 0.0], [3.0, 0.5], [2.5, 0.1], [-3.0, -0.5], [8.0, 0.0]])
     batch = overlap_rows(prior, deltas)
-    singles = [prior_overlap(prior, d) for d in deltas]
+    singles = [overlap_rows(prior, d[None, :])[0] for d in deltas]
     assert_allclose(batch, singles)
     assert batch[2] == 0.0  # off-lattice tau offset
 
@@ -796,14 +807,20 @@ def test_lattice_staircase_validation():
 # ---------------------------------------------------------------------------
 
 
+def _times_overlap(prior, pe):
+    """Whole integrand overlap_rows(prior, delta) * pe(delta) of a
+    location-free error probability."""
+    return lambda rows: pe(rows) * overlap_rows(prior, rows)
+
+
 def test_vector_bound_scalar_axis_reduction():
     gamma, t = 0.8, 9.0
     prior = uniform_interval(t)
     vec = zzb_vector(
         VectorBoundSpec(
-            direction=np.array([1.0]),
+            coord=0,
             prior=prior,
-            pe=lambda rows: q_function(gamma * np.abs(rows[:, 0])),
+            pe=_times_overlap(prior, lambda rows: q_function(gamma * np.abs(rows[:, 0]))),
         )
     )
     scalar = zzb_scalar_independent(
@@ -817,12 +834,12 @@ def test_vector_bound_free_axis_does_not_change_separable_case():
     # at offset zero where its overlap factor is one, so the two-axis bound
     # reduces to the scalar bound.
     gamma, t = 1.1, 5.0
-    prior2 = uniform_box([0.0, 0.0], [t, 3.0])
+    prior2 = Prior((IntervalAxis(0.0, t), IntervalAxis(0.0, 3.0)))
     vec = zzb_vector(
         VectorBoundSpec(
-            direction=np.array([1.0, 0.0]),
+            coord=0,
             prior=prior2,
-            pe=lambda rows: q_function(gamma * np.abs(rows[:, 0])),
+            pe=_times_overlap(prior2, lambda rows: q_function(gamma * np.abs(rows[:, 0]))),
             search=DeltaSearch(grid_points=129, refine_iters=60),
         )
     )
@@ -841,9 +858,7 @@ def test_vector_bound_lattice_direction_matches_manual_sum():
     def pe(rows):
         return q_function(gamma * np.abs(rows[:, 0]))
 
-    vec = zzb_vector(
-        VectorBoundSpec(direction=np.array([1.0, 0.0]), prior=prior, pe=pe)
-    )
+    vec = zzb_vector(VectorBoundSpec(coord=0, prior=prior, pe=_times_overlap(prior, pe)))
     g = np.array(
         [float(q_function(gamma * j)) * (1.0 - j / count) for j in range(1, count)]
     )
@@ -864,7 +879,7 @@ def test_vector_bound_alpha_direction_uses_free_lattice_max():
         return np.where(dtau == 0.0, base, np.where(dtau == 1.0, boost, 0.0))
 
     with_shift = zzb_vector(
-        VectorBoundSpec(direction=np.array([0.0, 1.0]), prior=prior, pe=pe_with_shift)
+        VectorBoundSpec(coord=1, prior=prior, pe=_times_overlap(prior, pe_with_shift))
     )
 
     def pe_no_shift(rows):
@@ -872,51 +887,19 @@ def test_vector_bound_alpha_direction_uses_free_lattice_max():
         return np.where(dtau == 0.0, q_function(3.0 * np.abs(rows[:, 1])), 0.0)
 
     without = zzb_vector(
-        VectorBoundSpec(direction=np.array([0.0, 1.0]), prior=prior, pe=pe_no_shift)
+        VectorBoundSpec(coord=1, prior=prior, pe=_times_overlap(prior, pe_no_shift))
     )
     assert with_shift.form == "continuous_profile"
     assert with_shift.value > without.value
 
 
-def test_vector_bound_includes_prior_flag():
-    # With pe_includes_prior=True the caller supplies the overlap factor, so
-    # baking it in by hand must reproduce the default path.
-    gamma, t = 0.9, 6.0
-    prior = uniform_interval(t)
-    auto = zzb_vector(
-        VectorBoundSpec(
-            direction=np.array([1.0]),
-            prior=prior,
-            pe=lambda rows: q_function(gamma * np.abs(rows[:, 0])),
-        )
-    )
-    manual = zzb_vector(
-        VectorBoundSpec(
-            direction=np.array([1.0]),
-            prior=prior,
-            pe=lambda rows: q_function(gamma * np.abs(rows[:, 0]))
-            * np.maximum(0.0, 1.0 - np.abs(rows[:, 0]) / t),
-            pe_includes_prior=True,
-        )
-    )
-    assert auto.value == pytest.approx(manual.value, rel=1e-12)
-
-
 def test_vector_bound_direction_validation():
-    prior = uniform_box([0.0], [1.0])
-    with pytest.raises(ValueError, match="dimension"):
-        VectorBoundSpec(
-            direction=np.array([1.0, 0.0]), prior=prior, pe=lambda rows: rows[:, 0]
-        )
-    with pytest.raises(ValueError, match="nonzero"):
-        VectorBoundSpec(
-            direction=np.array([0.0]), prior=prior, pe=lambda rows: rows[:, 0]
-        )
-    # Only coordinate directions are bounded: a tilt of any size is refused.
-    box = uniform_box([0.0, 0.0], [5.0, 3.0])
-    for direction in ((1.0, 0.5), (1.0, 1e-12)):
-        with pytest.raises(ValueError, match="axis-aligned"):
-            VectorBoundSpec(direction=np.array(direction), prior=box, pe=lambda rows: rows[:, 0])
+    # The bounded coordinate must be an integer index of the prior's axes.
+    box = Prior((IntervalAxis(0.0, 5.0), IntervalAxis(0.0, 3.0)))
+    for coord in (2, -1, 1.0, None):
+        with pytest.raises(ValueError, match="coord"):
+            VectorBoundSpec(coord=coord, prior=box, pe=lambda rows: rows[:, 0])
+    assert VectorBoundSpec(coord=np.int64(1), prior=box, pe=lambda rows: rows[:, 0]).coord == 1
 
 
 @pytest.mark.parametrize(
@@ -928,17 +911,11 @@ def test_vector_bound_direction_validation():
     ids=["lattice", "interval"],
 )
 def test_vector_bound_one_axis_frozen_values(prior, form, frozen):
-    # pe = Q(0.8 |delta|) on a one-axis prior; direction c scales the bound
-    # by c^2 whatever its sign.
-    def bound_at(c):
-        return zzb_vector(
-            VectorBoundSpec(np.array([c]), prior, lambda rows: q_function(0.8 * np.abs(rows[:, 0])))
-        )
-
-    unit = bound_at(1.0)
+    # pe = Q(0.8 |delta|) times the overlap on a one-axis prior.
+    pe = _times_overlap(prior, lambda rows: q_function(0.8 * np.abs(rows[:, 0])))
+    unit = zzb_vector(VectorBoundSpec(0, prior, pe))
     assert unit.form == form and unit.converged
     assert unit.value == pytest.approx(frozen, rel=1e-12)
-    assert bound_at(-2.0).value == pytest.approx(4.0 * frozen, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -957,18 +934,16 @@ def _coupled_pe(rows):
 _SMALL_SEARCH = DeltaSearch(grid_points=9, refine_iters=3)
 _SMALL_QUADRATURE = QuadratureRule(points=17, rel_tol=1e-9, max_doublings=3)
 
-# route: (prior, direction, form)
+# route: (prior, form), each bounded on coordinate 0
 _ROUTE_SPECS = {
-    "scalar_interval": (uniform_interval(4.0), (1.0,), "continuous_profile"),
-    "scalar_lattice": (Prior((LatticeAxis(40, 0.0, 0.5),)), (1.0,), "lattice_staircase"),
+    "scalar_interval": (uniform_interval(4.0), "continuous_profile"),
+    "scalar_lattice": (Prior((LatticeAxis(40, 0.0, 0.5),)), "lattice_staircase"),
     "lattice_direction": (
         Prior((LatticeAxis(12, 0.0, 1.0), IntervalAxis(0.5, 1.5))),
-        (1.0, 0.0),
         "lattice_staircase",
     ),
     "continuous_direction": (
         Prior((IntervalAxis(0.0, 4.0), LatticeAxis(5, 0.0, 1.0), IntervalAxis(-1.0, 1.0))),
-        (1.0, 0.0, 0.0),
         "continuous_profile",
     ),
 }
@@ -979,7 +954,7 @@ def test_vector_routes_scan_in_bounded_blocks(monkeypatch, route):
     # At any block size each pe call gets at most the block's rows, every
     # row is evaluated as often as with one unbounded block, and the bound
     # is bit for bit the same.
-    prior, direction, form = _ROUTE_SPECS[route]
+    prior, form = _ROUTE_SPECS[route]
 
     def run(block):
         monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
@@ -990,7 +965,7 @@ def test_vector_routes_scan_in_bounded_blocks(monkeypatch, route):
             return _coupled_pe(rows)
 
         spec = VectorBoundSpec(
-            np.array(direction), prior, pe, search=_SMALL_SEARCH, quadrature=_SMALL_QUADRATURE
+            0, prior, _times_overlap(prior, pe), search=_SMALL_SEARCH, quadrature=_SMALL_QUADRATURE
         )
         return zzb_vector(spec), sizes
 
@@ -1016,18 +991,12 @@ def test_free_axis_scan_keeps_first_maximum_per_pin(monkeypatch):
         out[tau == 3.0] = np.nan
         return out
 
-    spec = VectorBoundSpec(
-        np.array([1.0, 0.0]),
-        prior,
-        pe,
-        pe_includes_prior=True,
-        search=DeltaSearch(grid_points=7, refine_iters=30),
-    )
+    spec = VectorBoundSpec(0, prior, pe, search=DeltaSearch(grid_points=7, refine_iters=30))
     pins = np.arange(1.0, 6.0)
     monkeypatch.setattr(zzb, "_SCAN_BLOCK", 1 << 40)
-    reference = zzb._max_over_free(spec, pins, 0, [1])
+    reference = zzb._max_over_free(spec, pins)
     assert np.isnan(reference[2])
     assert_allclose(reference[[0, 1, 3, 4]], 0.8167 * (1.0 - 0.05 * pins[[0, 1, 3, 4]]), rtol=1e-3)
     for block in (1, 3, 7, 8):
         monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
-        np.testing.assert_array_equal(zzb._max_over_free(spec, pins, 0, [1]), reference)
+        np.testing.assert_array_equal(zzb._max_over_free(spec, pins), reference)
