@@ -8,6 +8,7 @@ exact for linear maps, and the sample median as the classic robust baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
@@ -98,7 +99,17 @@ def sample_median(x) -> float:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("sample median needs a nonempty 1-D array")
-    return float(np.median(arr))
+    # np.median's own partition (the middle index or two, and the last,
+    # where NaNs sort) and its mean, 0.0 + the middle values over their
+    # count, without its generic-axis overhead: the bits are np.median's.
+    m = arr.size // 2
+    even = arr.size % 2 == 0
+    part = np.partition(arr, [m - 1, m, -1] if even else [m, -1])
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    if even:
+        return (0.0 + float(part[m - 1]) + float(part[m])) / 2.0
+    return 0.0 + float(part[m])
 
 
 def _axis_grid(ax, n_points: int) -> np.ndarray:

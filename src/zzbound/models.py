@@ -311,8 +311,15 @@ def triangular_pulse(tau: float, width: int, k: int) -> np.ndarray:
         raise ValueError(f"pulse width {width} exceeds record length {k}")
     if not 0 <= tau < k:
         raise ValueError(f"pulse position must satisfy 0 <= tau < {k}, got {tau}")
-    idx = np.arange(k, dtype=float)
-    return np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
+    # The formula runs only on the samples within half a width of tau (with
+    # a one-sample margin); every other sample is 0.0, as the formula's
+    # maximum with 0.0 would give there.
+    lo = max(0, math.floor(tau - width / 2.0))
+    hi = min(k, math.ceil(tau + width / 2.0) + 1)
+    out = np.zeros(k)
+    idx = np.arange(lo, hi, dtype=float)
+    out[lo:hi] = np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
+    return out
 
 
 def pulse_template(width: int) -> np.ndarray:

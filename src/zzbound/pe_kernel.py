@@ -279,17 +279,32 @@ _PULSE_BLOCK = 2**14  # elements per _pulse_pe call: amplitude nodes x keys
 def _pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     """Vectorized error probability at interior positions via correlations.
 
-    a_o is the amplitude at the first candidate, a_o + d_alpha at the second;
-    r_ss and r_ts are the template auto- and cross-correlations at the
-    candidates' lattice separation.
+    a_o is the amplitude a at the first candidate, a + d at the second
+    (d = d_alpha); r_ss and r_ts are the template auto- and
+    cross-correlations at the candidates' lattice separation. The decision
+    means s0 and -s1 and the variance d_norm2 / sigma2 are quadratics in a,
+    evaluated by Horner's rule from coefficients that depend only on the
+    (lag, d) key:
+
+        s0     = [(rho0 - r_ts) a^2 + d (e_s - r_ts) a + d^2 e_s / 2] / sigma2
+        -s1    = [(rho0 - r_ts) a^2 - d (e_s + r_ts - 2 rho0) a - d^2 (e_s / 2 - rho0)] / sigma2
+        d_norm2 / sigma2 = [2 (e_s - r_ss) a (a + d) + d^2 e_s] / sigma2
+
+    Every coefficient is linear or quadratic in d, so no term of order one
+    cancels at a small amplitude offset; at lag 0 (r_ts = rho0, r_ss = e_s)
+    the a^2 terms vanish exactly. Each element depends on its own key and
+    node only, so any blocking of the same keys gives the same bits.
     """
-    a1 = a_o + d_alpha
-    first = 0.5 * (a1 * a1 - a_o * a_o) * e_s / sigma2
-    s0 = first + a_o * (a_o * rho0 - a1 * r_ts) / sigma2
-    s1 = first + a1 * (a_o * r_ts - a1 * rho0) / sigma2
-    d_norm2 = (a_o * a_o + a1 * a1) * e_s - 2.0 * a_o * a1 * r_ss
-    sig_n = np.sqrt(np.maximum(d_norm2, 0.0) / sigma2)
-    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(-s1, sig_n))
+    d = d_alpha
+    c2 = (rho0 - r_ts) / sigma2
+    # e_s + r_ts - 2 rho0 as two differences, each exact near lag 0.
+    m_lin = (e_s - rho0) + (r_ts - rho0)
+    s0 = (c2 * a_o + d * (e_s - r_ts) / sigma2) * a_o + 0.5 * d * d * e_s / sigma2
+    neg_s1 = (c2 * a_o - d * m_lin / sigma2) * a_o - d * d * (0.5 * e_s - rho0) / sigma2
+    v2 = 2.0 * (e_s - r_ss) / sigma2
+    var = (v2 * a_o + v2 * d) * a_o + d * d * e_s / sigma2
+    sig_n = np.sqrt(np.maximum(var, 0.0))
+    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(neg_s1, sig_n))
 
 
 def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.ndarray]:
@@ -318,11 +333,15 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     product order tau_share * (length / a_width) * sum, so every returned
     value is bit-identical to evaluating the quadrature row by row.
 
-    The bound's search and quadrature revisit many keys (the negative tau
-    offsets repeat the positive ones exactly), so G remembers the sum of
-    every key it has evaluated, in arrays sorted by the complex key
-    lag + 1j * d_alpha, and computes only unseen keys. Those are evaluated
-    at all amplitude nodes in one (nodes, keys) block per call of _pulse_pe
+    G reads the lag only through |rint(d_tau)|, so G(-tau, alpha) equals
+    G(tau, alpha) bit for bit; with the candidates' symmetry this makes G
+    even, G(-delta) = G(delta), as VectorBoundSpec requires. The bound's
+    search and quadrature revisit many keys (the free lag window spans both
+    signs), so G remembers the sum of every key it has evaluated, in arrays
+    sorted by the complex key lag + 1j * d_alpha, and computes only unseen
+    keys. Those are evaluated at all amplitude nodes in one (nodes, keys)
+    block per call of _pulse_pe, whose decision means and variance are
+    Horner quadratics in the node with coefficients computed once per key,
     and summed over the nodes in the same sequential order.
     """
     assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
@@ -343,7 +362,6 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     wide = float(truth.signal.width)
     s_true = pulse_template(truth.signal.width)
     s_assumed = pulse_template(assumed.signal.width)
-    e_s = float(s_assumed @ s_assumed)
     # The cross-correlation reaches lag r_true + r_assumed and the assumed
     # autocorrelation lag 2 r_assumed; both tables are zero past the larger.
     r_true, r_assumed = (s_true.size - 1) // 2, (s_assumed.size - 1) // 2
@@ -357,6 +375,10 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     # the correlations reach the last lag, and then no lag is collapsed.
     span = int(np.flatnonzero((table_ss != 0.0) | (table_ts != 0.0))[-1]) + 1
     rho0 = table_ts[0]
+    # The energy is the lag-0 autocorrelation itself, so at lag 0 the
+    # kernel's a^2 variance term is exactly zero (a separate dot product can
+    # differ in the last bit, which at a tiny d_alpha outweighs d_alpha^2).
+    e_s = float(table_ss[0])
     sigma2 = float(diag[0])
     alpha_axis = prior.axes[1]
     a_lo, a_hi = alpha_axis.lo, alpha_axis.hi

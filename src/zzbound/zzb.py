@@ -90,8 +90,10 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.points < 5 or self.tensor_points < 5:
             raise ValueError("quadrature needs at least 5 points per axis")
-        if not self.rel_tol > 0.0:  # NaN fails every comparison
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        # NaN fails every comparison. A tolerance of 1 or more would accept
+        # any two successive values as converged.
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must be positive and below 1, got {self.rel_tol}")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be >= 0")
 
@@ -432,6 +434,8 @@ def lattice_staircase_sum(step: float, count: int, g_tilde: np.ndarray) -> float
 
     g_tilde[j-1] holds the overlap-weighted error probability at offset j
     lattice steps, already maximized over any free parameter directions.
+    The integrand is even, G(-delta) = G(delta) (see VectorBoundSpec), so
+    offset +j stands for -j too.
     Valid for estimators confined to the same lattice as the prior: the
     squared error then decomposes over integer tail events, and each tail
     P(|err| >= m steps) is bounded through the offset-(2m-1) and offset-(2m)
@@ -485,6 +489,13 @@ class VectorBoundSpec:
     overlap already inside. Where the error probability does not depend on
     the location, G(delta) is overlap_rows(prior, delta) * pe(delta). The
     field keeps the name pe for callers that swap the integrand.
+
+    G must be even, G(-delta) = G(delta), as every Ziv-Zakai integrand is
+    (Bell, Steinberg, Ephraim & Van Trees, IEEE T-IT 43(2), 1997): the
+    error probability of the test between theta and theta + delta is
+    symmetric in the two candidates, and the shift theta -> theta - delta
+    maps the overlap-weighted pairs at delta onto those at -delta. The
+    lattice route therefore reads G at positive pinned offsets only.
     """
 
     coord: int
@@ -605,14 +616,15 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
     G is the spec's integrand (see VectorBoundSpec), maximized over the
     offsets of the other axes. An interval axis j integrates that offset profile
     ("continuous_profile"); a lattice axis j instead accumulates the exact
-    tail-sum over integer offsets, the larger of the +/- offsets at each
-    (see lattice_staircase_sum), which is the rigorous discrete analogue
-    ("lattice_staircase"). The returned form field names the route.
+    tail-sum over the positive integer offsets (G is even, so the negative
+    ones add nothing; see lattice_staircase_sum), which is the rigorous
+    discrete analogue ("lattice_staircase"). The returned form field names
+    the route.
     """
     ax = spec.prior.axes[spec.coord]
     if isinstance(ax, LatticeAxis):
         offs = np.arange(1, ax.count, dtype=float) * ax.step
-        g_max = np.maximum(_max_over_free(spec, offs), _max_over_free(spec, -offs))
+        g_max = _max_over_free(spec, offs)
         return BoundResult(lattice_staircase_sum(ax.step, ax.count, g_max), True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:

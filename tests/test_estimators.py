@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import zzbound.estimators as estimators
@@ -63,6 +65,30 @@ def test_sample_median_values():
     assert sample_median([5.0]) == 5.0
     with pytest.raises(ValueError, match="1-D"):
         sample_median(np.zeros((2, 2)))
+
+
+def test_sample_median_keeps_nan_and_empty_rules():
+    assert math.isnan(sample_median([1.0, math.nan, 3.0]))
+    assert math.isnan(sample_median([math.nan]))
+    with pytest.raises(ValueError, match="nonempty"):
+        sample_median([])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0, -0.0, 0.0])
+@example([1e308, 1e308])
+@example([math.inf, -math.inf])
+def test_sample_median_is_bitwise_np_median(values):
+    # One partition and the middle values' mean, with np.median's own
+    # partition indices and sum order: signed zeros, infinities, overflow
+    # and NaN all come out as np.median's bits.
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.median(x)
+    assert np.float64(sample_median(x)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_sample_median_breakdown_resistance():

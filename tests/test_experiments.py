@@ -1,6 +1,7 @@
 """Tests for the four reference scenarios and the sweep driver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -584,6 +585,80 @@ def test_ex4_pe_agrees_with_gaussian_kernel():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _pulse_arguments(monkeypatch, a_o, *args):
+    """(s0, -s1, sig_n) that _pulse_pe hands q_ratio, as its two calls."""
+    calls = []
+
+    def recording_q_ratio(z, sigma):
+        calls.append((np.asarray(z, dtype=float), np.asarray(sigma, dtype=float)))
+        return np.zeros(np.shape(z))
+
+    monkeypatch.setattr(pe_kernel, "q_ratio", recording_q_ratio)
+    _pulse_pe(a_o, *args)
+    (s0, sig_n), (neg_s1, sig_again) = calls
+    assert sig_again.tobytes() == sig_n.tobytes()
+    return s0, neg_s1, sig_n
+
+
+def _exact_moments(a, d, r_ss, r_ts, rho0, e_s, sigma2):
+    """s0, -s1 and d_norm2 / sigma2 in exact rationals, from the definitions
+    with candidates a and a1 = a + d."""
+    a, d, r_ss, r_ts, rho0, e_s, sigma2 = (
+        Fraction(float(v)) for v in (a, d, r_ss, r_ts, rho0, e_s, sigma2)
+    )
+    a1 = a + d
+    first = (a1 * a1 - a * a) * e_s / 2
+    s0 = (first + a * (a * rho0 - a1 * r_ts)) / sigma2
+    s1 = (first + a1 * (a * r_ts - a1 * rho0)) / sigma2
+    var = ((a * a + a1 * a1) * e_s - 2 * a * a1 * r_ss) / sigma2
+    return s0, -s1, var
+
+
+def _expanded_moments(a, d, r_ss, r_ts, rho0, e_s, sigma2):
+    """The same three in floats, expanded from the candidates' products; the
+    order-one terms cancel at a small d."""
+    a1 = a + d
+    first = 0.5 * (a1 * a1 - a * a) * e_s / sigma2
+    s0 = first + a * (a * rho0 - a1 * r_ts) / sigma2
+    s1 = first + a1 * (a * r_ts - a1 * rho0) / sigma2
+    return s0, -s1, ((a * a + a1 * a1) * e_s - 2.0 * a * a1 * r_ss) / sigma2
+
+
+def _worst_rel(values, exact):
+    return max(abs(Fraction(float(v)) - x) / abs(x) for v, x in zip(values, exact))
+
+
+@pytest.mark.parametrize("lag", [0, 57])
+@pytest.mark.parametrize("assumed_width", [200, 300], ids=["mismatched", "matched"])
+@pytest.mark.parametrize("d_alpha", [2.0**-10, 2.0**-20])
+def test_pulse_pe_arguments_match_exact_rationals(monkeypatch, lag, assumed_width, d_alpha):
+    # The kernel's Horner quadratics in the amplitude node agree with exact
+    # rational arithmetic on the same floats to a few ulps, also at a tiny
+    # amplitude offset and at lag 0, where the candidates' products cancel:
+    # there the expanded form misses by more than 1e-12.
+    s_true, s_assumed = pulse_template(300), pulse_template(assumed_width)
+    e_s = float(s_assumed @ s_assumed)
+    rho0 = float(_xcorr_at_lags(s_true, s_assumed, np.array([0]))[0])
+    r_ss = float(_xcorr_at_lags(s_assumed, s_assumed, np.array([lag]))[0])
+    r_ts = float(_xcorr_at_lags(s_true, s_assumed, np.array([lag]))[0])
+    sigma2 = float(s_true @ s_true) / 200.0  # SNR 100
+    a = np.linspace(0.5, 1.5 - d_alpha, 9)
+    args = (np.full(a.size, d_alpha), r_ss, r_ts, rho0, e_s, sigma2)
+    s0, neg_s1, sig_n = _pulse_arguments(monkeypatch, a, *args)
+    exact = [_exact_moments(a_j, d_alpha, *args[1:]) for a_j in a]
+    ulp = 2.0**-52
+    assert _worst_rel(s0, [x[0] for x in exact]) <= 2 * ulp
+    assert _worst_rel(neg_s1, [x[1] for x in exact]) <= 2 * ulp
+    # sig_n is the rounded root of the rounded variance.
+    assert _worst_rel(sig_n**2, [x[2] for x in exact]) <= 4 * ulp
+    if lag == 0:
+        old = [_expanded_moments(a_j, d_alpha, *args[1:]) for a_j in a]
+        worst_old = max(
+            _worst_rel([o[i] for o in old], [x[i] for x in exact]) for i in range(3)
+        )
+        assert worst_old > 1e-12
+
+
 def _make_example4_g(scenario, matched):
     """The pulse profile of the matched or the mismatched model."""
     label = "matched" if matched else "mismatched"
@@ -773,6 +848,39 @@ def test_example4_g_repeat_and_flipped_calls_evaluate_nothing(monkeypatch):
     assert sum(elems) == 0
 
 
+@pytest.mark.parametrize("matched", [False, True])
+def test_example4_g_is_even_in_the_lag(matched):
+    # G reads the lag only through |rint(d_tau)|: a fresh g on the negated
+    # lags returns the same bits, at every lag and amplitude offset. Jointly
+    # negated offsets give the same value up to rounding (G(-delta) = G(delta)).
+    scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
+    lags = np.arange(0.0, 121.0)
+    alphas = np.linspace(-1.0, 1.0, 33)
+    deltas = np.array([(t, a) for t in lags for a in alphas])
+    forward = _make_example4_g(scn, matched)(deltas)
+    negated_lag = _make_example4_g(scn, matched)(deltas * np.array([-1.0, 1.0]))
+    assert negated_lag.tobytes() == forward.tobytes()
+    assert np.count_nonzero(forward) > 1000
+    assert_allclose(_make_example4_g(scn, matched)(-deltas), forward, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize("snr", [0.3, 5.0, 50.0])
+def test_example4_lattice_bound_reads_positive_lags_only(matched, snr):
+    # The lattice route maximizes over the free amplitude offset at the
+    # positive lags only. G is even in the lag, so taking the maximum with
+    # a pass over the negative lags gives the same bound bit for bit.
+    scn = build_example4(snr, k=120, true_width=20, assumed_width=14)
+    assumed = scn.assumed["matched" if matched else "mismatched"]
+    result = zzb.bound(assumed, scn.truth, scn.prior, coord=0)
+    g = pulse_profile(PeKernel(assumed, scn.truth), scn.prior)
+    spec = VectorBoundSpec(0, scn.prior, g, zzb._PULSE_SEARCH, zzb._PULSE_QUADRATURE)
+    offs = np.arange(1.0, scn.k)
+    both = np.maximum(zzb._max_over_free(spec, offs), zzb._max_over_free(spec, -offs))
+    assert result.form == "lattice_staircase"
+    assert result.value == zzb.lattice_staircase_sum(1.0, scn.k, both)
+
+
 def test_example4_g_memo_is_per_integrand(monkeypatch):
     # A fresh g remembers nothing from another g built on the same scenario.
     scn = build_example4(5.0, k=120, true_width=20, assumed_width=14)
@@ -861,6 +969,19 @@ def test_example4_bounds_small_scale():
     # A too-narrow template cannot beat the matched bound at high SNR.
     assert out["zzb_tau_mismatched"].value >= out["zzb_tau_matched"].value
     assert out["zzb_alpha_mismatched"].value >= out["zzb_alpha_matched"].value
+
+
+@pytest.mark.parametrize("width", range(6, 19))
+def test_example4_g_is_continuous_at_lag_zero(width):
+    # At lag 0 and a tiny amplitude offset the two candidates are almost
+    # the same, so G is about half the position share, for every template
+    # width. An energy one ulp off the lag-0 autocorrelation (width 12)
+    # would leave a variance term that outweighs d_alpha^2 and gives 0.
+    scn = build_example4(100.0, k=120, true_width=width, assumed_width=14)
+    for label in ("mismatched", "matched"):
+        g = pulse_profile(PeKernel(scn.assumed[label], scn.truth), scn.prior)
+        vals = g(np.array([[0.0, 1e-9], [0.0, -1e-9], [0.0, 1e-12]]))
+        assert_allclose(vals, 0.5 * (120 - width) / 120, rtol=1e-6)
 
 
 def _pulse_posterior_mse(scn, trials, seed, n_amp=101):

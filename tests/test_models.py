@@ -154,6 +154,24 @@ def test_triangular_pulse_boundary_clipping():
     assert full @ full == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("width", [1, 2, 5, 6, 13, 20])
+def test_triangular_pulse_matches_the_full_length_formula(width):
+    # The formula runs only near tau; every sample keeps the bits of the
+    # whole-record formula, for whole, half-sample and fractional peaks,
+    # peaks on and one ulp off a sample, and peaks at both record edges.
+    k = 24
+    idx = np.arange(k, dtype=float)
+    taus = [0.0, 0.3, 0.5, 1.0, 7.0, 7.5, 7.25, math.nextafter(9.0, 0.0), 9.0 + 1e-12]
+    taus += [width / 2.0, k - width / 2.0, k - 1.0, math.nextafter(float(k), 0.0)]
+    for tau in taus:
+        if not 0.0 <= tau < k:
+            continue
+        got = triangular_pulse(tau, width, k)
+        expected = np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
+        np.testing.assert_array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
 def test_triangular_pulse_validation():
     with pytest.raises(ValueError, match="position"):
         triangular_pulse(9.0, 3, 9)

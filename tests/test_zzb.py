@@ -128,6 +128,15 @@ def test_quadrature_rule_rejects_a_nan_tolerance():
         QuadratureRule(rel_tol=math.nan)
 
 
+@pytest.mark.parametrize("rel_tol", [math.inf, 1.0, 0.0, -1e-5])
+def test_quadrature_rule_rejects_a_tolerance_outside_zero_one(rel_tol):
+    # A tolerance of 1 or more accepted any two successive values, so the
+    # bound reported convergence after one doubling.
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        QuadratureRule(rel_tol=rel_tol)
+    assert QuadratureRule(rel_tol=0.5).rel_tol == 0.5
+
+
 def test_delta_search_rejects_a_negative_lattice_window():
     # A negative window once left no candidates and divided by zero in the scan.
     with pytest.raises(ValueError, match="lattice_window"):
