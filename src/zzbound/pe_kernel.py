@@ -294,17 +294,28 @@ def _pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     cancels at a small amplitude offset; at lag 0 (r_ts = rho0, r_ss = e_s)
     the a^2 terms vanish exactly. Each element depends on its own key and
     node only, so any blocking of the same keys gives the same bits.
+
+    s0 and -s1 share the a^2 coefficient. Where their per-key linear and
+    constant coefficient rows are equal, -s1 is s0 bit for bit and the
+    result is the one Q, since 0.5 (q + q) == q exactly. That is the matched
+    model (the same template on both sides, so rho0 = e_s): its linear
+    coefficients are d (e_s - r_ts) and -d (r_ts - e_s), and its constant
+    ones d^2 e_s / 2 and -d^2 (e_s / 2 - e_s), each pair equal in floating
+    point. Otherwise both Q are computed.
     """
     d = d_alpha
     c2 = (rho0 - r_ts) / sigma2
     # e_s + r_ts - 2 rho0 as two differences, each exact near lag 0.
     m_lin = (e_s - rho0) + (r_ts - rho0)
-    s0 = (c2 * a_o + d * (e_s - r_ts) / sigma2) * a_o + 0.5 * d * d * e_s / sigma2
-    neg_s1 = (c2 * a_o - d * m_lin / sigma2) * a_o - d * d * (0.5 * e_s - rho0) / sigma2
+    lin0, const0 = d * (e_s - r_ts) / sigma2, 0.5 * d * d * e_s / sigma2
+    lin1, const1 = -(d * m_lin / sigma2), -(d * d * (0.5 * e_s - rho0) / sigma2)
     v2 = 2.0 * (e_s - r_ss) / sigma2
     var = (v2 * a_o + v2 * d) * a_o + d * d * e_s / sigma2
     sig_n = np.sqrt(np.maximum(var, 0.0))
-    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(neg_s1, sig_n))
+    q0 = q_ratio((c2 * a_o + lin0) * a_o + const0, sig_n)
+    if np.array_equal(lin0, lin1) and np.array_equal(const0, const1):
+        return q0
+    return 0.5 * (q0 + q_ratio((c2 * a_o + lin1) * a_o + const1, sig_n))
 
 
 def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.ndarray]:
@@ -332,6 +343,11 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     same operands as each of its rows, and the scatter keeps the per-row
     product order tau_share * (length / a_width) * sum, so every returned
     value is bit-identical to evaluating the quadrature row by row.
+    Past the span, then, G(L, alpha) = tau_share(L) (length(alpha) / a_width)
+    S(span, alpha) for the key sum S, a nonnegative multiple of G(span,
+    alpha) fixed by L: g carries that first lag as g.span, and the lattice
+    route of zzb_vector searches the free amplitude offset at lags up to it
+    only (see VectorBoundSpec).
 
     G reads the lag only through |rint(d_tau)|, so G(-tau, alpha) equals
     G(tau, alpha) bit for bit; with the candidates' symmetry this makes G
@@ -342,7 +358,9 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     keys. Those are evaluated at all amplitude nodes in one (nodes, keys)
     block per call of _pulse_pe, whose decision means and variance are
     Horner quadratics in the node with coefficients computed once per key,
-    and summed over the nodes in the same sequential order.
+    and summed over the nodes in the same sequential order. For the matched
+    model the two decision means coincide bit for bit, and _pulse_pe then
+    evaluates one Q per node instead of two.
     """
     assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
     cov, noise, diag = assumed.noise_cov, truth.noise, _diagonal(assumed.noise_cov)
@@ -407,6 +425,9 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
             )
             # Accumulate adds the weighted nodes strictly in order, as a
             # running sum would; a pairwise reduction would move the bits.
+            # np.add.reduce along axis 0 is not used either: on a block of
+            # one key it reduces pairwise like np.sum, so a key's sum would
+            # depend on how the keys are blocked.
             sums[sl] = np.add.accumulate(t_weights[:, None] * pe, axis=0)[-1]
         return sums
 
@@ -450,4 +471,5 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
         out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
         return out
 
+    g.span = span
     return g

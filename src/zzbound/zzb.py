@@ -496,6 +496,15 @@ class VectorBoundSpec:
     symmetric in the two candidates, and the shift theta -> theta - delta
     maps the overlap-weighted pairs at delta onto those at -delta. The
     lattice route therefore reads G at positive pinned offsets only.
+
+    pe may carry a positive integer attribute span (pulse_profile sets
+    it): from span lattice steps on, G at a pinned offset is a nonnegative
+    multiple, fixed by the pin, of G at span with the same free offsets.
+    The lattice route then searches the free offsets at pins 1..span only
+    and reads G at every later pin at span's maximizer. The bound stays
+    valid whatever the free offsets: the vector Ziv-Zakai bound holds for
+    any choice of them (Bell et al. 1997), and maximizing only tightens it.
+    An integrand without span is searched at every pin.
     """
 
     coord: int
@@ -547,11 +556,17 @@ def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
 
 
 def _max_over_free(spec: VectorBoundSpec, pins: np.ndarray) -> np.ndarray:
-    """max over free-axis offsets of the integrand, per pinned offset.
+    """max over free-axis offsets of the integrand, per pinned offset."""
+    return _search_free(spec, pins)[0]
+
+
+def _search_free(spec: VectorBoundSpec, pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(best value, best free offsets) of the integrand, per pinned offset.
 
     pins gives the offset value on axis spec.coord for each row of the
     result; the remaining axes are scanned on a grid and continuous ones are
     then polished by vectorized ternary search around each row's best point.
+    The free offsets have shape (pins, n_theta - 1), in axis order.
     """
     n = spec.prior.n_theta
     pin_axis = spec.coord
@@ -566,7 +581,7 @@ def _max_over_free(spec: VectorBoundSpec, pins: np.ndarray) -> np.ndarray:
         return _g_rows(spec, d)
 
     if not free_idx:
-        return eval_rows(np.zeros((n_pin, 0)))
+        return eval_rows(np.zeros((n_pin, 0))), np.zeros((n_pin, 0))
 
     # (n_c, n_free) candidate offsets on the free axes, first axis slowest.
     cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
@@ -606,7 +621,7 @@ def _max_over_free(spec: VectorBoundSpec, pins: np.ndarray) -> np.ndarray:
         best_val = np.where(improved, refined, best_val)
         best_free[:, col] = np.where(improved, probe[:, col], best_free[:, col])
 
-    return best_val
+    return best_val, best_free
 
 
 def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
@@ -618,13 +633,22 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
     ("continuous_profile"); a lattice axis j instead accumulates the exact
     tail-sum over the positive integer offsets (G is even, so the negative
     ones add nothing; see lattice_staircase_sum), which is the rigorous
-    discrete analogue ("lattice_staircase"). The returned form field names
-    the route.
+    discrete analogue ("lattice_staircase"). Where the integrand carries a
+    span (see VectorBoundSpec), the lattice route searches the pins up to
+    span and reads every later pin in one scan at span's free offsets, a
+    valid choice for any of them. The returned form field names the route.
     """
     ax = spec.prior.axes[spec.coord]
     if isinstance(ax, LatticeAxis):
         offs = np.arange(1, ax.count, dtype=float) * ax.step
-        g_max = _max_over_free(spec, offs)
+        # Pins 1..span are searched; past span, G is a nonnegative multiple
+        # of G at span, so span's maximizer is read there.
+        n_search = min(getattr(spec.pe, "span", offs.size), offs.size)
+        head, best_free = _search_free(spec, offs[:n_search])
+        n = spec.prior.n_theta
+        free_idx = [j for j in range(n) if j != spec.coord]
+        tail = _mesh_deltas(n, spec.coord, offs[n_search:, None], free_idx, best_free[-1:])
+        g_max = np.concatenate([head, _g_rows(spec, tail)])
         return BoundResult(lattice_staircase_sum(ax.step, ax.count, g_max), True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from zzbound.models import (
     triangular_pulse,
 )
 from zzbound.pe_kernel import PeKernel, _pulse_pe, _xcorr_at_lags, pe_gaussian, pulse_profile
-from zzbound.special_math import q_function
+from zzbound.special_math import q_function, q_ratio
 from zzbound.zzb import (
     DeltaSearch,
     QuadratureRule,
@@ -585,16 +585,36 @@ def test_ex4_pe_agrees_with_gaussian_kernel():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-def _pulse_arguments(monkeypatch, a_o, *args):
-    """(s0, -s1, sig_n) that _pulse_pe hands q_ratio, as its two calls."""
+def _coefficient_rows_coincide(d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
+    """Whether the per-key linear and constant Horner coefficients of s0
+    and -s1 are equal, as _pulse_pe forms them."""
+    d = d_alpha
+    lin0, const0 = d * (e_s - r_ts) / sigma2, 0.5 * d * d * e_s / sigma2
+    m_lin = (e_s - rho0) + (r_ts - rho0)
+    lin1, const1 = -(d * m_lin / sigma2), -(d * d * (0.5 * e_s - rho0) / sigma2)
+    return np.array_equal(lin0, lin1) and np.array_equal(const0, const1)
+
+
+def _recorded_q_ratio_calls(monkeypatch, a_o, *args):
+    """Every (z, sigma) that _pulse_pe hands q_ratio, and its result."""
     calls = []
 
     def recording_q_ratio(z, sigma):
         calls.append((np.asarray(z, dtype=float), np.asarray(sigma, dtype=float)))
-        return np.zeros(np.shape(z))
+        return q_ratio(z, sigma)
 
     monkeypatch.setattr(pe_kernel, "q_ratio", recording_q_ratio)
-    _pulse_pe(a_o, *args)
+    return calls, _pulse_pe(a_o, *args)
+
+
+def _pulse_arguments(monkeypatch, a_o, *args):
+    """(s0, -s1, sig_n) that _pulse_pe hands q_ratio. It makes one call
+    where the coefficient rows of s0 and -s1 coincide (-s1 is then s0) and
+    two calls otherwise."""
+    calls, _ = _recorded_q_ratio_calls(monkeypatch, a_o, *args)
+    if _coefficient_rows_coincide(*args):
+        ((s0, sig_n),) = calls
+        return s0, s0, sig_n
     (s0, sig_n), (neg_s1, sig_again) = calls
     assert sig_again.tobytes() == sig_n.tobytes()
     return s0, neg_s1, sig_n
@@ -657,6 +677,45 @@ def test_pulse_pe_arguments_match_exact_rationals(monkeypatch, lag, assumed_widt
             _worst_rel([o[i] for o in old], [x[i] for x in exact]) for i in range(3)
         )
         assert worst_old > 1e-12
+
+
+def _two_q_pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
+    """The kernel with both decision statistics always evaluated."""
+    d = d_alpha
+    c2 = (rho0 - r_ts) / sigma2
+    m_lin = (e_s - rho0) + (r_ts - rho0)
+    s0 = (c2 * a_o + d * (e_s - r_ts) / sigma2) * a_o + 0.5 * d * d * e_s / sigma2
+    neg_s1 = (c2 * a_o - d * m_lin / sigma2) * a_o - d * d * (0.5 * e_s - rho0) / sigma2
+    v2 = 2.0 * (e_s - r_ss) / sigma2
+    var = (v2 * a_o + v2 * d) * a_o + d * d * e_s / sigma2
+    sig_n = np.sqrt(np.maximum(var, 0.0))
+    return 0.5 * (q_ratio(s0, sig_n) + q_ratio(neg_s1, sig_n))
+
+
+@pytest.mark.parametrize("snr", [1.0, 100.0])
+@pytest.mark.parametrize("matched", [False, True])
+def test_pulse_pe_takes_one_q_where_the_coefficient_rows_coincide(monkeypatch, snr, matched):
+    # With the same template on both sides -s1 equals s0 bit for bit, and
+    # _pulse_pe calls q_ratio once; its value is the two-Q formula's, bit for
+    # bit, at every lag up to the correlation span and at tiny, zero and
+    # half-width amplitude offsets. Mismatched widths keep both calls.
+    scn = build_example4(snr)
+    assumed = scn.assumed["matched" if matched else "mismatched"]
+    span = pulse_profile(PeKernel(assumed, scn.truth), scn.prior).span
+    s_true, s_assumed = pulse_template(scn.truth.signal.width), pulse_template(assumed.signal.width)
+    lags = np.arange(span + 1)
+    r_ss = _xcorr_at_lags(s_assumed, s_assumed, lags)
+    r_ts = _xcorr_at_lags(s_true, s_assumed, lags)
+    half_w = 0.5 * scn.prior.axes[1].width
+    alphas = np.array([2.0**-20, -(2.0**-20), 2.0**-10, -(2.0**-10), 0.0, half_w, -half_w])
+    key_lag, d_alpha = (m.ravel() for m in np.meshgrid(lags, alphas, indexing="ij"))
+    lo = np.maximum(0.5, 0.5 - d_alpha)
+    a_o = lo + np.linspace(0.0, 1.0, 129)[:, None] * (np.minimum(1.5, 1.5 - d_alpha) - lo)
+    args = (d_alpha, r_ss[key_lag], r_ts[key_lag], r_ts[0], r_ss[0], scn.truth.noise.cov.sigma2)
+    calls, got = _recorded_q_ratio_calls(monkeypatch, a_o, *args)
+    assert len(calls) == (1 if matched else 2)
+    assert _coefficient_rows_coincide(*args) == matched
+    assert got.tobytes() == _two_q_pulse_pe(a_o, *args).tobytes()
 
 
 def _make_example4_g(scenario, matched):
@@ -865,12 +924,28 @@ def test_example4_g_is_even_in_the_lag(matched):
 
 
 @pytest.mark.parametrize("matched", [False, True])
-@pytest.mark.parametrize("snr", [0.3, 5.0, 50.0])
-def test_example4_lattice_bound_reads_positive_lags_only(matched, snr):
+@pytest.mark.parametrize(
+    "snr, widths",
+    [
+        pytest.param(0.3, (120, 20, 14), id="0.3"),
+        pytest.param(5.0, (120, 20, 14), id="5.0"),
+        pytest.param(50.0, (120, 20, 14), id="50.0"),
+        pytest.param(5.0, (40, 20, 40), id="no_tail"),
+        pytest.param(10.0, (600, 300, 200), id="k600"),
+        pytest.param(50.0, (160, 10, 30), id="tail_alpha_off_zero"),
+    ],
+)
+def test_example4_lattice_bound_reads_positive_lags_only(matched, snr, widths):
     # The lattice route maximizes over the free amplitude offset at the
     # positive lags only. G is even in the lag, so taking the maximum with
-    # a pass over the negative lags gives the same bound bit for bit.
-    scn = build_example4(snr, k=120, true_width=20, assumed_width=14)
+    # a pass over the negative lags gives the same bound bit for bit. Past
+    # the correlation span the route reads G at the span's maximizer instead
+    # of searching; that too keeps every bit of a search at every lag. In
+    # the no_tail scenario the span reaches k - true_width (every lag past
+    # it has no live position), k600 has the default widths, and in the last
+    # scenario the mismatched maximizer past the span is d_alpha 0.8125.
+    k, true_width, assumed_width = widths
+    scn = build_example4(snr, k=k, true_width=true_width, assumed_width=assumed_width)
     assumed = scn.assumed["matched" if matched else "mismatched"]
     result = zzb.bound(assumed, scn.truth, scn.prior, coord=0)
     g = pulse_profile(PeKernel(assumed, scn.truth), scn.prior)
@@ -879,6 +954,30 @@ def test_example4_lattice_bound_reads_positive_lags_only(matched, snr):
     both = np.maximum(zzb._max_over_free(spec, offs), zzb._max_over_free(spec, -offs))
     assert result.form == "lattice_staircase"
     assert result.value == zzb.lattice_staircase_sum(1.0, scn.k, both)
+
+
+@pytest.mark.parametrize("matched", [False, True])
+def test_example4_lattice_route_searches_up_to_the_span_only(matched):
+    # Each searched lag hands g 50 rows (33 scanned amplitude offsets and 8
+    # ternary steps of two probes, plus the midpoint). Past the correlation
+    # span G is tau_share times the span's profile, so the route hands g one
+    # row per lag there, at the span's maximizer; a search at every lag
+    # would hand it 50 (k - 1) rows.
+    scn = build_example4(1.0)
+    assumed = scn.assumed["matched" if matched else "mismatched"]
+    g = pulse_profile(PeKernel(assumed, scn.truth), scn.prior)
+    rows = []
+
+    def counting_g(deltas):
+        rows.append(deltas.shape[0])
+        return g(deltas)
+
+    counting_g.span = g.span
+    spec = VectorBoundSpec(0, scn.prior, counting_g, zzb._PULSE_SEARCH, zzb._PULSE_QUADRATURE)
+    result = zzb_vector(spec)
+    assert result == zzb.bound(assumed, scn.truth, scn.prior, coord=0)
+    assert 0 < g.span < scn.k - 1 - 4000
+    assert sum(rows) <= (g.span + 1) * 50 + (scn.k - 1 - g.span)
 
 
 def test_example4_g_memo_is_per_integrand(monkeypatch):
