@@ -24,24 +24,10 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .estimators import EstimatorSpec, LinearClosedForm, QuasiMLE, SampleMedian
-from .experiments import (
-    _SWEEP_VARS,
-    SweepConfig,
-    build_example1,
-    build_example2,
-    build_example3,
-    build_example4,
-    check_sweep_grid,
-    check_sweep_k,
-    check_sweep_trials,
-    check_sweep_value,
-    default_grid,
-    run_sweep,
-)
+from .experiments import Study, SweepConfig, check_sweep_trials, run_sweep, study
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
-    Covariance,
     DenseCov,
     DiagonalCov,
     GaussianNoise,
@@ -52,8 +38,8 @@ from .models import (
     MixtureNoise,
     Prior,
     ScaledIdentityCov,
-    SignalMap,
     TrueModel,
+    eval_signal,
 )
 from .montecarlo import TrialPlan, empirical_pe, run_mse
 from .pe_kernel import PeKernel, pe_gaussian, pe_mixture
@@ -157,6 +143,14 @@ def _as_matrix(value: Any, path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _under(path: str, factory: Callable[..., Any], *args: Any) -> Any:
+    """Call factory, whose ValueErrors start with the field they name, below path."""
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
 def _build(factory: Callable[..., Any], *args: Any, path: str) -> Any:
     """Construct a model object, mapping its validation errors to the config.
 
@@ -176,36 +170,41 @@ def _build(factory: Callable[..., Any], *args: Any, path: str) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _build_signal(spec: Any, path: str) -> SignalMap:
-    d = _as_dict(spec, path)
-    kind = _kind(
-        d, path, {"linear_vector": ("hvec",), "linear_matrix": ("matrix",), "pulse": ("width", "k")}
-    )
-    if kind == "linear_vector":
-        h = _as_number_list(_require(d, "hvec", path), f"{path}.hvec")
-        return _build(LinearVectorMap, np.asarray(h), path=path)
-    if kind == "linear_matrix":
-        m = _as_matrix(_require(d, "matrix", path), f"{path}.matrix")
-        return _build(LinearMatrixMap, m, path=path)
-    width = _as_int(_require(d, "width", path), f"{path}.width")
-    k = _as_int(_require(d, "k", path), f"{path}.k")
-    return _build(AmplitudePulseMap, width, k, path=path)
+def _as_array(value: Any, path: str) -> np.ndarray:
+    return np.asarray(_as_number_list(value, path))
 
 
-def _build_cov(spec: Any, path: str) -> Covariance:
+# The flat kinds, by type name: the constructor and its fields in argument
+# order, each as (name, parser) when it must be given, else (name, parser,
+# default).
+_FLAT_KINDS: dict[str, tuple[Callable[..., Any], tuple[tuple[Any, ...], ...]]] = {
+    "linear_vector": (LinearVectorMap, (("hvec", _as_array),)),
+    "linear_matrix": (LinearMatrixMap, (("matrix", _as_matrix),)),
+    "pulse": (AmplitudePulseMap, (("width", _as_int), ("k", _as_int))),
+    "scaled_identity": (ScaledIdentityCov, (("sigma2", _as_number), ("k", _as_int))),
+    "diagonal": (DiagonalCov, (("diag", _as_array),)),
+    "dense": (DenseCov, (("matrix", _as_matrix),)),
+    "interval": (IntervalAxis, (("lo", _as_number), ("hi", _as_number))),
+    "lattice": (
+        LatticeAxis,
+        (("count", _as_int), ("start", _as_number, 0.0), ("step", _as_number, 1.0)),
+    ),
+}
+_SIGNALS = ("linear_vector", "linear_matrix", "pulse")
+_COVS = ("scaled_identity", "diagonal", "dense")
+_AXES = ("interval", "lattice")
+
+
+def _build_flat(spec: Any, path: str, kinds: tuple[str, ...]) -> Any:
+    """Build an object of one of the flat kinds from its _FLAT_KINDS entry."""
     d = _as_dict(spec, path)
-    kind = _kind(
-        d, path, {"scaled_identity": ("sigma2", "k"), "diagonal": ("diag",), "dense": ("matrix",)}
-    )
-    if kind == "scaled_identity":
-        sigma2 = _as_number(_require(d, "sigma2", path), f"{path}.sigma2")
-        k = _as_int(_require(d, "k", path), f"{path}.k")
-        return _build(ScaledIdentityCov, sigma2, k, path=path)
-    if kind == "diagonal":
-        diag = _as_number_list(_require(d, "diag", path), f"{path}.diag")
-        return _build(DiagonalCov, np.asarray(diag), path=path)
-    m = _as_matrix(_require(d, "matrix", path), f"{path}.matrix")
-    return _build(DenseCov, m, path=path)
+    kind = _kind(d, path, {t: tuple(f[0] for f in _FLAT_KINDS[t][1]) for t in kinds})
+    factory, fields = _FLAT_KINDS[kind]
+    args = []
+    for name, parse, *default in fields:
+        value = d.get(name, *default) if default else _require(d, name, path)
+        args.append(parse(value, f"{path}.{name}"))
+    return _build(factory, *args, path=path)
 
 
 def _build_mean(spec: Any, path: str, k: int) -> np.ndarray:
@@ -218,7 +217,7 @@ def _build_mean(spec: Any, path: str, k: int) -> np.ndarray:
 
 
 def _build_gaussian(d: Mapping[str, Any], path: str, k: int) -> GaussianNoise:
-    cov = _build_cov(_require(d, "cov", path), f"{path}.cov")
+    cov = _build_flat(_require(d, "cov", path), f"{path}.cov", _COVS)
     mean = _build_mean(d.get("mean", 0.0), f"{path}.mean", k)
     return _build(GaussianNoise, mean, cov, path=path)
 
@@ -246,19 +245,6 @@ def _build_noise(spec: Any, path: str, k: int):
     return _build(MixtureNoise, np.asarray(weights), components, path=path)
 
 
-def _build_axis(spec: Any, path: str):
-    d = _as_dict(spec, path)
-    kind = _kind(d, path, {"interval": ("lo", "hi"), "lattice": ("count", "start", "step")})
-    if kind == "interval":
-        lo = _as_number(_require(d, "lo", path), f"{path}.lo")
-        hi = _as_number(_require(d, "hi", path), f"{path}.hi")
-        return _build(IntervalAxis, lo, hi, path=path)
-    count = _as_int(_require(d, "count", path), f"{path}.count")
-    start = _as_number(d.get("start", 0.0), f"{path}.start")
-    step = _as_number(d.get("step", 1.0), f"{path}.step")
-    return _build(LatticeAxis, count, start, step, path=path)
-
-
 def _build_prior(spec: Any, path: str) -> Prior:
     d = _as_dict(spec, path)
     kind = _kind(d, path, {"interval": ("t",), "axes": ("axes",)})
@@ -268,7 +254,7 @@ def _build_prior(spec: Any, path: str) -> Prior:
     axes = _require(d, "axes", path)
     if not isinstance(axes, list) or not axes:
         _fail(f"{path}.axes", "expected a nonempty array of axis objects")
-    built = tuple(_build_axis(a, f"{path}.axes[{i}]") for i, a in enumerate(axes))
+    built = tuple(_build_flat(a, f"{path}.axes[{i}]", _AXES) for i, a in enumerate(axes))
     return _build(Prior, built, path=path)
 
 
@@ -281,40 +267,24 @@ class _Scenario:
     prior: Prior
 
 
-# Each study's builder from its sweep value; example 3 sweeps 1 - omega1.
-_PRESET_BUILDERS: dict[int, Callable[..., Any]] = {
-    1: build_example1,
-    2: build_example2,
-    3: lambda w2, *k: build_example3(1.0 - w2, *k),
-    4: build_example4,
-}
-
-# Each study's preset variants, keys of its scenario's assumed models; the
-# first is the default.
-_PRESET_VARIANTS = {
-    1: ("matched", "m1", "m2"),
-    2: ("mismatched", "matched"),
-    3: ("mismatched",),
-    4: ("mismatched", "matched"),
-}
+def _study(d: Mapping[str, Any], path: str) -> Study:
+    """The reference study d["example"] names."""
+    example = _as_int(_require(d, "example", path), f"{path}.example")
+    return _under(path, study, example)
 
 
 def _scenario_from_preset(d: Mapping[str, Any], path: str) -> _Scenario:
-    example = _as_int(_require(d, "example", path), f"{path}.example")
-    if example not in (1, 2, 3, 4):
-        _fail(f"{path}.example", f"expected 1, 2, 3, or 4, got {example}")
-    var = _SWEEP_VARS[example]
-    _check_fields(d, path, "example", "variant", "k", var)
+    ref = _study(d, path)
+    _check_fields(d, path, "example", "variant", "k", ref.var)
     # Passed on only when given, so each study keeps its own default k.
     k_arg = ()
     if "k" in d:
         k_arg = (_as_int(d["k"], f"{path}.k"),)
-        _build(check_sweep_k, example, *k_arg, path=f"{path}.k")
-    value = _as_number(_require(d, var, path), f"{path}.{var}")
-    _build(check_sweep_value, example, value, path=f"{path}.{var}")
-    variants = _PRESET_VARIANTS[example]
-    variant = _as_str(d.get("variant", variants[0]), f"{path}.variant", choices=variants)
-    scn = _build(_PRESET_BUILDERS[example], value, *k_arg, path=path)
+        _build(ref.check_k, *k_arg, path=f"{path}.k")
+    value = _as_number(_require(d, ref.var, path), f"{path}.{ref.var}")
+    _build(ref.check_value, value, path=f"{path}.{ref.var}")
+    variant = _as_str(d.get("variant", ref.variants[0]), f"{path}.variant", choices=ref.variants)
+    scn = _build(ref.build, value, *k_arg, path=path)
     if variant not in scn.assumed:
         _fail(f"{path}.variant", "the white-only model needs sigma2 > 0 to be well defined")
     return _Scenario(scn.assumed[variant], scn.truth, scn.prior)
@@ -329,8 +299,10 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
 
     assumed_d = _as_dict(_require(d, "assumed", path), f"{path}.assumed")
     _check_fields(assumed_d, f"{path}.assumed", "signal", "cov", "mean")
-    signal = _build_signal(_require(assumed_d, "signal", f"{path}.assumed"), f"{path}.assumed.signal")
-    cov = _build_cov(_require(assumed_d, "cov", f"{path}.assumed"), f"{path}.assumed.cov")
+    signal = _build_flat(
+        _require(assumed_d, "signal", f"{path}.assumed"), f"{path}.assumed.signal", _SIGNALS
+    )
+    cov = _build_flat(_require(assumed_d, "cov", f"{path}.assumed"), f"{path}.assumed.cov", _COVS)
     mean = _build_mean(assumed_d.get("mean", 0.0), f"{path}.assumed.mean", signal.k)
     assumed = _build(AssumedModel, signal, mean, cov, path=f"{path}.assumed")
 
@@ -338,7 +310,7 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
     _check_fields(truth_d, f"{path}.truth", "signal", "noise")
     t_signal = signal
     if "signal" in truth_d:
-        t_signal = _build_signal(truth_d["signal"], f"{path}.truth.signal")
+        t_signal = _build_flat(truth_d["signal"], f"{path}.truth.signal", _SIGNALS)
     noise = _build_noise(_require(truth_d, "noise", f"{path}.truth"), f"{path}.truth.noise", t_signal.k)
     truth = _build(TrueModel, t_signal, noise, path=f"{path}.truth")
     # The two models must agree on the record length and the parameter count.
@@ -449,12 +421,19 @@ def _trials_and_seed(
     trials = args.trials
     if trials is None and ("trials" in cfg or default is not None):
         trials = _as_int(cfg.get("trials", default), "config.trials")
-    if trials is not None:
+    if default is not None:  # a sweep's count is checked by SweepConfig
         _build(check_sweep_trials, trials, path="config.trials")
     seed = args.seed
     if seed is None:
         seed = _as_int(cfg.get("seed", 0), "config.seed")
     return trials, seed
+
+
+def _check_point(scn: _Scenario, theta: np.ndarray, path: str) -> None:
+    """Evaluate both maps at theta, so that a point a map cannot take, such
+    as a pulse position outside the record, is a config error naming path."""
+    for signal in (scn.assumed.signal, scn.truth.signal):
+        _build(eval_signal, signal, theta, path=path)
 
 
 def _default_estimator(scn: _Scenario) -> EstimatorSpec:
@@ -492,6 +471,15 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
     theta_true = None
     if "theta_true" in cfg:
         theta_true = _as_coords(cfg["theta_true"], "config.theta_true", scn.prior.n_theta)
+        _check_point(scn, theta_true, "config.theta_true")
+    # Trials draw theta from the prior and the estimators search it, so its
+    # end positions must be points the maps take.
+    ends = [
+        (ax.lo, ax.hi) if isinstance(ax, IntervalAxis) else (ax.start, ax.start + ax.width)
+        for ax in scn.prior.axes
+    ]
+    for end in zip(*ends):
+        _check_point(scn, np.array(end), "config.scenario.prior")
 
     plan = _build(
         TrialPlan,
@@ -532,6 +520,8 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         choices=("analytic", "empirical", "both"),
     )
     trials, seed = _trials_and_seed(cfg, args, 100_000)
+    _check_point(scn, theta, "config.theta")
+    _check_point(scn, theta + delta, "config.delta")
 
     kernel = PeKernel(scn.assumed, scn.truth)
     rows: list[dict[str, Any]] = []
@@ -554,31 +544,18 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
 def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "example", "var", "grid", "k", "trials", "seed")
-    example = _as_int(_require(cfg, "example", "config"), "config.example")
-    if example not in (1, 2, 3, 4):
-        _fail("config.example", f"expected 1, 2, 3, or 4, got {example}")
-
+    ref = _study(cfg, "config")
+    grid = ref.grid
     if "grid" in cfg:
         grid = tuple(_as_number_list(cfg["grid"], "config.grid", min_len=0))
-        for i, value in enumerate(grid):
-            _build(check_sweep_value, example, value, path=f"config.grid[{i}]")
-        _build(check_sweep_grid, grid, path="config.grid")
-    else:
-        grid = default_grid(example)
-
     overrides: dict[str, int] = {}
     if "k" in cfg:
         overrides["k"] = _as_int(cfg["k"], "config.k")
-        _build(check_sweep_k, example, overrides["k"], path="config.k")
     trials, seed = _trials_and_seed(cfg, args, None)
     if trials is not None:
         overrides["trials"] = trials
-
-    var = _SWEEP_VARS[example]
-    if "var" in cfg:
-        var = _as_str(cfg["var"], "config.var", choices=(var,))
-
-    sweep = _build(SweepConfig, example, var, grid, overrides, seed, path="config")
+    var = _as_str(cfg.get("var", ref.var), "config.var")
+    sweep = _under("config", SweepConfig, ref.example, var, grid, overrides, seed)
     rows = run_sweep(sweep)
     return [
         {
@@ -657,7 +634,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_atomic(args.out, _render(rows, args.format))

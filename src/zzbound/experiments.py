@@ -8,16 +8,17 @@ with a too-narrow pulse template. Builders are deterministic; all randomness
 lives in the Monte Carlo plans they feed.
 
 Each scenario holds its assumed models in `assumed`, keyed by variant (the
-CLI presets name the same keys). Every bound comes from zzb.bound, the
-pulse bounds one coordinate at a time; only the matched contamination bound
-takes a route of its own.
+CLI presets name the same keys). STUDIES holds each study's facts once; the
+CLI presets and the sweep driver both read them. Every bound comes from
+zzb.bound, the pulse bounds one coordinate at a time; only the matched
+contamination bound takes a route of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -60,21 +61,17 @@ __all__ = [
     "example3_matched_bound",
     "matched_mixture_pe",
     "example4_bounds",
+    "STUDIES",
+    "Study",
     "SweepConfig",
     "SweepRow",
-    "check_sweep_grid",
-    "check_sweep_k",
     "check_sweep_trials",
-    "check_sweep_value",
     "default_grid",
     "run_sweep",
+    "study",
 ]
 
 THETA_DC = 4.0
-
-_SWEEP_VARS = {1: "sigma2", 2: "mu_star", 3: "one_minus_omega1", 4: "snr"}
-_DEFAULT_K = {1: 500, 2: 500, 3: 2000, 4: 5000}
-_DEFAULT_TRIALS = {1: 2000, 2: 2000, 3: 1000, 4: 500}
 
 
 def _prior_width(gamma_min: float) -> float:
@@ -450,87 +447,6 @@ def example4_bounds(scenario: Example4Scenario) -> dict[str, BoundResult]:
 # ---------------------------------------------------------------------------
 
 
-# Domain of each example's sweep variable; NaN fails every comparison.
-_SWEEP_DOMAINS: dict[int, tuple[Callable[[float], bool], str]] = {
-    1: (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
-    2: (math.isfinite, "finite"),
-    3: (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    4: (lambda v: 0.0 < v < math.inf, "finite and positive"),
-}
-
-
-def check_sweep_value(example: int, value: float) -> None:
-    """Raise ValueError unless value lies in the example's sweep domain."""
-    in_domain, domain = _SWEEP_DOMAINS[example]
-    if not in_domain(value):
-        raise ValueError(f"{_SWEEP_VARS[example]} must be {domain}, got {value}")
-
-
-# Shortest record each study can be built on; example 4 needs room for two
-# true-width pulses.
-_SWEEP_MIN_K = {1: 2, 2: 2, 3: 2, 4: 2 * _EX4_TRUE_WIDTH}
-
-
-def check_sweep_k(example: int, k: int) -> None:
-    """Raise ValueError unless the example's study can be built with k samples."""
-    least = _SWEEP_MIN_K[example]
-    if k < least:
-        raise ValueError(f"k must be at least {least} for example {example}, got {k}")
-
-
-def check_sweep_grid(grid: Sequence[float]) -> None:
-    """Raise ValueError unless the grid is nonempty and strictly increasing."""
-    if not grid:
-        raise ValueError("expected a nonempty grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-
-
-def check_sweep_trials(trials: int) -> None:
-    """Raise ValueError unless a Monte Carlo run has at least one trial."""
-    if trials < 1:
-        raise ValueError(f"expected a positive count, got {trials}")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One example sweep: which variable, over which grid, at what scale."""
-
-    example: int
-    var: str
-    grid: tuple[float, ...]
-    overrides: Mapping[str, int] = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.example not in _SWEEP_VARS:
-            raise ValueError(f"example must be in {{1, 2, 3, 4}}, got {self.example}")
-        expected = _SWEEP_VARS[self.example]
-        if self.var != expected:
-            raise ValueError(
-                f"example {self.example} sweeps {expected!r}, got var={self.var!r}"
-            )
-        grid = tuple(float(v) for v in self.grid)
-        for i, value in enumerate(grid):
-            try:
-                check_sweep_value(self.example, value)
-            except ValueError as exc:
-                raise ValueError(f"grid[{i}]: {exc}") from None
-        check_sweep_grid(grid)
-        object.__setattr__(self, "grid", grid)
-        known = {"k", "trials"}
-        unknown = set(self.overrides) - known
-        if unknown:
-            raise ValueError(f"unknown overrides {sorted(unknown)}; allowed: k, trials")
-        if "k" in self.overrides:
-            check_sweep_k(self.example, int(self.overrides["k"]))
-        if "trials" in self.overrides:
-            try:
-                check_sweep_trials(int(self.overrides["trials"]))
-            except ValueError as exc:
-                raise ValueError(f"trials: {exc}") from None
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One CSV row: a quantity evaluated at one sweep point."""
@@ -544,136 +460,214 @@ class SweepRow:
     flag: str
 
 
-def default_grid(example: int) -> tuple[float, ...]:
-    """The sweep grid each example was designed around."""
-    if example == 1:
-        return tuple(np.linspace(0.01, 0.3, 8))
-    if example == 2:
-        return tuple(float(v) for v in range(11))
-    if example == 3:
-        return tuple(np.linspace(0.0, 1.0, 11))
-    if example == 4:
-        return (1.0, 3.162, 10.0, 31.62, 100.0, 316.2)
-    raise ValueError(f"example must be in {{1, 2, 3, 4}}, got {example}")
+# What a sweep evaluates at one point: bounds by quantity name, and Monte
+# Carlo plans (quantities, estimator, pinned theta or None), None where a
+# variant is absent, so each plan keeps its index in the seed cell.
+_Plan = tuple[tuple[str, ...], EstimatorSpec, "np.ndarray | None"]
+_Point = tuple[dict[str, BoundResult], list["_Plan | None"]]
 
 
-def _scale(config: SweepConfig) -> tuple[int, int]:
-    k = int(config.overrides.get("k", _DEFAULT_K[config.example]))
-    trials = int(config.overrides.get("trials", _DEFAULT_TRIALS[config.example]))
-    return k, trials
+@dataclass(frozen=True)
+class Study:
+    """One reference study, as its CLI presets and its sweeps read it.
+
+    build(value, *args) makes the scenario at a value of the sweep variable
+    var, which must satisfy in_domain (described by domain; NaN never does),
+    at a record length k of at least min_k. grid, k and trials are the sweep
+    defaults; variants name the assumed models, the default first. point
+    gives what a sweep evaluates at each scenario. Where slope is set, a
+    sweep builds every point on the prior width _prior_width gives for the
+    smallest slope over the grid.
+    """
+
+    example: int
+    var: str
+    in_domain: Callable[[float], bool]
+    domain: str
+    grid: tuple[float, ...]
+    k: int
+    trials: int
+    min_k: int
+    variants: tuple[str, ...]
+    build: Callable[..., Any]
+    point: Callable[[Any], _Point]
+    slope: Callable[[Any], float] | None = None
+
+    def check_value(self, value: float) -> None:
+        if not self.in_domain(value):
+            raise ValueError(f"{self.var} must be {self.domain}, got {value}")
+
+    def check_k(self, k: int) -> None:
+        if k < self.min_k:
+            raise ValueError(f"k must be at least {self.min_k} for example {self.example}, got {k}")
 
 
-def _mse_rows(
-    config: SweepConfig,
-    cell: tuple[int, int],
-    scn,
-    estimator: EstimatorSpec,
-    quantities: tuple[str, ...],
-    theta_true: np.ndarray | None = None,
-) -> list[SweepRow]:
-    """Monte Carlo rows of one estimator on the scenario's truth and prior,
-    seeded by its (grid index, estimator index) cell."""
-    trials, seed = _scale(config)[1], derive_seed(config.seed, config.example, *cell)
-    report = run_mse(TrialPlan(scn.truth, estimator, scn.prior, trials, seed, theta_true))
-    flag = "ok" if report.valid else "invalid"
-    return [
-        SweepRow(
-            config.var,
-            config.grid[cell[0]],
-            quantity,
-            "monte_carlo",
-            float(report.mse[coord]),
-            float(report.stderr[coord]),
-            flag,
-        )
-        for coord, quantity in enumerate(quantities)
+def _dc_point(scn: Example1Scenario) -> _Point:
+    bounds = {f"zzb_{name}": bound(m, scn.truth, scn.prior) for name, m in scn.assumed.items()}
+    pin = np.array([scn.theta])
+    return bounds, [
+        ((f"mse_mle_{name}",), LinearClosedForm(scn.assumed[name]), pin)
+        if name in scn.assumed
+        else None
+        for name in ("m1", "m2", "matched")
     ]
 
 
-def _bound_row(
-    config: SweepConfig, value: float, quantity: str, result: BoundResult
-) -> SweepRow:
-    flag = "ok" if result.converged else "not_converged"
-    return SweepRow(config.var, value, quantity, result.form, result.value, 0.0, flag)
+def _mean_point(scn: Example2Scenario) -> _Point:
+    # Quadrature also at mu_star = 5, where the closed form would apply, so
+    # the whole sweep reports one route.
+    mismatched = scn.assumed["mismatched"]
+    bounds = {
+        "zzb_mismatched": bound(mismatched, scn.truth, scn.prior, "quadrature"),
+        "zzb_matched": bound(scn.assumed["matched"], scn.truth, scn.prior),
+    }
+    return bounds, [(("mse_mle",), LinearClosedForm(mismatched), np.array([scn.theta]))]
 
 
-def _sweep_example1(config: SweepConfig) -> list[SweepRow]:
-    k = _scale(config)[0]
-    gamma_min = min(min(build_example1(s, k).gammas.values()) for s in config.grid)
-    t_prior = _prior_width(gamma_min)
-    rows: list[SweepRow] = []
-    for i, sigma2 in enumerate(config.grid):
-        scn = build_example1(sigma2, k, t_prior)
-        for name, model in scn.assumed.items():
-            result = bound(model, scn.truth, scn.prior)
-            rows.append(_bound_row(config, sigma2, f"zzb_{name}", result))
-        for j, name in enumerate(("m1", "m2", "matched")):
-            if name not in scn.assumed:
-                continue
-            estimator = LinearClosedForm(scn.assumed[name])
-            pin = np.array([scn.theta])
-            rows.extend(_mse_rows(config, (i, j), scn, estimator, (f"mse_mle_{name}",), pin))
-    return rows
+def _contamination_point(scn: Example3Scenario) -> _Point:
+    mismatched = scn.assumed["mismatched"]
+    bounds = {
+        "zzb_mismatched": bound(mismatched, scn.truth, scn.prior),
+        "zzb_matched": example3_matched_bound(scn),
+    }
+    pin = np.array([scn.theta])
+    return bounds, [
+        (("mse_mle",), LinearClosedForm(mismatched), pin),
+        (("mse_median",), SampleMedian(), pin),
+    ]
 
 
-def _sweep_example2(config: SweepConfig) -> list[SweepRow]:
-    k = _scale(config)[0]
-    rows: list[SweepRow] = []
-    for i, mu_star in enumerate(config.grid):
-        scn = build_example2(mu_star, k)
-        # Quadrature also at mu_star = 5, where the closed form would apply,
-        # so the whole sweep reports one route.
-        mismatched = bound(scn.assumed["mismatched"], scn.truth, scn.prior, "quadrature")
-        rows.append(_bound_row(config, mu_star, "zzb_mismatched", mismatched))
-        matched = bound(scn.assumed["matched"], scn.truth, scn.prior)
-        rows.append(_bound_row(config, mu_star, "zzb_matched", matched))
-        estimator = LinearClosedForm(scn.assumed["mismatched"])
-        rows.extend(_mse_rows(config, (i, 0), scn, estimator, ("mse_mle",), np.array([scn.theta])))
-    return rows
+def _pulse_point(scn: Example4Scenario) -> _Point:
+    found = example4_bounds(scn)
+    order = [f"zzb_{c}_{label}" for c in ("tau", "alpha") for label in ("mismatched", "matched")]
+    bounds = {name: found[name] for name in order}
+    estimator = QuasiMLE(scn.assumed["mismatched"])
+    return bounds, [(("mse_mle_tau", "mse_mle_alpha"), estimator, None)]
 
 
-def _sweep_example3(config: SweepConfig) -> list[SweepRow]:
-    k = _scale(config)[0]
-    gamma_min = min(build_example3(1.0 - w2, k).gamma_mismatched for w2 in config.grid)
-    t_prior = _prior_width(gamma_min)
-    rows: list[SweepRow] = []
-    for i, w2 in enumerate(config.grid):
-        scn = build_example3(1.0 - w2, k, t_prior)
-        mismatched = bound(scn.assumed["mismatched"], scn.truth, scn.prior)
-        rows.append(_bound_row(config, w2, "zzb_mismatched", mismatched))
-        rows.append(_bound_row(config, w2, "zzb_matched", example3_matched_bound(scn)))
-        estimators = (LinearClosedForm(scn.assumed["mismatched"]), SampleMedian())
-        for j, (quantity, estimator) in enumerate(zip(("mse_mle", "mse_median"), estimators)):
-            pin = np.array([scn.theta])
-            rows.extend(_mse_rows(config, (i, j), scn, estimator, (quantity,), pin))
-    return rows
+# The four studies by example number. Each builder and bound is looked up
+# when it is called, so a wrapper set later on the module attribute sees
+# every preset and sweep call.
+STUDIES = {
+    s.example: s
+    for s in (
+        Study(
+            1, "sigma2", in_domain=lambda v: 0.0 <= v < math.inf, domain="finite and nonnegative",
+            grid=tuple(np.linspace(0.01, 0.3, 8)), k=500, trials=2000, min_k=2,
+            variants=("matched", "m1", "m2"), build=lambda v, *args: build_example1(v, *args),
+            point=_dc_point, slope=lambda scn: min(scn.gammas.values()),
+        ),
+        Study(
+            2, "mu_star", in_domain=math.isfinite, domain="finite",
+            grid=tuple(float(v) for v in range(11)), k=500, trials=2000, min_k=2,
+            variants=("mismatched", "matched"), build=lambda v, *args: build_example2(v, *args),
+            point=_mean_point,
+        ),
+        Study(
+            3, "one_minus_omega1", in_domain=lambda v: 0.0 <= v <= 1.0, domain="in [0, 1]",
+            grid=tuple(np.linspace(0.0, 1.0, 11)), k=2000, trials=1000, min_k=2,
+            variants=("mismatched",), build=lambda w2, *args: build_example3(1.0 - w2, *args),
+            point=_contamination_point, slope=lambda scn: scn.gamma_mismatched,
+        ),
+        Study(
+            4, "snr", in_domain=lambda v: 0.0 < v < math.inf, domain="finite and positive",
+            grid=(1.0, 3.162, 10.0, 31.62, 100.0, 316.2), k=5000, trials=500,
+            min_k=2 * _EX4_TRUE_WIDTH,  # room for two true-width pulses
+            variants=("mismatched", "matched"), build=lambda v, *args: build_example4(v, *args),
+            point=_pulse_point,
+        ),
+    )
+}
 
 
-def _sweep_example4(config: SweepConfig) -> list[SweepRow]:
-    k = _scale(config)[0]
-    rows: list[SweepRow] = []
-    for i, snr in enumerate(config.grid):
-        scn = build_example4(snr, k)
-        bounds = example4_bounds(scn)
-        for coord in ("tau", "alpha"):
-            for label in ("mismatched", "matched"):
-                name = f"zzb_{coord}_{label}"
-                rows.append(_bound_row(config, snr, name, bounds[name]))
-        estimator = QuasiMLE(scn.assumed["mismatched"])
-        rows.extend(_mse_rows(config, (i, 0), scn, estimator, ("mse_mle_tau", "mse_mle_alpha")))
-    return rows
+def study(example: int) -> Study:
+    """The study numbered example; the ValueError names the field."""
+    if example not in STUDIES:
+        raise ValueError(f"example: expected 1, 2, 3, or 4, got {example}")
+    return STUDIES[example]
+
+
+def default_grid(example: int) -> tuple[float, ...]:
+    """The sweep grid each example was designed around."""
+    return study(example).grid
+
+
+def check_sweep_trials(trials: int) -> None:
+    """Raise ValueError unless a Monte Carlo run has at least one trial."""
+    if trials < 1:
+        raise ValueError(f"expected a positive count, got {trials}")
+
+
+def _named(name: str, check: Callable[..., None], *args: Any) -> None:
+    """Run check, putting the field name at the head of its ValueError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One example sweep: which variable, over which grid, at what scale.
+
+    Every ValueError starts with the field it names, as in "grid[1]: ".
+    """
+
+    example: int
+    var: str
+    grid: tuple[float, ...]
+    overrides: Mapping[str, int] = field(default_factory=dict)
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        ref = study(self.example)
+        if self.var != ref.var:
+            raise ValueError(f"var: expected one of {[ref.var]}, got {self.var!r}")
+        grid = tuple(float(v) for v in self.grid)
+        for i, value in enumerate(grid):
+            _named(f"grid[{i}]", ref.check_value, value)
+        if not grid:
+            raise ValueError("grid: expected a nonempty grid")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid: grid must be strictly increasing")
+        object.__setattr__(self, "grid", grid)
+        unknown = set(self.overrides) - {"k", "trials"}
+        if unknown:
+            raise ValueError(f"overrides: unknown {sorted(unknown)}; allowed: k, trials")
+        if "k" in self.overrides:
+            _named("k", ref.check_k, int(self.overrides["k"]))
+        if "trials" in self.overrides:
+            _named("trials", check_sweep_trials, int(self.overrides["trials"]))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every bound and Monte Carlo quantity over the configured grid.
 
     Rows come back ordered by sweep value, bounds before Monte Carlo results;
-    an invalid Monte Carlo run flags its rows and the sweep continues.
+    an invalid Monte Carlo run flags its rows and the sweep continues. Each
+    plan is seeded by its (grid index, plan index) cell.
     """
-    driver = {
-        1: _sweep_example1,
-        2: _sweep_example2,
-        3: _sweep_example3,
-        4: _sweep_example4,
-    }[config.example]
-    return driver(config)
+    ref = study(config.example)
+    k = int(config.overrides.get("k", ref.k))
+    trials = int(config.overrides.get("trials", ref.trials))
+    args: tuple[float, ...] = (k,)
+    if ref.slope is not None:
+        args += (_prior_width(min(ref.slope(ref.build(v, k)) for v in config.grid)),)
+    rows: list[SweepRow] = []
+    for i, value in enumerate(config.grid):
+        scn = ref.build(value, *args)
+        bounds, plans = ref.point(scn)
+        for quantity, result in bounds.items():
+            flag = "ok" if result.converged else "not_converged"
+            rows.append(SweepRow(config.var, value, quantity, result.form, result.value, 0.0, flag))
+        for j, plan in enumerate(plans):
+            if plan is None:
+                continue
+            quantities, estimator, pin = plan
+            seed = derive_seed(config.seed, config.example, i, j)
+            report = run_mse(TrialPlan(scn.truth, estimator, scn.prior, trials, seed, pin))
+            flag = "ok" if report.valid else "invalid"
+            for coord, quantity in enumerate(quantities):
+                mse, stderr = float(report.mse[coord]), float(report.stderr[coord])
+                rows.append(SweepRow(config.var, value, quantity, "monte_carlo", mse, stderr, flag))
+    return rows

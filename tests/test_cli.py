@@ -875,16 +875,14 @@ def test_pe_requires_matching_delta_length(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_sweep_example2_and_worker_invariance(tmp_path, monkeypatch):
+def test_sweep_example2_and_worker_invariance(tmp_path):
     cfg = _write_cfg(
         tmp_path,
         {"example": 2, "grid": [0.0, 5.0], "k": 30, "trials": 5, "seed": 3},
     )
     out1 = str(tmp_path / "w1.csv")
     out4 = str(tmp_path / "w4.csv")
-    monkeypatch.setenv("ZZBOUND_WORKERS", "1")
     assert main(["sweep", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setenv("ZZBOUND_WORKERS", "4")
     assert main(["sweep", "--config", cfg, "--out", out4]) == 0
     assert open(out1, "rb").read() == open(out4, "rb").read()
     rows = _read_rows(out1)
@@ -1185,3 +1183,289 @@ def test_csv_uses_lf_line_endings(tmp_path):
     raw = open(out, "rb").read()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+_PULSE_PRESET = {"example": 4, "snr": 10.0, "k": 600}
+
+
+def _pulse_prior(**lattice):
+    """The k = 60 pulse scenario with its delay lattice edited."""
+    scenario = _pulse_scenario(k=60)
+    scenario["prior"]["axes"][0].update(lattice)
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "command, payload, field, message",
+    [
+        ("pe", {"theta": [-5.0, 1.0], "delta": [1.0, 0.0]}, "config.theta", "< 600, got -5.0"),
+        ("pe", {"theta": [599.0, 1.0], "delta": [5.0, 0.0]}, "config.delta", "< 600, got 604.0"),
+        ("mc", {"theta_true": [700.0, 1.0]}, "config.theta_true", "< 600, got 700.0"),
+        ("mc", {"scenario": _pulse_prior(count=110)}, "config.scenario.prior", "< 60, got 109.0"),
+        ("mc", {"scenario": _pulse_prior(start=-10.0)}, "config.scenario.prior", "< 60, got -10.0"),
+    ],
+    ids=["pe_theta", "pe_delta", "mc_theta_true", "mc_prior_count", "mc_prior_start"],
+)
+def test_pulse_positions_outside_the_record_exit_2(
+    tmp_path, capsys, command, payload, field, message
+):
+    # Each once exited 3 from triangular_pulse; the prior cases did so once
+    # a trial drew a position past the record.
+    cfg = _write_cfg(tmp_path, {"scenario": _PULSE_PRESET, "trials": 20, **payload})
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field}: pulse position must satisfy 0 <= tau {message}\n"
+    assert not os.path.exists(out)
+
+
+def _readme_with_prior_width(t):
+    payload = _readme_config()
+    payload["scenario"]["prior"]["t"] = t
+    return payload
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("bound", _readme_with_prior_width(1e308), "(34, 'Numerical result out of range')"),
+        ("bound", {"scenario": {"example": 1, "sigma2": 1e300}}, "float division by zero"),
+        ("sweep", {"example": 1, "grid": [1e300], "k": 10, "trials": 2}, "float division by zero"),
+    ],
+    ids=["overflow", "zero_division", "sweep_zero_division"],
+)
+def test_arithmetic_errors_exit_3(tmp_path, capsys, command, payload, message):
+    # Valid configs whose closed form overflows, or whose gamma**3
+    # underflows to a zero divisor; each once ended in a traceback.
+    cfg = _write_cfg(tmp_path, payload)
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+# The fuzzers below keep every example under about 100 MB: quasi_mle on a
+# map other than the pulse fast path scores a 512^n_theta x k grid in one
+# piece, so n_theta <= 2 and k <= 10 there, and trials stay at most 20 (200
+# for pe's empirical draws). A pulse delay axis stays a lattice that runs
+# where it fits the record: off the pulse fast path, quasi_mle evaluates the
+# map once per point of a 512 x 512 grid, seconds per trial. Each fuzzer
+# draws a valid config, then about half the time edits one field to a value
+# across the edge of its domain, and one time in three makes one number
+# non-finite.
+_STUDIES = {
+    # var, values inside the domain, values outside it, variants, shortest k
+    1: ("sigma2", [0.0, 0.05, 0.3], [-0.1], ["matched", "m1", "m2"], 2),
+    2: ("mu_star", [-2.0, 0.0, 5.0], [], ["mismatched", "matched"], 2),
+    3: ("one_minus_omega1", [0.0, 0.3, 1.0], [-0.1, 1.1], ["mismatched"], 2),
+    4: ("snr", [10.0, 100.0], [0.0, -1.0], ["mismatched", "matched"], 600),
+}
+
+
+def _edit(draw, edits):
+    """Apply one of edits about half the time."""
+    if draw(st.booleans()):
+        draw(st.sampled_from(edits))()
+
+
+def _poison(draw, payload):
+    """Make one number of payload NaN or +-inf, one time in three."""
+    if draw(st.integers(0, 2)) < 2:
+        return payload
+    fields = {}
+    for path in _numeric_fields(payload):
+        fields.setdefault([key for key in path if isinstance(key, str)][-1], []).append(path)
+    *keys, last = draw(st.sampled_from(fields[draw(st.sampled_from(sorted(fields)))]))
+    node = payload
+    for key in keys:
+        node = node[key]
+    node[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return payload
+
+
+@st.composite
+def _mc_pe_scenarios(draw):
+    """(scenario, k, n): a preset, or an explicit linear or pulse scenario,
+    with n parameter coordinates; k is the record length of a pulse scenario
+    and None otherwise. Edits move a preset's value, k or variant, or a pulse
+    prior's positions, past an edge."""
+    kind = draw(st.sampled_from(["preset", "pulse", "linear"]))
+    if kind == "preset":
+        example = draw(st.integers(1, 4))
+        var, inside, outside, variants, min_k = _STUDIES[example]
+        k = min_k + draw(st.sampled_from([0, 8]))
+        scenario = {"example": example, var: draw(st.sampled_from(inside)), "k": k}
+        scenario["variant"] = draw(st.sampled_from(variants))
+        _edit(
+            draw,
+            [
+                lambda: scenario.update({var: draw(st.sampled_from(outside or [math.inf]))}),
+                lambda: scenario.update(k=min_k - 1),
+                lambda: scenario.update(variant="m1", **{var: inside[0]}),
+            ],
+        )
+        return scenario, k if example == 4 else None, 2 if example == 4 else 1
+    if kind == "pulse":
+        k = draw(st.integers(2, 10))
+        widths = draw(st.integers(1, k)), draw(st.integers(1, k))
+        scenario = _pulse_scenario(k, *widths, draw(_variance))
+        axes = scenario["prior"]["axes"]
+        _edit(
+            draw,
+            [
+                lambda: axes[0].update(count=k + 1),
+                lambda: axes[0].update(start=-1.0),
+                lambda: axes[0].update(count=k - 1, start=1.0),
+                lambda: axes.__setitem__(0, {"type": "interval", "lo": 0.0, "hi": float(k)}),
+            ],
+        )
+        return scenario, k, 2
+    k, n = draw(st.integers(1, 10)), draw(st.integers(1, 2))
+    cov = {"type": "scaled_identity", "sigma2": draw(_variance), "k": k}
+    noise = {"type": "gaussian", "cov": {"type": "diagonal", "diag": [draw(_variance)] * k}}
+    if draw(st.booleans()):
+        noise = {"type": "mixture", "weights": [0.5, 0.5], "components": [{"cov": cov}] * 2}
+    axes = []
+    for _ in range(n):
+        lo = draw(_small)
+        axes.append(
+            draw(
+                st.sampled_from(
+                    [
+                        {"type": "interval", "lo": lo, "hi": lo + draw(st.floats(0.1, 4.0))},
+                        {"type": "lattice", "count": draw(st.integers(1, 12)), "start": lo},
+                    ]
+                )
+            )
+        )
+    prior = {"type": "axes", "axes": axes}
+    if n == 1 and draw(st.booleans()):
+        prior = {"type": "interval", "t": draw(st.floats(0.5, 20.0))}
+    matrix = [draw(st.lists(_small, min_size=n, max_size=n)) for _ in range(k)]
+    scenario = {
+        "assumed": {
+            "signal": {"type": "linear_matrix", "matrix": matrix},
+            "cov": cov,
+            "mean": draw(_mean),
+        },
+        "truth": {"noise": noise},
+        "prior": prior,
+    }
+    return scenario, None, n
+
+
+def _point(draw, k, n):
+    """A parameter point inside the record; an edit moves a pulse position
+    across the record's edge at 0 or k."""
+    if k is None:
+        return [draw(_small) for _ in range(n)]
+    point = [draw(st.sampled_from([0.0, k / 2.0, k - 1.0, k - 0.5])), draw(st.floats(0.5, 1.5))]
+    outside = st.sampled_from([-1.0, -0.5, float(k), k + 0.5])
+    _edit(draw, [lambda: point.__setitem__(0, draw(outside))])
+    return point
+
+
+_ESTIMATORS = ["quasi_mle", "linear_closed_form", "sample_median"]
+
+
+@st.composite
+def _mc_configs(draw):
+    scenario, k, n = draw(_mc_pe_scenarios())
+    payload = {"scenario": scenario, "trials": draw(st.integers(1, 20))}
+    payload["seed"] = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        payload["theta_true"] = _point(draw, k, n)
+    _edit(
+        draw,
+        [
+            lambda: payload.update(trials=0),
+            lambda: payload.update(estimator=draw(st.sampled_from(_ESTIMATORS))),
+        ],
+    )
+    return _poison(draw, payload)
+
+
+@st.composite
+def _pe_configs(draw):
+    scenario, k, n = draw(_mc_pe_scenarios())
+    theta = _point(draw, k, n)
+    payload = {
+        "scenario": scenario,
+        "theta": theta,
+        "delta": [draw(st.sampled_from([0.5, 0.0, -1.0, 2.0])) for _ in theta],
+        "method": draw(st.sampled_from(["analytic", "empirical", "both"])),
+        "trials": draw(st.integers(1, 200)),
+    }
+    _edit(
+        draw,
+        [
+            lambda: payload.update(trials=0),
+            lambda: payload["delta"].__setitem__(0, float(k or 1) - theta[0]),
+            lambda: payload["delta"].__setitem__(0, -1.0 - theta[0]),
+        ],
+    )
+    return _poison(draw, payload)
+
+
+@st.composite
+def _sweep_configs(draw):
+    """Sweeps of every study over values inside its domain, at k from its
+    shortest record; edits name no study, move a value outside the domain,
+    break the grid's order, shorten k or zero the trials."""
+    example = draw(st.integers(1, 4))
+    var, inside, outside, _, min_k = _STUDIES[example]
+    size = 1 if example == 4 else 2
+    grid = sorted(set(draw(st.lists(st.sampled_from(inside), min_size=1, max_size=size))))
+    payload = {
+        "example": example,
+        "grid": grid,
+        "k": min_k + (0 if example == 4 else draw(st.sampled_from([0, 8]))),
+        "trials": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 9)),
+    }
+    if draw(st.booleans()):
+        payload["var"] = var
+    _edit(
+        draw,
+        [
+            lambda: payload.update(example=draw(st.sampled_from([0, 5]))),
+            lambda: grid.__setitem__(-1, draw(st.sampled_from(outside or [math.inf]))),
+            lambda: grid.extend(grid[-1:]),
+            lambda: grid.clear(),
+            lambda: payload.update(k=min_k - 1),
+            lambda: payload.update(trials=0),
+            lambda: payload.update(var="snr" if example != 4 else "sigma2"),
+        ],
+    )
+    return _poison(draw, payload)
+
+
+def _exit_code(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return main([command, "--config", cfg, "--out", os.path.join(tmp, "out.csv")])
+
+
+def _assert_exit_0_or_2(command, payload):
+    code = _exit_code(command, payload)
+    assert code in (0, 2)
+    # A non-finite number is a config error wherever it appears.
+    assert code == 2 or _is_finite(payload)
+
+
+@pytest.mark.parametrize(
+    "command, configs", [("mc", _mc_configs()), ("pe", _pe_configs())], ids=["mc", "pe"]
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_mc_and_pe_configs_exit_0_or_2(command, configs, data):
+    _assert_exit_0_or_2(command, data.draw(configs))
+
+
+# Fewer examples: a valid pulse sweep point takes about 0.4 s.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sweep_configs())
+def test_fuzzed_sweep_configs_exit_0_or_2(payload):
+    _assert_exit_0_or_2("sweep", payload)

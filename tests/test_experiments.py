@@ -1144,7 +1144,7 @@ def test_pulse_bound_takes_coord_0_or_1():
 def test_sweep_config_validation():
     with pytest.raises(ValueError, match="example"):
         SweepConfig(5, "sigma2", (0.1,))
-    with pytest.raises(ValueError, match="sweeps"):
+    with pytest.raises(ValueError, match=r"var: expected one of \['sigma2'\], got 'mu_star'"):
         SweepConfig(1, "mu_star", (0.1,))
     with pytest.raises(ValueError, match="nonempty"):
         SweepConfig(1, "sigma2", ())
@@ -1159,7 +1159,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match=r"grid\[0\]: sigma2 must be finite"):
         SweepConfig(1, "sigma2", (math.nan,))
     for example in (1, 2, 3, 4):
-        SweepConfig(example, experiments._SWEEP_VARS[example], default_grid(example))
+        SweepConfig(example, experiments.STUDIES[example].var, default_grid(example))
     with pytest.raises(ValueError, match="overrides"):
         SweepConfig(1, "sigma2", (0.1,), overrides={"shape": 3})
     with pytest.raises(ValueError, match="trials"):
