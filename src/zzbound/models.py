@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Covariance",
@@ -153,7 +152,8 @@ class DenseCov:
 
     The lower Cholesky factor is computed at construction; a failure there is
     reported as a model construction error, so downstream quadratic forms are
-    always well defined.
+    always well defined. scipy.linalg is imported by the methods that use
+    it, so a process that builds no dense covariance never loads it.
     """
 
     matrix: np.ndarray
@@ -172,6 +172,8 @@ class DenseCov:
 
     @cached_property
     def _chol(self) -> np.ndarray:
+        import scipy.linalg
+
         try:
             return scipy.linalg.cholesky(self.matrix, lower=True)
         except scipy.linalg.LinAlgError as exc:
@@ -183,6 +185,8 @@ class DenseCov:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return Sigma^-1 b for b of shape (k,) or (n, k)."""
+        import scipy.linalg
+
         b = np.asarray(b, dtype=float)
         if b.ndim == 1:
             return scipy.linalg.cho_solve((self._chol, True), b)
@@ -190,6 +194,8 @@ class DenseCov:
 
     def qf_inv(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         # (L^-1 u) . (L^-1 v): two triangular solves, no explicit inverse.
+        import scipy.linalg
+
         a = scipy.linalg.solve_triangular(self._chol, np.asarray(u, dtype=float), lower=True)
         if v is None:
             return float(a @ a)
@@ -378,8 +384,10 @@ class GaussianNoise:
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         if size is None:
             return self.mean + self.cov.chol_matvec(rng.standard_normal(self.dim))
-        z = rng.standard_normal((size, self.dim))
-        return self.mean + self.cov.chol_matvec(z)
+        # The block is built in place: the normals are dropped once coloured.
+        x = self.cov.chol_matvec(rng.standard_normal((size, self.dim)))
+        x += self.mean
+        return x
 
 
 def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
@@ -421,14 +429,16 @@ class MixtureNoise:
             return self.components[idx].draw(rng)
         # One choice pass, then one normal block, then per-component affine
         # maps in fixed order: the draw stream does not depend on the labels.
+        # Each component's rows are overwritten in the normal block itself.
         idx = rng.choice(n_comp, size=size, p=self.weights)
         z = rng.standard_normal((size, self.dim))
-        out = np.empty((size, self.dim), dtype=float)
         for i, comp in enumerate(self.components):
             rows = idx == i
             if np.any(rows):
-                out[rows] = comp.mean + comp.cov.chol_matvec(z[rows])
-        return out
+                x = comp.cov.chol_matvec(z[rows])
+                x += comp.mean
+                z[rows] = x
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,10 +484,15 @@ class PerSampleMixtureNoise:
         shape = self.k if size is None else (size, self.k)
         u = rng.random(shape)
         z = rng.standard_normal(shape)
-        std = self.stds[0]
-        for s, tail in zip(self.stds[1:], self._tails):
-            std = np.where(u < tail, s, std)
-        return std * z
+        # The masks are taken first, so u's buffer can then hold the stds;
+        # later components overwrite earlier ones, and z is scaled in place.
+        masks = [u < tail for tail in self._tails]
+        std = u
+        std.fill(self.stds[0])
+        for s, mask in zip(self.stds[1:], masks):
+            np.putmask(std, mask, s)
+        z *= std
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,7 +516,10 @@ class EmpiricalNoise:
             if x.shape != (self.k,):
                 raise ValueError(f"sampler returned shape {x.shape}, expected ({self.k},)")
             return x
-        return np.stack([self.draw(rng) for _ in range(size)])
+        out = np.empty((size, self.k))
+        for row in out:
+            row[:] = self.draw(rng)
+        return out
 
 
 NoiseLaw = Union[GaussianNoise, MixtureNoise, PerSampleMixtureNoise, EmpiricalNoise]

@@ -219,6 +219,7 @@ class PeEstimate:
 
 
 _MC_CHUNK = 1 << 23  # max elements per draw block
+_PE_BLOCK = 1 << 15  # max elements per row block of the decision statistic
 
 
 def empirical_pe(
@@ -230,6 +231,11 @@ def empirical_pe(
     independent substreams of the seed) and pushed through the assumed-model
     log-likelihood ratio; exact ties split half-and-half. The two conditional
     error rates are averaged with equal hypothesis weights.
+
+    One draw block of at most _MC_CHUNK elements is live at a time, and the
+    statistic is computed over it in row blocks of at most _PE_BLOCK
+    elements. The draws are chunked as they always were: a mixture law's
+    stream depends on the chunk sizes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -246,6 +252,15 @@ def empirical_pe(
     s1 = eval_signal(truth.signal, theta_o + delta)
     k = assumed.k
     chunk = max(1, _MC_CHUNK // k)
+    block = max(1, _PE_BLOCK // k)
+    cov = assumed.noise_cov
+
+    def decide(x: np.ndarray, sign: float, out: np.ndarray) -> None:
+        for lo in range(0, x.shape[0], block):
+            xb = x[lo : lo + block]
+            # D = ll(theta_o + delta) - ll(theta_o); decide the larger one.
+            s = sign * (0.5 * (cov.qf_inv_rows(xb - h0) - cov.qf_inv_rows(xb - h1)))
+            out[lo : lo + block] = (s > 0.0) + 0.5 * (s == 0.0)
 
     def error_rate(sub: int, clean: np.ndarray, sign: float) -> tuple[float, float]:
         rng = trial_generator(seed, sub)
@@ -253,14 +268,11 @@ def empirical_pe(
         done = 0
         while done < trials:
             n = min(chunk, trials - done)
-            x = clean[None, :] + truth.noise.draw(rng, size=n)
-            # D = ll(theta_o + delta) - ll(theta_o); decide the larger one.
-            d = 0.5 * (
-                assumed.noise_cov.qf_inv_rows(x - h0[None, :])
-                - assumed.noise_cov.qf_inv_rows(x - h1[None, :])
-            )
-            s = sign * d
-            weights[done : done + n] = (s > 0.0) + 0.5 * (s == 0.0)
+            x = truth.noise.draw(rng, size=n)
+            x += clean
+            decide(x, sign, weights[done : done + n])
+            # Dropped before the next draw, so one draw block is live at a time.
+            del x
             done += n
         mean = float(np.mean(weights))
         std = float(np.std(weights, ddof=1)) if trials > 1 else 0.0

@@ -5,14 +5,18 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zzbound
 from zzbound.cli import main
 from zzbound.experiments import (
     build_example1,
@@ -363,6 +367,48 @@ def _bound_row(tmp_path, payload, name):
     out = str(tmp_path / f"{name}.csv")
     assert main(["bound", "--config", cfg, "--out", out]) == 0
     return _read_rows(out)[0]
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import zzbound.cli
+
+tmp = Path(sys.argv[1])
+for command, cfg in json.loads(sys.argv[2]):
+    path = tmp / f"{command}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert zzbound.cli.main([command, "--config", str(path), "--out", str(tmp / "out.csv")]) == 0
+print("scipy.linalg" in sys.modules)
+
+import numpy as np
+from zzbound.models import DenseCov
+
+DenseCov(np.eye(2))
+print("scipy.linalg" in sys.modules)
+try:
+    DenseCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_only_a_dense_covariance_loads_scipy_linalg(tmp_path):
+    # A fresh interpreter, so no other test's imports count.
+    commands = [
+        ("bound", _readme_config()),
+        ("mc", _readme_config(trials=20)),
+        ("pe", _readme_config(theta=[4.0], delta=[0.3], method="both", trials=2000)),
+        ("sweep", {"example": 1, "grid": [0.1], "k": 10, "trials": 5}),
+    ]
+    src = str(Path(zzbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path), json.dumps(commands)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "True", "covariance is not positive definite"]
 
 
 @pytest.mark.parametrize("extra", [{}, {"method": "quadrature"}, {"method": "asymptotic"}])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from zzbound.models import (
     AmplitudePulseMap,
@@ -27,6 +27,7 @@ from zzbound.models import (
     triangular_pulse,
     uniform_interval,
 )
+from zzbound.montecarlo import _PE_BLOCK
 from zzbound.zzb import overlap_rows
 
 
@@ -65,6 +66,25 @@ def test_covariance_interface_consistency(cov):
     # L^T and the product L L^T must reproduce the covariance.
     l_t = cov.chol_matvec(np.eye(cov.dim))
     assert_allclose(l_t.T @ l_t, m, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [4, 50, 600])
+@pytest.mark.parametrize("kind", ["scaled_identity", "diagonal", "dense"])
+def test_qf_inv_rows_is_row_block_invariant(kind, k):
+    # empirical_pe computes its statistic in row blocks of _PE_BLOCK
+    # elements; each row's form must not depend on the rows beside it.
+    rng = np.random.default_rng(k)
+    cov = {
+        "scaled_identity": lambda: ScaledIdentityCov(2.5, k),
+        "diagonal": lambda: DiagonalCov(rng.uniform(0.5, 4.0, k)),
+        "dense": lambda: DenseCov(_dense_reference(k, seed=k)),
+    }[kind]()
+    stat_rows = max(1, _PE_BLOCK // k)
+    rows = rng.standard_normal((2 * stat_rows + 3, k))
+    whole = cov.qf_inv_rows(rows)
+    for block in (1, 7, stat_rows):
+        parts = [cov.qf_inv_rows(rows[lo : lo + block]) for lo in range(0, len(rows), block)]
+        assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_covariance_batched_solve():

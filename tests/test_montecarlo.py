@@ -19,6 +19,7 @@ from zzbound.models import (
     LinearVectorMap,
     MixtureNoise,
     ParametricMap,
+    PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
     TrueModel,
@@ -334,6 +335,84 @@ def test_empirical_pe_mixture_matches_analytic():
     analytic = pe_mixture(kernel, 0.5, delta)
     got = empirical_pe(kernel, 0.5, delta, trials=40000, seed=13)
     assert abs(got.pe - analytic) <= 3.0 * got.stderr + 1e-12
+
+
+def _dense_cov(k, seed):
+    a = np.random.default_rng(seed).standard_normal((k, k))
+    return DenseCov(4.0 * (a @ a.T / k + np.eye(k)))
+
+
+def _frozen_pe_setup(name):
+    k = 50 if name == "dense" else 4096
+    sig = LinearVectorMap(np.ones(k))
+    lin = np.linspace
+    if name == "scaled_identity":
+        cov = ScaledIdentityCov(4.0, k)
+        noise = GaussianNoise(np.zeros(k), DiagonalCov(lin(3.0, 5.0, k)))
+    elif name == "diagonal":
+        cov = DiagonalCov(lin(2.0, 6.0, k))
+        noise = GaussianNoise(np.full(k, 0.01), ScaledIdentityCov(4.0, k))
+    elif name == "dense":
+        cov, noise = _dense_cov(k, 1), GaussianNoise(np.zeros(k), _dense_cov(k, 2))
+    elif name == "mixture":
+        cov = ScaledIdentityCov(4.0, k)
+        wide = GaussianNoise(np.full(k, 0.1), DiagonalCov(lin(8.0, 12.0, k)))
+        narrow = GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k))
+        noise = MixtureNoise(np.array([0.7, 0.3]), (narrow, wide))
+    elif name == "per_sample":
+        cov = ScaledIdentityCov(4.9, k)
+        noise = PerSampleMixtureNoise(np.array([0.5, 0.3, 0.2]), np.array([1.0, 2.0, 4.0]), k)
+    else:
+        cov = ScaledIdentityCov(4.5, k)
+        noise = EmpiricalNoise(lambda rng: rng.laplace(scale=1.5, size=k), k)
+    return PeKernel(AssumedModel(sig, np.zeros(k), cov), TrueModel(sig, noise))
+
+
+@pytest.mark.parametrize(
+    "name, pe, stderr",
+    [
+        ("scaled_identity", 0.2180952380952381, 0.0063732407308959),
+        ("diagonal", 0.23928571428571427, 0.0064374970071826515),
+        ("dense", 0.2816666666666667, 0.006122108327289021),
+        ("mixture", 0.23190476190476192, 0.006231806597849133),
+        ("per_sample", 0.23619047619047617, 0.006555248108191836),
+        ("empirical", 0.22380952380952382, 0.006432815351566977),
+    ],
+)
+def test_empirical_pe_frozen_values(monkeypatch, name, pe, stderr):
+    # Frozen values: how the draws and the statistic are blocked in memory
+    # must not move a byte. At k = 4096 the 2,100 trials span two draw
+    # chunks (2,048 rows each) and many statistic blocks (8 rows); the dense
+    # case runs at k = 50 with a smaller draw chunk (2,621 rows) for the
+    # same cover.
+    import zzbound.montecarlo as mc
+
+    trials, delta = 2100, 0.05
+    if name == "dense":
+        monkeypatch.setattr(mc, "_MC_CHUNK", 1 << 17)
+        trials, delta = 2700, 0.5
+    got = empirical_pe(_frozen_pe_setup(name), 0.2, delta, trials, seed=3)
+    assert (repr(got.pe), repr(got.stderr)) == (repr(pe), repr(stderr))
+
+
+def test_empirical_pe_keeps_one_draw_block_live():
+    # 4,000 trials at k = 5000 draw three blocks of up to 2^23 elements per
+    # hypothesis. The peak allowed is the block and one draw temporary; a
+    # block still held through the next draw, with that draw's own
+    # temporaries, makes four (256 MB).
+    import tracemalloc
+
+    import zzbound.montecarlo as mc
+
+    k = 5000
+    kernel = PeKernel(*_linear_setup(k=k))
+    tracemalloc.start()
+    try:
+        empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * mc._MC_CHUNK
 
 
 def test_empirical_pe_validation():
