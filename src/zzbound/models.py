@@ -93,7 +93,9 @@ class ScaledIdentityCov:
         return math.sqrt(self.sigma2)
 
     def chol_matvec(self, z: np.ndarray) -> np.ndarray:
-        return self._scale * np.asarray(z, dtype=float)
+        """z L^T for rows z of a float array, scaled in place; returns z."""
+        z *= self._scale
+        return z
 
     def dense(self) -> np.ndarray:
         return self.sigma2 * np.eye(self.k)
@@ -140,7 +142,9 @@ class DiagonalCov:
         return np.sqrt(self.diag)
 
     def chol_matvec(self, z: np.ndarray) -> np.ndarray:
-        return self._scale * np.asarray(z, dtype=float)
+        """z L^T for rows z of a float array, scaled in place; returns z."""
+        z *= self._scale
+        return z
 
     def dense(self) -> np.ndarray:
         return np.diag(self.diag)

@@ -351,16 +351,14 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
 
     G reads the lag only through |rint(d_tau)|, so G(-tau, alpha) equals
     G(tau, alpha) bit for bit; with the candidates' symmetry this makes G
-    even, G(-delta) = G(delta), as VectorBoundSpec requires. The bound's
-    search and quadrature revisit many keys (the free lag window spans both
-    signs), so G remembers the sum of every key it has evaluated, in arrays
-    sorted by the complex key lag + 1j * d_alpha, and computes only unseen
-    keys. Those are evaluated at all amplitude nodes in one (nodes, keys)
-    block per call of _pulse_pe, whose decision means and variance are
-    Horner quadratics in the node with coefficients computed once per key,
-    and summed over the nodes in the same sequential order. For the matched
-    model the two decision means coincide bit for bit, and _pulse_pe then
-    evaluates one Q per node instead of two.
+    even, G(-delta) = G(delta), as VectorBoundSpec requires. G holds no
+    state, and each call evaluates each distinct key once. The keys are
+    evaluated at all amplitude nodes in one (nodes, keys) block per call of
+    _pulse_pe, whose decision means and variance are Horner quadratics in
+    the node with coefficients computed once per key, and summed over the
+    nodes in the same sequential order. For the matched model the two
+    decision means coincide bit for bit, and _pulse_pe then evaluates one Q
+    per node instead of two.
     """
     assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
     cov, noise, diag = assumed.noise_cov, truth.noise, _diagonal(assumed.noise_cov)
@@ -409,8 +407,6 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     w[2:-1:2] = 2.0
     t_weights = w / (3.0 * (n - 1))
     block = max(1, _PULSE_BLOCK // n)  # keys per _pulse_pe call
-    memo_keys = np.empty(0, dtype=complex)
-    memo_sums = np.empty(0)
 
     def quadrature(key_lag: np.ndarray, da: np.ndarray) -> np.ndarray:
         """Amplitude-quadrature sum for each (lag, d_alpha) key."""
@@ -432,8 +428,9 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
         return sums
 
     def g(deltas: np.ndarray) -> np.ndarray:
-        nonlocal memo_keys, memo_sums
         d = np.asarray(deltas, dtype=float)
+        if d.ndim != 2 or d.shape[1] != 2:
+            raise ValueError("deltas must have shape (M, 2)")
         out = np.zeros(d.shape[0])
         # A row with a NaN offset has no lag and yields NaN. Lags are capped
         # at k before the integer cast; every lag from k on (infinite ones
@@ -455,19 +452,7 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
         u_alpha, alpha_code = np.unique(d_alpha[idx], return_inverse=True)
         code = np.minimum(d_tau[idx], span).astype(np.int64) * u_alpha.size + alpha_code
         u_code, inv = np.unique(code, return_inverse=True)
-        key_lag = u_code // u_alpha.size
-        da = u_alpha[u_code % u_alpha.size]
-        # Sorted like u_code (lag, then d_alpha); -0.0 and 0.0 compare equal.
-        keys = key_lag + 1j * da
-        pos = np.searchsorted(memo_keys, keys)
-        seen = pos < memo_keys.size
-        seen[seen] = memo_keys[pos[seen]] == keys[seen]
-        if not seen.all():
-            new = ~seen
-            memo_keys = np.insert(memo_keys, pos[new], keys[new])
-            memo_sums = np.insert(memo_sums, pos[new], quadrature(key_lag[new], da[new]))
-            pos = np.searchsorted(memo_keys, keys)
-        acc = memo_sums[pos]
+        acc = quadrature(u_code // u_alpha.size, u_alpha[u_code % u_alpha.size])
         out[idx] = tau_share[idx] * (length[idx] / a_width) * acc[inv]
         return out
 

@@ -555,11 +555,6 @@ def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
     return offs * ax.step
 
 
-def _max_over_free(spec: VectorBoundSpec, pins: np.ndarray) -> np.ndarray:
-    """max over free-axis offsets of the integrand, per pinned offset."""
-    return _search_free(spec, pins)[0]
-
-
 def _search_free(spec: VectorBoundSpec, pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(best value, best free offsets) of the integrand, per pinned offset.
 
@@ -652,7 +647,7 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
         return BoundResult(lattice_staircase_sum(ax.step, ax.count, g_max), True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:
-        return h * _max_over_free(spec, h)
+        return h * _search_free(spec, h)[0]
 
     val, conv = _adaptive_1d(f, 0.0, ax.width, spec.quadrature)
     return BoundResult(max(val, 0.0), conv, "continuous_profile")

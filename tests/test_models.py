@@ -66,6 +66,10 @@ def test_covariance_interface_consistency(cov):
     # L^T and the product L L^T must reproduce the covariance.
     l_t = cov.chol_matvec(np.eye(cov.dim))
     assert_allclose(l_t.T @ l_t, m, rtol=1e-12, atol=1e-12)
+    # The diagonal factors scale their float argument in place.
+    z = rng.standard_normal((3, cov.dim))
+    if not isinstance(cov, DenseCov):
+        assert cov.chol_matvec(z) is z
 
 
 @pytest.mark.parametrize("k", [4, 50, 600])

@@ -1003,9 +1003,9 @@ def test_free_axis_scan_keeps_first_maximum_per_pin(monkeypatch):
     spec = VectorBoundSpec(0, prior, pe, search=DeltaSearch(grid_points=7, refine_iters=30))
     pins = np.arange(1.0, 6.0)
     monkeypatch.setattr(zzb, "_SCAN_BLOCK", 1 << 40)
-    reference = zzb._max_over_free(spec, pins)
+    reference = zzb._search_free(spec, pins)[0]
     assert np.isnan(reference[2])
     assert_allclose(reference[[0, 1, 3, 4]], 0.8167 * (1.0 - 0.05 * pins[[0, 1, 3, 4]]), rtol=1e-3)
     for block in (1, 3, 7, 8):
         monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
-        np.testing.assert_array_equal(zzb._max_over_free(spec, pins), reference)
+        np.testing.assert_array_equal(zzb._search_free(spec, pins)[0], reference)
