@@ -42,7 +42,7 @@ from .models import (
     eval_signal,
     pulse_template,
 )
-from .special_math import q_ratio
+from .special_math import q_function, q_ratio
 
 __all__ = [
     "PeKernel",
@@ -181,6 +181,58 @@ def linear_column(signal) -> np.ndarray:
     )
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_loss(u: np.ndarray) -> np.ndarray:
+    """L(u) = int_u^inf Q = phi(u) - u Q(u) elementwise, for u >= 0.
+
+    Below 4 the difference is taken as written; it loses about u^2 ulps.
+    From 4 on, where that loss grows, L = phi(u) t / (u + t) for the tail
+    t = 1 / (u + 2 / (u + 3 / (u + ...))) of Laplace's continued fraction
+    Q(u) / phi(u) = 1 / (u + t), cut after 40 terms, which is then exact
+    to rounding.
+    """
+    phi = np.exp(-0.5 * u * u) / _SQRT_2PI
+    far = np.maximum(u, 4.0)
+    t = np.zeros_like(far)
+    for k in range(40, 0, -1):
+        t = k / (far + t)
+    return np.where(u < 4.0, phi - u * q_function(u), phi * t / (far + t))
+
+
+def _q_integral(m: np.ndarray, beta: float, width: np.ndarray) -> np.ndarray:
+    """int_a^b Q(alpha + beta t) dt elementwise, for width = b - a >= 0 and
+    the midpoint argument m = alpha + beta (a + b) / 2.
+
+    With d = beta (b - a) / 2 it is [F(m + d) - F(m - d)] / beta for
+    F(u) = min(u, 0) + |u| Q(|u|) - phi(|u|) = min(u, 0) - L(|u|), an
+    antiderivative of Q (L is _normal_loss). Where m < 0 the reflection
+    Q(u) = 1 - Q(-u) takes it as 2 d - F(|m| + d) + F(|m| - d), so a
+    segment deep in the lower tail, where Q is near 1, is not a difference
+    of two large F. The difference still cancels when the segment is short
+    against the scale 1 / max(1, |m|) on which Q changes: there, where
+    |d| max(1, |m|) < 0.05, the midpoint series
+    (b - a) [Q(m) + phi(m) (d^2 He1(m) / 3! + d^4 He3(m) / 5! + d^6 He5(m) / 7!)]
+    of Q about m (He_k the Hermite polynomials, Q^(k+1) = (-1)^(k+1) He_k phi)
+    is taken instead, so the difference loses at most a factor 10 and the
+    series' first dropped term is below 1e-14 of Q(m). At beta = 0 the
+    series is (b - a) Q(alpha) exactly.
+    """
+    d = 0.5 * beta * width
+    d2, m2 = d * d, m * m
+    phi = np.exp(-0.5 * m2) / _SQRT_2PI
+    terms = (1.0 / 6.0 + d2 * ((m2 - 3.0) / 120.0 + d2 * ((m2 - 10.0) * m2 + 15.0) / 5040.0)) * d2 * m
+    series = width * (q_function(m) + terms * phi)
+    if beta == 0.0:
+        return series
+    a = np.abs(m)
+    ramp = np.minimum(a + d, 0.0) - np.minimum(a - d, 0.0)
+    upper = ramp - _normal_loss(np.abs(a + d)) + _normal_loss(np.abs(a - d))
+    span = np.where(m < 0.0, 2.0 * d - upper, upper)
+    return np.where(np.abs(d) * np.maximum(1.0, a) < 0.05, series, span / beta)
+
+
 @dataclass(frozen=True, eq=False)
 class EqualLinearScalarPe:
     """Error-probability profile of a scalar linear scenario, vectorized.
@@ -234,6 +286,36 @@ class EqualLinearScalarPe:
         h = np.asarray(h_off, dtype=float)
         th = np.asarray(theta_o, dtype=float)
         return 0.5 * (self.single_q(h, th) + self.single_q(-h, th + h))
+
+    def location_integral(self, h_off, lo: float, hi: float) -> np.ndarray:
+        """P(h) = int_lo^{hi-h} pe(t, h) dt elementwise, for offsets
+        0 <= h_off <= hi - lo, with P = (hi - lo) / 2 at the h = 0 tie.
+
+        For h > 0 every Q argument is affine in the location t. Component c
+        of g(t, h) has the argument alpha_c + beta_c t with
+        alpha_c = (quad h + lin_c) / s_c and beta_c = cross / s_c, and of
+        g(t + h, -h) the argument alpha'_c + beta'_c t with
+        alpha'_c = (quad h - cross h - lin_c) / s_c and beta'_c = -beta_c.
+        So each term integrates over t in closed form (_q_integral), from its
+        argument at the midpoint (lo + hi - h) / 2 of the location range.
+
+        This needs every spread s_c = sqrt(var_c) to be positive. It is
+        wherever cross != 0, the only route that asks for P: cross != 0
+        needs a nonzero assumed signal a, so var_c = b^T Sigma_c b > 0 for
+        b = Sigma^-1 a and a positive definite Sigma_c, as every covariance
+        is validated to be.
+        """
+        h = np.asarray(h_off, dtype=float)
+        width = (hi - lo) - h
+        mid = 0.5 * (lo + hi - h)
+        total = 0.0
+        for w, lin, var in zip(self.weights, self.lin, self.var):
+            s = math.sqrt(var)
+            beta = self.cross / s
+            near = (self.quad * h + lin + self.cross * mid) / s
+            far = (self.quad * h - lin - self.cross * (mid + h)) / s
+            total = total + w * (_q_integral(near, beta, width) + _q_integral(far, -beta, width))
+        return np.where(h == 0.0, 0.5 * (hi - lo), 0.5 * total)
 
 
 def linear_scalar_profile(kernel: PeKernel) -> EqualLinearScalarPe:

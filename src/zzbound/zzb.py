@@ -62,13 +62,10 @@ __all__ = [
     "zzb_vector",
 ]
 
-# Tensor quadrature (outer offset x inner location) caps its own doubling so
-# the mesh never exceeds roughly 8193^2 nodes.
-_TENSOR_MAX_SIDE = 8193
-# Most profile or integrand evaluations handed to one pe call by the tensor
-# and vector routes (see _scan_rows). It bounds the pe's temporaries, and so
-# the working set, at any mesh size; each value is computed from the same
-# operands at any block size, so the bits do not depend on it.
+# Most integrand evaluations handed to one pe call by the vector routes (see
+# _scan_rows). It bounds the pe's temporaries, and so the working set, at
+# any mesh size; each value is computed from the same operands at any block
+# size, so the bits do not depend on it.
 _SCAN_BLOCK = 1 << 14
 
 
@@ -76,20 +73,18 @@ _SCAN_BLOCK = 1 << 14
 class QuadratureRule:
     """Composite-Simpson settings shared by the bound integrators.
 
-    points is the starting grid size for one-dimensional sweeps (made odd if
-    needed); each doubling refines until successive values agree to rel_tol.
-    tensor_points seeds the two-dimensional general form, which doubles both
-    axes together.
+    points is the starting grid size of every bound quadrature, each one
+    dimensional (made odd if needed); each doubling refines until successive
+    values agree to rel_tol, at most max_doublings times.
     """
 
     points: int = 4097
     rel_tol: float = 1e-5
     max_doublings: int = 10
-    tensor_points: int = 257
 
     def __post_init__(self) -> None:
-        if self.points < 5 or self.tensor_points < 5:
-            raise ValueError("quadrature needs at least 5 points per axis")
+        if self.points < 5:
+            raise ValueError("quadrature needs at least 5 points")
         # NaN fails every comparison. A tolerance of 1 or more would accept
         # any two successive values as converged.
         if not 0.0 < self.rel_tol < 1.0:
@@ -111,11 +106,12 @@ class BoundResult:
 class ScalarBoundSpec:
     """Scalar-parameter bound problem: uniform interval prior plus a profile.
 
-    The profile signature depends on the operation: zzb_scalar_independent
-    wants pe(h_off) vectorized over an offset array, zzb_scalar_general wants
-    pe(theta_o, h_off) vectorized elementwise over equal-shape arrays, and
-    zzb_scalar_symmetric wants the signed one-sided branch g(h_off) for
-    h_off in [-T, T].
+    Every profile is vectorized over an offset array, and its meaning
+    depends on the operation: zzb_scalar_independent wants the error
+    probability pe(h_off), zzb_scalar_general the location integral
+    P(h_off) = int_lo^{hi-h_off} pe(t, h_off) dt over the prior interval
+    [lo, hi], both for h_off in [0, T], and zzb_scalar_symmetric wants the
+    signed one-sided branch g(h_off) for h_off in [-T, T].
     """
 
     prior: Prior
@@ -174,19 +170,15 @@ def _simpson_last(y: np.ndarray, step: float) -> np.ndarray:
     return s * (step / 3.0)
 
 
-def _doubling(
-    value_at: Callable[[int], float], n: int, rule: QuadratureRule, max_side: float = math.inf
-) -> tuple[float, bool]:
+def _doubling(value_at: Callable[[int], float], n: int, rule: QuadratureRule) -> tuple[float, bool]:
     """Grid doubling n -> 2n - 1 until two successive values agree to rule.rel_tol.
 
-    value_at(n) is the quadrature value on n nodes per axis. At most
-    rule.max_doublings doublings are made, and none past max_side nodes.
-    Returns the last value and whether it converged.
+    value_at(n) is the quadrature value on n nodes. At most
+    rule.max_doublings doublings are made. Returns the last value and
+    whether it converged.
     """
     prev = value_at(n)
     for _ in range(rule.max_doublings):
-        if 2 * n - 1 > max_side:
-            break
         n = 2 * n - 1
         cur = value_at(n)
         if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
@@ -228,38 +220,21 @@ def _adaptive_1d(
 
 
 def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
-    """Offset-and-location form (1/T) int_0^T h int_lo^{hi-h} pe(t, h) dt dh.
+    """Offset-and-location form (1/T) int_0^T h P(h) dh.
 
-    spec.pe(theta_o, h_off) is the error probability between theta_o and
-    theta_o + h_off on the prior interval [lo, hi] of width T. The inner
-    integral is mapped onto a fixed unit interval so the two Simpson grids
-    form a tensor mesh; both axes double together on _doubling, capped at
-    _TENSOR_MAX_SIDE nodes. Each level is evaluated afresh in _scan_rows
-    blocks: reusing the previous level's nodes would mean keeping its whole
-    n x n mesh, not one block.
+    spec.pe is the location integral P(h) = int_lo^{hi-h} pe(t, h) dt of the
+    error probability between t and t + h over the prior interval [lo, hi]
+    of width T (EqualLinearScalarPe.location_integral gives it in closed
+    form), so the one quadrature left is over the offset. Where pe does not
+    depend on t, P(h) = (T - h) pe(h) and this is zzb_scalar_independent.
     """
-    axis = _interval_axis(spec.prior)
-    t_width = axis.width
-    rule = spec.quadrature
+    t_width = _interval_axis(spec.prior).width
 
-    def value_at(n: int) -> float:
-        h = np.linspace(0.0, t_width, n)
-        u = np.linspace(0.0, 1.0, n)
+    def f(h: np.ndarray) -> np.ndarray:
+        return h * np.asarray(spec.pe(h), dtype=float)
 
-        def pe_at(rows: slice, cols: slice) -> np.ndarray:
-            hb = h[rows]
-            theta = axis.lo + u[None, cols] * (t_width - hb)[:, None]
-            return spec.pe(theta, np.broadcast_to(hb[:, None], theta.shape))
-
-        inner = np.empty(n)
-        for rows, pe_vals in _scan_rows(pe_at, n, n):
-            inner[rows] = (t_width - h[rows]) * _simpson_last(pe_vals, 1.0 / (n - 1))
-        outer = _simpson_last(h * inner, t_width / (n - 1))
-        return float(outer) / t_width
-
-    n = _odd(min(rule.tensor_points, _TENSOR_MAX_SIDE))
-    value, converged = _doubling(value_at, n, rule, _TENSOR_MAX_SIDE)
-    return BoundResult(max(value, 0.0), converged, "general_tensor")
+    val, conv = _adaptive_1d(f, 0.0, t_width, spec.quadrature)
+    return BoundResult(max(val / t_width, 0.0), conv, "general")
 
 
 def zzb_scalar_independent(spec: ScalarBoundSpec) -> BoundResult:
@@ -358,8 +333,8 @@ def bound(
       signed one-sided branch;
     - no location term, several components (a mean offset, or unequal
       variances): "independent" over the two-sided error probability;
-    - a location term (the maps differ, cross != 0): "general_tensor" over
-      the offset and the location.
+    - a location term (the maps differ, cross != 0): "general" over the
+      offset, with the location integral in closed form.
     method "auto" takes the closed form where it applies and quadrature
     otherwise; "quadrature" always integrates. "closed_form" and
     "asymptotic" raise MethodError unless the profile is q_linear (never for
@@ -377,7 +352,7 @@ def bound(
         return zzb_vector(VectorBoundSpec(coord, prior, g, _PULSE_SEARCH, _PULSE_QUADRATURE))
     if coord not in (None, 0):
         raise ValueError(f"a scalar bound has only coord 0, got {coord}")
-    t_width = _interval_axis(prior).width
+    axis = _interval_axis(prior)
     profile = linear_scalar_profile(PeKernel(assumed, truth))
     if method == "auto":
         method = "closed_form" if profile.q_linear else "quadrature"
@@ -389,11 +364,12 @@ def bound(
             )
         gamma = _q_linear_gamma(assumed, truth, profile)
         if method == "closed_form":
-            value = zzb_closed_form_q_linear(gamma, t_width)
+            value = zzb_closed_form_q_linear(gamma, axis.width)
             return BoundResult(value, True, "closed_form_q_linear")
         return BoundResult(1.0 / (4.0 * gamma * gamma), True, "asymptotic_q_linear")
     if profile.cross != 0.0:
-        return zzb_scalar_general(ScalarBoundSpec(prior, profile.pe))
+        location_integral = partial(profile.location_integral, lo=axis.lo, hi=axis.hi)
+        return zzb_scalar_general(ScalarBoundSpec(prior, location_integral))
     if profile.weights.size == 1:
         return zzb_scalar_symmetric(ScalarBoundSpec(prior, profile.single_q))
     return zzb_scalar_independent(ScalarBoundSpec(prior, partial(profile.pe, 0.0)))

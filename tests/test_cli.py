@@ -41,11 +41,9 @@ from zzbound.models import (
 )
 from zzbound.pe_kernel import PeKernel, linear_scalar_profile, pe_gaussian
 from zzbound.zzb import (
-    QuadratureRule,
     ScalarBoundSpec,
     bound,
     zzb_closed_form_q_linear,
-    zzb_scalar_general,
     zzb_scalar_independent,
 )
 
@@ -429,23 +427,28 @@ def _readme_models(truth_hvec):
 def test_bound_differing_truth_map_takes_general_route(tmp_path):
     truth_signal = {"type": "linear_vector", "hvec": _OTHER_HVEC}
     row = _bound_row(tmp_path, _readme_config(truth_signal=truth_signal), "general")
-    assert row["method"] == "general_tensor"
+    assert row["method"] == "general"
     assert row["converged"] == "true"
-    # Reference: the pointwise Gaussian error probability, node by node,
-    # through the same tensor driver from a coarser starting mesh.
+    # Reference: (1/T) int_0^T h int_0^{T-h} pe(t, h) dt dh with the
+    # pointwise Gaussian error probability, on a product Gauss-Legendre rule
+    # of 24 nodes per axis mapped to the unit square.
     kernel = PeKernel(*_readme_models(_OTHER_HVEC))
-    pe = np.vectorize(lambda theta_o, h: pe_gaussian(kernel, theta_o, h))
-    spec = ScalarBoundSpec(uniform_interval(10.0), pe, QuadratureRule(tensor_points=65))
-    reference = zzb_scalar_general(spec)
-    assert reference.converged
-    assert float(row["value"]) == pytest.approx(reference.value, rel=1e-6)
+    t = 10.0
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    u, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    h = t * u
+    inner = [
+        (t - hi) * sum(wj * pe_gaussian(kernel, (t - hi) * uj, hi) for uj, wj in zip(u, w)) for hi in h
+    ]
+    reference = float(np.dot(w, h * np.array(inner)))
+    assert float(row["value"]) == pytest.approx(reference, rel=1e-6)
 
 
 def test_bound_mixture_differing_map_is_not_pinned_at_zero(tmp_path):
     truth_signal = {"type": "linear_vector", "hvec": _OTHER_HVEC}
     payload = _readme_config(truth_signal=truth_signal, noise=_README_MIXTURE, method="quadrature")
     row = _bound_row(tmp_path, payload, "mixture_general")
-    assert row["method"] == "general_tensor"
+    assert row["method"] == "general"
     # The location-free form with theta_o pinned at 0 misses the location term.
     assumed, _ = _readme_models(_OTHER_HVEC)
     mix = MixtureNoise(

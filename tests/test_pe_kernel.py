@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from zzbound.models import (
 from zzbound.montecarlo import empirical_pe
 from zzbound.pe_kernel import (
     PeKernel,
+    _q_integral,
     decision_means,
     linear_scalar_profile,
     pe_gaussian,
@@ -443,3 +445,100 @@ def test_pe_at_zero_offset_is_half(kern, theta_o):
     pointwise = pe_mixture if isinstance(kern.truth.noise, MixtureNoise) else pe_gaussian
     assert pointwise(kern, theta_o, 0.0) == 0.5
     assert float(linear_scalar_profile(kern).pe(theta_o, 0.0)) == 0.5
+
+
+def _readme_like(hvec, noise):
+    """README's assumed model (unit map, white variance 0.5, k = 4) against
+    the truth map hvec."""
+    assumed = AssumedModel(LinearVectorMap(np.ones(4)), np.zeros(4), ScaledIdentityCov(0.5, 4))
+    return linear_scalar_profile(PeKernel(assumed, TrueModel(LinearVectorMap(np.array(hvec)), noise)))
+
+
+def _readme_mixture(means=(0.0, 0.0)):
+    return MixtureNoise(
+        np.array([0.9, 0.1]),
+        tuple(GaussianNoise(np.full(4, m), ScaledIdentityCov(v, 4)) for m, v in zip(means, (0.5, 5.0))),
+    )
+
+
+def _readme_gaussian(mean=0.0, white=False):
+    cov = ScaledIdentityCov(0.5, 4) if white else DiagonalCov(np.array([0.5, 0.6, 0.7, 0.8]))
+    return GaussianNoise(np.full(4, mean), cov)
+
+
+_OTHER = [1.2, 1.0, 0.8, 1.1]
+_NEAR = [1.0 - 5e-10, 1.0, 1.0, 1.0]  # cross about 1e-9: the series branch
+# README's sign flip: assumed map [[0], [1]], truth [[0], [-1]], unit covariances.
+_UNIT2 = ScaledIdentityCov(1.0, 2)
+_SIGN_FLIP = linear_scalar_profile(
+    PeKernel(
+        AssumedModel(LinearMatrixMap(np.array([[0.0], [1.0]])), np.zeros(2), _UNIT2),
+        TrueModel(LinearMatrixMap(np.array([[0.0], [-1.0]])), GaussianNoise(np.zeros(2), _UNIT2)),
+    )
+)
+
+# name: (profile, lo, hi)
+_LOCATION_CASES = {
+    "gaussian": (_readme_like(_OTHER, _readme_gaussian()), 0.0, 10.0),
+    "gaussian_mean": (_readme_like(_OTHER, _readme_gaussian(0.3)), 2.0, 12.0),
+    "gaussian_tiny_cross": (_readme_like(_NEAR, _readme_gaussian(0.3)), 0.0, 10.0),
+    # Every Q argument deep in the upper tail near h = T (P about 3e-32).
+    "gaussian_shrunk_map": (_readme_like([1.0, 0.9, 0.8, 0.9], _readme_gaussian(white=True)), 0.0, 10.0),
+    "sign_flip": (_SIGN_FLIP, 0.0, 1.0),
+    "sign_flip_shifted": (_SIGN_FLIP, -3.0, 1.0),
+    "mixture": (_readme_like(_OTHER, _readme_mixture()), 0.0, 10.0),
+    "mixture_means": (_readme_like(_OTHER, _readme_mixture((0.3, -1.0))), -4.0, 6.0),
+    "mixture_tiny_cross": (_readme_like(_NEAR, _readme_mixture((0.3, -1.0))), 0.0, 10.0),
+}
+
+
+def _mp_location_integral(profile, h, lo, hi):
+    """int_lo^{hi-h} pe(t, h) dt by mpmath.quad at 30 digits, from the
+    profile's one-sided branches g(t, h) and g(t + h, -h)."""
+
+    def q(x):
+        return mp.erfc(x / mp.sqrt(2)) / 2
+
+    def pe(t):
+        total = mp.mpf(0)
+        for w, lin, var in zip(profile.weights, profile.lin, profile.var):
+            s = mp.sqrt(mp.mpf(var))
+            near = q((profile.quad * h + profile.cross * t + mp.mpf(lin)) / s)
+            far = q((profile.quad * h - profile.cross * (t + h) - mp.mpf(lin)) / s)
+            total += mp.mpf(w) * (near + far) / 2
+        return total
+
+    with mp.workdps(30):
+        return float(mp.quad(pe, [mp.mpf(lo), hi - mp.mpf(h)]))
+
+
+@pytest.mark.parametrize("case", sorted(_LOCATION_CASES))
+def test_location_integral_matches_mpmath(case):
+    profile, lo, hi = _LOCATION_CASES[case]
+    assert 0.0 < abs(profile.cross) < (1e-8 if "tiny" in case else math.inf)
+    t = hi - lo
+    offsets = np.array([1e-6 * t, 0.5 * t, 0.99 * t, 0.999 * t])
+    got = profile.location_integral(offsets, lo, hi)
+    for h, value in zip(offsets, got):
+        expected = _mp_location_integral(profile, float(h), lo, hi)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert profile.location_integral(0.0, lo, hi) == 0.5 * t
+    assert profile.location_integral(t, lo, hi) == 0.0
+
+
+def test_q_integral_matches_mpmath_from_tail_to_tail():
+    # int Q over a segment of half-width |d| about m, in both tails, from
+    # segments short enough for the midpoint series to ones far wider than
+    # the scale on which Q changes, and for either sign of the slope.
+    def f(u):
+        return u * mp.ncdf(-u) - mp.npdf(u)
+
+    m = np.linspace(-30.0, 30.0, 31)
+    for half in 10.0 ** np.arange(-8.0, 1.5, 0.5):
+        for beta in (0.37, -0.37):
+            width = 2.0 * half / 0.37
+            got = _q_integral(m, beta, width)
+            with mp.workdps(50):
+                d = mp.mpf(beta) * width / 2
+                expected = [float((f(mp.mpf(mj) + d) - f(mp.mpf(mj) - d)) / beta) for mj in m]
+            assert_allclose(got, expected, rtol=1e-12, atol=0.0)

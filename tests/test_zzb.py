@@ -1,7 +1,9 @@
 """Tests for the scalar and vector bound evaluators and scenario constants."""
 
 import math
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from zzbound.models import (
     GaussianNoise,
     IntervalAxis,
     LatticeAxis,
+    LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
     PerSampleMixtureNoise,
@@ -27,6 +30,7 @@ from zzbound.models import (
     uniform_interval,
 )
 from zzbound.montecarlo import TrialPlan, run_mse
+from zzbound.pe_kernel import EqualLinearScalarPe, PeKernel, linear_scalar_profile
 from zzbound.special_math import q_function
 from zzbound.zzb import (
     DeltaSearch,
@@ -158,35 +162,34 @@ def test_quadrature_constant_pe_limits():
     assert zzb_scalar_independent(spec_zero).value == 0.0
 
 
+def _equal_map_profiles(rng, n):
+    """Random equal-map profiles (cross = 0): one or two truth components
+    with mean offsets and unequal spreads."""
+    for _ in range(n):
+        c = int(rng.integers(1, 3))
+        w = rng.uniform(0.1, 1.0, c)
+        yield EqualLinearScalarPe(
+            float(rng.uniform(0.2, 4.0)),
+            0.0,
+            rng.uniform(-1.0, 1.0, c),
+            rng.uniform(0.2, 8.0, c),
+            w / w.sum(),
+        )
+
+
 def test_general_form_reduces_to_independent():
+    # With equal maps the error probability is free of the location, so
+    # P(h) = (T - h) pe(h) and the two routes integrate the same function.
     rng = np.random.default_rng(21)
-    for _ in range(6):
-        gamma = float(rng.uniform(0.2, 4.0))
+    for profile in _equal_map_profiles(rng, 6):
         t = float(rng.uniform(1.0, 15.0))
         prior = uniform_interval(t)
-        independent = zzb_scalar_independent(
-            ScalarBoundSpec(prior, lambda h: q_function(gamma * h))
-        )
+        independent = zzb_scalar_independent(ScalarBoundSpec(prior, partial(profile.pe, 0.0)))
         general = zzb_scalar_general(
-            ScalarBoundSpec(prior, lambda theta, h: q_function(gamma * h))
+            ScalarBoundSpec(prior, partial(profile.location_integral, lo=0.0, hi=t))
         )
-        assert general.form == "general_tensor"
-        assert general.value == pytest.approx(independent.value, rel=1e-6)
-
-
-def test_general_form_with_location_dependence():
-    # A pe that improves with theta must land strictly below the pe frozen at
-    # theta = 0 and above the pe frozen at theta = T.
-    t = 4.0
-    prior = uniform_interval(t)
-
-    def pe(theta, h):
-        return q_function((1.0 + theta) * h)
-
-    mid = zzb_scalar_general(ScalarBoundSpec(prior, pe)).value
-    hi = zzb_closed_form_q_linear(1.0, t)
-    lo = zzb_closed_form_q_linear(1.0 + t, t)
-    assert lo < mid < hi
+        assert general.form == "general"
+        assert general.value == pytest.approx(independent.value, rel=1e-12, abs=0.0)
 
 
 def test_symmetric_split_even_profile_matches_independent():
@@ -285,61 +288,21 @@ def test_example3_matched_bound_evaluates_each_node_once(monkeypatch):
     assert sum(offsets) == 8193
 
 
-def _general_full_mesh(spec):
-    """The tensor driver before row blocking: one profile call per mesh."""
-    t_width = spec.prior.axes[0].width
-    rule = spec.quadrature
-
-    def value_at(n):
-        h = np.linspace(0.0, t_width, n)
-        u = np.linspace(0.0, 1.0, n)
-        theta = u[None, :] * (t_width - h)[:, None]
-        offs = np.broadcast_to(h[:, None], theta.shape)
-        pe_vals = np.asarray(spec.pe(theta, offs), dtype=float)
-        inner = (t_width - h) * _simpson_last(pe_vals, 1.0 / (n - 1))
-        return float(_simpson_last(h * inner, t_width / (n - 1))) / t_width
-
-    n = _odd(rule.tensor_points)
-    prev = value_at(n)
-    converged = False
-    for _ in range(rule.max_doublings):
-        n = 2 * n - 1
-        cur = value_at(n)
-        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
-            return max(cur, 0.0), True
-        prev = cur
-    return max(prev, 0.0), converged
-
-
-@pytest.mark.parametrize("block", [1, 1000, 1 << 20])
-def test_general_row_blocks_match_full_mesh_bitwise(monkeypatch, block):
-    # Blocks of whole offset rows, or pieces of one row when a row is longer
-    # than the block, leave every Simpson sum unchanged, and no pe call gets
-    # more than the block's nodes.
-    sizes = []
-
-    def pe(theta, h):
-        sizes.append(np.size(theta))
-        return q_function((0.4 + 0.3 * theta) * h)
-
-    spec = ScalarBoundSpec(
-        uniform_interval(6.0), pe, QuadratureRule(tensor_points=33, max_doublings=3)
-    )
-    monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
-    got = zzb_scalar_general(spec)
-    assert max(sizes) <= block
-    assert (got.value, got.converged) == _general_full_mesh(spec)
-
-
 def test_general_passes_absolute_locations():
-    def pe(theta, h):
-        return q_function((0.2 + 0.1 * theta) * h)
+    # Shifting the prior interval by 2 moves every Q argument by 2 cross, as
+    # a mean offset of lin + 2 cross on the unshifted interval does.
+    def general(lin, var, weights, lo, hi):
+        profile = EqualLinearScalarPe(0.8, 0.3, np.array(lin), np.array(var), np.array(weights))
+        spec = ScalarBoundSpec(
+            Prior((IntervalAxis(lo, hi),)), partial(profile.location_integral, lo=lo, hi=hi)
+        )
+        return zzb_scalar_general(spec)
 
-    shifted = zzb_scalar_general(ScalarBoundSpec(Prior((IntervalAxis(2.0, 6.0),)), pe))
-    at_zero = zzb_scalar_general(
-        ScalarBoundSpec(uniform_interval(4.0), lambda theta, h: pe(theta + 2.0, h))
-    )
-    assert shifted == at_zero
+    for lin, var, weights in (([0.1], [1.2], [1.0]), ([0.1, -0.4], [1.2, 6.0], [0.7, 0.3])):
+        shifted = general(lin, var, weights, 2.0, 6.0)
+        at_zero = general(np.array(lin) + 2.0 * 0.3, var, weights, 0.0, 4.0)
+        assert shifted.converged and at_zero.converged
+        assert shifted.value == pytest.approx(at_zero.value, rel=1e-12, abs=0.0)
 
 
 def test_scalar_bounds_reject_vector_priors():
@@ -551,8 +514,8 @@ def _per_sample_mixture(k=4):
         (_router_models(noise=_per_sample_mixture()), "auto", "closed_form_q_linear"),
         (_router_models(noise=_two_component_mixture()), "quadrature", "independent"),
         (_router_models(noise=_two_component_mixture(mean=0.3)), "auto", "independent"),
-        (_router_models([1.2, 1.0, 0.8, 1.1]), "auto", "general_tensor"),
-        (_router_models([1.2, 1.0, 0.8, 1.1], noise=_two_component_mixture()), "auto", "general_tensor"),
+        (_router_models([1.2, 1.0, 0.8, 1.1]), "auto", "general"),
+        (_router_models([1.2, 1.0, 0.8, 1.1], noise=_two_component_mixture()), "auto", "general"),
         (_router_models(noise=_two_component_mixture()), "auto", "independent"),
         (_router_models(noise=_two_component_mixture(wide=0.5)), "auto", "closed_form_q_linear"),
         (_router_models(noise=_per_sample_mixture()), "quadrature", "symmetric_split"),
@@ -726,6 +689,55 @@ def test_router_zero_signal_is_pure_guessing():
     got = bound(assumed, truth, uniform_interval(3.0))
     assert got.form == "symmetric_split"
     assert got.value == pytest.approx(9.0 / 12.0, rel=1e-12)
+
+
+def test_router_sign_flip_bound_exceeds_the_prior_variance():
+    # README's example: the truth map flips the sign of the assumed one, so
+    # the assumed-model test errs more often than a coin flip.
+    flip = LinearMatrixMap(np.array([[0.0], [1.0]]))
+    assumed = AssumedModel(flip, np.zeros(2), ScaledIdentityCov(1.0, 2))
+    truth = TrueModel(
+        LinearMatrixMap(np.array([[0.0], [-1.0]])), GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2))
+    )
+    got = bound(assumed, truth, uniform_interval(1.0))
+    assert got.form == "general" and got.converged
+    assert round(got.value, 4) == 0.0934
+    assert 1.0 / 12.0 < got.value <= 1.0 / 6.0
+
+
+def _mp_general_bound(profile, t):
+    """(1/T) int_0^T h P(h) dh at 30 digits, with each location integral
+    int_a^b Q(alpha + beta x) dx = [F(alpha + beta b) - F(alpha + beta a)] / beta
+    for F(u) = u Q(u) - phi(u), which cancels nothing at that precision."""
+
+    def f(u):
+        return u * mp.ncdf(-u) - mp.npdf(u)
+
+    def p(h):
+        total = mp.mpf(0)
+        for w, lin, var in zip(profile.weights, profile.lin, profile.var):
+            s = mp.sqrt(mp.mpf(var))
+            beta = profile.cross / s
+            alpha = (profile.quad * h + mp.mpf(lin)) / s
+            alpha_far = (profile.quad * h - profile.cross * h - mp.mpf(lin)) / s
+            near = (f(alpha + beta * (t - h)) - f(alpha)) / beta
+            far = (f(alpha_far - beta * (t - h)) - f(alpha_far)) / -beta
+            total += mp.mpf(w) * (near + far) / 2
+        return total
+
+    with mp.workdps(30):
+        return float(mp.quad(lambda h: h * p(h), [0, t / 4, t / 2, t]) / t)
+
+
+@pytest.mark.parametrize("noise", [None, _two_component_mixture()], ids=["gaussian", "mixture"])
+def test_router_differing_map_bound_matches_mpmath(noise):
+    # README's differing-map config: the closed-form location integral
+    # leaves only the offset quadrature's error.
+    assumed, truth = _router_models([1.2, 1.0, 0.8, 1.1], noise=noise)
+    got = bound(assumed, truth, uniform_interval(10.0))
+    assert got.form == "general" and got.converged
+    reference = _mp_general_bound(linear_scalar_profile(PeKernel(assumed, truth)), 10.0)
+    assert got.value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 _entry = st.floats(-2.0, 2.0, allow_nan=False)
@@ -928,7 +940,7 @@ def test_vector_bound_one_axis_frozen_values(prior, form, frozen):
 
 
 # ---------------------------------------------------------------------------
-# Bounded pe calls: every tensor and vector route scans in blocks
+# Bounded pe calls: every vector route scans in blocks
 # ---------------------------------------------------------------------------
 
 
