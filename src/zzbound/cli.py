@@ -195,8 +195,12 @@ _COVS = ("scaled_identity", "diagonal", "dense")
 _AXES = ("interval", "lattice")
 
 
-def _build_flat(spec: Any, path: str, kinds: tuple[str, ...]) -> Any:
-    """Build an object of one of the flat kinds from its _FLAT_KINDS entry."""
+def _build_flat(spec: Any, path: str, kinds: tuple[str, ...], k: int | None = None) -> Any:
+    """Build an object of one of the flat kinds from its _FLAT_KINDS entry.
+
+    Given the record length k, a kind's own k field must equal it; that is
+    checked before the object, which may allocate k entries, is built.
+    """
     d = _as_dict(spec, path)
     kind = _kind(d, path, {t: tuple(f[0] for f in _FLAT_KINDS[t][1]) for t in kinds})
     factory, fields = _FLAT_KINDS[kind]
@@ -204,6 +208,8 @@ def _build_flat(spec: Any, path: str, kinds: tuple[str, ...]) -> Any:
     for name, parse, *default in fields:
         value = d.get(name, *default) if default else _require(d, name, path)
         args.append(parse(value, f"{path}.{name}"))
+        if name == "k" and k is not None and args[-1] != k:
+            _fail(f"{path}.k", f"dimension {args[-1]} != record length {k}")
     return _build(factory, *args, path=path)
 
 
@@ -217,7 +223,7 @@ def _build_mean(spec: Any, path: str, k: int) -> np.ndarray:
 
 
 def _build_gaussian(d: Mapping[str, Any], path: str, k: int) -> GaussianNoise:
-    cov = _build_flat(_require(d, "cov", path), f"{path}.cov", _COVS)
+    cov = _build_flat(_require(d, "cov", path), f"{path}.cov", _COVS, k)
     mean = _build_mean(d.get("mean", 0.0), f"{path}.mean", k)
     return _build(GaussianNoise, mean, cov, path=path)
 
@@ -302,7 +308,9 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
     signal = _build_flat(
         _require(assumed_d, "signal", f"{path}.assumed"), f"{path}.assumed.signal", _SIGNALS
     )
-    cov = _build_flat(_require(assumed_d, "cov", f"{path}.assumed"), f"{path}.assumed.cov", _COVS)
+    cov = _build_flat(
+        _require(assumed_d, "cov", f"{path}.assumed"), f"{path}.assumed.cov", _COVS, signal.k
+    )
     mean = _build_mean(assumed_d.get("mean", 0.0), f"{path}.assumed.mean", signal.k)
     assumed = _build(AssumedModel, signal, mean, cov, path=f"{path}.assumed")
 
@@ -630,6 +638,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # A record too long to allocate, such as a k of 10**12, is a config error.
+        print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

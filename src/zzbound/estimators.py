@@ -18,11 +18,11 @@ import numpy as np
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
+    DiagonalCov,
     IntervalAxis,
     LatticeAxis,
     LinearMatrixMap,
     Prior,
-    ScaledIdentityCov,
     eval_signal,
     pulse_template,
 )
@@ -211,10 +211,11 @@ def _pulse_fast_path(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
 
 
 def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
-    sig = spec.model.signal
+    sig, cov = spec.model.signal, spec.model.noise_cov
     if (
         isinstance(sig, AmplitudePulseMap)
-        and isinstance(spec.model.noise_cov, ScaledIdentityCov)
+        and isinstance(cov, DiagonalCov)
+        and cov.white
         and prior.n_theta == 2
         and isinstance(prior.axes[0], LatticeAxis)
         and isinstance(prior.axes[1], IntervalAxis)

@@ -52,56 +52,6 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ScaledIdentityCov:
-    """Covariance sigma2 * I on R^k."""
-
-    sigma2: float
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ValueError(f"variance must be finite and positive, got {self.sigma2}")
-        if self.k < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.k}")
-
-    @property
-    def dim(self) -> int:
-        return self.k
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return np.asarray(b, dtype=float) / self.sigma2
-
-    def qf_inv(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        """Quadratic form u^T Sigma^-1 v (v defaults to u)."""
-        u = np.asarray(u, dtype=float)
-        v = u if v is None else np.asarray(v, dtype=float)
-        return float(u @ v) / self.sigma2
-
-    def qf(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        """Forward quadratic form u^T Sigma v (v defaults to u)."""
-        u = np.asarray(u, dtype=float)
-        v = u if v is None else np.asarray(v, dtype=float)
-        return self.sigma2 * float(u @ v)
-
-    def qf_inv_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rowwise r^T Sigma^-1 r for a (M, k) residual block."""
-        r = np.asarray(rows, dtype=float)
-        return np.einsum("ij,ij->i", r, r) / self.sigma2
-
-    @cached_property
-    def _scale(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def chol_matvec(self, z: np.ndarray) -> np.ndarray:
-        """z L^T for rows z of a float array, scaled in place; returns z."""
-        z *= self._scale
-        return z
-
-    def dense(self) -> np.ndarray:
-        return self.sigma2 * np.eye(self.k)
-
-
-@dataclass(frozen=True, eq=False)
 class DiagonalCov:
     """Diagonal covariance with positive entries."""
 
@@ -118,6 +68,14 @@ class DiagonalCov:
     @property
     def dim(self) -> int:
         return self.diag.size
+
+    @cached_property
+    def white(self) -> bool:
+        """Whether this is sigma2 I: one variance on the whole diagonal.
+
+        The pulse quasi-MLE asks it on every trial, so it is computed once.
+        """
+        return bool(np.all(self.diag == self.diag[0]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, dtype=float) / self.diag
@@ -148,6 +106,15 @@ class DiagonalCov:
 
     def dense(self) -> np.ndarray:
         return np.diag(self.diag)
+
+
+def ScaledIdentityCov(sigma2: float, k: int) -> DiagonalCov:
+    """Covariance sigma2 * I on R^k: the DiagonalCov with k equal entries."""
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"variance must be finite and positive, got {sigma2}")
+    if k < 1:
+        raise ValueError(f"dimension must be >= 1, got {k}")
+    return DiagonalCov(np.full(k, float(sigma2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +190,11 @@ class DenseCov:
         return self.matrix
 
 
-Covariance = Union[ScaledIdentityCov, DiagonalCov, DenseCov]
+Covariance = Union[DiagonalCov, DenseCov]
 
 
 def _check_covariance(cov) -> None:
-    if not isinstance(cov, (ScaledIdentityCov, DiagonalCov, DenseCov)):
+    if not isinstance(cov, (DiagonalCov, DenseCov)):
         kinds = "a ScaledIdentityCov, DiagonalCov or DenseCov"
         raise ValueError(f"noise covariance must be {kinds}, got {type(cov).__name__}")
 

@@ -37,7 +37,6 @@ from .models import (
     MixtureNoise,
     PerSampleMixtureNoise,
     Prior,
-    ScaledIdentityCov,
     TrueModel,
     eval_signal,
     pulse_template,
@@ -154,22 +153,12 @@ def pe_mixture(kernel: PeKernel, theta_o, delta) -> float:
     return _pe_components(kernel, theta_o, delta)
 
 
-def _diagonal(cov: Covariance) -> np.ndarray | None:
-    if isinstance(cov, ScaledIdentityCov):
-        return np.full(cov.k, cov.sigma2)
-    if isinstance(cov, DiagonalCov):
-        return cov.diag
-    return None
-
-
 def _same_covariance(a: Covariance, b: Covariance) -> bool:
-    """Whether a and b are equal as matrices. Two diagonal kinds compare
-    their diagonals; K x K matrices are built only when a DenseCov is
-    involved."""
-    da, db = _diagonal(a), _diagonal(b)
-    if da is None or db is None:
-        return np.array_equal(a.dense(), b.dense())
-    return np.array_equal(da, db)
+    """Whether a and b are equal as matrices. Two diagonals compare as
+    vectors; K x K matrices are built only when a DenseCov is involved."""
+    if isinstance(a, DiagonalCov) and isinstance(b, DiagonalCov):
+        return np.array_equal(a.diag, b.diag)
+    return np.array_equal(a.dense(), b.dense())
 
 
 def linear_column(signal) -> np.ndarray:
@@ -443,11 +432,12 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     per node instead of two.
     """
     assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
-    cov, noise, diag = assumed.noise_cov, truth.noise, _diagonal(assumed.noise_cov)
+    cov, noise = assumed.noise_cov, truth.noise
     if not (isinstance(assumed.signal, AmplitudePulseMap) and isinstance(truth.signal, AmplitudePulseMap)):
         raise ValueError("the pulse profile needs a pulse map for the assumed model and the truth")
     gaussian = isinstance(noise, GaussianNoise) and np.array_equal(noise.mean, assumed.noise_mean)
-    if not (gaussian and diag is not None and np.all(diag == diag[0]) and _same_covariance(cov, noise.cov)):
+    white = isinstance(cov, DiagonalCov) and cov.white
+    if not (gaussian and white and _same_covariance(cov, noise.cov)):
         raise ValueError(
             "the pulse profile needs Gaussian truth noise with the assumed mean and the "
             "assumed white covariance (scaled_identity or a diagonal with one value)"
@@ -477,7 +467,7 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     # kernel's a^2 variance term is exactly zero (a separate dot product can
     # differ in the last bit, which at a tiny d_alpha outweighs d_alpha^2).
     e_s = float(table_ss[0])
-    sigma2 = float(diag[0])
+    sigma2 = float(cov.diag[0])
     alpha_axis = prior.axes[1]
     a_lo, a_hi = alpha_axis.lo, alpha_axis.hi
     a_width = alpha_axis.width

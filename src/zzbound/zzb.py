@@ -170,27 +170,14 @@ def _simpson_last(y: np.ndarray, step: float) -> np.ndarray:
     return s * (step / 3.0)
 
 
-def _doubling(value_at: Callable[[int], float], n: int, rule: QuadratureRule) -> tuple[float, bool]:
-    """Grid doubling n -> 2n - 1 until two successive values agree to rule.rel_tol.
-
-    value_at(n) is the quadrature value on n nodes. At most
-    rule.max_doublings doublings are made. Returns the last value and
-    whether it converged.
-    """
-    prev = value_at(n)
-    for _ in range(rule.max_doublings):
-        n = 2 * n - 1
-        cur = value_at(n)
-        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
-            return cur, True
-        prev = cur
-    return prev, False
-
-
 def _adaptive_1d(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule: QuadratureRule
 ) -> tuple[float, bool]:
     """Simpson value of f on [lo, hi] with grid doubling to rule.rel_tol.
+
+    The grid of rule.points nodes (made odd) doubles n -> 2n - 1 until two
+    successive values agree to rule.rel_tol, at most rule.max_doublings
+    times. Returns the last value and whether it converged.
 
     The grids are nested: linspace(lo, hi, 2n - 1)[::2] equals
     linspace(lo, hi, n) bit for bit, because the step halves exactly. So
@@ -198,20 +185,20 @@ def _adaptive_1d(
     only on the new odd nodes; f sees each final node exactly once, and
     every Simpson sum matches a fresh evaluation of the whole grid.
     """
-    y = None
-
-    def value_at(n: int) -> float:
-        nonlocal y
-        if y is None:
-            y = np.asarray(f(np.linspace(lo, hi, n)), dtype=float)
-        else:
-            fine = np.empty(n)
-            fine[::2] = y
-            fine[1::2] = f(np.linspace(lo, hi, n)[1::2])
-            y = fine
-        return float(_simpson_last(y, (hi - lo) / (n - 1)))
-
-    return _doubling(value_at, _odd(rule.points), rule)
+    n = _odd(rule.points)
+    y = np.asarray(f(np.linspace(lo, hi, n)), dtype=float)
+    prev = float(_simpson_last(y, (hi - lo) / (n - 1)))
+    for _ in range(rule.max_doublings):
+        n = 2 * n - 1
+        fine = np.empty(n)
+        fine[::2] = y
+        fine[1::2] = f(np.linspace(lo, hi, n)[1::2])
+        y = fine
+        cur = float(_simpson_last(y, (hi - lo) / (n - 1)))
+        if abs(cur - prev) <= rule.rel_tol * max(abs(cur), 1e-300):
+            return cur, True
+        prev = cur
+    return prev, False
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_bound_pe_constant_limits(tmp_path):
     cfg5 = _write_cfg(tmp_path, dict(base, pe_constant=0.5), "h.json")
     out5 = str(tmp_path / "h.csv")
     assert main(["bound", "--config", cfg5, "--out", out5]) == 0
-    assert float(_read_rows(out5)[0]["value"]) == pytest.approx(36.0 / 12.0, rel=1e-9)
+    assert float(_read_rows(out5)[0]["value"]) == pytest.approx(36.0 / 12.0, rel=1e-9, abs=0.0)
 
 
 def test_bound_pe_constant_conflicts_with_closed_form(tmp_path):
@@ -141,7 +141,7 @@ def test_bound_example1_preset_asymptotic(tmp_path):
     row = _read_rows(out)[0]
     g = build_example1(0.1, 60).gammas["m1"]
     assert row["method"] == "asymptotic_q_linear"
-    assert float(row["value"]) == pytest.approx(1.0 / (4.0 * g * g), rel=1e-12)
+    assert float(row["value"]) == pytest.approx(1.0 / (4.0 * g * g), rel=1e-12, abs=0.0)
 
 
 def test_bound_example1_preset_rejects_m1_at_zero_noise(tmp_path, capsys):
@@ -295,7 +295,7 @@ def test_bound_mixture_closed_form(tmp_path):
     row = _bound_row(tmp_path, {"scenario": equal}, "equal")
     assert row["method"] == "closed_form_q_linear"
     gamma = 0.5 * k / math.sqrt(4.0 * k)
-    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, 30.0), rel=1e-12)
+    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, 30.0), rel=1e-12, abs=0.0)
 
     unequal = _white_mixture_scenario(k, [0.6, 0.4], [1.0, 4.0], 30.0)
     auto = _bound_row(tmp_path, {"scenario": unequal}, "unequal")
@@ -308,7 +308,7 @@ def test_bound_mixture_closed_form(tmp_path):
     assert row["method"] == "closed_form_q_linear"
     gamma = 0.5 * k / math.sqrt(0.6 * k + 0.4 * 625.0 * k)
     t_prior = build_example3(0.6, k).t_prior
-    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, t_prior), rel=1e-12)
+    assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, t_prior), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
@@ -701,6 +701,51 @@ def test_models_that_disagree_on_dimension_exit_2(tmp_path, capsys, command, ext
     out = str(tmp_path / "no.csv")
     assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", out]) == 2
     assert "config.scenario.truth: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+_HUGE_COV = {"type": "scaled_identity", "sigma2": 0.5, "k": 10**12}
+
+
+@pytest.mark.parametrize("command, extra", [("bound", {}), ("pe", {"theta": [1.0], "delta": [0.5]})])
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("assumed", "cov"), _HUGE_COV, "assumed.cov.k"),
+        (("truth", "noise", "cov"), _HUGE_COV, "truth.noise.cov.k"),
+        (
+            ("truth", "noise"),
+            {**_README_MIXTURE, "components": [{"cov": _HUGE_COV}] * 2},
+            "truth.noise.components[0].cov.k",
+        ),
+    ],
+    ids=["assumed", "truth", "mixture"],
+)
+def test_covariance_k_off_the_record_exits_2(tmp_path, capsys, command, extra, path, value, field):
+    # A covariance's k is compared with the record before the covariance,
+    # of k entries, is built: a k of 10**12 allocates nothing.
+    payload = _readme_config(**extra)
+    _set(payload["scenario"], path, value)
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", out]) == 2
+    message = f"config.scenario.{field}: dimension 1000000000000 != record length 4\n"
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("bound", {"scenario": _pulse_scenario(k=10**12)}),
+        ("sweep", {"example": 2, "grid": [1.0], "k": 10**12, "trials": 1}),
+    ],
+    ids=["pulse_bound", "sweep"],
+)
+def test_a_record_too_long_to_allocate_exits_2(tmp_path, capsys, command, payload):
+    # Numpy refuses the 8 TB record at once; that is the config's doing.
+    out = str(tmp_path / "no.csv")
+    assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
     assert not os.path.exists(out)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import zzbound.estimators as estimators
 from zzbound.estimators import (
@@ -117,7 +117,7 @@ def test_linear_closed_form_scalar_oracle():
     got = estimate(LinearClosedForm(model), x, uniform_interval(10.0))
     w = h / diag
     assert got.shape == (1,)
-    assert got[0] == pytest.approx(float(w @ x) / float(w @ h), rel=1e-12)
+    assert got[0] == pytest.approx(float(w @ x) / float(w @ h), rel=1e-12, abs=0.0)
 
 
 def test_linear_closed_form_matrix_oracle():
@@ -190,11 +190,14 @@ def test_pulse_fast_path_is_mesh_optimal():
     # The correlation shortcut must dominate a dense brute-force likelihood
     # mesh, including positions whose template is clipped at the edges.
     model, prior = _pulse_setup()
+    # A diagonal with one value is the same white covariance: same path, same bits.
+    diagonal = AssumedModel(model.signal, model.noise_mean, DiagonalCov(np.full(model.k, 0.2)))
     rng = np.random.default_rng(17)
     for tau_true in (0, 1, 13, 39):
         x = eval_signal(model.signal, np.array([float(tau_true), 1.2]))
         x = x + math.sqrt(0.2) * rng.standard_normal(model.k)
         got = estimate(QuasiMLE(model), x, prior)
+        assert_array_equal(estimate(QuasiMLE(diagonal), x, prior), got)
         ll_got = log_likelihood(model, x, got)
         alphas = np.linspace(0.5, 1.5, 801)
         best_mesh = -np.inf

@@ -62,19 +62,19 @@ def test_example1_gamma_longhand():
     true_diag = sigma2 + d
 
     a1, b1 = k / sigma2, float(np.sum(true_diag)) / sigma2**2
-    assert scn.gammas["m1"] == pytest.approx(0.5 * a1 / math.sqrt(b1), rel=1e-12)
+    assert scn.gammas["m1"] == pytest.approx(0.5 * a1 / math.sqrt(b1), rel=1e-12, abs=0.0)
     a2, b2 = float(np.sum(1.0 / d)), float(np.sum(true_diag / d**2))
-    assert scn.gammas["m2"] == pytest.approx(0.5 * a2 / math.sqrt(b2), rel=1e-12)
+    assert scn.gammas["m2"] == pytest.approx(0.5 * a2 / math.sqrt(b2), rel=1e-12, abs=0.0)
     assert scn.gammas["matched"] == pytest.approx(
-        0.5 * math.sqrt(float(np.sum(1.0 / true_diag))), rel=1e-12
+        0.5 * math.sqrt(float(np.sum(1.0 / true_diag))), rel=1e-12, abs=0.0
     )
 
 
 def test_example1_frozen_gammas():
     scn = build_example1(0.1)
-    assert scn.gammas["m1"] == pytest.approx(29.061909685954816, rel=1e-12)
-    assert scn.gammas["m2"] == pytest.approx(27.65703544822206, rel=1e-12)
-    assert scn.gammas["matched"] == pytest.approx(29.294946289954513, rel=1e-12)
+    assert scn.gammas["m1"] == pytest.approx(29.061909685954816, rel=1e-12, abs=0.0)
+    assert scn.gammas["m2"] == pytest.approx(27.65703544822206, rel=1e-12, abs=0.0)
+    assert scn.gammas["matched"] == pytest.approx(29.294946289954513, rel=1e-12, abs=0.0)
 
 
 def test_example1_m1_asymptote_is_true_average_variance():
@@ -84,7 +84,7 @@ def test_example1_m1_asymptote_is_true_average_variance():
         scn = build_example1(sigma2)
         g = scn.gammas["m1"]
         assert 1.0 / (4.0 * g * g) == pytest.approx(
-            (sigma2 + 0.048) / scn.k, rel=1e-12
+            (sigma2 + 0.048) / scn.k, rel=1e-12, abs=0.0
         )
 
 
@@ -131,7 +131,7 @@ def test_example2_mirror_symmetry_bitwise():
 def test_example2_frozen_endpoint():
     mismatched, matched = _example2_bounds(0.0)
     assert mismatched.converged
-    assert mismatched.value == pytest.approx(21.666858666666666, rel=1e-10)
+    assert mismatched.value == pytest.approx(21.666858666666666, rel=1e-10, abs=0.0)
     # Far off-center the mismatched bound dwarfs the matched one.
     assert mismatched.value > 10.0 * matched.value
 
@@ -140,7 +140,7 @@ def test_example2_center_recovers_matched():
     mismatched, matched = _example2_bounds(5.0)
     assert matched.form == "closed_form_q_linear"
     assert mismatched.value == pytest.approx(matched.value, rel=1e-6)
-    assert matched.value == pytest.approx(0.0003197564075873413, rel=1e-12)
+    assert matched.value == pytest.approx(0.0003197564075873413, rel=1e-12, abs=0.0)
 
 
 def test_example2_grows_away_from_center():
@@ -152,7 +152,7 @@ def test_example2_matched_gamma_ignores_true_mean():
     a, b = build_example2(0.0), build_example2(9.0)
     gamma_a = zzb._q_linear_gamma(a.assumed["matched"], a.truth)
     assert gamma_a == zzb._q_linear_gamma(b.assumed["matched"], b.truth)
-    assert gamma_a == pytest.approx(0.5 * math.sqrt(500 / 0.16), rel=1e-12)
+    assert gamma_a == pytest.approx(0.5 * math.sqrt(500 / 0.16), rel=1e-12, abs=0.0)
 
 
 def _matched_posterior_mse(scn, trials, seed):
@@ -204,7 +204,7 @@ def test_matched_linear_bound_lies_below_the_mmse(example, value, k, t_prior):
 
 def test_example3_default_prior_width():
     scn = build_example3(0.5)
-    assert scn.t_prior == pytest.approx(111.80339887498947, rel=1e-12)
+    assert scn.t_prior == pytest.approx(111.80339887498947, rel=1e-12, abs=0.0)
 
 
 def _example3_mismatched_bound(scn):
@@ -229,7 +229,7 @@ def test_example3_frozen_interior_values():
     for w2, (mm, matched) in expected.items():
         scn = build_example3(1.0 - w2)
         mismatched = _example3_mismatched_bound(scn).value
-        assert mismatched == pytest.approx(mm, rel=1e-9)
+        assert mismatched == pytest.approx(mm, rel=1e-9, abs=0.0)
         got = example3_matched_bound(scn)
         assert got.converged
         assert got.value == pytest.approx(matched, rel=1e-7)
@@ -242,7 +242,7 @@ def test_example3_frozen_benchmark_points():
     for w2, matched in expected.items():
         got = example3_matched_bound(build_example3(1.0 - w2))
         assert got.converged
-        assert got.value == pytest.approx(matched, rel=1e-12)
+        assert got.value == pytest.approx(matched, rel=1e-12, abs=0.0)
 
 
 def _reference_mixture_pe(k, omega1, std_narrow, std_wide):
@@ -481,11 +481,11 @@ def test_example4_frozen_constants():
     s_true = pulse_template(scn.truth.signal.width)
     s_assumed = pulse_template(mismatched.signal.width)
     e_s_true = float(s_true @ s_true)
-    assert e_s_true == pytest.approx(100.00222222222224, rel=1e-12)
-    assert float(s_assumed @ s_assumed) == pytest.approx(66.67000000000002, rel=1e-12)
+    assert e_s_true == pytest.approx(100.00222222222224, rel=1e-12, abs=0.0)
+    assert float(s_assumed @ s_assumed) == pytest.approx(66.67000000000002, rel=1e-12, abs=0.0)
     rho0 = _xcorr_at_lags(s_true, s_assumed, np.array([0]))[0]
-    assert rho0 == pytest.approx(77.77999999999999, rel=1e-12)
-    assert mismatched.noise_cov.sigma2 == pytest.approx(e_s_true / 20.0, rel=1e-15)
+    assert rho0 == pytest.approx(77.77999999999999, rel=1e-12, abs=0.0)
+    assert mismatched.noise_cov.diag == pytest.approx(e_s_true / 20.0, rel=1e-15, abs=0.0)
 
 
 def test_example4_validation():
@@ -550,8 +550,8 @@ def test_xcorr_at_lags_matches_dot_per_lag(wa, wb):
 def test_pulse_template_energy_matches_frozen():
     t300 = pulse_template(300)
     t200 = pulse_template(200)
-    assert float(t300 @ t300) == pytest.approx(100.00222222222224, rel=1e-12)
-    assert float(t200 @ t200) == pytest.approx(66.67000000000002, rel=1e-12)
+    assert float(t300 @ t300) == pytest.approx(100.00222222222224, rel=1e-12, abs=0.0)
+    assert float(t200 @ t200) == pytest.approx(66.67000000000002, rel=1e-12, abs=0.0)
     assert t300.max() == 1.0 and t300.min() > 0.0
 
 
@@ -582,7 +582,7 @@ def test_ex4_pe_agrees_with_gaussian_kernel():
         expected = pe_gaussian(
             kernel, np.array([30.0, a_o]), np.array([float(d_tau), d_alpha])
         )
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def _coefficient_rows_coincide(d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
@@ -711,7 +711,7 @@ def test_pulse_pe_takes_one_q_where_the_coefficient_rows_coincide(monkeypatch, s
     key_lag, d_alpha = (m.ravel() for m in np.meshgrid(lags, alphas, indexing="ij"))
     lo = np.maximum(0.5, 0.5 - d_alpha)
     a_o = lo + np.linspace(0.0, 1.0, 129)[:, None] * (np.minimum(1.5, 1.5 - d_alpha) - lo)
-    args = (d_alpha, r_ss[key_lag], r_ts[key_lag], r_ts[0], r_ss[0], scn.truth.noise.cov.sigma2)
+    args = (d_alpha, r_ss[key_lag], r_ts[key_lag], r_ts[0], r_ss[0], scn.truth.noise.cov.diag[0])
     calls, got = _recorded_q_ratio_calls(monkeypatch, a_o, *args)
     assert len(calls) == (1 if matched else 2)
     assert _coefficient_rows_coincide(*args) == matched
@@ -730,7 +730,7 @@ def test_example4_g_support_and_zero_offset():
     # At zero offset the test is blind (pe = 1/2) and only the position share
     # of unclipped placements survives.
     val = g(np.array([[0.0, 0.0]]))[0]
-    assert val == pytest.approx(0.5 * (120 - 20) / 120, rel=1e-12)
+    assert val == pytest.approx(0.5 * (120 - 20) / 120, rel=1e-12, abs=0.0)
     # Outside the position or amplitude overlap the integrand vanishes.
     assert g(np.array([[101.0, 0.0]]))[0] == 0.0
     assert g(np.array([[0.0, 1.0]]))[0] == 0.0
@@ -743,7 +743,7 @@ def _reference_example4_g(scenario, matched):
     """Row-by-row amplitude quadrature: one 129-node integral per live row."""
     k = scenario.k
     assumed = scenario.assumed["matched" if matched else "mismatched"]
-    sigma2 = assumed.noise_cov.sigma2
+    sigma2 = assumed.noise_cov.diag[0]
     wide = float(scenario.truth.signal.width)
     s_true = pulse_template(scenario.truth.signal.width)
     s_assumed = pulse_template(assumed.signal.width)
@@ -1053,10 +1053,10 @@ def test_example4_bounds_small_scale():
     assert out["zzb_tau_mismatched"].form == "lattice_staircase"
     assert out["zzb_alpha_mismatched"].form == "continuous_profile"
     # Frozen values: collapsing far lags in the integrand must not move them.
-    assert out["zzb_tau_mismatched"].value == pytest.approx(0.7869341290764592, rel=1e-12)
-    assert out["zzb_alpha_mismatched"].value == pytest.approx(0.01715925527225525, rel=1e-12)
-    assert out["zzb_tau_matched"].value == pytest.approx(0.5796243076255466, rel=1e-12)
-    assert out["zzb_alpha_matched"].value == pytest.approx(0.00721628256422579, rel=1e-12)
+    assert out["zzb_tau_mismatched"].value == pytest.approx(0.7869341290764592, rel=1e-12, abs=0.0)
+    assert out["zzb_alpha_mismatched"].value == pytest.approx(0.01715925527225525, rel=1e-12, abs=0.0)
+    assert out["zzb_tau_matched"].value == pytest.approx(0.5796243076255466, rel=1e-12, abs=0.0)
+    assert out["zzb_alpha_matched"].value == pytest.approx(0.00721628256422579, rel=1e-12, abs=0.0)
     # A too-narrow template cannot beat the matched bound at high SNR.
     assert out["zzb_tau_mismatched"].value >= out["zzb_tau_matched"].value
     assert out["zzb_alpha_mismatched"].value >= out["zzb_alpha_matched"].value
@@ -1085,7 +1085,7 @@ def _pulse_posterior_mse(scn, trials, seed, n_amp=101):
     is some estimator, so its MSE can only sit above the sharpest one.
     """
     k, width = scn.k, scn.truth.signal.width
-    sigma2 = scn.truth.noise.cov.sigma2
+    sigma2 = scn.truth.noise.cov.diag[0]
     amp_axis = scn.prior.axes[1]
     pulses = np.array([triangular_pulse(t, width, k) for t in range(k)])
     energy = np.einsum("ij,ij->i", pulses, pulses)

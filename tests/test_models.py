@@ -57,9 +57,9 @@ def test_covariance_interface_consistency(cov):
     u = rng.standard_normal(cov.dim)
     v = rng.standard_normal(cov.dim)
     assert_allclose(cov.solve(u), inv @ u, rtol=1e-10)
-    assert cov.qf(u, v) == pytest.approx(u @ m @ v, rel=1e-12)
-    assert cov.qf_inv(u, v) == pytest.approx(u @ inv @ v, rel=1e-10)
-    assert cov.qf_inv(u) == pytest.approx(u @ inv @ u, rel=1e-10)
+    assert cov.qf(u, v) == pytest.approx(u @ m @ v, rel=1e-12, abs=0.0)
+    assert cov.qf_inv(u, v) == pytest.approx(u @ inv @ v, rel=1e-10, abs=0.0)
+    assert cov.qf_inv(u) == pytest.approx(u @ inv @ u, rel=1e-10, abs=0.0)
     rows = rng.standard_normal((5, cov.dim))
     assert_allclose(cov.qf_inv_rows(rows), np.einsum("ij,ij->i", rows, rows @ inv), rtol=1e-10)
     # chol_matvec maps iid rows z to z L^T, so feeding the identity recovers
@@ -98,8 +98,11 @@ def test_covariance_batched_solve():
 
 
 def test_covariance_validation():
-    with pytest.raises(ValueError, match="positive"):
-        ScaledIdentityCov(0.0, 3)
+    for sigma2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"variance must be finite and positive, got {sigma2}"):
+            ScaledIdentityCov(sigma2, 3)
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        ScaledIdentityCov(1.0, 0)
     with pytest.raises(ValueError, match="positive"):
         DiagonalCov(np.array([1.0, -2.0]))
     with pytest.raises(ValueError, match="symmetric"):
@@ -108,9 +111,18 @@ def test_covariance_validation():
         DenseCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_scaled_identity_is_the_diagonal_with_equal_entries():
+    cov = ScaledIdentityCov(2.5, 4)
+    assert type(cov) is DiagonalCov
+    assert_array_equal(cov.diag, DiagonalCov(np.full(4, 2.5)).diag)
+    assert cov.white and DiagonalCov(np.full(4, 2.5)).white
+    assert not DiagonalCov(np.array([2.5, 2.5, 2.0])).white
+    assert vars(cov)["white"] is True  # asked once, then cached
+
+
 @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
 def test_scaled_identity_rejects_non_finite_variance(sigma2):
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match=f"variance must be finite and positive, got {sigma2}"):
         ScaledIdentityCov(sigma2, 2)
     with pytest.raises(ValueError, match="finite and positive"):
         DiagonalCov(np.full(2, sigma2))
@@ -216,9 +228,9 @@ def test_reference_pulse_energies():
     # The two template widths used by the pulse example, at full support.
     wide = triangular_pulse(2500.0, 300, 5000)
     narrow = triangular_pulse(2500.0, 200, 5000)
-    assert wide @ wide == pytest.approx(100.00222222222222, rel=1e-12)
-    assert narrow @ narrow == pytest.approx(66.67, rel=1e-12)
-    assert wide @ narrow == pytest.approx(77.78, rel=1e-12)
+    assert wide @ wide == pytest.approx(100.00222222222222, rel=1e-12, abs=0.0)
+    assert narrow @ narrow == pytest.approx(66.67, rel=1e-12, abs=0.0)
+    assert wide @ narrow == pytest.approx(77.78, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +322,7 @@ def test_per_sample_mixture_three_components_and_moments():
     z = rng.standard_normal(k)
     assert_allclose(x, np.select([u < 0.2, u < 0.5], [4.0, 2.0], 1.0) * z, rtol=0.0, atol=0.0)
     pooled = float(np.sum(weights * stds**2))
-    assert noise.gaussian.cov.sigma2 == pooled
+    assert np.array_equal(noise.gaussian.cov.diag, np.full(k, pooled))
     assert abs(np.mean(x * x) - pooled) < 0.02 * pooled
 
 

