@@ -56,10 +56,6 @@ class ConfigError(Exception):
     """Configuration or schema problem; maps to exit status 2."""
 
 
-class NumericalError(Exception):
-    """Numerical failure while building or evaluating; exit status 3."""
-
-
 # ---------------------------------------------------------------------------
 # Schema helpers: every accessor carries the JSON field path for diagnostics
 # ---------------------------------------------------------------------------
@@ -155,13 +151,13 @@ def _build(factory: Callable[..., Any], *args: Any, path: str) -> Any:
     """Construct a model object, mapping its validation errors to the config.
 
     A failed positive-definiteness check is a numerical problem, not a schema
-    one, and keeps its own exit status.
+    one: it is raised as it is, and main reports it with exit status 3.
     """
     try:
         return factory(*args)
     except ValueError as exc:
         if "positive definite" in str(exc):
-            raise NumericalError(str(exc)) from exc
+            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -643,9 +639,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A record too long to allocate, such as a k of 10**12, is a config error.
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from . import zzb
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
@@ -39,12 +40,10 @@ __all__ = [
 
 
 # Likelihood search on continuous axes: a grid of _GRID_POINTS nodes, then
-# ternary refinement around the best node until the bracket is below
-# _REFINE_TOL or after _REFINE_ITERS steps. Lattice axes are scanned exactly
-# and never refined.
+# _REFINE_ITERS ternary steps around the best node (zzb._grid_max and
+# zzb._polish). Lattice axes are scanned exactly and never refined.
 _GRID_POINTS = 512
 _REFINE_ITERS = 80
-_REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,52 +118,28 @@ def _axis_grid(ax, n_points: int) -> np.ndarray:
 
 
 def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Log-likelihood over a (M, n_theta) batch of candidate thetas."""
+    """Log-likelihood over a (M, n_theta) batch of candidate thetas.
+
+    A linear map is scored in blocks of zzb._SCAN_BLOCK // k rows, so the
+    residuals held at once stay near _SCAN_BLOCK values at any M. Each
+    row's signal is summed column by column, elementwise, so its bits do not
+    depend on the block it falls in.
+    """
     xm = x - model.noise_mean
     sig = model.signal
-    if isinstance(sig, LinearMatrixMap):
-        resid = xm[None, :] - grid @ sig.h_matrix.T
-        return -0.5 * model.noise_cov.qf_inv_rows(resid)
     out = np.empty(grid.shape[0], dtype=float)
+    if isinstance(sig, LinearMatrixMap):
+        h = sig.h_matrix
+        per_block = max(1, zzb._SCAN_BLOCK // model.k)
+        for r0 in range(0, grid.shape[0], per_block):
+            th = grid[r0 : r0 + per_block]
+            s = sum(th[:, j, None] * h[:, j] for j in range(h.shape[1]))
+            out[r0 : r0 + per_block] = -0.5 * model.noise_cov.qf_inv_rows(xm - s)
+        return out
     for i, th in enumerate(grid):
         r = xm - eval_signal(sig, th)
         out[i] = -0.5 * model.noise_cov.qf_inv(r)
     return out
-
-
-def _refine_axes(
-    model: AssumedModel, x: np.ndarray, prior: Prior, best: np.ndarray, spacing: list
-) -> np.ndarray:
-    """Coordinate-wise ternary polish of continuous axes around a grid optimum."""
-    theta = best.copy()
-    best_ll = log_likelihood(model, x, theta)
-    passes = 1 if prior.n_theta == 1 else 2
-    for _ in range(passes):
-        for j, ax in enumerate(prior.axes):
-            if not isinstance(ax, IntervalAxis):
-                continue
-            lo = max(ax.lo, theta[j] - spacing[j])
-            hi = min(ax.hi, theta[j] + spacing[j])
-            cand = theta.copy()
-            for _ in range(_REFINE_ITERS):
-                if hi - lo <= _REFINE_TOL:
-                    break
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                cand[j] = m1
-                f1 = log_likelihood(model, x, cand)
-                cand[j] = m2
-                f2 = log_likelihood(model, x, cand)
-                if f1 < f2:
-                    lo = m1
-                else:
-                    hi = m2
-            cand[j] = 0.5 * (lo + hi)
-            ll = log_likelihood(model, x, cand)
-            if ll > best_ll:
-                best_ll = ll
-                theta = cand.copy()
-    return theta
 
 
 @lru_cache(maxsize=32)
@@ -227,15 +202,15 @@ def _quasi_mle(spec: QuasiMLE, x: np.ndarray, prior: Prior) -> np.ndarray:
         return _pulse_fast_path(spec, x, prior)
 
     axis_grids = [_axis_grid(ax, _GRID_POINTS) for ax in prior.axes]
-    mesh = np.meshgrid(*axis_grids, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    ll = _loglik_on_grid(spec.model, x, grid)
-    best = grid[int(np.argmax(ll))].copy()
+    bounds = [(ax.lo, ax.hi) if isinstance(ax, IntervalAxis) else None for ax in prior.axes]
 
-    spacing = []
-    for ax, g in zip(prior.axes, axis_grids):
-        spacing.append(g[1] - g[0] if isinstance(ax, IntervalAxis) and g.size > 1 else 0.0)
-    return _refine_axes(spec.model, x, prior, best, spacing)
+    def f(idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return _loglik_on_grid(spec.model, x, pts)
+
+    best_val, best = zzb._grid_max(f, 1, axis_grids)
+    for _ in range(1 if prior.n_theta == 1 else 2):
+        best_val, best = zzb._polish(f, best_val, best, axis_grids, bounds, _REFINE_ITERS)
+    return best[0]
 
 
 def _linear_closed_form(spec: LinearClosedForm, x: np.ndarray) -> np.ndarray:

@@ -62,10 +62,10 @@ __all__ = [
     "zzb_vector",
 ]
 
-# Most integrand evaluations handed to one pe call by the vector routes (see
-# _scan_rows). It bounds the pe's temporaries, and so the working set, at
-# any mesh size; each value is computed from the same operands at any block
-# size, so the bits do not depend on it.
+# Most cells per block: per pe call of the vector routes, per _grid_max
+# block (see _scan_rows), and over k, per quasi-MLE scoring block. It bounds
+# the working set at any mesh size; each value is computed from the same
+# operands at any block size, so the bits do not depend on it.
 _SCAN_BLOCK = 1 << 14
 
 
@@ -483,27 +483,11 @@ class VectorBoundSpec:
 
 
 def _g_rows(spec: VectorBoundSpec, deltas: np.ndarray) -> np.ndarray:
-    """Integrand at each row of a (M, n_theta) offset array, in _scan_rows blocks."""
-
-    def g_at(rows: slice, cols: slice) -> np.ndarray:
-        return np.asarray(spec.pe(deltas[rows]), dtype=float)
-
+    """Integrand at each row of a (M, n_theta) offset array, _SCAN_BLOCK rows a call."""
     out = np.empty(deltas.shape[0])
-    for rows, vals in _scan_rows(g_at, deltas.shape[0], 1):
-        out[rows] = vals[:, 0]
+    for r0 in range(0, deltas.shape[0], _SCAN_BLOCK):
+        out[r0 : r0 + _SCAN_BLOCK] = spec.pe(deltas[r0 : r0 + _SCAN_BLOCK])
     return out
-
-
-def _mesh_deltas(
-    n: int, pin_axis: int, pins: np.ndarray, free_idx: Sequence[int], combos: np.ndarray
-) -> np.ndarray:
-    """(r * n_c, n) offsets, row-major over (r, n_c): free axes from the n_c
-    combinations, pin_axis from pins of shape (r, 1)."""
-    deltas = np.zeros((pins.shape[0], combos.shape[0], n))
-    deltas[:, :, pin_axis] = pins
-    for col, j in enumerate(free_idx):
-        deltas[:, :, j] = combos[None, :, col]
-    return deltas.reshape(-1, n)
 
 
 def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
@@ -518,6 +502,101 @@ def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
     return offs * ax.step
 
 
+# A grid search's objective f(idx, pts): search idx[m]'s value at point pts[m].
+_Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _grid_max(
+    f: _Objective, n_search: int, cands: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum of each of n_search searches over one product grid.
+
+    The grid is the product of the 1-D arrays in cands, first axis slowest.
+    The (search, point) pairs are scanned in _scan_rows blocks, and each
+    point is computed from its flat index, so the grid is never built.
+    Returns the best values, shape (n_search,), and their points, shape
+    (n_search, len(cands)).
+    """
+    shape = [c.size for c in cands]
+
+    def points(flat: np.ndarray) -> np.ndarray:
+        pts = np.empty((flat.size, len(cands)))
+        for col in range(len(cands) - 1, -1, -1):
+            flat, pos = np.divmod(flat, shape[col])
+            pts[:, col] = cands[col][pos]
+        return pts
+
+    def g_at(rows: slice, cols: slice) -> np.ndarray:
+        pts = points(np.arange(cols.start, cols.stop))
+        idx = np.repeat(np.arange(rows.start, rows.stop), pts.shape[0])
+        return f(idx, np.tile(pts, (rows.stop - rows.start, 1)))
+
+    best = np.empty(n_search, dtype=np.intp)
+    best_val = np.empty(n_search)
+    for rows, vals in _scan_rows(g_at, n_search, math.prod(shape)):
+        best[rows] = np.argmax(vals, axis=1)
+        best_val[rows] = vals[np.arange(vals.shape[0]), best[rows]]
+    return best_val, points(best)
+
+
+def _polish(
+    f: _Objective,
+    best_val: np.ndarray,
+    best: np.ndarray,
+    cands: Sequence[np.ndarray],
+    bounds: Sequence[tuple[float, float] | None],
+    iters: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One vectorized ternary pass over the continuous axes of _grid_max's result.
+
+    bounds[col] is axis col's (lo, hi), or None where the axis is scanned
+    exactly. On each continuous axis in turn, every search brackets its best
+    point by one grid spacing, (hi - lo) / (nodes - 1), clipped to [lo, hi],
+    runs iters ternary steps, and keeps the bracket's midpoint where f is
+    higher there. Updates best in place; returns (best_val, best).
+    """
+    idx = np.arange(best_val.size)
+    for col, box in enumerate(bounds):
+        if box is None or iters == 0:
+            continue
+        a, b = box
+        spacing = (b - a) / (cands[col].size - 1)
+        lo = np.maximum(best[:, col] - spacing, a)
+        hi = np.minimum(best[:, col] + spacing, b)
+        probe = best.copy()
+        for _ in range(iters):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            probe[:, col] = m1
+            f1 = f(idx, probe)
+            probe[:, col] = m2
+            f2 = f(idx, probe)
+            take_hi = f1 < f2
+            lo = np.where(take_hi, m1, lo)
+            hi = np.where(take_hi, hi, m2)
+        probe[:, col] = 0.5 * (lo + hi)
+        refined = f(idx, probe)
+        improved = refined > best_val
+        best_val = np.where(improved, refined, best_val)
+        best[:, col] = np.where(improved, probe[:, col], best[:, col])
+    return best_val, best
+
+
+def _pinned(spec: VectorBoundSpec, pins: np.ndarray) -> _Objective:
+    """The integrand as f(idx, free): offset pins[idx] on axis spec.coord and
+    the rows of free on the other axes, in axis order."""
+    n = spec.prior.n_theta
+    free_idx = [j for j in range(n) if j != spec.coord]
+
+    def f(idx: np.ndarray, free: np.ndarray) -> np.ndarray:
+        d = np.zeros((idx.size, n))
+        d[:, spec.coord] = pins[idx]
+        d[:, free_idx] = free
+        return _g_rows(spec, d)
+
+    return f
+
+
 def _search_free(spec: VectorBoundSpec, pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(best value, best free offsets) of the integrand, per pinned offset.
 
@@ -526,60 +605,12 @@ def _search_free(spec: VectorBoundSpec, pins: np.ndarray) -> tuple[np.ndarray, n
     then polished by vectorized ternary search around each row's best point.
     The free offsets have shape (pins, n_theta - 1), in axis order.
     """
-    n = spec.prior.n_theta
-    pin_axis = spec.coord
-    free_idx = [j for j in range(n) if j != pin_axis]
-    n_pin = pins.size
-
-    def eval_rows(free_mat: np.ndarray) -> np.ndarray:
-        d = np.zeros((n_pin, n))
-        d[:, pin_axis] = pins
-        for col, j in enumerate(free_idx):
-            d[:, j] = free_mat[:, col]
-        return _g_rows(spec, d)
-
-    if not free_idx:
-        return eval_rows(np.zeros((n_pin, 0))), np.zeros((n_pin, 0))
-
-    # (n_c, n_free) candidate offsets on the free axes, first axis slowest.
-    cand = [_free_axis_candidates(spec.prior.axes[j], spec.search) for j in free_idx]
-    combos = np.stack([m.ravel() for m in np.meshgrid(*cand, indexing="ij")], axis=1)
-
-    def g_at(rows: slice, cols: slice) -> np.ndarray:
-        return _g_rows(spec, _mesh_deltas(n, pin_axis, pins[rows, None], free_idx, combos[cols]))
-
-    best_c = np.empty(n_pin, dtype=np.intp)
-    best_val = np.empty(n_pin)
-    for rows, vals in _scan_rows(g_at, n_pin, combos.shape[0]):
-        best_c[rows] = np.argmax(vals, axis=1)
-        best_val[rows] = vals[np.arange(vals.shape[0]), best_c[rows]]
-    best_free = combos[best_c]  # (n_pin, n_free)
-
-    for col, j in enumerate(free_idx):
-        ax = spec.prior.axes[j]
-        if not isinstance(ax, IntervalAxis) or spec.search.refine_iters == 0:
-            continue
-        spacing = 2.0 * ax.width / (_odd(spec.search.grid_points) - 1)
-        lo = np.maximum(best_free[:, col] - spacing, -ax.width)
-        hi = np.minimum(best_free[:, col] + spacing, ax.width)
-        probe = best_free.copy()
-        for _ in range(spec.search.refine_iters):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            probe[:, col] = m1
-            f1 = eval_rows(probe)
-            probe[:, col] = m2
-            f2 = eval_rows(probe)
-            take_hi = f1 < f2
-            lo = np.where(take_hi, m1, lo)
-            hi = np.where(take_hi, hi, m2)
-        probe[:, col] = 0.5 * (lo + hi)
-        refined = eval_rows(probe)
-        improved = refined > best_val
-        best_val = np.where(improved, refined, best_val)
-        best_free[:, col] = np.where(improved, probe[:, col], best_free[:, col])
-
-    return best_val, best_free
+    free_axes = [ax for j, ax in enumerate(spec.prior.axes) if j != spec.coord]
+    cands = [_free_axis_candidates(ax, spec.search) for ax in free_axes]
+    bounds = [(-ax.width, ax.width) if isinstance(ax, IntervalAxis) else None for ax in free_axes]
+    f = _pinned(spec, pins)
+    best_val, best_free = _grid_max(f, pins.size, cands)
+    return _polish(f, best_val, best_free, cands, bounds, spec.search.refine_iters)
 
 
 def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
@@ -603,10 +634,9 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
         # of G at span, so span's maximizer is read there.
         n_search = min(getattr(spec.pe, "span", offs.size), offs.size)
         head, best_free = _search_free(spec, offs[:n_search])
-        n = spec.prior.n_theta
-        free_idx = [j for j in range(n) if j != spec.coord]
-        tail = _mesh_deltas(n, spec.coord, offs[n_search:, None], free_idx, best_free[-1:])
-        g_max = np.concatenate([head, _g_rows(spec, tail)])
+        rest = np.arange(n_search, offs.size)
+        tail = _pinned(spec, offs)(rest, np.repeat(best_free[-1:], rest.size, 0))
+        g_max = np.concatenate([head, tail])
         return BoundResult(lattice_staircase_sum(ax.step, ax.count, g_max), True, "lattice_staircase")
 
     def f(h: np.ndarray) -> np.ndarray:

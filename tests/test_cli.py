@@ -1338,15 +1338,15 @@ def test_arithmetic_errors_exit_3(tmp_path, capsys, command, payload, message):
     assert not os.path.exists(out)
 
 
-# The fuzzers below keep every example under about 100 MB: quasi_mle on a
-# map other than the pulse fast path scores a 512^n_theta x k grid in one
-# piece, so n_theta <= 2 and k <= 10 there, and trials stay at most 20 (200
-# for pe's empirical draws). A pulse delay axis stays a lattice that runs
-# where it fits the record: off the pulse fast path, quasi_mle evaluates the
-# map once per point of a 512 x 512 grid, seconds per trial. Each fuzzer
-# draws a valid config, then about half the time edits one field to a value
-# across the edge of its domain, and one time in three makes one number
-# non-finite.
+# The fuzzers below cap their run time. quasi_mle on a map other than the
+# pulse fast path scores 512^n_theta grid points of k samples each (in
+# blocks, so its memory stays bounded), so n_theta <= 2 and k <= 10 there,
+# and trials stay at most 20 (200 for pe's empirical draws). A pulse delay
+# axis stays a lattice that runs where it fits the record: off the pulse
+# fast path, quasi_mle evaluates the map once per point of a 512 x 512
+# grid, seconds per trial. Each fuzzer draws a valid config, then about half
+# the time edits one field to a value across the edge of its domain, and one
+# time in three makes one number non-finite.
 _STUDIES = {
     # var, values inside the domain, values outside it, variants, shortest k
     1: ("sigma2", [0.0, 0.05, 0.3], [-0.1], ["matched", "m1", "m2"], 2),

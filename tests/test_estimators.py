@@ -178,6 +178,72 @@ def test_quasi_mle_lattice_prior_exact_scan():
     assert got[0] == 3.5  # exact lattice point, no refinement drift
 
 
+def test_quasi_mle_keeps_a_bounded_working_set():
+    # The 512 x 512 grid is scanned in blocks, so the peak is the grid's one
+    # row of scores and a block of residuals, not 2^18 residuals of length
+    # k (about 810 MiB here).
+    import tracemalloc
+
+    k = 200
+    rng = np.random.default_rng(200)
+    h = rng.standard_normal((k, 2))
+    model = AssumedModel(LinearMatrixMap(h), np.zeros(k), ScaledIdentityCov(1.0, k))
+    prior = Prior((IntervalAxis(0.0, 5.0), IntervalAxis(0.0, 5.0)))
+    x = h @ np.array([1.3, 3.7]) + rng.standard_normal(k)
+    tracemalloc.start()
+    try:
+        got = estimate(QuasiMLE(model), x, prior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert_allclose(got, [1.3, 3.7], atol=0.2)
+
+
+def _scan_block_cases():
+    lattice = Prior((LatticeAxis(9, -2.0, 0.5), IntervalAxis(0.0, 5.0)))
+    both = Prior((IntervalAxis(0.0, 5.0), IntervalAxis(-1.0, 1.0)))
+    cases = []
+    for k in (300, 50, 7):
+        rng = np.random.default_rng(k)
+        diag = DiagonalCov(rng.uniform(0.5, 2.0, k))
+        one = AssumedModel(LinearMatrixMap(rng.standard_normal((k, 1))), np.zeros(k), diag)
+        two = AssumedModel(LinearMatrixMap(rng.standard_normal((k, 2))), np.zeros(k), diag)
+        cases.append(pytest.param(one, uniform_interval(2.5), [0.4], 3, id=f"interval-{k}"))
+        cases.append(pytest.param(two, lattice, [-0.5, 1.8], 3, id=f"lattice_x_interval-{k}"))
+    # The full 512 x 512 grid, split across blocks and within its one row;
+    # at one row per block it takes seconds, so one record.
+    cases.append(pytest.param(two, both, [1.7, 0.2], 1, id="interval_x_interval-7"))
+    # Off the pulse fast path: a coloured diagonal scores row by row.
+    pulse = AssumedModel(
+        AmplitudePulseMap(k=6, width=4), np.zeros(6), DiagonalCov(np.linspace(0.5, 1.0, 6))
+    )
+    pulse_prior = Prior((LatticeAxis(6, 0.0, 1.0), IntervalAxis(0.5, 1.5)))
+    cases.append(pytest.param(pulse, pulse_prior, [2.0, 1.1], 3, id="pulse_coloured-6"))
+    return cases
+
+
+@pytest.mark.parametrize("model, prior, theta, records", _scan_block_cases())
+def test_quasi_mle_is_bitwise_independent_of_the_scan_block(
+    monkeypatch, model, prior, theta, records
+):
+    # Grid scores are computed row by row from the same operands at any
+    # block size, so the first maximum, its polish and the estimate are the
+    # same bits whether a block holds the whole grid or a single row.
+    import zzbound.zzb as zzb
+
+    rng = np.random.default_rng(11)
+    signal = eval_signal(model.signal, np.array(theta))
+    xs = [signal + rng.standard_normal(model.k) for _ in range(records)]
+    got = {}
+    for block in (1 << 14, 1 << 9, 1 << 5, 7):
+        monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
+        got[block] = [estimate(QuasiMLE(model), x, prior) for x in xs]
+    for block in got:
+        for a, b in zip(got[block], got[1 << 14]):
+            assert_array_equal(a, b)
+
+
 def _pulse_setup(k=40, width=8, sigma2=0.2):
     model = AssumedModel(
         AmplitudePulseMap(k=k, width=width), np.zeros(k), ScaledIdentityCov(sigma2, k)
