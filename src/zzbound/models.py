@@ -27,7 +27,6 @@ __all__ = [
     "SignalMap",
     "LinearVectorMap",
     "LinearMatrixMap",
-    "ParametricMap",
     "AmplitudePulseMap",
     "eval_signal",
     "triangular_pulse",
@@ -226,15 +225,6 @@ class LinearMatrixMap:
 
 
 @dataclass(frozen=True, eq=False)
-class ParametricMap:
-    """General (possibly nonlinear) map given by a plain function."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    k: int
-    n_theta: int
-
-
-@dataclass(frozen=True, eq=False)
 class AmplitudePulseMap:
     """Amplitude-scaled triangular pulse: theta = (tau, alpha).
 
@@ -256,7 +246,7 @@ class AmplitudePulseMap:
         return 2
 
 
-SignalMap = Union[LinearMatrixMap, ParametricMap, AmplitudePulseMap]
+SignalMap = Union[LinearMatrixMap, AmplitudePulseMap]
 
 
 def LinearVectorMap(hvec) -> LinearMatrixMap:
@@ -319,12 +309,7 @@ def eval_signal(sig: SignalMap, theta) -> np.ndarray:
         raise ValueError(f"theta has dimension {th.size}, map expects {sig.n_theta}")
     if isinstance(sig, LinearMatrixMap):
         return sig.h_matrix @ th
-    if isinstance(sig, AmplitudePulseMap):
-        return th[1] * triangular_pulse(th[0], sig.width, sig.k)
-    out = np.asarray(sig.fn(th), dtype=float)
-    if out.shape != (sig.k,):
-        raise ValueError(f"parametric map returned shape {out.shape}, expected ({sig.k},)")
-    return out
+    return th[1] * triangular_pulse(th[0], sig.width, sig.k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 # Most cells per block: per pe call of the vector routes, per _grid_max
-# block (see _scan_rows), and over k, per quasi-MLE scoring block. It bounds
+# block, and over k, per quasi-MLE scoring block. It bounds
 # the working set at any mesh size; each value is computed from the same
 # operands at any block size, so the bits do not depend on it.
 _SCAN_BLOCK = 1 << 14
@@ -135,28 +135,6 @@ def _interval_axis(prior: Prior) -> IntervalAxis:
 
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
-
-
-def _scan_rows(
-    evaluate: Callable[[slice, slice], np.ndarray], n_rows: int, row_len: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Values of an (n_rows, row_len) grid, one block of whole rows at a time.
-
-    evaluate(rows, cols) returns the values on the rectangle rows x cols in
-    row-major order and is never asked for more than _SCAN_BLOCK cells: a
-    block holds as many whole rows as fit, and a row longer than the block
-    is asked for in pieces. Yields (rows, vals) with vals of shape
-    (rows, row_len), so per-row reductions see whole rows.
-    """
-    per_block = max(1, _SCAN_BLOCK // row_len)
-    for r0 in range(0, n_rows, per_block):
-        rows = slice(r0, min(r0 + per_block, n_rows))
-        parts = [
-            np.asarray(evaluate(rows, slice(c0, min(c0 + _SCAN_BLOCK, row_len))), dtype=float)
-            for c0 in range(0, row_len, _SCAN_BLOCK)
-        ]
-        vals = parts[0] if len(parts) == 1 else np.concatenate([p.ravel() for p in parts])
-        yield rows, vals.reshape(rows.stop - rows.start, row_len)
 
 
 def _simpson_last(y: np.ndarray, step: float) -> np.ndarray:
@@ -511,13 +489,17 @@ def _grid_max(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First maximum of each of n_search searches over one product grid.
 
-    The grid is the product of the 1-D arrays in cands, first axis slowest.
-    The (search, point) pairs are scanned in _scan_rows blocks, and each
-    point is computed from its flat index, so the grid is never built.
-    Returns the best values, shape (n_search,), and their points, shape
-    (n_search, len(cands)).
+    The grid is the product of the 1-D arrays in cands, first axis slowest,
+    and each point is computed from its flat index, so the grid is never
+    built. At most _SCAN_BLOCK (search, point) pairs are scored at once: a
+    block holds as many whole searches as fit, and a grid larger than the
+    block is scored in pieces, each piece's maximum merged into a running
+    one. The merge keeps np.argmax's rule over the whole grid: the first
+    maximum wins, and the first NaN wins over every number. Returns the best
+    values, shape (n_search,), and their points, shape (n_search, len(cands)).
     """
     shape = [c.size for c in cands]
+    n_points = math.prod(shape)
 
     def points(flat: np.ndarray) -> np.ndarray:
         pts = np.empty((flat.size, len(cands)))
@@ -526,16 +508,21 @@ def _grid_max(
             pts[:, col] = cands[col][pos]
         return pts
 
-    def g_at(rows: slice, cols: slice) -> np.ndarray:
-        pts = points(np.arange(cols.start, cols.stop))
-        idx = np.repeat(np.arange(rows.start, rows.stop), pts.shape[0])
-        return f(idx, np.tile(pts, (rows.stop - rows.start, 1)))
-
-    best = np.empty(n_search, dtype=np.intp)
-    best_val = np.empty(n_search)
-    for rows, vals in _scan_rows(g_at, n_search, math.prod(shape)):
-        best[rows] = np.argmax(vals, axis=1)
-        best_val[rows] = vals[np.arange(vals.shape[0]), best[rows]]
+    best = np.zeros(n_search, dtype=np.intp)
+    best_val = np.full(n_search, -np.inf)
+    per_block = max(1, _SCAN_BLOCK // n_points)
+    for r0 in range(0, n_search, per_block):
+        idx = np.arange(r0, min(r0 + per_block, n_search))
+        for c0 in range(0, n_points, _SCAN_BLOCK):
+            pts = points(np.arange(c0, min(c0 + _SCAN_BLOCK, n_points)))
+            vals = f(np.repeat(idx, pts.shape[0]), np.tile(pts, (idx.size, 1)))
+            vals = np.asarray(vals, dtype=float).reshape(idx.size, pts.shape[0])
+            arg = np.argmax(vals, axis=1)
+            top = vals[np.arange(idx.size), arg]
+            run = best_val[idx]
+            take = (top > run) | (np.isnan(top) & ~np.isnan(run))
+            best_val[idx] = np.where(take, top, run)
+            best[idx] = np.where(take, arg + c0, best[idx])
     return best_val, points(best)
 
 

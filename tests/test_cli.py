@@ -1342,9 +1342,9 @@ def test_arithmetic_errors_exit_3(tmp_path, capsys, command, payload, message):
 # pulse fast path scores 512^n_theta grid points of k samples each (in
 # blocks, so its memory stays bounded), so n_theta <= 2 and k <= 10 there,
 # and trials stay at most 20 (200 for pe's empirical draws). A pulse delay
-# axis stays a lattice that runs where it fits the record: off the pulse
-# fast path, quasi_mle evaluates the map once per point of a 512 x 512
-# grid, seconds per trial. Each fuzzer draws a valid config, then about half
+# axis is a lattice that runs where it fits the record, or the interval
+# over the whole record, which leaves the fast path for that grid (tens of
+# milliseconds per trial). Each fuzzer draws a valid config, then about half
 # the time edits one field to a value across the edge of its domain, and one
 # time in three makes one number non-finite.
 _STUDIES = {
@@ -1404,15 +1404,16 @@ def _mc_pe_scenarios(draw):
         widths = draw(st.integers(1, k)), draw(st.integers(1, k))
         scenario = _pulse_scenario(k, *widths, draw(_variance))
         axes = scenario["prior"]["axes"]
-        _edit(
-            draw,
-            [
-                lambda: axes[0].update(count=k + 1),
-                lambda: axes[0].update(start=-1.0),
-                lambda: axes[0].update(count=k - 1, start=1.0),
-                lambda: axes.__setitem__(0, {"type": "interval", "lo": 0.0, "hi": float(k)}),
-            ],
-        )
+        edits = [
+            lambda: axes[0].update(count=k + 1),
+            lambda: axes[0].update(start=-1.0),
+            lambda: axes[0].update(count=k - 1, start=1.0),
+            lambda: axes.__setitem__(0, {"type": "interval", "lo": 0.0, "hi": float(k)}),
+        ]
+        if draw(st.booleans()):
+            axes[0] = {"type": "interval", "lo": 0.0, "hi": k - 1.0}
+            edits = [lambda: axes[0].update(hi=float(k)), lambda: axes[0].update(lo=-0.5)]
+        _edit(draw, edits)
         return scenario, k, 2
     k, n = draw(st.integers(1, 10)), draw(st.integers(1, 2))
     cov = {"type": "scaled_identity", "sigma2": draw(_variance), "k": k}

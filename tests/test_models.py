@@ -18,7 +18,6 @@ from zzbound.models import (
     LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
-    ParametricMap,
     PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
@@ -154,14 +153,6 @@ def test_linear_maps_evaluate():
     mat = LinearMatrixMap(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     assert_allclose(eval_signal(mat, [2.0, 5.0]), np.array([2.0, 5.0, 7.0]))
     assert mat.k == 3 and mat.n_theta == 2
-
-
-def test_parametric_map_shape_check():
-    good = ParametricMap(lambda th: np.full(3, th[0] ** 2), k=3, n_theta=1)
-    assert_allclose(eval_signal(good, 2.0), np.array([4.0, 4.0, 4.0]))
-    bad = ParametricMap(lambda th: np.zeros(4), k=3, n_theta=1)
-    with pytest.raises(ValueError, match="shape"):
-        eval_signal(bad, 1.0)
 
 
 def test_eval_signal_rejects_bad_theta():

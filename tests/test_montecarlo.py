@@ -18,7 +18,6 @@ from zzbound.models import (
     LinearMatrixMap,
     LinearVectorMap,
     MixtureNoise,
-    ParametricMap,
     PerSampleMixtureNoise,
     Prior,
     ScaledIdentityCov,
@@ -234,11 +233,12 @@ def test_run_mse_counts_failures():
 
 
 def test_run_mse_failure_reasons_in_first_occurrence_order():
-    # A nonlinear assumed map fails every finite record in the closed form;
+    # A pulse assumed map fails every finite record in the closed form;
     # non-finite records fail earlier, in estimate's own check.
     k = 5
-    sig = ParametricMap(lambda th: np.full(k, th[0]), k, 1)
+    sig = AmplitudePulseMap(width=3, k=k)
     assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k))
+    prior = Prior((LatticeAxis(k, 0.0, 1.0), IntervalAxis(0.5, 1.5)))
 
     def sometimes_nan(rng):
         x = rng.standard_normal(k)
@@ -247,7 +247,7 @@ def test_run_mse_failure_reasons_in_first_occurrence_order():
         return x
 
     truth = TrueModel(sig, EmpiricalNoise(sometimes_nan, k))
-    plan = TrialPlan(truth, LinearClosedForm(assumed), uniform_interval(1.0), 40, seed=4)
+    plan = TrialPlan(truth, LinearClosedForm(assumed), prior, 40, seed=4)
     rep = run_mse(plan)
     assert rep.failures == 40
     nan_msg = "ValueError: observation contains non-finite values"

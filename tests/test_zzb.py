@@ -1020,3 +1020,37 @@ def test_free_axis_scan_keeps_first_maximum_per_pin(monkeypatch):
     for block in (1, 3, 7, 8):
         monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
         np.testing.assert_array_equal(zzb._search_free(spec, pins)[0], reference)
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 12, 13, 1 << 40])
+def test_grid_max_merges_pieces_as_argmax_over_the_whole_row(monkeypatch, block):
+    # A grid larger than the block is scored in pieces, and each piece's
+    # maximum is merged into a running one. The result must be np.argmax
+    # over the whole row: the first of tied maxima, and the first NaN over
+    # every number, wherever the pieces split the row.
+    nan, inf = math.nan, math.inf
+    table = np.array(
+        [
+            [0, 5, 1, 5, 2, 5, 0, 0, 5, 0, 0, 0],
+            [0, 1, 2, 3, 9, 0, 9, nan, 9, nan, 0, 9],
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, nan],
+            [nan, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [-inf] * 12,
+            [-inf] * 11 + [nan],
+            [-inf, 0, 0, 0, 0, 0, inf, 0, 0, 0, 0, inf],
+        ]
+    )
+    cands = [np.array([10.0, 20.0, 30.0]), np.array([0.0, 0.25, 0.5, 0.75])]
+    sizes = []
+
+    def f(idx, pts):
+        sizes.append(idx.size)
+        flat = np.searchsorted(cands[0], pts[:, 0]) * 4 + np.searchsorted(cands[1], pts[:, 1])
+        return table[idx, flat]
+
+    monkeypatch.setattr(zzb, "_SCAN_BLOCK", block)
+    best_val, best = zzb._grid_max(f, table.shape[0], cands)
+    arg = np.argmax(table, axis=1)
+    np.testing.assert_array_equal(best_val, table[np.arange(table.shape[0]), arg])
+    np.testing.assert_array_equal(best, np.column_stack([cands[0][arg // 4], cands[1][arg % 4]]))
+    assert max(sizes) <= block and sum(sizes) == table.size
