@@ -150,14 +150,15 @@ def _under(path: str, factory: Callable[..., Any], *args: Any) -> Any:
 def _build(factory: Callable[..., Any], *args: Any, path: str) -> Any:
     """Construct a model object, mapping its validation errors to the config.
 
-    A failed positive-definiteness check is a numerical problem, not a schema
-    one: it is raised as it is, and main reports it with exit status 3.
+    A failed positive-definiteness check (a LinAlgError, which is a
+    ValueError) is a numerical problem, not a schema one: it is raised as it
+    is, and main reports it with exit status 3.
     """
     try:
         return factory(*args)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError as exc:
-        if "positive definite" in str(exc):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -434,8 +435,9 @@ def _trials_and_seed(
 
 
 def _check_point(scn: _Scenario, theta: np.ndarray, path: str) -> None:
-    """Evaluate both maps at theta, so that a point a map cannot take, such
-    as a pulse position outside the record, is a config error naming path."""
+    """Evaluate both maps at theta, one point or a batch, so that a point a map
+    cannot take, such as a pulse position outside the record, is a config
+    error naming path."""
     for signal in (scn.assumed.signal, scn.truth.signal):
         _build(eval_signal, signal, theta, path=path)
 
@@ -482,8 +484,7 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         (ax.lo, ax.hi) if isinstance(ax, IntervalAxis) else (ax.start, ax.start + ax.width)
         for ax in scn.prior.axes
     ]
-    for end in zip(*ends):
-        _check_point(scn, np.array(end), "config.scenario.prior")
+    _check_point(scn, np.array(ends).T, "config.scenario.prior")
 
     plan = _build(
         TrialPlan,

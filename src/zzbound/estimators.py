@@ -24,7 +24,6 @@ from .models import (
     LatticeAxis,
     LinearMatrixMap,
     Prior,
-    SignalMap,
     eval_signal,
     pulse_template,
 )
@@ -118,27 +117,6 @@ def _axis_grid(ax, n_points: int) -> np.ndarray:
     return ax.start + ax.step * np.arange(ax.count, dtype=float)
 
 
-def _signal_rows(sig: SignalMap, th: np.ndarray) -> np.ndarray:
-    """Signals of a (M, n_theta) batch of thetas, shape (M, k).
-
-    A linear map's row is summed column by column, elementwise, so its bits
-    do not depend on the batch it falls in (a matrix product rounds a
-    one-row batch differently). A pulse row is eval_signal's bits,
-    alpha * max(0, 1 - 2|i - tau| / width) at every sample i, and a position
-    outside the record fails with triangular_pulse's error.
-    """
-    if isinstance(sig, LinearMatrixMap):
-        h = sig.h_matrix
-        return sum(th[:, j, None] * h[:, j] for j in range(h.shape[1]))
-    tau, alpha = th[:, :1], th[:, 1:]
-    outside = (tau < 0.0) | (tau >= sig.k)
-    if outside.any():
-        bad = float(tau[outside][0])
-        raise ValueError(f"pulse position must satisfy 0 <= tau < {sig.k}, got {bad}")
-    i = np.arange(sig.k, dtype=float)
-    return alpha * np.maximum(0.0, 1.0 - 2.0 * np.abs(i - tau) / sig.width)
-
-
 def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Log-likelihood over a (M, n_theta) batch of candidate thetas.
 
@@ -150,7 +128,7 @@ def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.
     per_block = max(1, zzb._SCAN_BLOCK // model.k)
     for r0 in range(0, grid.shape[0], per_block):
         rows = slice(r0, r0 + per_block)
-        signals = _signal_rows(model.signal, grid[rows])
+        signals = eval_signal(model.signal, grid[rows])
         out[rows] = -0.5 * model.noise_cov.qf_inv_rows(xm - signals)
     return out
 

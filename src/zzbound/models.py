@@ -29,7 +29,6 @@ __all__ = [
     "LinearMatrixMap",
     "AmplitudePulseMap",
     "eval_signal",
-    "triangular_pulse",
     "pulse_template",
     "NoiseLaw",
     "GaussianNoise",
@@ -147,7 +146,7 @@ class DenseCov:
         try:
             return scipy.linalg.cholesky(self.matrix, lower=True)
         except scipy.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
+            raise np.linalg.LinAlgError("covariance is not positive definite") from exc
 
     @property
     def dim(self) -> int:
@@ -178,7 +177,13 @@ class DenseCov:
         return float(u @ self.matrix @ v)
 
     def qf_inv_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rowwise r^T Sigma^-1 r for a (M, k) residual block."""
+        """Rowwise r^T Sigma^-1 r for a (M, k) residual block.
+
+        cho_solve's rows do not depend on how many rows the block holds, so
+        quasi-MLE estimates do not depend on the scan block. One
+        solve_triangular and a sum of squares would be faster, but its row
+        bits change with the row count.
+        """
         r = np.asarray(rows, dtype=float)
         return np.einsum("ij,ij->i", r, self.solve(r))
 
@@ -228,8 +233,9 @@ class LinearMatrixMap:
 class AmplitudePulseMap:
     """Amplitude-scaled triangular pulse: theta = (tau, alpha).
 
-    h(tau, alpha) = alpha * triangular_pulse(tau, width, k). The pulse peak
-    sits at sample index tau; alpha scales the unit peak.
+    h(tau, alpha)[i] = alpha * max(0, 1 - 2|i - tau| / width) for samples
+    i = 0..k-1, so the pulse is clipped at the record ends. The peak sits at
+    sample index tau, 0 <= tau < k; alpha scales the unit peak.
     """
 
     width: int
@@ -257,59 +263,57 @@ def LinearVectorMap(hvec) -> LinearMatrixMap:
     return LinearMatrixMap(v[:, None])
 
 
-def triangular_pulse(tau: float, width: int, k: int) -> np.ndarray:
-    """Unit-peak symmetric triangle of total base ``width`` centered at ``tau``.
-
-    The sampled shape is s[i] = max(0, 1 - 2|i - tau| / width), clipped at the
-    record boundaries; its energy is sum(s^2).
-
-    Parameters
-    ----------
-    tau : float
-        Peak position as a sample index, 0 <= tau < k.
-    width : int
-        Total base width in samples, 1 <= width <= k.
-    k : int
-        Record length.
-    """
-    if width < 1:
-        raise ValueError(f"pulse width must be >= 1, got {width}")
-    if width > k:
-        raise ValueError(f"pulse width {width} exceeds record length {k}")
-    if not 0 <= tau < k:
-        raise ValueError(f"pulse position must satisfy 0 <= tau < {k}, got {tau}")
-    # The formula runs only on the samples within half a width of tau (with
-    # a one-sample margin); every other sample is 0.0, as the formula's
-    # maximum with 0.0 would give there.
-    lo = max(0, math.floor(tau - width / 2.0))
-    hi = min(k, math.ceil(tau + width / 2.0) + 1)
-    out = np.zeros(k)
-    idx = np.arange(lo, hi, dtype=float)
-    out[lo:hi] = np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
-    return out
+def _triangle(i, tau, width: int) -> np.ndarray:
+    """The unit-peak triangle max(0, 1 - 2|i - tau| / width) at samples i."""
+    return np.maximum(0.0, 1.0 - 2.0 * np.abs(i - tau) / width)
 
 
 def pulse_template(width: int) -> np.ndarray:
     """Unclipped unit-peak triangular template, support radius ceil(w/2) - 1.
 
-    The samples 1 - 2|j| / width at offsets j = -radius..radius are the
-    nonzero part of triangular_pulse, centered in an array of odd length.
+    The triangle at offsets -radius..radius from its peak: the nonzero part
+    of a unit pulse, centered in an array of odd length.
     """
     radius = int(np.ceil(width / 2.0)) - 1
-    j = np.arange(-radius, radius + 1, dtype=float)
-    return 1.0 - 2.0 * np.abs(j) / width
+    return _triangle(np.arange(-radius, radius + 1, dtype=float), 0.0, width)
 
 
 def eval_signal(sig: SignalMap, theta) -> np.ndarray:
-    """Evaluate a signal map at theta; pure, returns a length-k vector."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.all(np.isfinite(th)):
-        raise ValueError(f"theta must be finite, got {th}")
-    if th.size != sig.n_theta:
-        raise ValueError(f"theta has dimension {th.size}, map expects {sig.n_theta}")
+    """Evaluate a signal map at theta; pure.
+
+    theta is one point, shape (n_theta,) (a scalar for n_theta = 1), which
+    gives a length-k vector, or a batch of shape (M, n_theta), which gives
+    the (M, k) array of their signals. Each row has the bits a single call
+    gives it: a linear map's row is summed column by column, theta_j H[:, j],
+    not by a matrix product, which rounds a one-row batch differently.
+    """
+    th = np.asarray(theta, dtype=float)
+    rows = th if th.ndim == 2 else th.reshape(1, -1)
+    if rows.shape[1] != sig.n_theta:
+        raise ValueError(f"theta has dimension {rows.shape[1]}, map expects {sig.n_theta}")
+    if not np.isfinite(rows).all():
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
+        raise ValueError(f"theta must be finite, got {bad}")
+    out = np.zeros((rows.shape[0], sig.k))
     if isinstance(sig, LinearMatrixMap):
-        return sig.h_matrix @ th
-    return th[1] * triangular_pulse(th[0], sig.width, sig.k)
+        for j in range(sig.n_theta):
+            out += rows[:, j, None] * sig.h_matrix[:, j]
+    else:
+        tau = rows[:, 0]
+        lo_tau, hi_tau = float(tau.min()), float(tau.max())
+        if not (0.0 <= lo_tau and hi_tau < sig.k):
+            bad = float(tau[(tau < 0.0) | (tau >= sig.k)][0])
+            raise ValueError(f"pulse position must satisfy 0 <= tau < {sig.k}, got {bad}")
+        # The triangle runs only on the hull of the rows' supports (half a
+        # width around each tau, with a one-sample margin); every other
+        # sample is 0.0, as the formula gives there. Whole rows are scaled
+        # by alpha, so a negative one gives -0.0 off the pulse, as alpha
+        # times the whole-record formula does.
+        lo = max(0, math.floor(lo_tau - sig.width / 2.0))
+        hi = min(sig.k, math.ceil(hi_tau + sig.width / 2.0) + 1)
+        out[:, lo:hi] = _triangle(np.arange(lo, hi, dtype=float), rows[:, :1], sig.width)
+        out *= rows[:, 1:]
+    return out if th.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------

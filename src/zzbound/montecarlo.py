@@ -246,10 +246,9 @@ def empirical_pe(
 
     assumed = kernel.assumed
     truth = kernel.truth
-    h0 = eval_signal(assumed.signal, theta_o) + assumed.noise_mean
-    h1 = eval_signal(assumed.signal, theta_o + delta) + assumed.noise_mean
-    s0 = eval_signal(truth.signal, theta_o)
-    s1 = eval_signal(truth.signal, theta_o + delta)
+    rows = np.stack([theta_o, theta_o + delta])
+    h0, h1 = eval_signal(assumed.signal, rows) + assumed.noise_mean
+    s0, s1 = eval_signal(truth.signal, rows)
     k = assumed.k
     chunk = max(1, _MC_CHUNK // k)
     block = max(1, _PE_BLOCK // k)

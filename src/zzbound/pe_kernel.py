@@ -89,14 +89,17 @@ def decision_means(kernel: PeKernel, theta_eval, theta_o, delta) -> np.ndarray:
     """
     th = np.atleast_1d(np.asarray(theta_o, dtype=float))
     de = np.atleast_1d(np.asarray(delta, dtype=float))
-    te = np.atleast_1d(np.asarray(theta_eval, dtype=float))
-    h0 = eval_signal(kernel.assumed.signal, th)
-    h1 = eval_signal(kernel.assumed.signal, th + de)
-    signal_part = eval_signal(kernel.truth.signal, te) - 0.5 * (h0 + h1)
+    h = eval_signal(kernel.assumed.signal, np.stack([th, th + de]))
+    return _means(kernel, eval_signal(kernel.truth.signal, np.ravel(theta_eval)), h)
+
+
+def _means(kernel: PeKernel, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """decision_means for the true signal s and the candidates' signals h = [h0, h1]."""
+    signal_part = s - 0.5 * (h[0] + h[1])
     mu = kernel.assumed.noise_mean
     cov = kernel.assumed.noise_cov
     _, comps = _components(kernel.truth.noise)
-    return np.array([cov.qf_inv(signal_part + (c.mean - mu), h0 - h1) for c in comps])
+    return np.array([cov.qf_inv(signal_part + (c.mean - mu), h[0] - h[1]) for c in comps])
 
 
 def _components(noise) -> tuple[np.ndarray, tuple[GaussianNoise, ...]]:
@@ -120,12 +123,15 @@ def _pe_components(kernel: PeKernel, theta_o, delta) -> float:
     if np.all(de == 0.0):
         return 0.5
     th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-    z0 = decision_means(kernel, th, th, de)
-    z1 = decision_means(kernel, th + de, th, de)
+    # Each map once, at the rows [theta_o, theta_o + delta].
+    rows = np.stack([th, th + de])
+    h = eval_signal(kernel.assumed.signal, rows)
+    s = eval_signal(kernel.truth.signal, rows)
+    z0 = _means(kernel, s[0], h)
+    z1 = _means(kernel, s[1], h)
     # Each component's noise projected onto Sigma^-1 d has standard deviation
     # sqrt(b^T Sigma_c b) for b = Sigma^-1 d.
-    sig = kernel.assumed.signal
-    b = kernel.assumed.noise_cov.solve(eval_signal(sig, th) - eval_signal(sig, th + de))
+    b = kernel.assumed.noise_cov.solve(h[0] - h[1])
     weights, comps = _components(kernel.truth.noise)
     total = 0.0
     for w, m0, m1, c in zip(weights, z0, z1, comps):

@@ -1303,7 +1303,7 @@ def _pulse_prior(**lattice):
 def test_pulse_positions_outside_the_record_exit_2(
     tmp_path, capsys, command, payload, field, message
 ):
-    # Each once exited 3 from triangular_pulse; the prior cases did so once
+    # Each once exited 3 from the pulse evaluator; the prior cases did so once
     # a trial drew a position past the record.
     cfg = _write_cfg(tmp_path, {"scenario": _PULSE_PRESET, "trials": 20, **payload})
     out = str(tmp_path / "no.csv")

@@ -247,6 +247,14 @@ def _scan_block_cases():
     white = AssumedModel(AmplitudePulseMap(k=6, width=4), np.zeros(6), ScaledIdentityCov(0.5, 6))
     delay_prior = Prior((IntervalAxis(0.0, 5.0), LatticeAxis(5, 0.5, 0.25)))
     cases.append(pytest.param(white, delay_prior, [2.3, 1.0], 3, id="pulse_interval_delay-6"))
+    # A dense covariance scores a block by cho_solve, whose rows do not
+    # depend on the block's row count (one solve_triangular's would).
+    for k in (6, 50):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, k))
+        dense = DenseCov(a @ a.T / k + np.eye(k))
+        two = AssumedModel(LinearMatrixMap(rng.standard_normal((k, 2))), np.zeros(k), dense)
+        cases.append(pytest.param(two, lattice, [-0.5, 1.8], 2, id=f"dense_lattice_x_interval-{k}"))
     return cases
 
 
@@ -305,14 +313,33 @@ def test_pulse_fast_path_is_mesh_optimal():
 
 @pytest.mark.parametrize("width", [4, 5])
 def test_pulse_signal_rows_are_eval_signal_bits(width):
-    # The blocked likelihood builds whole pulse rows at once; each must be
-    # the per-point eval_signal bits, at clipped, half-integer and end
-    # positions, and signed zeros included.
+    # The blocked likelihood evaluates whole batches of pulse rows at once;
+    # each row must be the single-theta bits, at clipped, half-integer and
+    # end positions, and signed zeros included.
     sig = AmplitudePulseMap(width=width, k=12)
     taus = [0.0, 0.5, 1.0, 2.5, 5.25, 6.0, 10.5, 11.0, 11.999]
     th = np.array([(tau, alpha) for tau in taus for alpha in (1.0, -0.7, 1.3)])
     want = np.array([eval_signal(sig, row) for row in th])
-    assert estimators._signal_rows(sig, th).tobytes() == want.tobytes()
+    assert eval_signal(sig, th).tobytes() == want.tobytes()
+    assert eval_signal(sig, th[5:6]).tobytes() == want[5:6].tobytes()
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_linear_signal_rows_are_eval_signal_bits(cols):
+    # A linear row is summed column by column, so a batch is the stacked
+    # single-theta bits. (A matrix product rounds a one-row batch otherwise.)
+    # One column is the product h * theta, as H @ theta gives it, with +0.0
+    # where a zero has a negative factor.
+    rng = np.random.default_rng(cols)
+    h = rng.standard_normal((30, cols))
+    h[::7] = 0.0
+    th = rng.uniform(-3.0, 3.0, (40, cols))
+    th[::9] = 0.0
+    sig = LinearMatrixMap(h)
+    want = np.array([eval_signal(sig, row) for row in th])
+    assert eval_signal(sig, th).tobytes() == want.tobytes()
+    if cols == 1:
+        assert want.tobytes() == np.array([h @ row for row in th]).tobytes()
 
 
 def _pulse_off_fast_path_cases():

@@ -30,8 +30,8 @@ from zzbound.models import (
     GaussianNoise,
     ScaledIdentityCov,
     TrueModel,
+    eval_signal,
     pulse_template,
-    triangular_pulse,
 )
 from zzbound.pe_kernel import PeKernel, _pulse_pe, _xcorr_at_lags, pe_gaussian, pulse_profile
 from zzbound.special_math import q_function, q_ratio
@@ -1084,10 +1084,10 @@ def _pulse_posterior_mse(scn, trials, seed, n_amp=101):
     amplitude estimate is the posterior mean on an n_amp Simpson grid. Each
     is some estimator, so its MSE can only sit above the sharpest one.
     """
-    k, width = scn.k, scn.truth.signal.width
+    k = scn.k
     sigma2 = scn.truth.noise.cov.diag[0]
     amp_axis = scn.prior.axes[1]
-    pulses = np.array([triangular_pulse(t, width, k) for t in range(k)])
+    pulses = eval_signal(scn.truth.signal, np.column_stack([np.arange(k), np.ones(k)]))
     energy = np.einsum("ij,ij->i", pulses, pulses)
     amps = np.linspace(amp_axis.lo, amp_axis.hi, n_amp)
     log_w = np.log(np.r_[1.0, np.tile([4.0, 2.0], (n_amp - 3) // 2), 4.0, 1.0])

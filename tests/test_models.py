@@ -23,7 +23,6 @@ from zzbound.models import (
     ScaledIdentityCov,
     TrueModel,
     eval_signal,
-    triangular_pulse,
     uniform_interval,
 )
 from zzbound.montecarlo import _PE_BLOCK
@@ -108,6 +107,9 @@ def test_covariance_validation():
         DenseCov(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         DenseCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # A numerical failure, by its type: the CLI reports it with exit status 3.
+    with pytest.raises(np.linalg.LinAlgError, match="^covariance is not positive definite$"):
+        DenseCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_scaled_identity_is_the_diagonal_with_equal_entries():
@@ -161,11 +163,21 @@ def test_eval_signal_rejects_bad_theta():
         eval_signal(sig, [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         eval_signal(sig, np.nan)
+    # A batch is checked the same way, and names its first non-finite row.
+    with pytest.raises(ValueError, match="theta has dimension 2, map expects 1"):
+        eval_signal(sig, np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"finite, got \[nan\]$"):
+        eval_signal(sig, [[1.0], [np.nan], [np.inf]])
+
+
+def _unit_pulse(tau, width, k):
+    """The pulse map's signal at (tau, 1): the unit-peak triangle."""
+    return eval_signal(AmplitudePulseMap(width=width, k=k), [tau, 1.0])
 
 
 def test_triangular_pulse_shape():
     # Width 4 at tau = 5 in a long record: peak 1 at index 5, 0.5 at 4 and 6.
-    p = triangular_pulse(5.0, 4, 11)
+    p = _unit_pulse(5.0, 4, 11)
     assert p[5] == 1.0
     assert p[4] == p[6] == 0.5
     assert p[3] == p[7] == 0.0
@@ -174,10 +186,10 @@ def test_triangular_pulse_shape():
 
 def test_triangular_pulse_boundary_clipping():
     # A pulse at the record edge loses its left flank.
-    p = triangular_pulse(0.0, 4, 8)
+    p = _unit_pulse(0.0, 4, 8)
     assert p[0] == 1.0 and p[1] == 0.5 and p[2] == 0.0
     assert p @ p == pytest.approx(1.25)
-    full = triangular_pulse(4.0, 4, 9)
+    full = _unit_pulse(4.0, 4, 9)
     assert full @ full == pytest.approx(1.5)
 
 
@@ -186,39 +198,48 @@ def test_triangular_pulse_matches_the_full_length_formula(width):
     # The formula runs only near tau; every sample keeps the bits of the
     # whole-record formula, for whole, half-sample and fractional peaks,
     # peaks on and one ulp off a sample, and peaks at both record edges.
+    # Whole rows are scaled by alpha, so a negative one gives -0.0 off the
+    # pulse; alone and in one batch of every tau, the rows are the same.
     k = 24
+    sig = AmplitudePulseMap(width=width, k=k)
     idx = np.arange(k, dtype=float)
     taus = [0.0, 0.3, 0.5, 1.0, 7.0, 7.5, 7.25, math.nextafter(9.0, 0.0), 9.0 + 1e-12]
     taus += [width / 2.0, k - width / 2.0, k - 1.0, math.nextafter(float(k), 0.0)]
-    for tau in taus:
-        if not 0.0 <= tau < k:
-            continue
-        got = triangular_pulse(tau, width, k)
-        expected = np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
+    rows = [(tau, alpha) for tau in taus if 0.0 <= tau < k for alpha in (1.0, -0.7)]
+    batch = eval_signal(sig, np.array(rows))
+    for (tau, alpha), row in zip(rows, batch):
+        got = eval_signal(sig, [tau, alpha])
+        expected = alpha * np.maximum(0.0, 1.0 - 2.0 * np.abs(idx - tau) / width)
         np.testing.assert_array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()  # signed zeros too
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_triangular_pulse_validation():
-    with pytest.raises(ValueError, match="position"):
-        triangular_pulse(9.0, 3, 9)
+    sig = AmplitudePulseMap(width=3, k=9)
+    with pytest.raises(ValueError, match=r"position must satisfy 0 <= tau < 9, got 9.0$"):
+        eval_signal(sig, [9.0, 1.0])
+    # A batch names its first position outside the record.
+    with pytest.raises(ValueError, match=r"got -0.5$"):
+        eval_signal(sig, [[1.0, 1.0], [-0.5, 1.0], [9.5, 1.0]])
     with pytest.raises(ValueError, match="width"):
-        triangular_pulse(1.0, 0, 9)
+        AmplitudePulseMap(width=0, k=9)
     with pytest.raises(ValueError, match="exceeds"):
-        triangular_pulse(1.0, 10, 9)
+        AmplitudePulseMap(width=10, k=9)
 
 
 def test_amplitude_pulse_map():
     sig = AmplitudePulseMap(width=4, k=11)
     out = eval_signal(sig, [5.0, 2.0])
-    assert_allclose(out, 2.0 * triangular_pulse(5.0, 4, 11))
+    assert_allclose(out, 2.0 * _unit_pulse(5.0, 4, 11))
+    assert_allclose(out[3:8], [0.0, 1.0, 2.0, 1.0, 0.0])
     assert sig.n_theta == 2
 
 
 def test_reference_pulse_energies():
     # The two template widths used by the pulse example, at full support.
-    wide = triangular_pulse(2500.0, 300, 5000)
-    narrow = triangular_pulse(2500.0, 200, 5000)
+    wide = _unit_pulse(2500.0, 300, 5000)
+    narrow = _unit_pulse(2500.0, 200, 5000)
     assert wide @ wide == pytest.approx(100.00222222222222, rel=1e-12, abs=0.0)
     assert narrow @ narrow == pytest.approx(66.67, rel=1e-12, abs=0.0)
     assert wide @ narrow == pytest.approx(77.78, rel=1e-12, abs=0.0)
