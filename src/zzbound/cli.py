@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -561,19 +561,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         overrides["trials"] = trials
     var = _as_str(cfg.get("var", ref.var), "config.var")
     sweep = _under("config", SweepConfig, ref.example, var, grid, overrides, seed)
-    rows = run_sweep(sweep)
-    return [
-        {
-            "sweep_var": r.sweep_var,
-            "sweep_value": float(r.sweep_value),
-            "quantity": r.quantity,
-            "method": r.method,
-            "value": float(r.value),
-            "stderr": float(r.stderr),
-            "flag": r.flag,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in run_sweep(sweep)]
 
 
 _COMMANDS = {

@@ -85,12 +85,12 @@ EstimatorSpec = Union[QuasiMLE, LinearClosedForm, SampleMedian]
 
 
 def log_likelihood(model: AssumedModel, x: np.ndarray, theta) -> float:
-    """Assumed-model log-likelihood up to its constant: -1/2 r^T Sigma^-1 r."""
+    """Assumed-model log-likelihood up to its constant: -1/2 r^T Sigma^-1 r,
+    the one-row case of _loglik_on_grid."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.k,):
         raise ValueError(f"x has shape {x.shape}, model expects ({model.k},)")
-    r = x - eval_signal(model.signal, theta) - model.noise_mean
-    return -0.5 * model.noise_cov.qf_inv(r)
+    return float(_loglik_on_grid(model, x, np.reshape(theta, (1, -1)))[0])
 
 
 def sample_median(x) -> float:

@@ -7,11 +7,14 @@ against the sample median, and joint arrival-time plus amplitude estimation
 with a too-narrow pulse template. Builders are deterministic; all randomness
 lives in the Monte Carlo plans they feed.
 
-Each scenario holds its assumed models in `assumed`, keyed by variant (the
-CLI presets name the same keys). STUDIES holds each study's facts once; the
-CLI presets and the sweep driver both read them. Every bound comes from
-zzb.bound, the pulse bounds one coordinate at a time; only the matched
-contamination bound takes a route of its own.
+Every builder returns one record, Scenario: the record length, the prior,
+the truth and the assumed models in `assumed`, keyed by variant (the CLI
+presets name the same keys). Its `gammas` holds the q-linear slopes (studies
+1 and 3); a sweep builds every point on the interval prior _prior_width
+gives for the smallest slope over the grid. STUDIES holds each study's facts
+once; the CLI presets and the sweep driver both read them. Every bound
+comes from zzb.bound, the pulse bounds one coordinate at a time; only the
+matched contamination bound takes a route of its own.
 """
 
 from __future__ import annotations
@@ -50,10 +53,7 @@ from .zzb import (
 )
 
 __all__ = [
-    "Example1Scenario",
-    "Example2Scenario",
-    "Example3Scenario",
-    "Example4Scenario",
+    "Scenario",
     "build_example1",
     "build_example2",
     "build_example3",
@@ -79,13 +79,33 @@ def _prior_width(gamma_min: float) -> float:
     return max(100.0 / gamma_min, 10.0)
 
 
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """One point of a reference study, at record length k.
+
+    assumed holds the assumed models by variant. gammas holds the q-linear
+    slope of each variant whose bound follows from it, and a sweep sizes its
+    interval prior from the smallest over the grid; it is empty where the
+    prior is fixed.
+    """
+
+    k: int
+    prior: Prior
+    truth: TrueModel
+    assumed: dict[str, AssumedModel]
+    gammas: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def gamma_mismatched(self) -> float:
+        return self.gammas["mismatched"]
+
+
 # ---------------------------------------------------------------------------
 # Example 1: DC level, colored + white noise, two partial covariance models
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Example1Scenario:
+def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Scenario:
     """One sigma^2 point: white-only (m1) and colored-only (m2) assumed models.
 
     The truth adds white noise of variance sigma2 to a fixed diagonal colored
@@ -93,18 +113,6 @@ class Example1Scenario:
     (its assumed covariance would be singular). gammas holds each variant's
     q-linear slope; zzb.bound gives its bound.
     """
-
-    sigma2: float
-    k: int
-    theta: float
-    t_prior: float
-    prior: Prior
-    truth: TrueModel
-    assumed: dict[str, AssumedModel]
-    gammas: dict[str, float]
-
-
-def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Example1Scenario:
     if sigma2 < 0.0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if k < 2:
@@ -121,17 +129,8 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
         assumed["m1"] = AssumedModel(signal, zero, ScaledIdentityCov(sigma2, k))
     assumed["m2"] = AssumedModel(signal, zero, DiagonalCov(diag_c.copy()))
     assumed["matched"] = AssumedModel(signal, zero, DiagonalCov(true_diag.copy()))
-
-    return Example1Scenario(
-        sigma2=sigma2,
-        k=k,
-        theta=THETA_DC,
-        t_prior=t_prior,
-        prior=uniform_interval(t_prior),
-        truth=truth,
-        assumed=assumed,
-        gammas={name: _q_linear_gamma(model, truth) for name, model in assumed.items()},
-    )
+    gammas = {name: _q_linear_gamma(model, truth) for name, model in assumed.items()}
+    return Scenario(k, uniform_interval(t_prior), truth, assumed, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +138,7 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Exampl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Example2Scenario:
+def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Scenario:
     """One true-mean point of the mean-mismatch sweep.
 
     The "mismatched" model keeps its mean pinned at 5 while the true mean
@@ -148,34 +146,17 @@ class Example2Scenario:
     bound follows it through the signed-offset (asymmetric) integral; the
     "matched" model assumes the true mean.
     """
-
-    mu_star: float
-    k: int
-    theta: float
-    t_prior: float
-    prior: Prior
-    truth: TrueModel
-    assumed: dict[str, AssumedModel]
-
-
-def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Example2Scenario:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     signal = LinearVectorMap(np.ones(k))
     cov = ScaledIdentityCov(0.16, k)
     mean = np.full(k, float(mu_star))
-    return Example2Scenario(
-        mu_star=float(mu_star),
-        k=k,
-        theta=THETA_DC,
-        t_prior=t_prior,
-        prior=uniform_interval(t_prior),
-        truth=TrueModel(signal, GaussianNoise(mean, cov)),
-        assumed={
-            "mismatched": AssumedModel(signal, np.full(k, 5.0), cov),
-            "matched": AssumedModel(signal, mean.copy(), cov),
-        },
-    )
+    assumed = {
+        "mismatched": AssumedModel(signal, np.full(k, 5.0), cov),
+        "matched": AssumedModel(signal, mean.copy(), cov),
+    }
+    truth = TrueModel(signal, GaussianNoise(mean, cov))
+    return Scenario(k, uniform_interval(t_prior), truth, assumed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +164,15 @@ def build_example2(mu_star: float, k: int = 500, t_prior: float = 50.0) -> Examp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Example3Scenario:
+def build_example3(omega1: float, k: int = 2000, t_prior: float | None = None) -> Scenario:
     """One contamination point: clean unit-variance samples with probability
     omega1, wide (std 25) outliers otherwise, i.i.d. per sample.
 
     truth is that per-sample law, whose analytic error probability is the
     central-limit Q(gamma |h|): zzb.bound takes the closed form in
     gamma_mismatched for the "mismatched" model (unit-variance white noise).
+    The default prior width is sized for the slope at full contamination.
     """
-
-    omega1: float
-    k: int
-    theta: float
-    t_prior: float
-    prior: Prior
-    truth: TrueModel
-    assumed: dict[str, AssumedModel]
-    gamma_mismatched: float
-
-
-def build_example3(
-    omega1: float, k: int = 2000, t_prior: float | None = None
-) -> Example3Scenario:
     if not 0.0 <= omega1 <= 1.0:
         raise ValueError(f"omega1 must be in [0, 1], got {omega1}")
     if k < 2:
@@ -220,18 +187,9 @@ def build_example3(
         ),
     )
     if t_prior is None:
-        gamma_floor = 0.5 * math.sqrt(k) / std_wide  # slope at full contamination
-        t_prior = _prior_width(gamma_floor)
-    return Example3Scenario(
-        omega1=float(omega1),
-        k=k,
-        theta=THETA_DC,
-        t_prior=t_prior,
-        prior=uniform_interval(t_prior),
-        truth=truth,
-        assumed={"mismatched": assumed},
-        gamma_mismatched=_q_linear_gamma(assumed, truth),
-    )
+        t_prior = _prior_width(0.5 * math.sqrt(k) / std_wide)
+    gammas = {"mismatched": _q_linear_gamma(assumed, truth)}
+    return Scenario(k, uniform_interval(t_prior), truth, {"mismatched": assumed}, gammas)
 
 
 _MIXTURE_CELLS = 2**14  # (offset, node) cells per block of matched_mixture_pe
@@ -366,19 +324,18 @@ def matched_mixture_pe(
     return pe
 
 
-def example3_matched_bound(scenario: Example3Scenario) -> BoundResult:
+def example3_matched_bound(scenario: Scenario) -> BoundResult:
     """Matched bound: exact Gaussian closed form at the weight extremes, the
     likelihood-ratio normal-approximation profile otherwise."""
-    w1 = scenario.omega1
+    w1 = float(scenario.truth.noise.weights[0])
     std_narrow, std_wide = scenario.truth.noise.stds
     if w1 in (0.0, 1.0):
         var = std_narrow**2 if w1 == 1.0 else std_wide**2
         gamma = 0.5 * math.sqrt(scenario.k / var)
-        return BoundResult(
-            zzb_closed_form_q_linear(gamma, scenario.t_prior), True, "closed_form_q_linear"
-        )
+        t_prior = scenario.prior.axes[0].width
+        return BoundResult(zzb_closed_form_q_linear(gamma, t_prior), True, "closed_form_q_linear")
     pe = matched_mixture_pe(scenario.k, w1, std_narrow, std_wide)
-    return zzb_scalar_independent(ScalarBoundSpec(uniform_interval(scenario.t_prior), pe))
+    return zzb_scalar_independent(ScalarBoundSpec(scenario.prior, pe))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +343,12 @@ def example3_matched_bound(scenario: Example3Scenario) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Example4Scenario:
+_EX4_TRUE_WIDTH = 300
+
+
+def build_example4(
+    snr: float, k: int = 5000, true_width: int = _EX4_TRUE_WIDTH, assumed_width: int = 200
+) -> Scenario:
     """One SNR point of the pulse scenario.
 
     The true pulse map has width 300 samples, the assumed template 200; both
@@ -396,20 +357,6 @@ class Example4Scenario:
     lattice positions and amplitudes in [0.5, 1.5]. The "mismatched" model
     assumes the narrow template, the "matched" one the true pulse.
     """
-
-    snr: float
-    k: int
-    prior: Prior
-    truth: TrueModel
-    assumed: dict[str, AssumedModel]
-
-
-_EX4_TRUE_WIDTH = 300
-
-
-def build_example4(
-    snr: float, k: int = 5000, true_width: int = _EX4_TRUE_WIDTH, assumed_width: int = 200
-) -> Example4Scenario:
     if snr <= 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
     if k < 2 * true_width:
@@ -421,19 +368,15 @@ def build_example4(
     cov = ScaledIdentityCov(sigma2, k)
     zero = np.zeros(k)
     prior = Prior((LatticeAxis(k, 0.0, 1.0), IntervalAxis(0.5, 1.5)))
-    return Example4Scenario(
-        snr=float(snr),
-        k=k,
-        prior=prior,
-        truth=TrueModel(AmplitudePulseMap(true_width, k), GaussianNoise(zero, cov)),
-        assumed={
-            "mismatched": AssumedModel(AmplitudePulseMap(assumed_width, k), zero, cov),
-            "matched": AssumedModel(AmplitudePulseMap(true_width, k), zero.copy(), cov),
-        },
-    )
+    assumed = {
+        "mismatched": AssumedModel(AmplitudePulseMap(assumed_width, k), zero, cov),
+        "matched": AssumedModel(AmplitudePulseMap(true_width, k), zero.copy(), cov),
+    }
+    truth = TrueModel(AmplitudePulseMap(true_width, k), GaussianNoise(zero, cov))
+    return Scenario(k, prior, truth, assumed)
 
 
-def example4_bounds(scenario: Example4Scenario) -> dict[str, BoundResult]:
+def example4_bounds(scenario: Scenario) -> dict[str, BoundResult]:
     """All four direction bounds (tau and alpha, mismatched and matched)."""
     return {
         f"zzb_{name}_{label}": bound(model, scenario.truth, scenario.prior, coord=coord)
@@ -475,9 +418,9 @@ class Study:
     var, which must satisfy in_domain (described by domain; NaN never does),
     at a record length k of at least min_k. grid, k and trials are the sweep
     defaults; variants name the assumed models, the default first. point
-    gives what a sweep evaluates at each scenario. Where slope is set, a
-    sweep builds every point on the prior width _prior_width gives for the
-    smallest slope over the grid.
+    gives what a sweep evaluates at each scenario. Where the scenarios carry
+    gammas, a sweep builds every point on the prior width _prior_width gives
+    for the smallest slope over the grid, passed to build after k.
     """
 
     example: int
@@ -489,9 +432,8 @@ class Study:
     trials: int
     min_k: int
     variants: tuple[str, ...]
-    build: Callable[..., Any]
-    point: Callable[[Any], _Point]
-    slope: Callable[[Any], float] | None = None
+    build: Callable[..., Scenario]
+    point: Callable[[Scenario], _Point]
 
     def check_value(self, value: float) -> None:
         if not self.in_domain(value):
@@ -502,9 +444,9 @@ class Study:
             raise ValueError(f"k must be at least {self.min_k} for example {self.example}, got {k}")
 
 
-def _dc_point(scn: Example1Scenario) -> _Point:
+def _dc_point(scn: Scenario) -> _Point:
     bounds = {f"zzb_{name}": bound(m, scn.truth, scn.prior) for name, m in scn.assumed.items()}
-    pin = np.array([scn.theta])
+    pin = np.array([THETA_DC])
     return bounds, [
         ((f"mse_mle_{name}",), LinearClosedForm(scn.assumed[name]), pin)
         if name in scn.assumed
@@ -513,7 +455,7 @@ def _dc_point(scn: Example1Scenario) -> _Point:
     ]
 
 
-def _mean_point(scn: Example2Scenario) -> _Point:
+def _mean_point(scn: Scenario) -> _Point:
     # Quadrature also at mu_star = 5, where the closed form would apply, so
     # the whole sweep reports one route.
     mismatched = scn.assumed["mismatched"]
@@ -521,23 +463,23 @@ def _mean_point(scn: Example2Scenario) -> _Point:
         "zzb_mismatched": bound(mismatched, scn.truth, scn.prior, "quadrature"),
         "zzb_matched": bound(scn.assumed["matched"], scn.truth, scn.prior),
     }
-    return bounds, [(("mse_mle",), LinearClosedForm(mismatched), np.array([scn.theta]))]
+    return bounds, [(("mse_mle",), LinearClosedForm(mismatched), np.array([THETA_DC]))]
 
 
-def _contamination_point(scn: Example3Scenario) -> _Point:
+def _contamination_point(scn: Scenario) -> _Point:
     mismatched = scn.assumed["mismatched"]
     bounds = {
         "zzb_mismatched": bound(mismatched, scn.truth, scn.prior),
         "zzb_matched": example3_matched_bound(scn),
     }
-    pin = np.array([scn.theta])
+    pin = np.array([THETA_DC])
     return bounds, [
         (("mse_mle",), LinearClosedForm(mismatched), pin),
         (("mse_median",), SampleMedian(), pin),
     ]
 
 
-def _pulse_point(scn: Example4Scenario) -> _Point:
+def _pulse_point(scn: Scenario) -> _Point:
     found = example4_bounds(scn)
     order = [f"zzb_{c}_{label}" for c in ("tau", "alpha") for label in ("mismatched", "matched")]
     bounds = {name: found[name] for name in order}
@@ -555,7 +497,7 @@ STUDIES = {
             1, "sigma2", in_domain=lambda v: 0.0 <= v < math.inf, domain="finite and nonnegative",
             grid=tuple(np.linspace(0.01, 0.3, 8)), k=500, trials=2000, min_k=2,
             variants=("matched", "m1", "m2"), build=lambda v, *args: build_example1(v, *args),
-            point=_dc_point, slope=lambda scn: min(scn.gammas.values()),
+            point=_dc_point,
         ),
         Study(
             2, "mu_star", in_domain=math.isfinite, domain="finite",
@@ -567,7 +509,7 @@ STUDIES = {
             3, "one_minus_omega1", in_domain=lambda v: 0.0 <= v <= 1.0, domain="in [0, 1]",
             grid=tuple(np.linspace(0.0, 1.0, 11)), k=2000, trials=1000, min_k=2,
             variants=("mismatched",), build=lambda w2, *args: build_example3(1.0 - w2, *args),
-            point=_contamination_point, slope=lambda scn: scn.gamma_mismatched,
+            point=_contamination_point,
         ),
         Study(
             4, "snr", in_domain=lambda v: 0.0 < v < math.inf, domain="finite and positive",
@@ -650,12 +592,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ref = study(config.example)
     k = int(config.overrides.get("k", ref.k))
     trials = int(config.overrides.get("trials", ref.trials))
-    args: tuple[float, ...] = (k,)
-    if ref.slope is not None:
-        args += (_prior_width(min(ref.slope(ref.build(v, k)) for v in config.grid)),)
+    scenarios = [ref.build(v, k) for v in config.grid]
+    slopes = [g for scn in scenarios for g in scn.gammas.values()]
+    if slopes:
+        width = _prior_width(min(slopes))
+        scenarios = [ref.build(v, k, width) for v in config.grid]
     rows: list[SweepRow] = []
-    for i, value in enumerate(config.grid):
-        scn = ref.build(value, *args)
+    for i, (value, scn) in enumerate(zip(config.grid, scenarios)):
         bounds, plans = ref.point(scn)
         for quantity, result in bounds.items():
             flag = "ok" if result.converged else "not_converged"

@@ -307,7 +307,7 @@ def test_bound_mixture_closed_form(tmp_path):
     row = _bound_row(tmp_path, {"scenario": preset, "method": "closed_form"}, "per_sample")
     assert row["method"] == "closed_form_q_linear"
     gamma = 0.5 * k / math.sqrt(0.6 * k + 0.4 * 625.0 * k)
-    t_prior = build_example3(0.6, k).t_prior
+    t_prior = build_example3(0.6, k).prior.axes[0].width
     assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, t_prior), rel=1e-12, abs=0.0)
 
 

@@ -300,13 +300,13 @@ def test_pulse_fast_path_is_mesh_optimal():
         got = estimate(QuasiMLE(model), x, prior)
         assert_array_equal(estimate(QuasiMLE(diagonal), x, prior), got)
         ll_got = log_likelihood(model, x, got)
-        alphas = np.linspace(0.5, 1.5, 801)
-        best_mesh = -np.inf
-        for tau in range(model.k):
-            for al in alphas:
-                best_mesh = max(
-                    best_mesh, log_likelihood(model, x, np.array([float(tau), al]))
-                )
+        # The whole 40 x 801 mesh in one blocked call; log_likelihood is its
+        # one-row case, so each mesh value has that call's bits.
+        taus, alphas = np.meshgrid(
+            np.arange(model.k, dtype=float), np.linspace(0.5, 1.5, 801), indexing="ij"
+        )
+        mesh = np.column_stack((taus.ravel(), alphas.ravel()))
+        best_mesh = float(np.max(estimators._loglik_on_grid(model, x, mesh)))
         assert ll_got >= best_mesh - 1e-9
         assert got[0] == float(int(got[0]))  # position stays on the lattice
 

@@ -172,7 +172,7 @@ def _matched_posterior_mse(scn, trials, seed):
     info = float(w @ h)
     s = 1.0 / math.sqrt(info)
     rng = np.random.default_rng(seed)
-    t = scn.t_prior
+    t = scn.prior.axes[0].width
     theta = t * rng.random(trials)
     x = theta[:, None] * h + scn.truth.noise.draw(rng, size=trials)
     wls = (x - model.noise_mean) @ w / info
@@ -204,7 +204,7 @@ def test_matched_linear_bound_lies_below_the_mmse(example, value, k, t_prior):
 
 def test_example3_default_prior_width():
     scn = build_example3(0.5)
-    assert scn.t_prior == pytest.approx(111.80339887498947, rel=1e-12, abs=0.0)
+    assert scn.prior.axes[0].width == pytest.approx(111.80339887498947, rel=1e-12, abs=0.0)
 
 
 def _example3_mismatched_bound(scn):
@@ -420,7 +420,7 @@ def _posterior_mean_mse(scn, trials, seed, n_grid=129):
     comparator looser, never flag a valid bound.
     """
     rng = np.random.default_rng(seed)
-    t = scn.t_prior
+    t = scn.prior.axes[0].width
     theta = t * rng.random(trials)
     x = theta[:, None] + scn.truth.noise.draw(rng, size=trials)
     grid = np.linspace(0.0, t, n_grid)
@@ -1225,6 +1225,37 @@ def test_run_sweep_example3_schema_and_median():
     assert matched[0.5].method == "independent"
     mm = {r.sweep_value: r.value for r in rows if r.quantity == "zzb_mismatched"}
     assert mm[0.0] < mm[0.5] < mm[1.0]  # more contamination, weaker data
+
+
+def test_run_sweep_sizes_its_prior_from_the_smallest_slope():
+    # Studies 1 and 3 build every point on the width _prior_width gives for
+    # the smallest q-linear slope over the grid (over every variant in study
+    # 1), not on the builders' default width; study 2 keeps its default.
+    def build3(w2, *args):
+        return build_example3(1.0 - w2, *args)
+
+    cases = [
+        (1, "sigma2", (0.05, 0.2), 24, build_example1, lambda s: min(s.gammas.values()), 22.087),
+        (3, "one_minus_omega1", (0.3, 0.5), 50, build3, lambda s: s.gamma_mismatched, 500.40),
+    ]
+    for example, var, grid, k, build, slope, width in cases:
+        t = _prior_width(min(slope(build(v, k)) for v in grid))
+        assert t == pytest.approx(width, abs=0.005)
+        assert build(grid[0], k).prior.axes[0].width != pytest.approx(t)
+        rows = run_sweep(SweepConfig(example, var, grid, {"k": k, "trials": 2}))
+        for value in grid:
+            scn = build(value, k, t)
+            want = {f"zzb_{n}": zzb.bound(m, scn.truth, scn.prior) for n, m in scn.assumed.items()}
+            if example == 3:
+                want["zzb_matched"] = example3_matched_bound(scn)
+            bounds = [r for r in rows if r.sweep_value == value and r.method != "monte_carlo"]
+            got = {r.quantity: r.value for r in bounds}
+            assert got == {quantity: b.value for quantity, b in want.items()}
+
+    rows = run_sweep(SweepConfig(2, "mu_star", (3.0,), {"k": 10, "trials": 2}))
+    scn = build_example2(3.0, 10)
+    want = zzb.bound(scn.assumed["matched"], scn.truth, scn.prior).value
+    assert [r.value for r in rows if r.quantity == "zzb_matched"] == [want]
 
 
 def test_run_sweep_repeat_is_identical():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zzbound.estimators import LinearClosedForm, QuasiMLE, SampleMedian, estimate
-from zzbound.experiments import build_example3
+from zzbound.experiments import THETA_DC, build_example3
 from zzbound.models import (
     AmplitudePulseMap,
     AssumedModel,
@@ -522,7 +522,7 @@ def test_run_mse_matches_reference_quasi_mle_grid_and_pulse():
 def test_run_mse_matches_reference_median_mixture_and_flaky():
     scn = build_example3(0.7, k=41)
     _assert_matches_reference(
-        TrialPlan(scn.truth, SampleMedian(), scn.prior, 100, 8, np.array([scn.theta]))
+        TrialPlan(scn.truth, SampleMedian(), scn.prior, 100, 8, np.array([THETA_DC]))
     )
     zero = np.zeros(scn.k)
     per_vector = MixtureNoise(
