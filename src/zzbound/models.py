@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -319,6 +319,31 @@ def eval_signal(sig: SignalMap, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Noise laws
 # ---------------------------------------------------------------------------
+#
+# Every law draws an n-row chunk as a generator of consecutive row blocks,
+# draw_blocks(rng, n, rows), and draw(rng, size=n) is its one-block case.
+# numpy fills arrays from the stream in order, so normals drawn in blocks
+# have the bits one call gives; what a chunk draws before its normals
+# (mixture labels, per-sample uniforms) is reduced to one small integer per
+# row or sample and kept for the whole chunk.
+
+
+def _in_blocks(
+    n: int, rows: int, whole: bool, make: Callable[[int, int], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Yield an n-row chunk rows at a time; make(lo, m) draws rows lo..lo+m-1.
+
+    With whole set, make draws all n rows at once and slices of it are
+    yielded: a dense covariance colours by a matrix product, whose row bits
+    depend on how many rows it holds.
+    """
+    if n < 1 or rows < 1:
+        raise ValueError(f"a chunk needs n >= 1 rows in blocks of >= 1, got {n}, {rows}")
+    step = n if whole else rows
+    for lo in range(0, n, step):
+        x = make(lo, min(step, n - lo))
+        for i in range(0, x.shape[0], rows):
+            yield x[i : i + rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,10 +369,16 @@ class GaussianNoise:
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         if size is None:
             return self.mean + self.cov.chol_matvec(rng.standard_normal(self.dim))
-        # The block is built in place: the normals are dropped once coloured.
-        x = self.cov.chol_matvec(rng.standard_normal((size, self.dim)))
-        x += self.mean
-        return x
+        return next(self.draw_blocks(rng, size, size))
+
+    def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        def make(lo: int, m: int) -> np.ndarray:
+            # Built in place: the normals are dropped once coloured.
+            x = self.cov.chol_matvec(rng.standard_normal((m, self.dim)))
+            x += self.mean
+            return x
+
+        return _in_blocks(n, rows, isinstance(self.cov, DenseCov), make)
 
 
 def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
@@ -383,31 +414,44 @@ class MixtureNoise:
         return self.components[0].dim
 
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n_comp = len(self.components)
         if size is None:
-            idx = int(rng.choice(n_comp, p=self.weights))
+            idx = int(rng.choice(len(self.components), p=self.weights))
             return self.components[idx].draw(rng)
-        # One choice pass, then one normal block, then per-component affine
-        # maps in fixed order: the draw stream does not depend on the labels.
-        # Each component's rows are overwritten in the normal block itself.
-        idx = rng.choice(n_comp, size=size, p=self.weights)
-        z = rng.standard_normal((size, self.dim))
-        for i, comp in enumerate(self.components):
-            rows = idx == i
-            if np.any(rows):
-                x = comp.cov.chol_matvec(z[rows])
-                x += comp.mean
-                z[rows] = x
-        return z
+        return next(self.draw_blocks(rng, size, size))
+
+    def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        # The chunk's labels first, then its normals, then per-component
+        # affine maps in fixed order: the draw stream does not depend on the
+        # labels. Each component's rows are overwritten in the normal block.
+        n_comp = len(self.components)
+        idx = np.empty(n, dtype=np.min_scalar_type(n_comp - 1))
+        for lo in range(0, n, rows):
+            idx[lo : lo + rows] = rng.choice(n_comp, size=min(rows, n - lo), p=self.weights)
+
+        def make(lo: int, m: int) -> np.ndarray:
+            labels = idx[lo : lo + m]
+            z = rng.standard_normal((m, self.dim))
+            for i, comp in enumerate(self.components):
+                sel = labels == i
+                if np.any(sel):
+                    x = comp.cov.chol_matvec(z[sel])
+                    x += comp.mean
+                    z[sel] = x
+            return z
+
+        dense = any(isinstance(c.cov, DenseCov) for c in self.components)
+        return _in_blocks(n, rows, dense, make)
 
 
 @dataclass(frozen=True, eq=False)
 class PerSampleMixtureNoise:
     """Zero-mean noise of k i.i.d. samples, each with std stds[c] at weights[c].
 
-    A draw takes k uniforms u, then k standard normals z, and scales each z
-    by the std of the last component c whose tail weight sum(weights[c:])
-    exceeds u (the first component where none does). Its analytic error
+    A chunk of n draws takes n k uniforms u, then n k standard normals z,
+    and scales each z by the std of the last component c whose tail weight
+    sum(weights[c:]) exceeds its u (the first component where none does).
+    Each u is kept only as its component label, one byte per sample, while
+    the normals are drawn a row block at a time. Its analytic error
     probability is that of gaussian, the central-limit law: the pooled
     Q(gamma |h|) of a scalar linear test.
     """
@@ -441,18 +485,25 @@ class PerSampleMixtureNoise:
         return np.cumsum(self.weights[::-1])[::-1][1:]  # sum(weights[c:]), c >= 1
 
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        shape = self.k if size is None else (size, self.k)
-        u = rng.random(shape)
-        z = rng.standard_normal(shape)
-        # The masks are taken first, so u's buffer can then hold the stds;
-        # later components overwrite earlier ones, and z is scaled in place.
-        masks = [u < tail for tail in self._tails]
-        std = u
-        std.fill(self.stds[0])
-        for s, mask in zip(self.stds[1:], masks):
-            np.putmask(std, mask, s)
-        z *= std
-        return z
+        if size is None:
+            return next(self.draw_blocks(rng, 1, 1))[0]
+        return next(self.draw_blocks(rng, size, size))
+
+    def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        # The tails do not increase, so the last c with u < tail_c is the
+        # number of tails above u.
+        labels = np.zeros((n, self.k), dtype=np.min_scalar_type(self.stds.size - 1))
+        for lo in range(0, n, rows):
+            u = rng.random((min(rows, n - lo), self.k))
+            for tail in self._tails:
+                labels[lo : lo + rows] += u < tail
+
+        def make(lo: int, m: int) -> np.ndarray:
+            z = rng.standard_normal((m, self.k))
+            z *= self.stds.take(labels[lo : lo + m])
+            return z
+
+        return _in_blocks(n, rows, False, make)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,10 +527,16 @@ class EmpiricalNoise:
             if x.shape != (self.k,):
                 raise ValueError(f"sampler returned shape {x.shape}, expected ({self.k},)")
             return x
-        out = np.empty((size, self.k))
-        for row in out:
-            row[:] = self.draw(rng)
-        return out
+        return next(self.draw_blocks(rng, size, size))
+
+    def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
+        def make(lo: int, m: int) -> np.ndarray:
+            out = np.empty((m, self.k))
+            for row in out:
+                row[:] = self.draw(rng)
+            return out
+
+        return _in_blocks(n, rows, False, make)
 
 
 NoiseLaw = Union[GaussianNoise, MixtureNoise, PerSampleMixtureNoise, EmpiricalNoise]

@@ -218,8 +218,8 @@ class PeEstimate:
     trials: int
 
 
-_MC_CHUNK = 1 << 23  # max elements per draw block
-_PE_BLOCK = 1 << 15  # max elements per row block of the decision statistic
+_MC_CHUNK = 1 << 23  # max elements per draw chunk: a mixture's stream depends on it
+_PE_BLOCK = 1 << 15  # max elements per row block drawn and decided at a time
 
 
 def empirical_pe(
@@ -232,10 +232,11 @@ def empirical_pe(
     log-likelihood ratio; exact ties split half-and-half. The two conditional
     error rates are averaged with equal hypothesis weights.
 
-    One draw block of at most _MC_CHUNK elements is live at a time, and the
-    statistic is computed over it in row blocks of at most _PE_BLOCK
-    elements. The draws are chunked as they always were: a mixture law's
-    stream depends on the chunk sizes.
+    The draws are chunked as they always were, at most _MC_CHUNK elements
+    per chunk, since a mixture law's stream depends on the chunk sizes. Each
+    chunk is drawn and decided in row blocks of at most _PE_BLOCK elements,
+    and one block is live at a time, with the chunk's labels for a mixture
+    law. A law with a dense covariance still colours its whole chunk at once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -254,25 +255,17 @@ def empirical_pe(
     block = max(1, _PE_BLOCK // k)
     cov = assumed.noise_cov
 
-    def decide(x: np.ndarray, sign: float, out: np.ndarray) -> None:
-        for lo in range(0, x.shape[0], block):
-            xb = x[lo : lo + block]
-            # D = ll(theta_o + delta) - ll(theta_o); decide the larger one.
-            s = sign * (0.5 * (cov.qf_inv_rows(xb - h0) - cov.qf_inv_rows(xb - h1)))
-            out[lo : lo + block] = (s > 0.0) + 0.5 * (s == 0.0)
-
     def error_rate(sub: int, clean: np.ndarray, sign: float) -> tuple[float, float]:
         rng = trial_generator(seed, sub)
         weights = np.empty(trials)
         done = 0
-        while done < trials:
-            n = min(chunk, trials - done)
-            x = truth.noise.draw(rng, size=n)
-            x += clean
-            decide(x, sign, weights[done : done + n])
-            # Dropped before the next draw, so one draw block is live at a time.
-            del x
-            done += n
+        for lo in range(0, trials, chunk):
+            for x in truth.noise.draw_blocks(rng, min(chunk, trials - lo), block):
+                x += clean
+                # D = ll(theta_o + delta) - ll(theta_o); decide the larger one.
+                s = sign * (0.5 * (cov.qf_inv_rows(x - h0) - cov.qf_inv_rows(x - h1)))
+                weights[done : done + s.size] = (s > 0.0) + 0.5 * (s == 0.0)
+                done += s.size
         mean = float(np.mean(weights))
         std = float(np.std(weights, ddof=1)) if trials > 1 else 0.0
         return mean, std

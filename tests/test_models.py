@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from zzbound.models import (
     AmplitudePulseMap,
@@ -361,6 +361,40 @@ def test_empirical_noise_draw_and_validation():
     bad = EmpiricalNoise(lambda rng: rng.standard_normal(2), k=3)
     with pytest.raises(ValueError, match="shape"):
         bad.draw(np.random.default_rng(0))
+
+
+def _blocked_laws(k=5):
+    white = GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k))
+    diagonal = GaussianNoise(np.full(k, 0.3), DiagonalCov(np.linspace(0.5, 2.0, k)))
+    dense = GaussianNoise(np.linspace(-1.0, 1.0, k), DenseCov(_dense_reference(k, seed=4)))
+    return {
+        "white": white,
+        "diagonal": diagonal,
+        "dense": dense,
+        "mixture": MixtureNoise(np.array([0.6, 0.4]), (white, diagonal)),
+        "mixture_dense": MixtureNoise(np.array([0.5, 0.3, 0.2]), (white, dense, diagonal)),
+        "per_sample": PerSampleMixtureNoise(
+            np.array([0.5, 0.3, 0.2]), np.array([1.0, 2.0, 4.0]), k
+        ),
+        "empirical": EmpiricalNoise(lambda rng: rng.laplace(scale=1.5, size=k), k),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+@pytest.mark.parametrize("name", list(_blocked_laws()))
+def test_blocked_draw_is_the_one_chunk_draw(name, rows):
+    # The blocks, in order, are the chunk draw(size=n) gives, byte for byte,
+    # and they leave the stream where it does.
+    n, law = 40, _blocked_laws()[name]
+    want_rng = np.random.Generator(np.random.Philox(key=11))
+    want = law.draw(want_rng, size=n)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    blocks = list(law.draw_blocks(rng, n, rows))
+    assert [b.shape[0] for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]
+    got = np.concatenate(blocks)
+    assert got.shape == want.shape == (n, law.dim)
+    assert got.tobytes() == want.tobytes()
+    assert_equal(rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------

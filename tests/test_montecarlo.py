@@ -343,7 +343,7 @@ def _dense_cov(k, seed):
 
 
 def _frozen_pe_setup(name):
-    k = 50 if name == "dense" else 4096
+    k = 50 if name.endswith("dense") else 4096
     sig = LinearVectorMap(np.ones(k))
     lin = np.linspace
     if name == "scaled_identity":
@@ -359,6 +359,11 @@ def _frozen_pe_setup(name):
         wide = GaussianNoise(np.full(k, 0.1), DiagonalCov(lin(8.0, 12.0, k)))
         narrow = GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k))
         noise = MixtureNoise(np.array([0.7, 0.3]), (narrow, wide))
+    elif name == "mixture_dense":
+        cov = _dense_cov(k, 1)
+        narrow = GaussianNoise(np.zeros(k), ScaledIdentityCov(2.0, k))
+        dense = GaussianNoise(np.full(k, 0.1), _dense_cov(k, 2))
+        noise = MixtureNoise(np.array([0.6, 0.4]), (narrow, dense))
     elif name == "per_sample":
         cov = ScaledIdentityCov(4.9, k)
         noise = PerSampleMixtureNoise(np.array([0.5, 0.3, 0.2]), np.array([1.0, 2.0, 4.0]), k)
@@ -375,6 +380,7 @@ def _frozen_pe_setup(name):
         ("diagonal", 0.23928571428571427, 0.0064374970071826515),
         ("dense", 0.2816666666666667, 0.006122108327289021),
         ("mixture", 0.23190476190476192, 0.006231806597849133),
+        ("mixture_dense", 0.18833333333333335, 0.005297832610024065),
         ("per_sample", 0.23619047619047617, 0.006555248108191836),
         ("empirical", 0.22380952380952382, 0.006432815351566977),
     ],
@@ -383,12 +389,12 @@ def test_empirical_pe_frozen_values(monkeypatch, name, pe, stderr):
     # Frozen values: how the draws and the statistic are blocked in memory
     # must not move a byte. At k = 4096 the 2,100 trials span two draw
     # chunks (2,048 rows each) and many statistic blocks (8 rows); the dense
-    # case runs at k = 50 with a smaller draw chunk (2,621 rows) for the
+    # cases run at k = 50 with a smaller draw chunk (2,621 rows) for the
     # same cover.
     import zzbound.montecarlo as mc
 
     trials, delta = 2100, 0.05
-    if name == "dense":
+    if name.endswith("dense"):
         monkeypatch.setattr(mc, "_MC_CHUNK", 1 << 17)
         trials, delta = 2700, 0.5
     got = empirical_pe(_frozen_pe_setup(name), 0.2, delta, trials, seed=3)
@@ -414,6 +420,41 @@ def test_empirical_pe_keeps_one_draw_block_live():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8 * mc._MC_CHUNK
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_empirical_pe_streams_a_diagonal_law_one_row_block_at_a_time():
+    # A chunk of 1,677 rows at k = 5000 is 64 MiB; drawn and decided six
+    # rows at a time, 240 KB a block, the peak stays near a few blocks.
+    kernel = PeKernel(*_linear_setup(k=5000))
+    peak = _traced_peak(lambda: empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0))
+    assert peak < 2 * 2**20
+
+
+def test_empirical_pe_keeps_only_the_labels_of_a_per_sample_chunk():
+    # 6,000 trials at k = 2000 are two chunks of up to 4,194 rows. The
+    # chunk's uniforms come before its normals in the stream, so each is
+    # kept as a one-byte label; the floats are drawn a row block at a time.
+    import zzbound.montecarlo as mc
+
+    k = 2000
+    sig = LinearVectorMap(np.ones(k))
+    noise = PerSampleMixtureNoise(np.array([0.9, 0.1]), np.array([1.0, 5.0]), k)
+    assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(3.4, k))
+    kernel = PeKernel(assumed, TrueModel(sig, noise))
+    peak = _traced_peak(lambda: empirical_pe(kernel, 4.0, 0.3, trials=6000, seed=0))
+    labels = (mc._MC_CHUNK // k) * k
+    assert peak < labels + 4 * 2**20
 
 
 def test_empirical_pe_validation():

@@ -680,6 +680,44 @@ def test_bound_lies_below_the_wls_bayesian_mse(scenario, seed):
     assert result.value <= report.mse[0] + 4.0 * report.stderr[0]
 
 
+def _wls_bayesian_mse(assumed, truth, prior):
+    """Exact Bayesian MSE of the WLS estimate on a scalar linear scenario.
+
+    With G = A^-1 H^T Sigma^-1 and A = H^T Sigma^-1 H, the estimate errs by
+    M theta + c_c + G n under truth component c, where M = G (H* - H),
+    c_c = G (m_c - mu) and n has the component's covariance. So the MSE is
+    sum_c w_c [M^2 E[theta^2] + 2 M c_c E[theta] + c_c^2 + G Sigma_c G^T],
+    with the interval prior's moments.
+    """
+    h = assumed.signal.h_matrix[:, 0]
+    g = assumed.noise_cov.solve(h) / assumed.noise_cov.qf_inv(h)
+    m = g @ (truth.signal.h_matrix[:, 0] - h)
+    (axis,) = prior.axes
+    m1 = 0.5 * (axis.lo + axis.hi)
+    m2 = (axis.lo * axis.lo + axis.lo * axis.hi + axis.hi * axis.hi) / 3.0
+    noise = truth.noise
+    mixture = isinstance(noise, MixtureNoise)
+    weights, comps = (noise.weights, noise.components) if mixture else ((1.0,), (noise,))
+    mse = 0.0
+    for w, comp in zip(weights, comps):
+        c = g @ (comp.mean - assumed.noise_mean)
+        mse += w * (m * m * m2 + 2.0 * m * c * m1 + c * c + comp.cov.qf(g))
+    return mse
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_wls_scenarios())
+@example(_mean_offset_case(False))
+@example(_mean_offset_case(True))
+def test_bound_lies_below_the_exact_wls_bayesian_mse(scenario):
+    # The deterministic form of the Monte Carlo check above, without its
+    # slack: only the route's own quadrature tolerance is allowed.
+    result = bound(*scenario)
+    closed = result.form == "closed_form_q_linear"
+    margin = 1e-12 if closed else 10.0 * QuadratureRule().rel_tol
+    assert result.value <= _wls_bayesian_mse(*scenario) * (1.0 + margin)
+
+
 def test_router_zero_signal_is_pure_guessing():
     k = 3
     zero = LinearVectorMap(np.zeros(k))
