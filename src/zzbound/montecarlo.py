@@ -236,7 +236,8 @@ def empirical_pe(
     per chunk, since a mixture law's stream depends on the chunk sizes. Each
     chunk is drawn and decided in row blocks of at most _PE_BLOCK elements,
     and one block is live at a time, with the chunk's labels for a mixture
-    law. A law with a dense covariance still colours its whole chunk at once.
+    law. A law with a dense covariance still colours its whole chunk at once,
+    and holds one chunk at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -266,6 +267,9 @@ def empirical_pe(
                 s = sign * (0.5 * (cov.qf_inv_rows(x - h0) - cov.qf_inv_rows(x - h1)))
                 weights[done : done + s.size] = (s > 0.0) + 0.5 * (s == 0.0)
                 done += s.size
+            # A dense law's last block views its whole chunk; drop it before
+            # the next chunk is drawn.
+            del x
         mean = float(np.mean(weights))
         std = float(np.std(weights, ddof=1)) if trials > 1 else 0.0
         return mean, std

@@ -370,7 +370,10 @@ def _pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     Every coefficient is linear or quadratic in d, so no term of order one
     cancels at a small amplitude offset; at lag 0 (r_ts = rho0, r_ss = e_s)
     the a^2 terms vanish exactly. Each element depends on its own key and
-    node only, so any blocking of the same keys gives the same bits.
+    node only, so any blocking of the same keys gives the same bits. The
+    variance and each decision mean are formed in one buffer of a_o's
+    shape, operation by operation in the order written above, and Q is
+    written over each mean.
 
     s0 and -s1 share the a^2 coefficient. Where their per-key linear and
     constant coefficient rows are equal, -s1 is s0 bit for bit and the
@@ -387,12 +390,29 @@ def _pulse_pe(a_o, d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
     lin0, const0 = d * (e_s - r_ts) / sigma2, 0.5 * d * d * e_s / sigma2
     lin1, const1 = -(d * m_lin / sigma2), -(d * d * (0.5 * e_s - rho0) / sigma2)
     v2 = 2.0 * (e_s - r_ss) / sigma2
-    var = (v2 * a_o + v2 * d) * a_o + d * d * e_s / sigma2
-    sig_n = np.sqrt(np.maximum(var, 0.0))
-    q0 = q_ratio((c2 * a_o + lin0) * a_o + const0, sig_n)
+    sig_n = v2 * a_o
+    sig_n += v2 * d
+    sig_n *= a_o
+    sig_n += d * d * e_s / sigma2
+    np.maximum(sig_n, 0.0, out=sig_n)
+    np.sqrt(sig_n, out=sig_n)
+    s0 = _horner(c2, lin0, const0, a_o)
+    q0 = q_ratio(s0, sig_n, out=s0)
     if np.array_equal(lin0, lin1) and np.array_equal(const0, const1):
         return q0
-    return 0.5 * (q0 + q_ratio((c2 * a_o + lin1) * a_o + const1, sig_n))
+    neg_s1 = _horner(c2, lin1, const1, a_o)
+    q0 += q_ratio(neg_s1, sig_n, out=neg_s1)
+    q0 *= 0.5
+    return q0
+
+
+def _horner(c2, lin, const, a_o):
+    """(c2 a + lin) a + const in one buffer of a_o's shape."""
+    z = c2 * a_o
+    z += lin
+    z *= a_o
+    z += const
+    return z
 
 
 def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.ndarray]:
@@ -432,10 +452,12 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     state, and each call evaluates each distinct key once. The keys are
     evaluated at all amplitude nodes in one (nodes, keys) block per call of
     _pulse_pe, whose decision means and variance are Horner quadratics in
-    the node with coefficients computed once per key, and summed over the
-    nodes in the same sequential order. For the matched model the two
-    decision means coincide bit for bit, and _pulse_pe then evaluates one Q
-    per node instead of two.
+    the node with coefficients computed once per key, each formed in one
+    buffer, and summed over the nodes in the same sequential order: by
+    np.add.reduce along the node axis, which adds in order when the block
+    holds two or more keys, a lone key being summed beside a copy of
+    itself. For the matched model the two decision means coincide bit for
+    bit, and _pulse_pe then evaluates one Q per node instead of two.
     """
     assumed, truth, k = kernel.assumed, kernel.truth, kernel.assumed.k
     cov, noise = assumed.noise_cov, truth.noise
@@ -492,17 +514,19 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
         for start in range(0, da.size, block):
             sl = slice(start, start + block)
             lo_u = np.maximum(a_lo, a_lo - da[sl])
-            len_u = np.minimum(a_hi, a_hi - da[sl]) - lo_u
-            a_o = lo_u + t_nodes[:, None] * len_u
+            a_o = t_nodes[:, None] * (np.minimum(a_hi, a_hi - da[sl]) - lo_u)
+            a_o += lo_u
             pe = _pulse_pe(
                 a_o, da[sl], table_ss[key_lag[sl]], table_ts[key_lag[sl]], rho0, e_s, sigma2
             )
-            # Accumulate adds the weighted nodes strictly in order, as a
-            # running sum would; a pairwise reduction would move the bits.
-            # np.add.reduce along axis 0 is not used either: on a block of
-            # one key it reduces pairwise like np.sum, so a key's sum would
-            # depend on how the keys are blocked.
-            sums[sl] = np.add.accumulate(t_weights[:, None] * pe, axis=0)[-1]
+            pe *= t_weights[:, None]
+            # np.add.reduce along axis 0 adds the weighted nodes strictly in
+            # order, as a running sum would, when the block holds two or more
+            # keys: the reduced axis is then not the fast one. A lone key's
+            # (nodes, 1) column would be summed pairwise, so it is summed
+            # beside a copy of itself, and every key follows the one rule.
+            keys = pe.shape[1]
+            sums[sl] = np.add.reduce(pe if keys > 1 else np.repeat(pe, 2, axis=1), axis=0)[:keys]
         return sums
 
     def g(deltas: np.ndarray) -> np.ndarray:

@@ -18,35 +18,49 @@ from scipy.special import erfc, gammainc
 __all__ = ["q_function", "q_ratio", "inc_gamma_reg"]
 
 
-def q_function(x):
+def q_function(x, out=None):
     """Standard normal tail probability Q(x) = P(N(0,1) > x).
 
     Parameters
     ----------
     x : float or ndarray
         Threshold(s); any finite value.
+    out : ndarray, optional
+        Float array of x's shape that receives Q(x); it may be x itself.
 
     Returns
     -------
     float or ndarray
         Q(x) = erfc(x / sqrt(2)) / 2, in [0, 1]. Vectorized.
     """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        return 0.5 * erfc(x / math.sqrt(2.0))
+    np.divide(x, math.sqrt(2.0), out=out)
+    erfc(out, out=out)
+    out *= 0.5
+    return out
 
 
-def q_ratio(z, sigma):
+def q_ratio(z, sigma, out=None):
     """Q(z / sigma) elementwise, continued to sigma = 0 as its limit.
 
     The sigma -> 0+ limit of Q(z / sigma) is 1 for z < 0, 0 for z > 0 and
-    1/2 at the tie z = 0. z and sigma broadcast; sigma must be >= 0.
+    1/2 at the tie z = 0. z and sigma broadcast; sigma must be >= 0. out,
+    if given, is a float array of the broadcast shape that receives the
+    result; it may be z itself.
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     flat = sigma == 0.0
     if not flat.any():
-        return q_function(z / sigma)
+        return q_function(np.divide(z, sigma, out=out), out=out)
     q = q_function(z / np.where(flat, 1.0, sigma))
-    return np.where(flat, np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5)), q)
+    q = np.where(flat, np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5)), q)
+    if out is None:
+        return q
+    out[...] = q
+    return out
 
 
 def inc_gamma_reg(a: float, x: float) -> float:

@@ -596,12 +596,13 @@ def _coefficient_rows_coincide(d_alpha, r_ss, r_ts, rho0, e_s, sigma2):
 
 
 def _recorded_q_ratio_calls(monkeypatch, a_o, *args):
-    """Every (z, sigma) that _pulse_pe hands q_ratio, and its result."""
+    """Every (z, sigma) that _pulse_pe hands q_ratio, and its result. The
+    arguments are copied: q_ratio writes its result over z."""
     calls = []
 
-    def recording_q_ratio(z, sigma):
-        calls.append((np.asarray(z, dtype=float), np.asarray(sigma, dtype=float)))
-        return q_ratio(z, sigma)
+    def recording_q_ratio(z, sigma, out=None):
+        calls.append((np.array(z, dtype=float), np.array(sigma, dtype=float)))
+        return q_ratio(z, sigma, out=out)
 
     monkeypatch.setattr(pe_kernel, "q_ratio", recording_q_ratio)
     return calls, _pulse_pe(a_o, *args)
@@ -1036,6 +1037,52 @@ def test_example4_g_partial_last_block(monkeypatch, block):
     np.testing.assert_array_equal(got, expected)
     keys, per_call = 128, max(1, block // 129)
     assert elems == [129 * min(per_call, keys - s) for s in range(0, keys, per_call)]
+
+
+def _distinct_key_deltas(n_keys):
+    """n_keys live rows with distinct (lag, d_alpha) keys below the span of
+    build_example4(5.0, k=600, true_width=40, assumed_width=30), plus a dead
+    row; a lone key is the far lag 100, where the lattice tail sits."""
+    if n_keys == 1:
+        return np.array([[100.0, 0.25], [700.0, 0.0]])
+    keys = [(t, a) for a in (-0.375, 0.0, 0.25, 0.5, 0.625) for t in range(31)]
+    return np.array(keys[:n_keys] + [(0.0, 1.5)], dtype=float)
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize("n_keys", [1, 2, 128, 129])
+def test_example4_g_sums_every_block_in_node_order(monkeypatch, n_keys, matched):
+    # At 127 keys per _pulse_pe call, 128 keys leave a one-key last block and
+    # 129 a two-key one; a single live key is a one-key block on its own. The
+    # nodes of every key, in any block, are summed in order: each call equals
+    # the row-by-row quadrature bit for bit.
+    scn = build_example4(5.0, k=600, true_width=40, assumed_width=30)
+    deltas = _distinct_key_deltas(n_keys)
+    expected = _reference_example4_g(scn, matched)(deltas)
+    elems = _counting_pulse_pe(monkeypatch)
+    got = _make_example4_g(scn, matched)(deltas)
+    assert got.tobytes() == expected.tobytes()
+    per_call = pe_kernel._PULSE_BLOCK // 129
+    assert elems == [129 * min(per_call, n_keys - s) for s in range(0, n_keys, per_call)]
+    assert np.count_nonzero(got) == n_keys
+
+
+@pytest.mark.parametrize("keys", [2, 3, 127])
+def test_add_reduce_over_nodes_is_the_running_sum(keys):
+    # pulse_profile sums a (nodes, keys) block with np.add.reduce along the
+    # node axis, relying on NumPy adding in order when that axis is not the
+    # fast one. If a NumPy release reorders these sums, this fails.
+    rng = np.random.default_rng(5)
+    block = np.exp(rng.uniform(-30.0, 0.0, (129, keys)))
+    running = block[0].copy()
+    for row in block[1:]:
+        running = running + row
+    backward = block[-1].copy()
+    for row in block[-2::-1]:
+        backward = backward + row
+    assert np.add.reduce(block, axis=0).tobytes() == running.tobytes()
+    # The data tell the orders apart, so a reordered sum would show.
+    assert backward.tobytes() != running.tobytes()
 
 
 def test_example4_bounds_small_scale():

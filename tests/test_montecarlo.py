@@ -402,11 +402,12 @@ def test_empirical_pe_frozen_values(monkeypatch, name, pe, stderr):
 
 
 def test_empirical_pe_keeps_one_draw_block_live():
-    # 4,000 trials at k = 5000 draw three blocks of up to 2^23 elements per
-    # hypothesis. The normals are coloured in place, so the peak allowed is
-    # the block alone, plus the statistic's row blocks; a block still held
-    # through the next draw, with that draw's own temporaries, makes four
-    # (256 MB).
+    # 4,000 trials at k = 5000 are three draw chunks of up to 2^23 elements
+    # per hypothesis. This white law is drawn and decided six rows at a
+    # time, so no chunk is ever whole; the bound here, one chunk and a
+    # tenth, is the loose one. The next test bounds the same run at 2 MiB,
+    # and test_empirical_pe_holds_one_coloured_chunk_of_a_dense_law bounds
+    # a law that colours its whole chunk.
     import tracemalloc
 
     import zzbound.montecarlo as mc
@@ -455,6 +456,27 @@ def test_empirical_pe_keeps_only_the_labels_of_a_per_sample_chunk():
     peak = _traced_peak(lambda: empirical_pe(kernel, 4.0, 0.3, trials=6000, seed=0))
     labels = (mc._MC_CHUNK // k) * k
     assert peak < labels + 4 * 2**20
+
+
+def test_empirical_pe_holds_one_coloured_chunk_of_a_dense_law(monkeypatch):
+    # A dense covariance colours its whole chunk in one product, since the
+    # product's row bits depend on how many rows it holds. So the chunk's
+    # normals and their coloured copy are live together; then its row blocks
+    # are decided, each with two residuals and their two solves, into one
+    # weight per trial. 25,000 trials at k = 100 in 2^20-element chunks are
+    # three chunks per hypothesis, and the peak allowed is one of them.
+    import zzbound.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_MC_CHUNK", 1 << 20)
+    k, trials = 100, 25_000
+    i = np.arange(k)
+    cov = DenseCov(0.5 ** np.abs(i[:, None] - i[None, :]))
+    sig = LinearVectorMap(np.ones(k))
+    assumed = AssumedModel(sig, np.zeros(k), cov)
+    kernel = PeKernel(assumed, TrueModel(sig, GaussianNoise(np.zeros(k), cov)))
+    peak = _traced_peak(lambda: empirical_pe(kernel, 0.0, 0.05, trials=trials, seed=0))
+    chunk, block = mc._MC_CHUNK // k, mc._PE_BLOCK // k
+    assert peak <= 8 * (2 * chunk * k + 4 * block * k + trials)
 
 
 def test_empirical_pe_validation():

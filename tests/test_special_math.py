@@ -55,6 +55,21 @@ def test_q_ratio_positive_spread_is_plain_q():
     assert np.array_equal(q_ratio(z, 0.0), np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5)))
 
 
+def test_q_ratio_out_overwrites_z_with_the_same_bits():
+    # With out=z the result is written over z, bit for bit the returned
+    # array's; so is q_function's with out=x. A zero spread takes the limit.
+    rng = np.random.default_rng(3)
+    z = rng.normal(0.0, 4.0, (9, 5))
+    for sigma in (np.abs(rng.normal(0.0, 2.0, 5)) + 0.1, np.array([0.0, 1.0, 0.0, 2.0, 0.5])):
+        expected = q_ratio(z, sigma)
+        buf = z.copy()
+        assert q_ratio(buf, sigma, out=buf) is buf
+        assert buf.tobytes() == expected.tobytes()
+    buf = z.copy()
+    assert q_function(buf, out=buf) is buf
+    assert buf.tobytes() == q_function(z).tobytes()
+
+
 def test_inc_gamma_exponential_closed_form():
     # P(1, x) = 1 - exp(-x)
     assert inc_gamma_reg(1.0, 0.5) == pytest.approx(0.3934693402873666, rel=1e-12, abs=0.0)

@@ -678,6 +678,8 @@ def test_bound_lies_below_the_wls_bayesian_mse(scenario, seed):
     report = run_mse(TrialPlan(truth, LinearClosedForm(assumed), prior, 2000, seed))
     assert report.valid
     assert result.value <= report.mse[0] + 4.0 * report.stderr[0]
+    # The simulated MSE is WLS's exact Bayesian MSE up to its own error.
+    assert abs(report.mse[0] - _wls_bayesian_mse(*scenario)) <= 4.0 * report.stderr[0]
 
 
 def _wls_bayesian_mse(assumed, truth, prior):
