@@ -34,12 +34,9 @@ def q_function(x, out=None):
         Q(x) = erfc(x / sqrt(2)) / 2, in [0, 1]. Vectorized.
     """
     x = np.asarray(x, dtype=float)
-    if out is None:
-        return 0.5 * erfc(x / math.sqrt(2.0))
-    np.divide(x, math.sqrt(2.0), out=out)
-    erfc(out, out=out)
-    out *= 0.5
-    return out
+    return np.multiply(
+        erfc(np.divide(x, math.sqrt(2.0), out=out), out=out), 0.5, out=out
+    )
 
 
 def q_ratio(z, sigma, out=None):
@@ -57,10 +54,10 @@ def q_ratio(z, sigma, out=None):
         return q_function(np.divide(z, sigma, out=out), out=out)
     q = q_function(z / np.where(flat, 1.0, sigma))
     q = np.where(flat, np.where(z < 0.0, 1.0, np.where(z > 0.0, 0.0, 0.5)), q)
-    if out is None:
-        return q
-    out[...] = q
-    return out
+    if out is not None:
+        out[...] = q
+        q = out
+    return q
 
 
 def inc_gamma_reg(a: float, x: float) -> float:
