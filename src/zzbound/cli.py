@@ -2,8 +2,9 @@
 
 Each subcommand reads a JSON config, computes, and writes one CSV or JSON
 file atomically. Exit status is 0 on success, 2 for a configuration or
-schema problem (nothing is written), and 3 for a numerical failure such as
-a covariance that is not positive definite.
+schema problem or an output file that cannot be written (nothing is
+written), and 3 for a numerical failure such as a covariance that is not
+positive definite.
 """
 
 from __future__ import annotations
@@ -631,7 +632,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_atomic(args.out, _render(rows, args.format))
+    try:
+        _write_atomic(args.out, _render(rows, args.format))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

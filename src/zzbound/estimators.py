@@ -33,7 +33,6 @@ __all__ = [
     "LinearClosedForm",
     "SampleMedian",
     "EstimatorSpec",
-    "log_likelihood",
     "estimate",
     "sample_median",
 ]
@@ -84,15 +83,6 @@ class SampleMedian:
 EstimatorSpec = Union[QuasiMLE, LinearClosedForm, SampleMedian]
 
 
-def log_likelihood(model: AssumedModel, x: np.ndarray, theta) -> float:
-    """Assumed-model log-likelihood up to its constant: -1/2 r^T Sigma^-1 r,
-    the one-row case of _loglik_on_grid."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.k,):
-        raise ValueError(f"x has shape {x.shape}, model expects ({model.k},)")
-    return float(_loglik_on_grid(model, x, np.reshape(theta, (1, -1)))[0])
-
-
 def sample_median(x) -> float:
     """Middle order statistic; for even length, the mean of the middle two."""
     arr = np.asarray(x, dtype=float)
@@ -118,7 +108,8 @@ def _axis_grid(ax, n_points: int) -> np.ndarray:
 
 
 def _loglik_on_grid(model: AssumedModel, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Log-likelihood over a (M, n_theta) batch of candidate thetas.
+    """Assumed-model log-likelihood up to its constant, -1/2 r^T Sigma^-1 r,
+    over a (M, n_theta) batch of candidate thetas.
 
     Scored in blocks of zzb._SCAN_BLOCK // k rows, so the signals and
     residuals held at once stay near _SCAN_BLOCK values at any M.

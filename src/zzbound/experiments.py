@@ -14,7 +14,7 @@ presets name the same keys). Its `gammas` holds the q-linear slopes (studies
 gives for the smallest slope over the grid. STUDIES holds each study's facts
 once; the CLI presets and the sweep driver both read them. Every bound
 comes from zzb.bound, the pulse bounds one coordinate at a time; only the
-matched contamination bound takes a route of its own.
+matched contamination bound at an interior weight takes a route of its own.
 """
 
 from __future__ import annotations
@@ -42,15 +42,9 @@ from .models import (
     uniform_interval,
 )
 from .montecarlo import TrialPlan, derive_seed, run_mse
+from .pe_kernel import PeKernel, linear_scalar_profile
 from .special_math import q_function
-from .zzb import (
-    BoundResult,
-    ScalarBoundSpec,
-    _q_linear_gamma,
-    bound,
-    zzb_closed_form_q_linear,
-    zzb_scalar_independent,
-)
+from .zzb import BoundResult, ScalarBoundSpec, bound, zzb_scalar_independent
 
 __all__ = [
     "Scenario",
@@ -129,7 +123,9 @@ def build_example1(sigma2: float, k: int = 500, t_prior: float = 10.0) -> Scenar
         assumed["m1"] = AssumedModel(signal, zero, ScaledIdentityCov(sigma2, k))
     assumed["m2"] = AssumedModel(signal, zero, DiagonalCov(diag_c.copy()))
     assumed["matched"] = AssumedModel(signal, zero, DiagonalCov(true_diag.copy()))
-    gammas = {name: _q_linear_gamma(model, truth) for name, model in assumed.items()}
+    gammas = {
+        name: linear_scalar_profile(PeKernel(model, truth)).gamma for name, model in assumed.items()
+    }
     return Scenario(k, uniform_interval(t_prior), truth, assumed, gammas)
 
 
@@ -188,7 +184,7 @@ def build_example3(omega1: float, k: int = 2000, t_prior: float | None = None) -
     )
     if t_prior is None:
         t_prior = _prior_width(0.5 * math.sqrt(k) / std_wide)
-    gammas = {"mismatched": _q_linear_gamma(assumed, truth)}
+    gammas = {"mismatched": linear_scalar_profile(PeKernel(assumed, truth)).gamma}
     return Scenario(k, uniform_interval(t_prior), truth, {"mismatched": assumed}, gammas)
 
 
@@ -325,15 +321,14 @@ def matched_mixture_pe(
 
 
 def example3_matched_bound(scenario: Scenario) -> BoundResult:
-    """Matched bound: exact Gaussian closed form at the weight extremes, the
-    likelihood-ratio normal-approximation profile otherwise."""
+    """Matched bound: the likelihood-ratio normal-approximation profile at
+    an interior weight. At the weight extremes the law is Gaussian, and a
+    scalar test between equal maps does not depend on the assumed variance,
+    so the matched test is the mismatched one and zzb.bound gives it."""
     w1 = float(scenario.truth.noise.weights[0])
-    std_narrow, std_wide = scenario.truth.noise.stds
     if w1 in (0.0, 1.0):
-        var = std_narrow**2 if w1 == 1.0 else std_wide**2
-        gamma = 0.5 * math.sqrt(scenario.k / var)
-        t_prior = scenario.prior.axes[0].width
-        return BoundResult(zzb_closed_form_q_linear(gamma, t_prior), True, "closed_form_q_linear")
+        return bound(scenario.assumed["mismatched"], scenario.truth, scenario.prior)
+    std_narrow, std_wide = scenario.truth.noise.stds
     pe = matched_mixture_pe(scenario.k, w1, std_narrow, std_wide)
     return zzb_scalar_independent(ScalarBoundSpec(scenario.prior, pe))
 

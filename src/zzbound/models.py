@@ -83,10 +83,9 @@ class DiagonalCov:
         v = u if v is None else np.asarray(v, dtype=float)
         return float(np.sum(u * v / self.diag))
 
-    def qf(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
+    def qf(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
-        v = u if v is None else np.asarray(v, dtype=float)
-        return float(np.sum(u * v * self.diag))
+        return float(np.sum(u * u * self.diag))
 
     def qf_inv_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rowwise r^T Sigma^-1 r for a (M, k) residual block."""
@@ -171,10 +170,9 @@ class DenseCov:
         b = scipy.linalg.solve_triangular(self._chol, np.asarray(v, dtype=float), lower=True)
         return float(a @ b)
 
-    def qf(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
+    def qf(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
-        v = u if v is None else np.asarray(v, dtype=float)
-        return float(u @ self.matrix @ v)
+        return float(u @ self.matrix @ u)
 
     def qf_inv_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rowwise r^T Sigma^-1 r for a (M, k) residual block.
@@ -320,8 +318,8 @@ def eval_signal(sig: SignalMap, theta) -> np.ndarray:
 # Noise laws
 # ---------------------------------------------------------------------------
 #
-# Every law draws an n-row chunk as a generator of consecutive row blocks,
-# draw_blocks(rng, n, rows), and draw(rng, size=n) is its one-block case.
+# Every law draws one record with draw(rng) and an n-row chunk as a
+# generator of consecutive row blocks, draw_blocks(rng, n, rows).
 # numpy fills arrays from the stream in order, so normals drawn in blocks
 # have the bits one call gives; what a chunk draws before its normals
 # (mixture labels, per-sample uniforms) is reduced to one small integer per
@@ -366,10 +364,8 @@ class GaussianNoise:
     def dim(self) -> int:
         return self.mean.size
 
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return self.mean + self.cov.chol_matvec(rng.standard_normal(self.dim))
-        return next(self.draw_blocks(rng, size, size))
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return self.mean + self.cov.chol_matvec(rng.standard_normal(self.dim))
 
     def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
         def make(lo: int, m: int) -> np.ndarray:
@@ -413,11 +409,9 @@ class MixtureNoise:
     def dim(self) -> int:
         return self.components[0].dim
 
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            idx = int(rng.choice(len(self.components), p=self.weights))
-            return self.components[idx].draw(rng)
-        return next(self.draw_blocks(rng, size, size))
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        idx = int(rng.choice(len(self.components), p=self.weights))
+        return self.components[idx].draw(rng)
 
     def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
         # The chunk's labels first, then its normals, then per-component
@@ -484,10 +478,8 @@ class PerSampleMixtureNoise:
     def _tails(self) -> np.ndarray:
         return np.cumsum(self.weights[::-1])[::-1][1:]  # sum(weights[c:]), c >= 1
 
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return next(self.draw_blocks(rng, 1, 1))[0]
-        return next(self.draw_blocks(rng, size, size))
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return next(self.draw_blocks(rng, 1, 1))[0]
 
     def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
         # The tails do not increase, so the last c with u < tail_c is the
@@ -521,13 +513,11 @@ class EmpiricalNoise:
     def dim(self) -> int:
         return self.k
 
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            x = np.asarray(self.sampler(rng), dtype=float)
-            if x.shape != (self.k,):
-                raise ValueError(f"sampler returned shape {x.shape}, expected ({self.k},)")
-            return x
-        return next(self.draw_blocks(rng, size, size))
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        x = np.asarray(self.sampler(rng), dtype=float)
+        if x.shape != (self.k,):
+            raise ValueError(f"sampler returned shape {x.shape}, expected ({self.k},)")
+        return x
 
     def draw_blocks(self, rng: np.random.Generator, n: int, rows: int) -> Iterator[np.ndarray]:
         def make(lo: int, m: int) -> np.ndarray:

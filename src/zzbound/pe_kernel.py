@@ -14,7 +14,7 @@ All routes share one scalar statistic: the decision rule compares the
 assumed-model log-likelihoods of the two candidates, which reduces to the
 data's residual from the candidates' midpoint projected onto the signal
 difference ``d = h(theta_o) - h(theta_o + delta)``: a deterministic mean
-(decision_means) plus the true noise projected the same way.
+(_means) plus the true noise projected the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .special_math import q_function, q_ratio
 
 __all__ = [
     "PeKernel",
-    "decision_means",
     "pe_gaussian",
     "pe_mixture",
     "linear_column",
@@ -73,28 +72,21 @@ class PeKernel:
             )
 
 
-def decision_means(kernel: PeKernel, theta_eval, theta_o, delta) -> np.ndarray:
-    """Mean of the decision statistic under each truth component.
+def _means(kernel: PeKernel, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mean of the decision statistic under each truth component, for the
+    true signal s and the candidates' signals h = [h0, h1].
 
     The assumed-model rule keeps theta_o over theta_o + delta when
     S = (x - mu - (h0 + h1) / 2)^T Sigma^-1 d is positive, with
-    h0 = h(theta_o), h1 = h(theta_o + delta) and d = h0 - h1. With data from
-    theta_eval and truth component c, S has mean r_c^T Sigma^-1 d for the
-    residual r_c = (s*(theta_eval) - (h0 + h1) / 2) + (m_c - mu). The residual
-    is formed before the one quadratic form, so terms that cancel (the
-    candidates' energies, equal noise means) never pass through Sigma^-1,
-    where a tiny variance would blow them up past the result. The signal
-    and the mean parts are each differenced first, so neither is absorbed
-    into the other before it cancels.
+    h0 = h(theta_o), h1 = h(theta_o + delta) and d = h0 - h1. With data of
+    true signal s and truth component c, S has mean r_c^T Sigma^-1 d for the
+    residual r_c = (s - (h0 + h1) / 2) + (m_c - mu). The residual is formed
+    before the one quadratic form, so terms that cancel (the candidates'
+    energies, equal noise means) never pass through Sigma^-1, where a tiny
+    variance would blow them up past the result. The signal and the mean
+    parts are each differenced first, so neither is absorbed into the other
+    before it cancels.
     """
-    th = np.atleast_1d(np.asarray(theta_o, dtype=float))
-    de = np.atleast_1d(np.asarray(delta, dtype=float))
-    h = eval_signal(kernel.assumed.signal, np.stack([th, th + de]))
-    return _means(kernel, eval_signal(kernel.truth.signal, np.ravel(theta_eval)), h)
-
-
-def _means(kernel: PeKernel, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """decision_means for the true signal s and the candidates' signals h = [h0, h1]."""
     signal_part = s - 0.5 * (h[0] + h[1])
     mu = kernel.assumed.noise_mean
     cov = kernel.assumed.noise_cov
@@ -262,7 +254,13 @@ class EqualLinearScalarPe:
 
     @property
     def gamma(self) -> float:
-        """Slope quad / sqrt(sum_c w_c var_c) of Q(gamma |h|)."""
+        """Slope quad / sqrt(sum_c w_c var_c) of Q(gamma |h|); a ValueError
+        unless the profile is q_linear."""
+        if not self.q_linear:
+            raise ValueError(
+                "the q-linear slope requires identical scalar maps, equal noise means "
+                "and equal component variances"
+            )
         return self.quad / math.sqrt(float(np.sum(self.weights * self.var)))
 
     def single_q(self, h_off, theta_o=0.0) -> np.ndarray:

@@ -28,20 +28,12 @@ import numpy as np
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
-    GaussianNoise,
     IntervalAxis,
     LatticeAxis,
     Prior,
     TrueModel,
 )
-from .pe_kernel import (
-    EqualLinearScalarPe,
-    PeKernel,
-    _same_covariance,
-    linear_column,
-    linear_scalar_profile,
-    pulse_profile,
-)
+from .pe_kernel import PeKernel, linear_scalar_profile, pulse_profile
 from .special_math import inc_gamma_reg, q_function
 
 __all__ = [
@@ -259,27 +251,6 @@ def zzb_closed_form_q_linear(gamma: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _q_linear_gamma(
-    assumed: AssumedModel, truth: TrueModel, profile: EqualLinearScalarPe | None = None
-) -> float:
-    """Slope gamma of a q_linear scenario, whose error probability is the
-    pooled Q(gamma |h|) (see EqualLinearScalarPe.gamma). Gaussian truth whose
-    covariance equals the assumed one takes the matched expression
-    sqrt(a^T Sigma^-1 a) / 2. profile is the scenario's profile when the
-    caller has already built it."""
-    if profile is None:
-        profile = linear_scalar_profile(PeKernel(assumed, truth))
-    if not profile.q_linear:
-        raise ValueError(
-            "the q-linear slope requires identical scalar maps, equal noise means "
-            "and equal component variances"
-        )
-    noise = truth.noise
-    if isinstance(noise, GaussianNoise) and _same_covariance(assumed.noise_cov, noise.cov):
-        return 0.5 * math.sqrt(noise.cov.qf_inv(linear_column(assumed.signal)))
-    return profile.gamma
-
-
 def bound(
     assumed: AssumedModel, truth: TrueModel, prior: Prior, method: str = "auto", coord: int | None = None
 ) -> BoundResult:
@@ -327,7 +298,7 @@ def bound(
                 f"{method} needs equal scalar linear maps, the assumed noise mean and "
                 "one noise variance (mixture components of equal variance); use quadrature"
             )
-        gamma = _q_linear_gamma(assumed, truth, profile)
+        gamma = profile.gamma
         if method == "closed_form":
             value = zzb_closed_form_q_linear(gamma, axis.width)
             return BoundResult(value, True, "closed_form_q_linear")

@@ -1152,6 +1152,19 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["a_directory", "missing/out.csv"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # An --out that names a directory, or lies in a missing one, once ended
+    # in an OSError traceback with exit 1.
+    (tmp_path / "a_directory").mkdir()
+    cfg = _write_cfg(tmp_path, _scalar_scenario(k=4, t=5.0))
+    out = str(tmp_path / target)
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory", "cfg.json"]
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -1176,6 +1189,82 @@ def test_unknown_top_level_field(tmp_path, capsys):
     out = str(tmp_path / "no.csv")
     assert main(["bound", "--config", cfg, "--out", out]) == 2
     assert "unknown fields" in capsys.readouterr().err
+
+
+def _edited(payload, path, value):
+    """A deep copy of payload with the field at path (a tuple of keys) set to
+    value, or deleted where value is _DELETE."""
+    payload = copy.deepcopy(payload)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return payload
+
+
+_DELETE = object()
+_INTERVAL = {"type": "interval", "lo": 0.0, "hi": 1.0}
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("scenario", "assumed", "signal"), _DELETE, "config.scenario.assumed"),
+        (("scenario", "truth"), 3, "config.scenario.truth"),
+        (("method",), 1, "config.method"),
+        (("scenario", "prior", "t"), "10", "config.scenario.prior.t"),
+        (("scenario", "assumed", "signal", "hvec"), [], "config.scenario.assumed.signal.hvec"),
+        (
+            ("scenario", "assumed", "signal"),
+            {"type": "linear_matrix", "matrix": []},
+            "config.scenario.assumed.signal.matrix",
+        ),
+        (
+            ("scenario", "assumed", "signal"),
+            {"type": "linear_matrix", "matrix": [[1.0], [1.0], [1.0], [1.0, 2.0]]},
+            "config.scenario.assumed.signal.matrix",
+        ),
+        (("scenario", "assumed", "mean"), [0.0, 0.0], "config.scenario.assumed.mean"),
+        (
+            ("scenario", "truth", "noise"),
+            {"type": "mixture", "weights": [1.0], "components": []},
+            "config.scenario.truth.noise.components",
+        ),
+        (("scenario", "truth", "noise", "weights"), [0.5, 0.3, 0.2], "config.scenario.truth.noise"),
+        (("scenario", "prior"), {"type": "axes", "axes": []}, "config.scenario.prior.axes"),
+        (
+            ("scenario", "prior"),
+            {"type": "axes", "axes": [_INTERVAL, _INTERVAL]},
+            "config.scenario.prior",
+        ),
+        (("pe_constant",), 0.7, "config.pe_constant"),
+    ],
+)
+def test_schema_errors_name_their_field(tmp_path, capsys, path, value, field):
+    payload = _readme_config(noise=_README_MIXTURE, method="auto")
+    cfg = _write_cfg(tmp_path, _edited(payload, path, value))
+    out = str(tmp_path / "no.csv")
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_list_mean_and_explicit_estimator_match_their_defaults(tmp_path):
+    # A mean given as a list of k entries is the scalar mean, and the
+    # linear_closed_form estimator named is the default one for a linear map.
+    payload = _readme_config(theta_true=[2.0], trials=16)
+    explicit = _edited(payload, ("scenario", "assumed", "mean"), [0.0] * 4)
+    explicit["estimator"] = "linear_closed_form"
+    written = []
+    for name, cfg in (("default", payload), ("explicit", explicit)):
+        path, out = _write_cfg(tmp_path, cfg, f"{name}.json"), tmp_path / f"{name}.csv"
+        assert main(["mc", "--config", path, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def _misspell(payload, path, good, bad):

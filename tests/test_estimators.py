@@ -15,7 +15,6 @@ from zzbound.estimators import (
     QuasiMLE,
     SampleMedian,
     estimate,
-    log_likelihood,
     sample_median,
 )
 from zzbound.models import (
@@ -40,24 +39,23 @@ def _scalar_model(k=2, h=None, diag=None):
     return AssumedModel(LinearVectorMap(hvec), np.zeros(k), cov)
 
 
+def _log_likelihood(model, x, theta):
+    """The assumed-model log-likelihood at one theta: _loglik_on_grid's one-row case."""
+    return float(estimators._loglik_on_grid(model, x, np.reshape(theta, (1, -1)))[0])
+
+
 def test_log_likelihood_frozen_value():
     model = _scalar_model(k=2, diag=[1.0, 4.0])
     # Residual [2, 2]: -(4 / 1 + 4 / 4) / 2 = -2.5.
-    assert log_likelihood(model, np.array([2.0, 2.0]), 0.0) == pytest.approx(-2.5)
+    assert _log_likelihood(model, np.array([2.0, 2.0]), 0.0) == pytest.approx(-2.5)
 
 
 def test_log_likelihood_peaks_at_zero_residual():
     model = _scalar_model(k=3, h=[1.0, 2.0, 3.0])
     x = eval_signal(model.signal, 1.7)
-    assert log_likelihood(model, x, 1.7) == 0.0
+    assert _log_likelihood(model, x, 1.7) == 0.0
     for other in (-1.0, 0.0, 1.6, 2.5):
-        assert log_likelihood(model, x, other) < 0.0
-
-
-def test_log_likelihood_checks_shape():
-    model = _scalar_model(k=4)
-    with pytest.raises(ValueError, match="expects"):
-        log_likelihood(model, np.zeros(3), 0.0)
+        assert _log_likelihood(model, x, other) < 0.0
 
 
 def test_sample_median_values():
@@ -299,8 +297,8 @@ def test_pulse_fast_path_is_mesh_optimal():
         x = x + math.sqrt(0.2) * rng.standard_normal(model.k)
         got = estimate(QuasiMLE(model), x, prior)
         assert_array_equal(estimate(QuasiMLE(diagonal), x, prior), got)
-        ll_got = log_likelihood(model, x, got)
-        # The whole 40 x 801 mesh in one blocked call; log_likelihood is its
+        ll_got = _log_likelihood(model, x, got)
+        # The whole 40 x 801 mesh in one blocked call; _log_likelihood is its
         # one-row case, so each mesh value has that call's bits.
         taus, alphas = np.meshgrid(
             np.arange(model.k, dtype=float), np.linspace(0.5, 1.5, 801), indexing="ij"
@@ -378,9 +376,9 @@ def test_pulse_off_the_fast_path_is_mesh_optimal(cov, width, prior):
         x = eval_signal(model.signal, theta) + 0.7 * rng.standard_normal(model.k)
         got = estimate(QuasiMLE(model), x, prior)
         best_mesh = max(
-            log_likelihood(model, x, np.array([tau, al])) for tau in meshes[0] for al in meshes[1]
+            _log_likelihood(model, x, np.array([tau, al])) for tau in meshes[0] for al in meshes[1]
         )
-        assert log_likelihood(model, x, got) >= best_mesh - 1e-9
+        assert _log_likelihood(model, x, got) >= best_mesh - 1e-9
 
 
 def test_quasi_mle_pulse_on_an_interval_delay_axis_takes_milliseconds():

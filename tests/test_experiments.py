@@ -33,7 +33,14 @@ from zzbound.models import (
     eval_signal,
     pulse_template,
 )
-from zzbound.pe_kernel import PeKernel, _pulse_pe, _xcorr_at_lags, pe_gaussian, pulse_profile
+from zzbound.pe_kernel import (
+    PeKernel,
+    _pulse_pe,
+    _xcorr_at_lags,
+    linear_scalar_profile,
+    pe_gaussian,
+    pulse_profile,
+)
 from zzbound.special_math import q_function, q_ratio
 from zzbound.zzb import (
     DeltaSearch,
@@ -150,8 +157,8 @@ def test_example2_grows_away_from_center():
 
 def test_example2_matched_gamma_ignores_true_mean():
     a, b = build_example2(0.0), build_example2(9.0)
-    gamma_a = zzb._q_linear_gamma(a.assumed["matched"], a.truth)
-    assert gamma_a == zzb._q_linear_gamma(b.assumed["matched"], b.truth)
+    gamma_a = linear_scalar_profile(PeKernel(a.assumed["matched"], a.truth)).gamma
+    assert gamma_a == linear_scalar_profile(PeKernel(b.assumed["matched"], b.truth)).gamma
     assert gamma_a == pytest.approx(0.5 * math.sqrt(500 / 0.16), rel=1e-12, abs=0.0)
 
 
@@ -174,7 +181,7 @@ def _matched_posterior_mse(scn, trials, seed):
     rng = np.random.default_rng(seed)
     t = scn.prior.axes[0].width
     theta = t * rng.random(trials)
-    x = theta[:, None] * h + scn.truth.noise.draw(rng, size=trials)
+    x = theta[:, None] * h + next(scn.truth.noise.draw_blocks(rng, trials, trials))
     wls = (x - model.noise_mean) @ w / info
     a, b = -wls / s, (t - wls) / s
     mass = np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
@@ -422,7 +429,7 @@ def _posterior_mean_mse(scn, trials, seed, n_grid=129):
     rng = np.random.default_rng(seed)
     t = scn.prior.axes[0].width
     theta = t * rng.random(trials)
-    x = theta[:, None] + scn.truth.noise.draw(rng, size=trials)
+    x = theta[:, None] + next(scn.truth.noise.draw_blocks(rng, trials, trials))
     grid = np.linspace(0.0, t, n_grid)
     log_trap = np.log(np.r_[0.5, np.ones(n_grid - 2), 0.5])
     stds = scn.truth.noise.stds
@@ -1303,6 +1310,35 @@ def test_run_sweep_sizes_its_prior_from_the_smallest_slope():
     scn = build_example2(3.0, 10)
     want = zzb.bound(scn.assumed["matched"], scn.truth, scn.prior).value
     assert [r.value for r in rows if r.quantity == "zzb_matched"] == [want]
+
+
+def _exact_wls_mse(example, value, k, variant):
+    """Exact MSE at the pinned theta of a study-1, 2 or 3 sweep's WLS
+    estimate: the misspecified-model sandwich (White, Econometrica 50(1),
+    1982) plus its squared bias. Every map is the all-ones column, so the
+    estimate is a weighted mean of x - mu with weights 1 / Sigma_ii."""
+    if example == 1:
+        scn = build_example1(value, k)
+        w = 1.0 / scn.assumed[variant].noise_cov.diag
+        return float(np.sum(w * w * scn.truth.noise.cov.diag) / np.sum(w) ** 2)
+    if example == 2:
+        return 0.16 / k + (value - 5.0) ** 2  # the mismatched model's mean is 5
+    return ((1.0 - value) + 625.0 * value) / k  # the pooled variance over k
+
+
+@pytest.mark.parametrize("example, plans", [(1, 24), (2, 11), (3, 11)])
+def test_sweep_wls_mse_agrees_with_its_exact_value(example, plans):
+    # The mse_mle rows of a default-grid sweep at SweepConfig's default seed
+    # lie within 4 of their own standard errors of the exact WLS MSE at the
+    # pinned theta. Study 1 has three variants at each of its 8 points.
+    ref = experiments.study(example)
+    k = 50
+    rows = run_sweep(SweepConfig(example, ref.var, ref.grid, {"k": k, "trials": 1000}))
+    checked = [r for r in rows if r.quantity.startswith("mse_mle")]
+    assert len(checked) == plans
+    for r in checked:
+        exact = _exact_wls_mse(example, r.sweep_value, k, r.quantity.removeprefix("mse_mle_"))
+        assert abs(r.value - exact) <= 4.0 * r.stderr, (r, exact)
 
 
 def test_run_sweep_repeat_is_identical():

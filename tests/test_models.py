@@ -55,7 +55,7 @@ def test_covariance_interface_consistency(cov):
     u = rng.standard_normal(cov.dim)
     v = rng.standard_normal(cov.dim)
     assert_allclose(cov.solve(u), inv @ u, rtol=1e-10)
-    assert cov.qf(u, v) == pytest.approx(u @ m @ v, rel=1e-12, abs=0.0)
+    assert cov.qf(u) == pytest.approx(u @ m @ u, rel=1e-12, abs=0.0)
     assert cov.qf_inv(u, v) == pytest.approx(u @ inv @ v, rel=1e-10, abs=0.0)
     assert cov.qf_inv(u) == pytest.approx(u @ inv @ u, rel=1e-10, abs=0.0)
     rows = rng.standard_normal((5, cov.dim))
@@ -254,7 +254,7 @@ def test_gaussian_noise_moments():
     mean = np.array([1.0, -2.0])
     cov = DenseCov(np.array([[2.0, 0.6], [0.6, 1.0]]))
     noise = GaussianNoise(mean, cov)
-    draws = noise.draw(np.random.default_rng(3), size=200_000)
+    draws = next(noise.draw_blocks(np.random.default_rng(3), 200_000, 200_000))
     assert draws.shape == (200_000, 2)
     se_mean = np.sqrt(np.diag(cov.dense()) / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 5.0 * se_mean)
@@ -270,7 +270,7 @@ def test_gaussian_noise_dimension_check():
 def test_mixture_single_component_equals_gaussian():
     comp = GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2))
     mix = MixtureNoise(np.array([1.0]), (comp,))
-    a = mix.draw(np.random.default_rng(7), size=4)
+    a = next(mix.draw_blocks(np.random.default_rng(7), 4, 4))
     assert a.shape == (4, 2)
     assert np.all(np.isfinite(a))
 
@@ -297,7 +297,7 @@ def test_mixture_second_moment():
             GaussianNoise(np.zeros(k), ScaledIdentityCov(25.0, k)),
         ),
     )
-    draws = mix.draw(np.random.default_rng(11), size=100_000)
+    draws = next(mix.draw_blocks(np.random.default_rng(11), 100_000, 100_000))
     pooled = 0.7 * 1.0 + 0.3 * 25.0
     second = np.mean(draws**2)
     # var of v^2 under the mixture: E[v^4] - (E[v^2])^2, fourth moment 3(w1 v1^2 + w2 v2^2)
@@ -319,7 +319,7 @@ def test_per_sample_mixture_draws_like_the_contamination_sampler(omega1):
         expected = np.where(u < 1.0 - omega1, 25.0, 1.0) * z
         got = noise.draw(np.random.default_rng(seed))
         assert got.tobytes() == expected.tobytes()
-    assert noise.draw(np.random.default_rng(0), size=3).shape == (3, k)
+    assert next(noise.draw_blocks(np.random.default_rng(0), 3, 3)).shape == (3, k)
 
 
 def test_per_sample_mixture_three_components_and_moments():
@@ -354,7 +354,7 @@ def test_empirical_noise_draw_and_validation():
     noise = EmpiricalNoise(lambda rng: rng.standard_normal(3), k=3)
     one = noise.draw(np.random.default_rng(0))
     assert one.shape == (3,)
-    batch = noise.draw(np.random.default_rng(0), size=5)
+    batch = next(noise.draw_blocks(np.random.default_rng(0), 5, 5))
     assert batch.shape == (5, 3)
     assert_allclose(batch[0], one)
 
@@ -383,11 +383,11 @@ def _blocked_laws(k=5):
 @pytest.mark.parametrize("rows", [1, 7, 40])
 @pytest.mark.parametrize("name", list(_blocked_laws()))
 def test_blocked_draw_is_the_one_chunk_draw(name, rows):
-    # The blocks, in order, are the chunk draw(size=n) gives, byte for byte,
-    # and they leave the stream where it does.
+    # The blocks, in order, are the chunk one n-row block gives, byte for
+    # byte, and they leave the stream where it does.
     n, law = 40, _blocked_laws()[name]
     want_rng = np.random.Generator(np.random.Philox(key=11))
-    want = law.draw(want_rng, size=n)
+    want = next(law.draw_blocks(want_rng, n, n))
     rng = np.random.Generator(np.random.Philox(key=11))
     blocks = list(law.draw_blocks(rng, n, rows))
     assert [b.shape[0] for b in blocks] == [min(rows, n - lo) for lo in range(0, n, rows)]

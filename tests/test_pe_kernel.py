@@ -20,12 +20,13 @@ from zzbound.models import (
     PerSampleMixtureNoise,
     ScaledIdentityCov,
     TrueModel,
+    eval_signal,
 )
 from zzbound.montecarlo import empirical_pe
 from zzbound.pe_kernel import (
     PeKernel,
+    _means,
     _q_integral,
-    decision_means,
     linear_scalar_profile,
     pe_gaussian,
     pe_mixture,
@@ -42,11 +43,17 @@ def _scalar_kernel(k=1, sigma2=1.0, sigma2_true=None, mu=0.0, mu_true=0.0, hvec=
     return PeKernel(assumed, truth)
 
 
+def _decision_means(kern, theta_eval, theta_o, delta):
+    """_means for data at theta_eval and the candidates theta_o, theta_o + delta."""
+    h = eval_signal(kern.assumed.signal, np.array([[theta_o], [theta_o + delta]]))
+    return _means(kern, eval_signal(kern.truth.signal, theta_eval), h)
+
+
 def test_compute_s_frozen_value():
     # K = 1, h = 1, sigma^2 = 1, mu = 0: evaluating at theta_eval = 0 leaves
     # only the quadratic term, (h1^2 - h0^2) / 2 = (9 - 4) / 2.
     kern = _scalar_kernel()
-    assert decision_means(kern, 0.0, 2.0, 1.0) == pytest.approx([2.5], rel=1e-15, abs=0.0)
+    assert _decision_means(kern, 0.0, 2.0, 1.0) == pytest.approx([2.5], rel=1e-15, abs=0.0)
 
 
 def test_compute_s_at_candidates_symbolic():
@@ -66,10 +73,10 @@ def test_compute_s_at_candidates_symbolic():
         theta_o = float(rng.uniform(-3.0, 3.0))
         delta = float(rng.uniform(-2.0, 2.0))
         half_quad = 0.5 * delta * delta * cov.qf_inv(h)
-        assert decision_means(kern, theta_o, theta_o, delta) == pytest.approx(
+        assert _decision_means(kern, theta_o, theta_o, delta) == pytest.approx(
             [half_quad], rel=1e-11, abs=0.0
         )
-        assert decision_means(kern, theta_o + delta, theta_o, delta) == pytest.approx(
+        assert _decision_means(kern, theta_o + delta, theta_o, delta) == pytest.approx(
             [-half_quad], rel=1e-11, abs=0.0
         )
 

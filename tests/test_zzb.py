@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from zzbound import experiments, zzb
+from zzbound import experiments, pe_kernel, zzb
 from zzbound.estimators import LinearClosedForm
 from zzbound.experiments import matched_mixture_pe
 from zzbound.models import (
@@ -40,7 +40,6 @@ from zzbound.zzb import (
     VectorBoundSpec,
     _adaptive_1d,
     _odd,
-    _q_linear_gamma,
     _simpson_last,
     bound,
     lattice_staircase_sum,
@@ -322,10 +321,15 @@ def _linear_models(k, h, cov_assumed, noise):
     return assumed, TrueModel(sig, noise)
 
 
+def _slope(assumed, truth):
+    """The scenario's q-linear slope, EqualLinearScalarPe.gamma."""
+    return linear_scalar_profile(PeKernel(assumed, truth)).gamma
+
+
 def _matched_gamma(truth):
     """Slope of the model that assumes the Gaussian truth itself."""
     noise = truth.noise
-    return _q_linear_gamma(AssumedModel(truth.signal, noise.mean, noise.cov), truth)
+    return _slope(AssumedModel(truth.signal, noise.mean, noise.cov), truth)
 
 
 def test_gamma_matched_oracle():
@@ -355,19 +359,19 @@ def test_gamma_mismatch_longhand():
     inv = np.linalg.inv(sigma)
     a_val = h @ inv @ h
     b_val = h @ inv @ sigma_true @ inv @ h
-    assert _q_linear_gamma(assumed, truth) == pytest.approx(
+    assert _slope(assumed, truth) == pytest.approx(
         0.5 * a_val / math.sqrt(b_val), rel=1e-10, abs=0.0
     )
 
 
-def test_gamma_mismatch_equal_cov_routes_to_matched_bitwise():
+def test_gamma_mismatch_equal_cov_equals_matched_bitwise():
     k = 4
     h = np.array([1.0, 2.0, 3.0, 4.0])
     diag = np.array([0.3, 0.7, 1.1, 1.9])
     assumed, truth = _linear_models(
         k, h, DiagonalCov(diag), GaussianNoise(np.zeros(k), DiagonalCov(diag.copy()))
     )
-    mm = _q_linear_gamma(assumed, truth)
+    mm = _slope(assumed, truth)
     matched = _matched_gamma(truth)
     assert mm == matched  # bitwise, not approximately
 
@@ -398,7 +402,7 @@ def test_same_covariance_matches_dense_comparison():
     for a in covs:
         for b in covs:
             want = np.array_equal(a.dense(), b.dense())
-            assert zzb._same_covariance(a, b) == want, (a, b)
+            assert pe_kernel._same_covariance(a, b) == want, (a, b)
             seen.add((type(a) is type(b), want))
     # Same-type and cross-type pairs, both equal and unequal by value.
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -412,7 +416,7 @@ def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
     pairs = [(a, b) for a in diagonal for b in diagonal]
     expected = [np.array_equal(a.dense(), b.dense()) for a, b in pairs]
     monkeypatch.setattr(DiagonalCov, "dense", refuse)
-    assert [zzb._same_covariance(a, b) for a, b in pairs] == expected
+    assert [pe_kernel._same_covariance(a, b) for a, b in pairs] == expected
     k = 6
     assumed, truth = _linear_models(
         k,
@@ -437,7 +441,7 @@ def test_gamma_isotropic_mismatch_equals_matched():
         ScaledIdentityCov(sigma2, k),
         GaussianNoise(np.zeros(k), ScaledIdentityCov(sigma2 + extra, k)),
     )
-    gamma = _q_linear_gamma(assumed, truth)
+    gamma = _slope(assumed, truth)
     assert 1.0 / (4.0 * gamma * gamma) == pytest.approx((sigma2 + extra) / k, rel=1e-12, abs=0.0)
 
 
@@ -452,7 +456,7 @@ def test_gamma_mixture_pooling_and_extremes():
     )
     for w1 in (0.0, 0.25, 0.9, 1.0):
         noise = PerSampleMixtureNoise(np.array([w1, 1.0 - w1]), np.sqrt([v1, v2]), k)
-        gamma = _q_linear_gamma(assumed, TrueModel(assumed.signal, noise))
+        gamma = _slope(assumed, TrueModel(assumed.signal, noise))
         pooled = w1 * v1 + (1.0 - w1) * v2
         assert gamma == pytest.approx(0.5 * math.sqrt(k / pooled), rel=1e-13, abs=0.0)
     per_vector = MixtureNoise(
@@ -463,7 +467,7 @@ def test_gamma_mixture_pooling_and_extremes():
         ),
     )
     with pytest.raises(ValueError, match="equal component variances"):
-        _q_linear_gamma(assumed, TrueModel(assumed.signal, per_vector))
+        _slope(assumed, TrueModel(assumed.signal, per_vector))
 
 
 def test_gamma_case_validation():
@@ -475,9 +479,9 @@ def test_gamma_case_validation():
         assumed.signal, GaussianNoise(np.full(k, 1.0), ScaledIdentityCov(1.0, k))
     )
     with pytest.raises(ValueError, match="equal noise means"):
-        _q_linear_gamma(assumed, biased)
+        _slope(assumed, biased)
     with pytest.raises(ValueError, match="identical scalar maps"):
-        _q_linear_gamma(assumed, TrueModel(LinearVectorMap(2.0 * h), noise))
+        _slope(assumed, TrueModel(LinearVectorMap(2.0 * h), noise))
 
 
 def _router_models(truth_hvec=None, mean=0.0, noise=None):
@@ -529,7 +533,7 @@ def test_router_routes(models, method, form):
 
 def test_router_closed_form_values_match_gamma():
     assumed, truth = _router_models()
-    gamma = _q_linear_gamma(assumed, truth)
+    gamma = _slope(assumed, truth)
     prior = uniform_interval(10.0)
     assert bound(assumed, truth, prior).value == zzb_closed_form_q_linear(gamma, 10.0)
     assert bound(assumed, truth, prior, "asymptotic").value == 1.0 / (4.0 * gamma * gamma)
