@@ -401,6 +401,28 @@ def test_empirical_pe_frozen_values(monkeypatch, name, pe, stderr):
     assert (repr(got.pe), repr(got.stderr)) == (repr(pe), repr(stderr))
 
 
+def test_empirical_pe_keeps_one_draw_block_live():
+    # 4,000 trials at k = 5000 are three draw chunks of up to 2^23 elements
+    # per hypothesis. This white law is drawn and decided six rows at a
+    # time, so no chunk is ever whole; the bound here, one chunk and a
+    # tenth, is the loose one. The next test bounds the same run at 2 MiB,
+    # and test_empirical_pe_holds_one_coloured_chunk_of_a_dense_law bounds
+    # a law that colours its whole chunk.
+    import tracemalloc
+
+    import zzbound.montecarlo as mc
+
+    k = 5000
+    kernel = PeKernel(*_linear_setup(k=k))
+    tracemalloc.start()
+    try:
+        empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * mc._MC_CHUNK
+
+
 def _traced_peak(fn):
     import tracemalloc
 
@@ -413,18 +435,11 @@ def _traced_peak(fn):
 
 
 def test_empirical_pe_streams_a_diagonal_law_one_row_block_at_a_time():
-    # 4,000 trials at k = 5000 are three draw chunks of up to 2^23 elements
-    # (1,677 rows, 64 MiB) per hypothesis. This white law is drawn and
-    # decided six rows at a time, 240 KB a block, so no chunk is ever whole:
-    # the peak stays near a few blocks, far below one chunk and a tenth.
-    # test_empirical_pe_holds_one_coloured_chunk_of_a_dense_law bounds a law
-    # that colours its whole chunk.
-    import zzbound.montecarlo as mc
-
+    # A chunk of 1,677 rows at k = 5000 is 64 MiB; drawn and decided six
+    # rows at a time, 240 KB a block, the peak stays near a few blocks.
     kernel = PeKernel(*_linear_setup(k=5000))
     peak = _traced_peak(lambda: empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0))
     assert peak < 2 * 2**20
-    assert peak <= 1.1 * 8 * mc._MC_CHUNK
 
 
 def test_empirical_pe_keeps_only_the_labels_of_a_per_sample_chunk():
