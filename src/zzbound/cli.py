@@ -382,7 +382,7 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     method = _as_str(
         cfg.get("method", "auto"),
         "config.method",
-        choices=("auto", "closed_form", "asymptotic", "quadrature"),
+        choices=("auto", "closed_form", "quadrature"),
     )
     scn = _scenario_from_config(cfg, "config")
 
@@ -391,7 +391,7 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         pe_constant = _as_number(cfg["pe_constant"], "config.pe_constant")
         if not 0.0 <= pe_constant <= 0.5:
             _fail("config.pe_constant", "expected a probability in [0, 0.5]")
-        if method in ("closed_form", "asymptotic"):
+        if method == "closed_form":
             _fail("config.method", "pe_constant only makes sense with quadrature")
 
     def row(coord: int | None) -> dict[str, Any]:

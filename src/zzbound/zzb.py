@@ -6,8 +6,9 @@ probability mass the offset pair shares), and an integration or summation over
 offsets. This module supplies the integrators plus the closed form available
 when the profile is exactly Q(gamma * h_off) on a uniform interval prior.
 The vector bound takes one coordinate j at a time: offsets on axis j are
-pinned and the other axes' offsets are maximized over. bound
-routes a linear scenario to a scalar form and a pulse one to zzb_vector.
+pinned and the other axes' offsets are maximized over, or held at 0 where
+the assumed model is not the truth. bound routes a linear scenario to a
+scalar form and a pulse one to zzb_vector.
 
 Quadrature is composite Simpson with grid doubling; every bound reports the
 doubling convergence through BoundResult.converged rather than raising, so
@@ -258,13 +259,16 @@ def bound(
 
     A pulse scenario (an AmplitudePulseMap assumed) is bounded on coord, 0
     the delay and 1 the amplitude, by zzb_vector over its pulse_profile, and
-    raises RouteError where that profile is not exact. Any other scenario is
+    raises RouteError where that profile is not exact. The profile needs the
+    assumed noise mean and covariance, so the template width is the one
+    possible mismatch: a matched model (the true width) maximizes over the
+    other coordinate's offset, and a mismatched one holds it at 0 (see
+    VectorBoundSpec.search). Any other scenario is
     scalar linear on a one-axis interval prior (coord None or 0), and its
     route follows its EqualLinearScalarPe profile:
     - q_linear (no location term, no mean offset, one projected variance),
       where the error probability is exactly Q(gamma |h|): the closed form
-      in the slope gamma, or with method "asymptotic" its floor
-      1 / (4 gamma^2);
+      in the slope gamma;
     - no location term, one truth component: "symmetric_split" over the
       signed one-sided branch;
     - no location term, several components (a mean offset, or unequal
@@ -272,37 +276,35 @@ def bound(
     - a location term (the maps differ, cross != 0): "general" over the
       offset, with the location integral in closed form.
     method "auto" takes the closed form where it applies and quadrature
-    otherwise; "quadrature" always integrates. "closed_form" and
-    "asymptotic" raise MethodError unless the profile is q_linear (never for
-    a pulse).
+    otherwise; "quadrature" always integrates. "closed_form" raises
+    MethodError unless the profile is q_linear (never for a pulse).
     """
-    if method not in ("auto", "closed_form", "asymptotic", "quadrature"):
+    if method not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown bound method {method!r}")
     if isinstance(assumed.signal, AmplitudePulseMap):
-        if method in ("closed_form", "asymptotic"):
-            raise MethodError(f"{method} has no pulse form; use quadrature")
+        if method == "closed_form":
+            raise MethodError("closed_form has no pulse form; use quadrature")
         try:
             g = pulse_profile(PeKernel(assumed, truth), prior)
         except ValueError as exc:
             raise RouteError(str(exc)) from None
-        return zzb_vector(VectorBoundSpec(coord, prior, g, _PULSE_SEARCH, _PULSE_QUADRATURE))
+        # Only the matched (optimal) test may maximize over free offsets.
+        search = _PULSE_SEARCH if assumed.signal.width == truth.signal.width else None
+        return zzb_vector(VectorBoundSpec(coord, prior, g, search, _PULSE_QUADRATURE))
     if coord not in (None, 0):
         raise ValueError(f"a scalar bound has only coord 0, got {coord}")
     axis = _interval_axis(prior)
     profile = linear_scalar_profile(PeKernel(assumed, truth))
     if method == "auto":
         method = "closed_form" if profile.q_linear else "quadrature"
-    if method in ("closed_form", "asymptotic"):
+    if method == "closed_form":
         if not profile.q_linear:
             raise MethodError(
-                f"{method} needs equal scalar linear maps, the assumed noise mean and "
+                "closed_form needs equal scalar linear maps, the assumed noise mean and "
                 "one noise variance (mixture components of equal variance); use quadrature"
             )
-        gamma = profile.gamma
-        if method == "closed_form":
-            value = zzb_closed_form_q_linear(gamma, axis.width)
-            return BoundResult(value, True, "closed_form_q_linear")
-        return BoundResult(1.0 / (4.0 * gamma * gamma), True, "asymptotic_q_linear")
+        value = zzb_closed_form_q_linear(profile.gamma, axis.width)
+        return BoundResult(value, True, "closed_form_q_linear")
     if profile.cross != 0.0:
         location_integral = partial(profile.location_integral, lo=axis.lo, hi=axis.hi)
         return zzb_scalar_general(ScalarBoundSpec(prior, location_integral))
@@ -409,20 +411,31 @@ class VectorBoundSpec:
     maps the overlap-weighted pairs at delta onto those at -delta. The
     lattice route therefore reads G at positive pinned offsets only.
 
+    search sets the maximization over the free offsets (the axes other
+    than coord); None holds them at 0, one integrand row per pin. The
+    maximum is valid where G is the optimal test's error probability,
+    whose Pmin lower-bounds every decision rule (Bell et al. 1997). A test
+    with an assumed model that is not the truth is not optimal: at a wrong
+    position a free offset that suits the assumed model can push its error
+    probability towards 1, above the joint quasi-MLE's MSE. So bound
+    passes None for a mismatched pulse model. That offset 0 keeps the
+    bound below that MSE is measured, not proven (for study 4, by
+    test_example4_mismatched_bound_lies_below_the_quasi_mle_mse and
+    acceptance criterion 09).
+
     pe may carry a positive integer attribute span (pulse_profile sets
     it): from span lattice steps on, G at a pinned offset is a nonnegative
     multiple, fixed by the pin, of G at span with the same free offsets.
     The lattice route then searches the free offsets at pins 1..span only
-    and reads G at every later pin at span's maximizer. The bound stays
-    valid whatever the free offsets: the vector Ziv-Zakai bound holds for
-    any choice of them (Bell et al. 1997), and maximizing only tightens it.
-    An integrand without span is searched at every pin.
+    and reads G at every later pin at span's maximizer, a choice of free
+    offsets as valid as any other. An integrand without span is searched at
+    every pin.
     """
 
     coord: int
     prior: Prior
     pe: Callable[[np.ndarray], np.ndarray]
-    search: DeltaSearch = DeltaSearch()
+    search: DeltaSearch | None = DeltaSearch()
     quadrature: QuadratureRule = QuadratureRule()
 
     def __post_init__(self) -> None:
@@ -561,12 +574,16 @@ def _search_free(spec: VectorBoundSpec, pins: np.ndarray) -> tuple[np.ndarray, n
     pins gives the offset value on axis spec.coord for each row of the
     result; the remaining axes are scanned on a grid and continuous ones are
     then polished by vectorized ternary search around each row's best point.
-    The free offsets have shape (pins, n_theta - 1), in axis order.
+    Without a search (spec.search None) every free offset is 0. The free
+    offsets have shape (pins, n_theta - 1), in axis order.
     """
+    f = _pinned(spec, pins)
+    if spec.search is None:
+        free = np.zeros((pins.size, spec.prior.n_theta - 1))
+        return f(np.arange(pins.size), free), free
     free_axes = [ax for j, ax in enumerate(spec.prior.axes) if j != spec.coord]
     cands = [_free_axis_candidates(ax, spec.search) for ax in free_axes]
     bounds = [(-ax.width, ax.width) if isinstance(ax, IntervalAxis) else None for ax in free_axes]
-    f = _pinned(spec, pins)
     best_val, best_free = _grid_max(f, pins.size, cands)
     return _polish(f, best_val, best_free, cands, bounds, spec.search.refine_iters)
 
@@ -576,7 +593,8 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
     int_0^inf h max_{delta_j = h} G(delta) dh.
 
     G is the spec's integrand (see VectorBoundSpec), maximized over the
-    offsets of the other axes. An interval axis j integrates that offset profile
+    offsets of the other axes, or read with them at 0 where spec.search is
+    None. An interval axis j integrates that offset profile
     ("continuous_profile"); a lattice axis j instead accumulates the exact
     tail-sum over the positive integer offsets (G is even, so the negative
     ones add nothing; see lattice_staircase_sum), which is the rigorous
@@ -604,6 +622,7 @@ def zzb_vector(spec: VectorBoundSpec) -> BoundResult:
     return BoundResult(max(val, 0.0), conv, "continuous_profile")
 
 
-# The pulse route's offset search and quadrature (see bound).
+# The pulse route's quadrature, and its offset search for a matched model
+# (see bound).
 _PULSE_SEARCH = DeltaSearch(grid_points=33, refine_iters=8, lattice_window=8)
 _PULSE_QUADRATURE = QuadratureRule(points=513, rel_tol=1e-4, max_doublings=4)

@@ -361,6 +361,9 @@ def test_criterion_09_example4_sweep():
         for v in grid
         if mse_alpha[v].value < alpha_mm[v].value - 3.0 * mse_alpha[v].stderr
     ]
+    tau_violations = [
+        v for v in grid if mse_tau[v].value < tau_mm[v].value - 3.0 * mse_tau[v].stderr
+    ]
     monotone = all(
         mse_alpha[b].value
         <= mse_alpha[a].value + 3.0 * (mse_alpha[a].stderr + mse_alpha[b].stderr)
@@ -371,6 +374,7 @@ def test_criterion_09_example4_sweep():
         ratio > 100.0
         and top_two_ordered
         and not alpha_violations
+        and not tau_violations
         and monotone
         and elapsed < 600.0
     )
@@ -379,12 +383,14 @@ def test_criterion_09_example4_sweep():
         ok,
         f"position MSE threshold ratio {ratio:.3g}, mismatched >= matched at top "
         f"SNRs {top_two_ordered}, amplitude bound violations "
-        f"{alpha_violations or 'none'}, amplitude MSE monotone {monotone}, "
+        f"{alpha_violations or 'none'}, position bound violations "
+        f"{tau_violations or 'none'}, amplitude MSE monotone {monotone}, "
         f"{elapsed:.1f}s",
     )
     assert ratio > 100.0
     assert top_two_ordered
     assert not alpha_violations
+    assert not tau_violations
     assert monotone
     assert elapsed < 600.0
 

@@ -128,7 +128,9 @@ def test_bound_pe_constant_conflicts_with_closed_form(tmp_path):
     assert not os.path.exists(out)
 
 
-def test_bound_example1_preset_asymptotic(tmp_path):
+def test_bound_example1_preset_asymptotic(tmp_path, capsys):
+    # 1/(4 gamma^2) is the unconstrained WLS MSE, which the closed form
+    # approaches from below: not a lower bound, so no method writes it.
     cfg = _write_cfg(
         tmp_path,
         {
@@ -137,11 +139,12 @@ def test_bound_example1_preset_asymptotic(tmp_path):
         },
     )
     out = str(tmp_path / "m1.csv")
-    assert main(["bound", "--config", cfg, "--out", out]) == 0
-    row = _read_rows(out)[0]
-    g = build_example1(0.1, 60).gammas["m1"]
-    assert row["method"] == "asymptotic_q_linear"
-    assert float(row["value"]) == pytest.approx(1.0 / (4.0 * g * g), rel=1e-12, abs=0.0)
+    assert main(["bound", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.method: expected one of ['auto', 'closed_form', 'quadrature'], "
+        "got 'asymptotic'\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_bound_example1_preset_rejects_m1_at_zero_noise(tmp_path, capsys):
@@ -311,6 +314,8 @@ def test_bound_mixture_closed_form(tmp_path):
     assert float(row["value"]) == pytest.approx(zzb_closed_form_q_linear(gamma, t_prior), rel=1e-12, abs=0.0)
 
 
+# "asymptotic" names no method, so it is refused at config.method on every
+# scenario, these included.
 @pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
 @pytest.mark.parametrize(
     "weights, variances, t",
@@ -409,7 +414,7 @@ def test_only_a_dense_covariance_loads_scipy_linalg(tmp_path):
     assert done.stdout.splitlines() == ["False", "True", "covariance is not positive definite"]
 
 
-@pytest.mark.parametrize("extra", [{}, {"method": "quadrature"}, {"method": "asymptotic"}])
+@pytest.mark.parametrize("extra", [{}, {"method": "quadrature"}, {"method": "closed_form"}])
 def test_bound_one_column_matrix_matches_vector(tmp_path, extra):
     column = {"type": "linear_matrix", "matrix": [[1.0]] * 4}
     vector = _bound_row(tmp_path, _readme_config(**extra), "vector")
@@ -524,7 +529,7 @@ def _bound_configs(draw):
             "truth": truth,
             "prior": {"type": "interval", "t": draw(st.floats(0.5, 20.0))},
         },
-        "method": draw(st.sampled_from(["auto", "closed_form", "asymptotic", "quadrature"])),
+        "method": draw(st.sampled_from(["auto", "closed_form", "quadrature"])),
     }
     if draw(st.integers(0, 5)) == 0:
         payload["pe_constant"] = draw(st.floats(0.0, 0.5))
@@ -579,7 +584,7 @@ def test_fuzzed_bound_configs_exit_0_or_2(payload):
         assert code in (0, 2)
         # A non-finite number is a config error wherever it appears.
         assert code == 2 or _is_finite(payload)
-        if code != 0 or payload["method"] == "asymptotic":
+        if code != 0:
             return
         value = float(_read_rows(out)[0]["value"])
         scenario = payload["scenario"]
@@ -649,7 +654,7 @@ _MIXTURE_TRUTH = {
     "path, value, field, message",
     [
         (("method",), "closed_form", "config.method", "closed_form has no pulse form"),
-        (("method",), "asymptotic", "config.method", "asymptotic has no pulse form"),
+        (("method",), "asymptotic", "config.method", "expected one"),
         (("pe_constant",), 0.25, "config.pe_constant", "one-axis interval prior"),
         (("scenario", "truth", "signal"), _LINEAR_TRUTH, "config.scenario.truth", "dimension"),
         (("scenario", "truth", "noise"), _MIXTURE_TRUTH, "config.scenario", "Gaussian truth"),
@@ -762,7 +767,7 @@ def _pulse_configs(draw):
         "method": draw(st.sampled_from(["auto", "quadrature"])),
     }
     if draw(st.integers(0, 5)) == 0:
-        payload["method"] = draw(st.sampled_from(["closed_form", "asymptotic"]))
+        payload["method"] = "closed_form"
     scenario = payload["scenario"]
     axes = scenario["prior"]["axes"]
     lo = draw(st.floats(-1.0, 2.0))
@@ -795,7 +800,10 @@ def _pulse_configs(draw):
     on_route = payload["method"] in ("auto", "quadrature")
     if draw(st.booleans()):
         on_route = False
-        for i in draw(st.lists(st.integers(0, len(edits) - 1), min_size=1, max_size=2, unique=True)):
+        # In list order, so an edit of the truth's signal or noise fields
+        # runs before an edit that removes or replaces them.
+        picks = draw(st.lists(st.integers(0, len(edits) - 1), min_size=1, max_size=2, unique=True))
+        for i in sorted(picks):
             edits[i]()
     return payload, on_route
 

@@ -395,6 +395,15 @@ def test_blocked_draw_is_the_one_chunk_draw(name, rows):
     assert got.shape == want.shape == (n, law.dim)
     assert got.tobytes() == want.tobytes()
     assert_equal(rng.bit_generator.state, want_rng.bit_generator.state)
+    # Where one draw reads the stream as one row of a block does, n
+    # successive draws are an independent reference, whole-chunk case
+    # included. (A mixture block draws all its labels first, a per-sample
+    # one all its uniforms, and a dense block colours rows in one product.)
+    if name in ("white", "diagonal", "empirical"):
+        one_rng = np.random.Generator(np.random.Philox(key=11))
+        one_by_one = np.array([law.draw(one_rng) for _ in range(n)])
+        assert got.tobytes() == one_by_one.tobytes()
+        assert_equal(rng.bit_generator.state, one_rng.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from zzbound import experiments, pe_kernel, zzb
 from zzbound.estimators import LinearClosedForm
 from zzbound.experiments import matched_mixture_pe
 from zzbound.models import (
+    AmplitudePulseMap,
     AssumedModel,
     DenseCov,
     DiagonalCov,
@@ -417,17 +418,19 @@ def test_same_covariance_builds_no_dense_matrix_for_diagonal_kinds(monkeypatch):
     expected = [np.array_equal(a.dense(), b.dense()) for a, b in pairs]
     monkeypatch.setattr(DiagonalCov, "dense", refuse)
     assert [pe_kernel._same_covariance(a, b) for a, b in pairs] == expected
-    k = 6
-    assumed, truth = _linear_models(
-        k,
-        np.ones(k),
-        ScaledIdentityCov(0.1, k),
-        GaussianNoise(np.zeros(k), DiagonalCov(np.full(k, 0.1))),
-    )
-    result = bound(assumed, truth, uniform_interval(2.0), "closed_form")
-    assert result.value == zzb_closed_form_q_linear(
-        _matched_gamma(truth), 2.0
-    )
+    # The pulse profile, its one caller, compares the two diagonals as
+    # vectors too: it accepts an equal one and refuses a different one.
+    k = 8
+    prior = Prior((LatticeAxis(k), IntervalAxis(0.5, 1.5)))
+    assumed = AssumedModel(AmplitudePulseMap(3, k), np.zeros(k), ScaledIdentityCov(0.1, k))
+    for diag, same in ((np.full(k, 0.1), True), (np.full(k, 0.2), False), (np.linspace(0.1, 0.2, k), False)):
+        truth = TrueModel(AmplitudePulseMap(4, k), GaussianNoise(np.zeros(k), DiagonalCov(diag)))
+        if same:
+            g = pe_kernel.pulse_profile(PeKernel(assumed, truth), prior)
+            assert np.all(g(np.array([[1.0, 0.1], [2.0, -0.2]])) > 0.0)
+        else:
+            with pytest.raises(ValueError, match="assumed white covariance"):
+                pe_kernel.pulse_profile(PeKernel(assumed, truth), prior)
 
 
 def test_gamma_isotropic_mismatch_equals_matched():
@@ -511,7 +514,7 @@ def _per_sample_mixture(k=4):
     "models, method, form",
     [
         (_router_models(), "auto", "closed_form_q_linear"),
-        (_router_models(), "asymptotic", "asymptotic_q_linear"),
+        (_router_models(), "closed_form", "closed_form_q_linear"),
         (_router_models(), "quadrature", "symmetric_split"),
         (_router_models(mean=0.3), "auto", "symmetric_split"),
         (_router_models(noise=_per_sample_mixture()), "auto", "closed_form_q_linear"),
@@ -536,7 +539,10 @@ def test_router_closed_form_values_match_gamma():
     gamma = _slope(assumed, truth)
     prior = uniform_interval(10.0)
     assert bound(assumed, truth, prior).value == zzb_closed_form_q_linear(gamma, 10.0)
-    assert bound(assumed, truth, prior, "asymptotic").value == 1.0 / (4.0 * gamma * gamma)
+    # 1/(4 gamma^2), the unconstrained WLS MSE, is not a lower bound and no
+    # method returns it.
+    with pytest.raises(ValueError, match="unknown bound method 'asymptotic'"):
+        bound(assumed, truth, prior, "asymptotic")
 
 
 @pytest.mark.parametrize(
@@ -549,7 +555,9 @@ def test_router_closed_form_values_match_gamma():
 )
 @pytest.mark.parametrize("method", ["closed_form", "asymptotic"])
 def test_router_rejects_closed_forms_off_the_q_linear_case(models, method):
-    with pytest.raises(MethodError, match=method):
+    # "asymptotic" is no method at all, so it is refused here as everywhere.
+    error = MethodError if method == "closed_form" else ValueError
+    with pytest.raises(error, match=method):
         bound(*models, uniform_interval(10.0), method)
 
 
@@ -618,9 +626,8 @@ def test_wide_mixtures_take_the_independent_route(row):
     auto = bound(*scenario)
     assert auto.form == "independent"
     assert auto == bound(*scenario, "quadrature")
-    for method in ("closed_form", "asymptotic"):
-        with pytest.raises(MethodError, match=method):
-            bound(*scenario, method)
+    with pytest.raises(MethodError, match="closed_form"):
+        bound(*scenario, "closed_form")
 
 
 @st.composite
