@@ -375,8 +375,8 @@ def example4_bounds(scenario: Scenario) -> dict[str, BoundResult]:
     """All four direction bounds (tau and alpha, mismatched and matched)."""
     return {
         f"zzb_{name}_{label}": bound(model, scenario.truth, scenario.prior, coord=coord)
-        for label, model in scenario.assumed.items()
         for coord, name in enumerate(("tau", "alpha"))
+        for label, model in scenario.assumed.items()
     }
 
 
@@ -475,11 +475,8 @@ def _contamination_point(scn: Scenario) -> _Point:
 
 
 def _pulse_point(scn: Scenario) -> _Point:
-    found = example4_bounds(scn)
-    order = [f"zzb_{c}_{label}" for c in ("tau", "alpha") for label in ("mismatched", "matched")]
-    bounds = {name: found[name] for name in order}
     estimator = QuasiMLE(scn.assumed["mismatched"])
-    return bounds, [(("mse_mle_tau", "mse_mle_alpha"), estimator, None)]
+    return example4_bounds(scn), [(("mse_mle_tau", "mse_mle_alpha"), estimator, None)]
 
 
 # The four studies by example number. Each builder and bound is looked up

@@ -2,9 +2,9 @@
 
 The library compares an assumed model (signal map h, Gaussian noise with
 hyperparameters mu and Sigma) against a true model (signal map h*, noise law
-p*). Everything here is an immutable value object; covariance matrices carry
-a precomputed Cholesky factor so inverse-weighted quadratic forms are done
-with triangular solves, never an explicit inverse.
+p*). Everything here is an immutable value object; a dense covariance
+caches its Cholesky factor, so its inverse-weighted quadratic forms are
+triangular solves (a diagonal one divides), never an explicit inverse.
 
 Naming note: the scalar test offset used by the bounds is called ``h_off``
 throughout this package; ``h`` always refers to a signal map.
@@ -541,8 +541,8 @@ NoiseLaw = Union[GaussianNoise, MixtureNoise, PerSampleMixtureNoise, EmpiricalNo
 class AssumedModel:
     """Assumed observation model: x = h(theta) + noise, noise ~ N(mu, Sigma).
 
-    Sigma's Cholesky factor is cached inside the covariance object, so the
-    inverse-weighted forms used by the likelihood and the bounds are cheap.
+    Sigma's inverse-weighted forms, used by the likelihood and the bounds,
+    are cheap: a dense Sigma caches its Cholesky factor, a diagonal divides.
     """
 
     signal: SignalMap

@@ -476,15 +476,8 @@ def pulse_profile(kernel: PeKernel, prior: Prior) -> Callable[[np.ndarray], np.n
     wide = float(truth.signal.width)
     s_true = pulse_template(truth.signal.width)
     s_assumed = pulse_template(assumed.signal.width)
-    # The cross-correlation reaches lag r_true + r_assumed and the assumed
-    # autocorrelation lag 2 r_assumed; both tables are zero past the larger.
-    r_true, r_assumed = (s_true.size - 1) // 2, (s_assumed.size - 1) // 2
-    reach = max(r_true, r_assumed) + r_assumed + 1
-    lags = np.arange(min(reach + 1, k))
-    table_ss = np.zeros(k)
-    table_ts = np.zeros(k)
-    table_ss[: lags.size] = _xcorr_at_lags(s_assumed, s_assumed, lags)
-    table_ts[: lags.size] = _xcorr_at_lags(s_true, s_assumed, lags)
+    table_ss = _xcorr_at_lags(s_assumed, s_assumed, np.arange(k))
+    table_ts = _xcorr_at_lags(s_true, s_assumed, np.arange(k))
     # First lag from which both tables are zero to the end; it equals k when
     # the correlations reach the last lag, and then no lag is collapsed.
     span = int(np.flatnonzero((table_ss != 0.0) | (table_ts != 0.0))[-1]) + 1

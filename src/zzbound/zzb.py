@@ -177,6 +177,26 @@ def _adaptive_1d(
 # ---------------------------------------------------------------------------
 
 
+def _half_line(
+    spec: ScalarBoundSpec,
+    weight: Callable[[np.ndarray, float], np.ndarray],
+    form: str,
+    signs: tuple[float, ...] = (1.0,),
+) -> BoundResult:
+    """(1/(n T)) sum over the n signs of int_0^T weight(h, T) pe(sign h) dh,
+    clamped at 0; each sign has its own doubling, and all must converge."""
+    t_width = _interval_axis(spec.prior).width
+    total, converged = 0.0, True
+    for sign in signs:
+
+        def f(h: np.ndarray, sign: float = sign) -> np.ndarray:
+            return weight(h, t_width) * np.asarray(spec.pe(sign * h), dtype=float)
+
+        val, conv = _adaptive_1d(f, 0.0, t_width, spec.quadrature)
+        total, converged = total + val, converged and conv
+    return BoundResult(max(total / (len(signs) * t_width), 0.0), converged, form)
+
+
 def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
     """Offset-and-location form (1/T) int_0^T h P(h) dh.
 
@@ -186,24 +206,12 @@ def zzb_scalar_general(spec: ScalarBoundSpec) -> BoundResult:
     form), so the one quadrature left is over the offset. Where pe does not
     depend on t, P(h) = (T - h) pe(h) and this is zzb_scalar_independent.
     """
-    t_width = _interval_axis(spec.prior).width
-
-    def f(h: np.ndarray) -> np.ndarray:
-        return h * np.asarray(spec.pe(h), dtype=float)
-
-    val, conv = _adaptive_1d(f, 0.0, t_width, spec.quadrature)
-    return BoundResult(max(val / t_width, 0.0), conv, "general")
+    return _half_line(spec, lambda h, t: h, "general")
 
 
 def zzb_scalar_independent(spec: ScalarBoundSpec) -> BoundResult:
     """Location-free form (1/T) int_0^T h (T-h) pe(h) dh."""
-    t_width = _interval_axis(spec.prior).width
-
-    def f(h: np.ndarray) -> np.ndarray:
-        return h * (t_width - h) * np.asarray(spec.pe(h), dtype=float)
-
-    val, conv = _adaptive_1d(f, 0.0, t_width, spec.quadrature)
-    return BoundResult(max(val / t_width, 0.0), conv, "independent")
+    return _half_line(spec, lambda h, t: h * (t - h), "independent")
 
 
 def zzb_scalar_symmetric(spec: ScalarBoundSpec) -> BoundResult:
@@ -214,18 +222,7 @@ def zzb_scalar_symmetric(spec: ScalarBoundSpec) -> BoundResult:
     separately (the integrand has a kink at 0), each with its own doubling,
     so a sign flip of the asymmetry maps one half exactly onto the other.
     """
-    t_width = _interval_axis(spec.prior).width
-
-    def f_pos(h: np.ndarray) -> np.ndarray:
-        return h * (t_width - h) * np.asarray(spec.pe(h), dtype=float)
-
-    def f_neg(h: np.ndarray) -> np.ndarray:
-        return h * (t_width - h) * np.asarray(spec.pe(-h), dtype=float)
-
-    val_pos, conv_pos = _adaptive_1d(f_pos, 0.0, t_width, spec.quadrature)
-    val_neg, conv_neg = _adaptive_1d(f_neg, 0.0, t_width, spec.quadrature)
-    value = (val_pos + val_neg) / (2.0 * t_width)
-    return BoundResult(max(value, 0.0), conv_pos and conv_neg, "symmetric_split")
+    return _half_line(spec, lambda h, t: h * (t - h), "symmetric_split", (1.0, -1.0))
 
 
 def zzb_closed_form_q_linear(gamma: float, t: float) -> float:

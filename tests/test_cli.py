@@ -641,6 +641,7 @@ def test_bound_pulse_config_matches_the_router(tmp_path, method):
 
 
 _LINEAR_TRUTH = {"type": "linear_vector", "hvec": [1.0] * 40}
+_MATRIX_TRUTH = {"type": "linear_matrix", "matrix": [[1.0, 0.0]] * 40}
 _INTERVAL_AXIS = {"type": "interval", "lo": 0.0, "hi": 39.0}
 _LATTICE_AXIS = {"type": "lattice", "count": 3}
 _MIXTURE_TRUTH = {
@@ -670,6 +671,7 @@ _MIXTURE_TRUTH = {
         (("scenario", "prior", "axes", 0, "start"), 1.0, "config.scenario", "start 0"),
         (("scenario", "prior", "axes", 0), _INTERVAL_AXIS, "config.scenario", "lattice"),
         (("scenario", "prior", "axes", 1), _LATTICE_AXIS, "config.scenario", "amplitude interval"),
+        (("scenario", "truth", "signal"), _MATRIX_TRUTH, "config.scenario", "pulse map for"),
     ],
 )
 def test_bound_pulse_off_its_route_exits_2(tmp_path, capsys, path, value, field, message):

@@ -419,6 +419,10 @@ def test_estimate_validation():
         estimate(QuasiMLE(model), np.zeros(3), prior)
     with pytest.raises(ValueError, match="non-finite"):
         estimate(QuasiMLE(model), np.array([0.0, np.nan, 0.0, 0.0]), prior)
+    with pytest.raises(ValueError, match=r"x has shape \(3,\), model expects \(4,\)"):
+        estimate(LinearClosedForm(model), np.zeros(3), prior)
+    with pytest.raises(ValueError, match="unknown estimator spec object"):
+        estimate(object(), np.zeros(4), prior)
     with pytest.raises(ValueError, match="scalar parameter"):
         estimate(
             SampleMedian(),

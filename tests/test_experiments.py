@@ -474,9 +474,16 @@ def test_example3_matched_bound_at_the_coarse_rule():
     assert coarse.value == pytest.approx(example3_matched_bound(scn).value, rel=1e-4)
 
 
+def test_example2_validation():
+    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+        build_example2(5.0, k=1)
+
+
 def test_example3_validation():
     with pytest.raises(ValueError, match="omega1"):
         build_example3(1.5)
+    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+        build_example3(0.5, k=1)
 
 
 # ---------------------------------------------------------------------------

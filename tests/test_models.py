@@ -103,6 +103,14 @@ def test_covariance_validation():
         ScaledIdentityCov(1.0, 0)
     with pytest.raises(ValueError, match="positive"):
         DiagonalCov(np.array([1.0, -2.0]))
+    for diag in (np.zeros(0), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="diagonal must be a nonempty 1-D array"):
+            DiagonalCov(diag)
+    for matrix in (np.ones((2, 3)), np.ones(2), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="covariance must be square"):
+            DenseCov(matrix)
+    with pytest.raises(ValueError, match="covariance entries must be finite"):
+        DenseCov(np.array([[1.0, math.nan], [math.nan, 1.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         DenseCov(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
@@ -281,6 +289,9 @@ def test_mixture_weight_validation():
         MixtureNoise(np.array([0.5, 0.4]), (comp, comp))
     with pytest.raises(ValueError, match="length"):
         MixtureNoise(np.array([1.0]), (comp, comp))
+    wide = GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2))
+    with pytest.raises(ValueError, match=r"components disagree on dimension: \[1, 2\]"):
+        MixtureNoise(np.array([0.5, 0.5]), (comp, wide))
     # NaN passes |sum(w) - 1| <= 1e-12 as a False comparison; it must not.
     for bad in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, -math.inf]):
         with pytest.raises(ValueError, match="finite"):
@@ -404,6 +415,8 @@ def test_blocked_draw_is_the_one_chunk_draw(name, rows):
         one_by_one = np.array([law.draw(one_rng) for _ in range(n)])
         assert got.tobytes() == one_by_one.tobytes()
         assert_equal(rng.bit_generator.state, one_rng.bit_generator.state)
+    with pytest.raises(ValueError, match="a chunk needs n >= 1 rows"):
+        next(law.draw_blocks(np.random.default_rng(0), 0, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +430,11 @@ def test_model_dimension_checks():
         AssumedModel(sig, np.zeros(2), ScaledIdentityCov(1.0, 2))
     with pytest.raises(ValueError, match="dimension"):
         TrueModel(sig, GaussianNoise(np.zeros(2), ScaledIdentityCov(1.0, 2)))
+    for mean in (np.array([0.0, math.nan, 0.0]), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="noise mean must be a finite 1-D array"):
+            GaussianNoise(mean, ScaledIdentityCov(1.0, 3))
+        with pytest.raises(ValueError, match="noise mean must be a finite 1-D array"):
+            AssumedModel(sig, mean, ScaledIdentityCov(1.0, 3))
 
 
 def test_sample_observation_reproducible():
@@ -476,6 +494,8 @@ def test_axis_validation():
     for start in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="finite start"):
             LatticeAxis(count=3, start=start)
+    with pytest.raises(ValueError, match="prior needs at least one axis"):
+        Prior(())
 
 
 def test_prior_sampling_stays_in_support():

@@ -298,6 +298,8 @@ def test_trial_plan_validation():
             seed=0,
             theta_true=np.array([1.0, 2.0]),
         )
+    with pytest.raises(ValueError, match="theta_true must be finite"):
+        TrialPlan(truth, LinearClosedForm(assumed), prior, trials=1, seed=0, theta_true=np.nan)
 
 
 def test_empirical_pe_zero_offset_exact():
@@ -402,25 +404,19 @@ def test_empirical_pe_frozen_values(monkeypatch, name, pe, stderr):
 
 
 def test_empirical_pe_keeps_one_draw_block_live():
-    # 4,000 trials at k = 5000 are three draw chunks of up to 2^23 elements
-    # per hypothesis. This white law is drawn and decided six rows at a
-    # time, so no chunk is ever whole; the bound here, one chunk and a
-    # tenth, is the loose one. The next test bounds the same run at 2 MiB,
-    # and test_empirical_pe_holds_one_coloured_chunk_of_a_dense_law bounds
-    # a law that colours its whole chunk.
-    import tracemalloc
-
-    import zzbound.montecarlo as mc
-
+    # A per-vector mixture draws its chunk's one-byte labels first, then its
+    # normals a row block at a time, each component's rows scaled and
+    # written back into the block. 4,000 trials at k = 5000 are three
+    # chunks of up to 1,677 rows (64 MiB) per hypothesis; the peak stays
+    # near a few 240 KB blocks, as for the white law of the next test.
     k = 5000
-    kernel = PeKernel(*_linear_setup(k=k))
-    tracemalloc.start()
-    try:
-        empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 8 * mc._MC_CHUNK
+    sig = LinearVectorMap(np.ones(k))
+    comps = tuple(GaussianNoise(np.zeros(k), ScaledIdentityCov(v, k)) for v in (1.0, 4.0))
+    noise = MixtureNoise(np.array([0.9, 0.1]), comps)
+    assumed = AssumedModel(sig, np.zeros(k), ScaledIdentityCov(1.0, k))
+    kernel = PeKernel(assumed, TrueModel(sig, noise))
+    peak = _traced_peak(lambda: empirical_pe(kernel, 0.0, 0.05, trials=4000, seed=0))
+    assert peak < 2 * 2**20
 
 
 def _traced_peak(fn):

@@ -13,6 +13,7 @@ from zzbound.models import (
     AssumedModel,
     DenseCov,
     DiagonalCov,
+    EmpiricalNoise,
     GaussianNoise,
     LinearMatrixMap,
     LinearVectorMap,
@@ -363,6 +364,12 @@ def test_wrong_noise_type_raises():
     )
     with pytest.raises(ValueError, match="Gaussian"):
         pe_gaussian(mix_kern, 0.0, 1.0)
+    # Empirical truth has no projected moments; only empirical_pe serves it.
+    empirical = PeKernel(
+        kern.assumed, TrueModel(kern.truth.signal, EmpiricalNoise(lambda rng: np.zeros(2), 2))
+    )
+    with pytest.raises(ValueError, match="montecarlo.empirical_pe"):
+        linear_scalar_profile(empirical)
     # Differing linear maps are a valid profile with a location term, not an
     # error; a map with two parameter columns is not a scalar profile.
     differing = PeKernel(

@@ -141,6 +141,17 @@ def test_quadrature_rule_rejects_a_tolerance_outside_zero_one(rel_tol):
     assert QuadratureRule(rel_tol=0.5).rel_tol == 0.5
 
 
+def test_quadrature_and_search_settings_validation():
+    with pytest.raises(ValueError, match="at least 5 points"):
+        QuadratureRule(points=4)
+    with pytest.raises(ValueError, match="max_doublings must be >= 0"):
+        QuadratureRule(max_doublings=-1)
+    with pytest.raises(ValueError, match="grid_points must be >= 3"):
+        DeltaSearch(grid_points=2)
+    with pytest.raises(ValueError, match="refine_iters must be >= 0"):
+        DeltaSearch(refine_iters=-1)
+
+
 def test_delta_search_rejects_a_negative_lattice_window():
     # A negative window once left no candidates and divided by zero in the scan.
     with pytest.raises(ValueError, match="lattice_window"):
@@ -543,6 +554,8 @@ def test_router_closed_form_values_match_gamma():
     # method returns it.
     with pytest.raises(ValueError, match="unknown bound method 'asymptotic'"):
         bound(assumed, truth, prior, "asymptotic")
+    with pytest.raises(ValueError, match="a scalar bound has only coord 0, got 1"):
+        bound(assumed, truth, prior, coord=1)
 
 
 @pytest.mark.parametrize(
@@ -837,6 +850,9 @@ def test_prior_overlap_box():
     prior = Prior((IntervalAxis(0.0, 1.0), IntervalAxis(0.0, 1.0)))
     deltas = np.array([[0.5, 0.25], [0.0, 0.0], [1.0, 0.0], [-0.5, -0.25]])
     assert_allclose(overlap_rows(prior, deltas), [0.375, 1.0, 0.0, 0.375], rtol=1e-15)
+    for bad in (deltas[:, :1], deltas[0]):
+        with pytest.raises(ValueError, match=r"deltas must have shape \(M, 2\)"):
+            overlap_rows(prior, bad)
 
 
 def test_overlap_rows_matches_scalar_api():
