@@ -19,13 +19,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .estimators import EstimatorSpec, LinearClosedForm, QuasiMLE, SampleMedian
-from .experiments import Study, SweepConfig, check_sweep_trials, run_sweep, study
+from .experiments import Study, SweepConfig, run_sweep, study
 from .models import (
     AmplitudePulseMap,
     AssumedModel,
@@ -262,22 +262,13 @@ def _build_prior(spec: Any, path: str) -> Prior:
     return _build(Prior, built, path=path)
 
 
-@dataclass(frozen=True)
-class _Scenario:
-    """A parsed scenario plus the bookkeeping the subcommands need."""
-
-    assumed: AssumedModel
-    truth: TrueModel
-    prior: Prior
-
-
 def _study(d: Mapping[str, Any], path: str) -> Study:
     """The reference study d["example"] names."""
     example = _as_int(_require(d, "example", path), f"{path}.example")
     return _under(path, study, example)
 
 
-def _scenario_from_preset(d: Mapping[str, Any], path: str) -> _Scenario:
+def _scenario_from_preset(d: Mapping[str, Any], path: str) -> tuple[PeKernel, Prior]:
     ref = _study(d, path)
     _check_fields(d, path, "example", "variant", "k", ref.var)
     # Passed on only when given, so each study keeps its own default k.
@@ -291,10 +282,11 @@ def _scenario_from_preset(d: Mapping[str, Any], path: str) -> _Scenario:
     scn = _build(ref.build, value, *k_arg, path=path)
     if variant not in scn.assumed:
         _fail(f"{path}.variant", "the white-only model needs sigma2 > 0 to be well defined")
-    return _Scenario(scn.assumed[variant], scn.truth, scn.prior)
+    return PeKernel(scn.assumed[variant], scn.truth), scn.prior
 
 
-def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
+def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> tuple[PeKernel, Prior]:
+    """The config's scenario: the assumed model and the true law, and the prior."""
     d = _as_dict(_require(cfg, "scenario", path), f"{path}.scenario")
     path = f"{path}.scenario"
     if "example" in d:
@@ -320,7 +312,7 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
     noise = _build_noise(_require(truth_d, "noise", f"{path}.truth"), f"{path}.truth.noise", t_signal.k)
     truth = _build(TrueModel, t_signal, noise, path=f"{path}.truth")
     # The two models must agree on the record length and the parameter count.
-    _build(PeKernel, assumed, truth, path=f"{path}.truth")
+    kernel = _build(PeKernel, assumed, truth, path=f"{path}.truth")
 
     prior = _build_prior(_require(d, "prior", path), f"{path}.prior")
     if prior.n_theta != signal.n_theta:
@@ -328,7 +320,7 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
             f"{path}.prior",
             f"prior has {prior.n_theta} coordinates, the signal map expects {signal.n_theta}",
         )
-    return _Scenario(assumed, truth, prior)
+    return kernel, prior
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +328,11 @@ def _scenario_from_config(cfg: Mapping[str, Any], path: str) -> _Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _fmt_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return format(value, ".17g")
     return str(value)
 
 
@@ -384,7 +372,7 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         "config.method",
         choices=("auto", "closed_form", "quadrature"),
     )
-    scn = _scenario_from_config(cfg, "config")
+    kernel, prior = _scenario_from_config(cfg, "config")
 
     pe_constant = None
     if "pe_constant" in cfg:
@@ -397,10 +385,10 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
     def row(coord: int | None) -> dict[str, Any]:
         start = time.perf_counter()
         if pe_constant is not None:
-            spec = ScalarBoundSpec(scn.prior, lambda h: np.full(np.shape(h), pe_constant))
+            spec = ScalarBoundSpec(prior, lambda h: np.full(np.shape(h), pe_constant))
             result = zzb_scalar_independent(spec)
         else:
-            result = bound(scn.assumed, scn.truth, scn.prior, method, coord)
+            result = bound(kernel.assumed, kernel.truth, prior, method, coord)
         cells = {
             "method": result.form,
             "value": float(result.value),
@@ -410,7 +398,7 @@ def _cmd_bound(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[st
         return cells if coord is None else {"coord": coord, **cells}
 
     # A scalar scenario keeps its one row without a coord column.
-    coords = [None] if scn.prior.n_theta == 1 else range(scn.prior.n_theta)
+    coords = [None] if prior.n_theta == 1 else range(prior.n_theta)
     try:
         return [row(coord) for coord in coords]
     except MethodError as exc:
@@ -427,71 +415,64 @@ def _trials_and_seed(
     trials = args.trials
     if trials is None and ("trials" in cfg or default is not None):
         trials = _as_int(cfg.get("trials", default), "config.trials")
-    if default is not None:  # a sweep's count is checked by SweepConfig
-        _build(check_sweep_trials, trials, path="config.trials")
+    if default is not None and trials < 1:  # a sweep's count is checked by SweepConfig
+        _fail("config.trials", f"expected a positive count, got {trials}")
     seed = args.seed
     if seed is None:
         seed = _as_int(cfg.get("seed", 0), "config.seed")
     return trials, seed
 
 
-def _check_point(scn: _Scenario, theta: np.ndarray, path: str) -> None:
+def _check_point(kernel: PeKernel, theta: np.ndarray, path: str) -> None:
     """Evaluate both maps at theta, one point or a batch, so that a point a map
     cannot take, such as a pulse position outside the record, is a config
     error naming path."""
-    for signal in (scn.assumed.signal, scn.truth.signal):
+    for signal in (kernel.assumed.signal, kernel.truth.signal):
         _build(eval_signal, signal, theta, path=path)
-
-
-def _default_estimator(scn: _Scenario) -> EstimatorSpec:
-    if isinstance(scn.assumed.signal, AmplitudePulseMap):
-        return QuasiMLE(scn.assumed)
-    return LinearClosedForm(scn.assumed)
 
 
 def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "scenario", "estimator", "trials", "seed", "theta_true")
-    scn = _scenario_from_config(cfg, "config")
+    kernel, prior = _scenario_from_config(cfg, "config")
+    assumed = kernel.assumed
 
-    if "estimator" in cfg:
-        name = _as_str(
-            cfg["estimator"],
-            "config.estimator",
-            choices=("quasi_mle", "linear_closed_form", "sample_median"),
-        )
-        estimator: EstimatorSpec
-        if name == "quasi_mle":
-            estimator = QuasiMLE(scn.assumed)
-        elif name == "linear_closed_form":
-            if not isinstance(scn.assumed.signal, LinearMatrixMap):
-                _fail("config.estimator", "closed-form estimation requires a linear signal map")
-            estimator = LinearClosedForm(scn.assumed)
-        else:
-            if scn.prior.n_theta != 1:
-                _fail("config.estimator", "sample median requires a scalar parameter")
-            estimator = SampleMedian()
+    default = "quasi_mle" if isinstance(assumed.signal, AmplitudePulseMap) else "linear_closed_form"
+    name = _as_str(
+        cfg.get("estimator", default),
+        "config.estimator",
+        choices=("quasi_mle", "linear_closed_form", "sample_median"),
+    )
+    estimator: EstimatorSpec
+    if name == "quasi_mle":
+        estimator = QuasiMLE(assumed)
+    elif name == "linear_closed_form":
+        if not isinstance(assumed.signal, LinearMatrixMap):
+            _fail("config.estimator", "closed-form estimation requires a linear signal map")
+        estimator = LinearClosedForm(assumed)
     else:
-        estimator = _default_estimator(scn)
+        if prior.n_theta != 1:
+            _fail("config.estimator", "sample median requires a scalar parameter")
+        estimator = SampleMedian()
 
     trials, seed = _trials_and_seed(cfg, args, 1000)
 
     theta_true = None
     if "theta_true" in cfg:
-        theta_true = _as_coords(cfg["theta_true"], "config.theta_true", scn.prior.n_theta)
-        _check_point(scn, theta_true, "config.theta_true")
+        theta_true = _as_coords(cfg["theta_true"], "config.theta_true", prior.n_theta)
+        _check_point(kernel, theta_true, "config.theta_true")
     # Trials draw theta from the prior and the estimators search it, so its
     # end positions must be points the maps take.
     ends = [
         (ax.lo, ax.hi) if isinstance(ax, IntervalAxis) else (ax.start, ax.start + ax.width)
-        for ax in scn.prior.axes
+        for ax in prior.axes
     ]
-    _check_point(scn, np.array(ends).T, "config.scenario.prior")
+    _check_point(kernel, np.array(ends).T, "config.scenario.prior")
 
     plan = _build(
         TrialPlan,
-        scn.truth,
+        kernel.truth,
         estimator,
-        scn.prior,
+        prior,
         trials,
         seed,
         theta_true,
@@ -514,8 +495,8 @@ def _cmd_mc(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
 
 def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_fields(cfg, "config", "scenario", "theta", "delta", "method", "trials", "seed")
-    scn = _scenario_from_config(cfg, "config")
-    n = scn.prior.n_theta
+    kernel, prior = _scenario_from_config(cfg, "config")
+    n = prior.n_theta
 
     theta = _as_coords(_require(cfg, "theta", "config"), "config.theta", n)
     delta = _as_coords(_require(cfg, "delta", "config"), "config.delta", n)
@@ -526,13 +507,12 @@ def _cmd_pe(cfg: Mapping[str, Any], args: argparse.Namespace) -> list[dict[str, 
         choices=("analytic", "empirical", "both"),
     )
     trials, seed = _trials_and_seed(cfg, args, 100_000)
-    _check_point(scn, theta, "config.theta")
-    _check_point(scn, theta + delta, "config.delta")
+    _check_point(kernel, theta, "config.theta")
+    _check_point(kernel, theta + delta, "config.delta")
 
-    kernel = PeKernel(scn.assumed, scn.truth)
     rows: list[dict[str, Any]] = []
     if method in ("analytic", "both"):
-        pe_fn = pe_gaussian if isinstance(scn.truth.noise, GaussianNoise) else pe_mixture
+        pe_fn = pe_gaussian if isinstance(kernel.truth.noise, GaussianNoise) else pe_mixture
         value = pe_fn(kernel, theta, delta)
         rows.append({"method": "analytic", "value": float(value), "stderr": 0.0, "trials": 0})
     if method in ("empirical", "both"):

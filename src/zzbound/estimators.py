@@ -217,13 +217,11 @@ def estimate(spec: EstimatorSpec, x, prior: Prior) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("observation contains non-finite values")
+    if isinstance(spec, (QuasiMLE, LinearClosedForm)) and x.shape != (spec.model.k,):
+        raise ValueError(f"x has shape {x.shape}, model expects ({spec.model.k},)")
     if isinstance(spec, QuasiMLE):
-        if x.shape != (spec.model.k,):
-            raise ValueError(f"x has shape {x.shape}, model expects ({spec.model.k},)")
         return _quasi_mle(spec, x, prior)
     if isinstance(spec, LinearClosedForm):
-        if x.shape != (spec.model.k,):
-            raise ValueError(f"x has shape {x.shape}, model expects ({spec.model.k},)")
         return _linear_closed_form(spec, x)
     if isinstance(spec, SampleMedian):
         if prior.n_theta != 1:

@@ -59,7 +59,6 @@ __all__ = [
     "Study",
     "SweepConfig",
     "SweepRow",
-    "check_sweep_trials",
     "default_grid",
     "run_sweep",
     "study",
@@ -526,12 +525,6 @@ def default_grid(example: int) -> tuple[float, ...]:
     return study(example).grid
 
 
-def check_sweep_trials(trials: int) -> None:
-    """Raise ValueError unless a Monte Carlo run has at least one trial."""
-    if trials < 1:
-        raise ValueError(f"expected a positive count, got {trials}")
-
-
 def _named(name: str, check: Callable[..., None], *args: Any) -> None:
     """Run check, putting the field name at the head of its ValueError."""
     try:
@@ -570,8 +563,9 @@ class SweepConfig:
             raise ValueError(f"overrides: unknown {sorted(unknown)}; allowed: k, trials")
         if "k" in self.overrides:
             _named("k", ref.check_k, int(self.overrides["k"]))
-        if "trials" in self.overrides:
-            _named("trials", check_sweep_trials, int(self.overrides["trials"]))
+        trials = int(self.overrides.get("trials", 1))
+        if trials < 1:
+            raise ValueError(f"trials: expected a positive count, got {trials}")
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:

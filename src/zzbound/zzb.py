@@ -453,10 +453,7 @@ def _free_axis_candidates(ax, search: DeltaSearch) -> np.ndarray:
     """Candidate offsets scanned on one free axis."""
     if isinstance(ax, IntervalAxis):
         return np.linspace(-ax.width, ax.width, _odd(search.grid_points))
-    window = search.lattice_window
-    if window is None:
-        window = ax.count - 1 if ax.count <= 129 else 128
-    window = min(window, ax.count - 1)
+    window = min(ax.count - 1, 128 if search.lattice_window is None else search.lattice_window)
     offs = np.arange(-window, window + 1, dtype=float)
     return offs * ax.step
 

@@ -1264,17 +1264,25 @@ def test_schema_errors_name_their_field(tmp_path, capsys, path, value, field):
 
 
 def test_list_mean_and_explicit_estimator_match_their_defaults(tmp_path):
-    # A mean given as a list of k entries is the scalar mean, and the
-    # linear_closed_form estimator named is the default one for a linear map.
+    # A mean given as a list of k entries is the scalar mean, the
+    # linear_closed_form estimator named is the default one for a linear map,
+    # and quasi_mle is the default one for a pulse map.
     payload = _readme_config(theta_true=[2.0], trials=16)
     explicit = _edited(payload, ("scenario", "assumed", "mean"), [0.0] * 4)
     explicit["estimator"] = "linear_closed_form"
-    written = []
-    for name, cfg in (("default", payload), ("explicit", explicit)):
-        path, out = _write_cfg(tmp_path, cfg, f"{name}.json"), tmp_path / f"{name}.csv"
-        assert main(["mc", "--config", path, "--out", str(out)]) == 0
-        written.append(out.read_bytes())
-    assert written[0] == written[1]
+    pulse = {"scenario": {"example": 4, "snr": 10.0, "k": 600}}
+    pairs = {
+        "linear": (payload, explicit, []),
+        "pulse": (pulse, {**pulse, "estimator": "quasi_mle"}, ["--trials", "2"]),
+    }
+    for kind, (default, named, extra) in pairs.items():
+        written = []
+        for name, cfg in (("default", default), ("explicit", named)):
+            path = _write_cfg(tmp_path, cfg, f"{kind}_{name}.json")
+            out = tmp_path / f"{kind}_{name}.csv"
+            assert main(["mc", "--config", path, "--out", str(out), *extra]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1], kind
 
 
 def _misspell(payload, path, good, bad):

@@ -176,6 +176,7 @@ def test_run_mse_matched_linear_variance():
 
 
 def test_run_mse_worker_count_invariance():
+    # A QuasiMLE plan (the grid search) repeats bit for bit, bias included.
     assumed, truth = _linear_setup(k=12)
     plan = TrialPlan(
         truth=truth,
